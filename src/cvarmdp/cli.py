@@ -242,7 +242,10 @@ def cmd_simulate(config):
     policy = _resolve_policy(config, instance)
     s0 = config.s0 if config.s0 is not None else instance.states[0]
     seq = evaluate.cvar_sequence(instance, policy, s0, config.horizon, config.alpha)
-    window = config.window if config.window is not None else max(1, len(seq) // 2)
+    window = config.window
+    if window is None:
+        window = (evaluate.example1_swing_window(len(seq)) if config.policy == "example1"
+                  else max(1, len(seq) // 2))
     hi, lo = evaluate.limsup_liminf_estimate(seq, window)
     if config.out is not None:
         evaluate.export_sequence(seq, config.out)
@@ -388,7 +391,8 @@ def build_parser():
     p.add_argument("--T", type=int, default=100, help="horizon")
     p.add_argument("--s0", help="initial state (default: first state)")
     p.add_argument("--window", type=int, default=None,
-                   help="trailing window for limsup/liminf estimates (default T/2)")
+                   help="trailing window for limsup/liminf estimates (default T/2; "
+                        "for --policy example1, back to the last rising block end)")
     p.add_argument("--out", help="write the sequence as CSV to this path")
 
     p = sub.add_parser("check", help="classify the chain of every deterministic policy")

@@ -105,6 +105,17 @@ def example1_block_boundaries(T):
         k += 1
 
 
+def example1_swing_window(T):
+    """Trailing window over which the oscillator's running average makes a
+    full swing: it reaches back to the last rising block end before the
+    final block end, so both a maximum (near +1) and a minimum (-1) of the
+    Cesaro sequence lie inside it.
+    """
+    ends = example1_block_boundaries(T) - 1
+    rising = ends[:-1][::2]  # block j ends a rise for even j
+    return T - int(rising[-1]) if rising.size else T
+
+
 def example1_policy(T):
     """The deterministic switching schedule of the two-state oscillator.
 

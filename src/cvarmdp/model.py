@@ -213,7 +213,7 @@ class DeterministicPolicy:
     choices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "choices", tuple(int(c) for c in self.choices))
+        object.__setattr__(self, "choices", tuple(map(int, self.choices)))
 
     def to_stationary(self, instance):
         probs = np.zeros(instance.n_pairs)
@@ -647,12 +647,18 @@ def n_randomizations(instance, policy, tol=RANDOMIZATION_TOL):
     return int(active.sum()) - instance.n_states
 
 
-def deterministic_policies(instance, cap=10**6):
-    """All deterministic policies in lexicographic order of action indices."""
-    counts = [len(acts) for acts in instance.actions]
-    total = math.prod(counts)
+def deterministic_policy_count(instance, cap=10**6):
+    """Number of deterministic policies; raises CapExceededError above cap."""
+    total = math.prod(len(acts) for acts in instance.actions)
     if total > cap:
         raise CapExceededError(f"{total} deterministic policies exceed cap {cap}")
+    return total
+
+
+def deterministic_policies(instance, cap=10**6):
+    """All deterministic policies in lexicographic order of action indices."""
+    deterministic_policy_count(instance, cap)
+    counts = [len(acts) for acts in instance.actions]
     idx = [0] * len(counts)
     out = []
     while True:

@@ -161,6 +161,29 @@ def reward_distribution(instance, x):
     return DiscreteDistribution.from_atoms(instance.rewards3.ravel(), weights.ravel())
 
 
+def cvar_right_and_mean_rows(instance, xs, alpha):
+    """Right-tail CVaR and mean of the reward law of every row of xs.
+
+    Row-batched `cvar_right(reward_distribution(instance, x), alpha)` and
+    `.mean()`: the atoms are sorted once, equal values stay adjacent, and
+    each row's tail is one cumulative-sum segment sum.
+    """
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    xs = np.clip(xs, 0.0, None)
+    if instance.rewards is not None:
+        values, weights = instance.rewards, xs
+    else:
+        values = instance.rewards3.ravel()
+        weights = (xs[:, :, None] * instance.kernel).reshape(xs.shape[0], -1)
+    order = np.argsort(values, kind="stable")
+    values, weights = values[order], weights[:, order]
+    cum = np.cumsum(weights, axis=1)
+    prev = np.concatenate((np.zeros((cum.shape[0], 1)), cum[:, :-1]), axis=1)
+    tail = np.clip(cum - np.maximum(prev, alpha), 0.0, None)
+    return tail @ values / (1.0 - alpha), weights @ values
+
+
 @dataclass(frozen=True)
 class Breakpoints:
     """Sorted distinct reward values, their minimum gap, and the bounds."""

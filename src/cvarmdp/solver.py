@@ -197,23 +197,20 @@ def enumerate_deterministic(instance, params, cap=10**6):
     unichain assumption there is only one class.
     """
     rows = []
-    best_idx = -1
-    best_val = -np.inf
-    for idx, dp in enumerate(model.deterministic_policies(instance, cap=cap)):
-        pol = dp.to_stationary(instance)
-        cls = chains.classify_chain(instance, pol)
-        mean = cvar = combined = -np.inf
-        for members in cls.recurrent_classes:
-            occ = chains._class_occupation(instance, pol, members)
-            law = risk.reward_distribution(instance, occ)
-            c = risk.cvar_right(law, params.alpha)
-            m = law.mean()
-            j = c + params.beta * m
-            if j > combined:
-                mean, cvar, combined = m, c, j
-        rows.append(PolicyRow(policy=dp, mean=mean, cvar=cvar, combined=combined))
-        if combined > best_val:
-            best_val, best_idx = combined, idx
+    scores = []
+    for block in chains._deterministic_sweep(instance, cap):
+        owner, xs = block.occupations
+        cvar, mean = risk.cvar_right_and_mean_rows(instance, xs, params.alpha)
+        combined = cvar + params.beta * mean
+        if owner.size > len(block):
+            # several classes per policy: keep the first best one
+            order = np.lexsort((np.arange(owner.size), -combined, owner))
+            first = np.flatnonzero(np.diff(owner[order], prepend=-1))
+            best = order[first]
+            cvar, mean, combined = cvar[best], mean[best], combined[best]
+        rows += map(PolicyRow, block.policies(), mean.tolist(), cvar.tolist(), combined.tolist())
+        scores.append(combined)
+    best_idx = int(np.argmax(np.concatenate(scores))) if rows else -1
     return EnumerationTable(rows=tuple(rows), best_index=best_idx)
 
 

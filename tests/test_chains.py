@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvarmdp import chains, model, risk, solver
 from cvarmdp.model import DeterministicPolicy, StationaryPolicy
@@ -213,3 +217,218 @@ class TestPolytopeVertices:
         assert as_sets == {(1.0, 0.0, 0.0, 0.0),
                            (0.0, 0.0, 0.0, 1.0),
                            (0.0, 0.5, 0.5, 0.0)}
+
+
+# -- the deterministic sweep against the per-policy loops ---------------------
+#
+# The loops below are the per-policy reference: one classify_chain and one
+# _class_occupation per recurrent class of every deterministic policy.
+
+
+def loop_classes(instance):
+    """(policy, classification, class occupation rows) per policy."""
+    out = []
+    for dp in model.deterministic_policies(instance):
+        pol = dp.to_stationary(instance)
+        cls = chains.classify_chain(instance, pol)
+        xs = [chains._class_occupation(instance, pol, m).x for m in cls.recurrent_classes]
+        out.append((dp, cls, xs))
+    return out
+
+
+def loop_check_assumption(instance):
+    entries = loop_classes(instance)
+    return len(entries), [(dp, cls) for dp, cls, _ in entries if not cls.unichain_aperiodic]
+
+
+def loop_enumerate(instance, params):
+    rows, best_idx, best_val = [], -1, -np.inf
+    for idx, (dp, _, xs) in enumerate(loop_classes(instance)):
+        mean = cvar = combined = -np.inf
+        for x in xs:
+            law = risk.reward_distribution(instance, x)
+            c, m = risk.cvar_right(law, params.alpha), law.mean()
+            if c + params.beta * m > combined:
+                mean, cvar, combined = m, c, c + params.beta * m
+        rows.append((dp, mean, cvar, combined))
+        if combined > best_val:
+            best_val, best_idx = combined, idx
+    return rows, best_idx
+
+
+def loop_vertices(instance):
+    rows, gens = [], []
+    for dp, _, xs in loop_classes(instance):
+        for x in xs:
+            if not any(np.max(np.abs(seen - x)) < chains.VERTEX_DEDUP_TOL for seen in rows):
+                rows.append(x)
+                gens.append(dp)
+    return np.stack(rows), tuple(gens)
+
+
+def sweep_classes(instance):
+    """The sweep's (policy, classification, class occupation rows) per policy."""
+    out = []
+    for block in chains._deterministic_sweep(instance):
+        owner, xs = block.occupations
+        for i in range(len(block)):
+            out.append((block.policy(i), block.classification(i), list(xs[owner == i])))
+    return out
+
+
+def assert_sweep_matches_loop(instance):
+    """Compare classes, occupations and violators; return the structures seen."""
+    loop, sweep = loop_classes(instance), sweep_classes(instance)
+    assert [dp for dp, _, _ in sweep] == [dp for dp, _, _ in loop]
+    seen = set()
+    for (_, cls_s, xs_s), (_, cls_l, xs_l) in zip(sweep, loop):
+        assert cls_s == cls_l
+        assert len(xs_s) == len(xs_l)
+        for a, b in zip(xs_s, xs_l):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        seen |= {"multichain"} if not cls_l.unichain else set()
+        seen |= {"periodic"} if not all(cls_l.aperiodic) else set()
+        seen |= {"transient"} if cls_l.transient_states else set()
+    report = chains.check_assumption(instance)
+    total, violators = loop_check_assumption(instance)
+    assert report.total == total
+    assert list(report.violators) == violators
+    return seen
+
+
+def sparse_instance(rng, n_states, counts, rewards3=False):
+    """Random instance whose kernel rows have 1..n_states successors, most
+    often one, so multichain, periodic and transient structure is common."""
+    n_pairs = int(sum(counts))
+    kernel = np.zeros((n_pairs, n_states))
+    for k in range(n_pairs):
+        size = min(n_states, int(rng.geometric(0.6)))
+        support = rng.choice(n_states, size=size, replace=False)
+        weights = rng.integers(1, 6, size=size).astype(float)
+        kernel[k, support] = weights / weights.sum()
+    states = tuple(f"s{i + 1}" for i in range(n_states))
+    actions = tuple(tuple(f"a{j + 1}" for j in range(c)) for c in counts)
+    if rewards3:
+        r3 = rng.integers(-5, 6, size=(n_pairs, n_states)).astype(float)
+        return model.MdpInstance("sparse3", states, actions, kernel, rewards3=r3)
+    r = rng.integers(-5, 6, size=n_pairs).astype(float)
+    return model.MdpInstance("sparse", states, actions, kernel, rewards=r)
+
+
+@st.composite
+def sparse_kernels(draw):
+    n_states = draw(st.integers(min_value=1, max_value=4))
+    counts = draw(st.lists(st.integers(min_value=1, max_value=3),
+                           min_size=n_states, max_size=n_states))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return sparse_instance(np.random.default_rng(seed), n_states, counts)
+
+
+def seeded_instances():
+    """Builtins plus 120 seeded dense and sparse instances, both reward kinds."""
+    out = [model.builtin(n) for n in ("example1", "example2", "endowment")]
+    out += [transient_tail_instance(), cycle_instance()]
+    for seed in range(60):
+        out.append(model.random_instance(seed, 2 + seed % 4, 1 + seed % 3))
+        rng = np.random.default_rng(seed)
+        n_states = 2 + seed % 4
+        counts = rng.integers(1, 4, size=n_states)
+        out.append(sparse_instance(rng, n_states, counts, rewards3=seed % 3 == 0))
+    return out
+
+
+class TestDeterministicSweep:
+    @given(sparse_kernels())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_classify_chain_and_class_occupation(self, instance):
+        assert_sweep_matches_loop(instance)
+
+    def test_covers_every_structure(self):
+        seen = set()
+        for inst in (model.builtin("example1"), model.builtin("endowment"),
+                     cycle_instance(), transient_tail_instance()):
+            seen |= assert_sweep_matches_loop(inst)
+        rng = np.random.default_rng(0)
+        inst = sparse_instance(rng, 4, [3, 1, 2, 1])
+        seen |= assert_sweep_matches_loop(inst)
+        assert seen == {"multichain", "periodic", "transient"}
+
+    def test_outputs_match_loops_on_seeded_instances(self):
+        params = risk.RiskParams(0.7, 0.5)
+        for inst in seeded_instances():
+            table = solver.enumerate_deterministic(inst, params)
+            rows, best_idx = loop_enumerate(inst, params)
+            assert table.best_index == best_idx
+            assert [r.policy for r in table.rows] == [dp for dp, *_ in rows]
+            got = np.array([(r.mean, r.cvar, r.combined) for r in table.rows])
+            np.testing.assert_allclose(got, np.array([v for _, *v in rows]), rtol=0, atol=1e-12)
+
+            report = chains.check_assumption(inst)
+            assert (report.total, list(report.violators)) == loop_check_assumption(inst)
+
+            verts = chains.polytope_vertices(inst)
+            xs, gens = loop_vertices(inst)
+            assert verts.policies == gens
+            np.testing.assert_allclose(verts.xs, xs, rtol=0, atol=1e-12)
+
+    def test_cap_raises_before_allocating(self):
+        inst = model.random_instance(0, 8, 4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(model.CapExceededError):
+                chains._deterministic_sweep(inst, cap=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one block of this instance would hold 2048 policies, 128 KiB of
+        # choices alone
+        assert peak < 32 * 1024
+
+    def test_several_blocks_match_loop(self):
+        inst = model.random_instance(3, 12, 2)
+        blocks = list(chains._deterministic_sweep(inst))
+        assert len(blocks) > 1 and sum(len(b) for b in blocks) == 2**12
+        params = risk.RiskParams(0.8)
+        table = solver.enumerate_deterministic(inst, params)
+        rows, best_idx = loop_enumerate(inst, params)
+        assert table.best_index == best_idx
+        assert [r.policy for r in table.rows] == [dp for dp, *_ in rows]
+        got = np.array([(r.mean, r.cvar, r.combined) for r in table.rows])
+        np.testing.assert_allclose(got, np.array([v for _, *v in rows]), rtol=0, atol=1e-12)
+
+    def test_block_boundaries_inside_multichain_runs(self, monkeypatch):
+        inst = sparse_instance(np.random.default_rng(5), 4, [3, 2, 2, 1])
+        expected = sweep_classes(inst)
+        params = risk.RiskParams(0.6, 0.3)
+        table = solver.enumerate_deterministic(inst, params)
+        # five policies per block: 12 policies give blocks of 5, 5 and 2
+        monkeypatch.setattr(chains, "SWEEP_ENTRIES", 5 * inst.n_states * inst.n_pairs)
+        assert [len(b) for b in chains._deterministic_sweep(inst)] == [5, 5, 2]
+        small = sweep_classes(inst)
+        assert [(dp, cls) for dp, cls, _ in small] == [(dp, cls) for dp, cls, _ in expected]
+        for (_, _, a), (_, _, b) in zip(small, expected):
+            np.testing.assert_allclose(np.array(a), np.array(b), rtol=0, atol=0)
+        small_table = solver.enumerate_deterministic(inst, params)
+        assert small_table.best_index == table.best_index
+        assert [r.policy for r in small_table.rows] == [r.policy for r in table.rows]
+        np.testing.assert_allclose([r.combined for r in small_table.rows],
+                                   [r.combined for r in table.rows], rtol=0, atol=1e-12)
+        assert_sweep_matches_loop(inst)
+
+
+class TestVertexGenerators:
+    def test_example1_first_generators(self):
+        inst = model.builtin("example1")
+        verts = chains.polytope_vertices(inst)
+        xs, gens = loop_vertices(inst)
+        assert verts.policies == gens == (DeterministicPolicy((0, 0)),
+                                          DeterministicPolicy((0, 1)),
+                                          DeterministicPolicy((1, 0)))
+        np.testing.assert_allclose(verts.xs, xs, rtol=0, atol=1e-12)
+
+    def test_transient_tail_first_generator(self):
+        inst = transient_tail_instance()
+        verts = chains.polytope_vertices(inst)
+        xs, gens = loop_vertices(inst)
+        assert verts.policies == gens == (DeterministicPolicy((0, 0, 0)),)
+        np.testing.assert_allclose(verts.xs, xs, rtol=0, atol=1e-12)

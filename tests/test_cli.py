@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +169,17 @@ class TestSimulateCommand:
         tail = [row["cesaro"] for row in doc["rows"][-50:]]
         assert max(tail) - min(tail) < 0.5  # converging running average
 
+    def test_example1_default_window_spans_a_swing(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--builtin", "example1", "--policy", "example1",
+                        "--alpha", "0.5", "--T", "29524")
+        assert code == 0
+        last = out.strip().splitlines()[-1]
+        assert last.startswith("# trailing-window (19684) cesaro extremes:")
+        hi = float(last.split("max ")[1].split(",")[0])
+        lo = float(last.split("min ")[1])
+        assert hi >= 1.0
+        assert lo == -1.0
+
     def test_horizon_one(self, capsys):
         code, doc, _ = run_json(capsys, "simulate", "--builtin", "example1",
                                 "--policy", "example1", "--alpha", "0.5", "--T", "1")
@@ -239,3 +254,16 @@ class TestScanCommand:
         code, out, _ = run(capsys, "scan", "--builtin", "example2", "--alpha", "0.7")
         assert code == 0
         assert sum(ln.endswith("*") for ln in out.splitlines()) == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_solves_example2(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvarmdp", "solve", "--builtin", "example2",
+             "--alpha", "0.7", "--json"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert round(json.loads(proc.stdout)["value"], 4) == 93.2402

@@ -34,6 +34,14 @@ class TestExample1Schedule:
         # (3^(2n) - 1) / 2 starts a block in the first state
         assert all((3 ** (2 * n) - 1) // 2 in set(bounds) for n in range(1, 6))
 
+    def test_swing_window_reaches_last_rising_block_end(self):
+        # block ends are (3^(j+1) - 1)/2 - 1; even j ends a rise
+        assert evaluate.example1_swing_window((3**12 - 1) // 2) == (3**12 - 1) // 2 - 88572
+        assert evaluate.example1_swing_window(29524) == 29524 - 9840
+        # a horizon that stops on a rising block end still keeps the fall before it
+        assert evaluate.example1_swing_window(88573) == 88573 - 9840
+        assert [evaluate.example1_swing_window(T) for T in (1, 3, 13)] == [1, 3, 13]
+
     def test_materializer_matches_rule(self):
         pol = evaluate.example1_policy(200)
         rows = pol.rows(200)

@@ -179,6 +179,29 @@ class TestRewardDistribution:
         assert d.probs[i] == pytest.approx(0.7)  # bull-to-bull probability
 
 
+class TestCvarAndMeanRows:
+    @pytest.mark.parametrize("name", ["example2", "endowment"])
+    def test_rows_match_reward_distribution(self, name):
+        inst = model.builtin(name)
+        rng = np.random.default_rng(4)
+        xs = rng.dirichlet(np.ones(inst.n_pairs), size=40)
+        xs[::3, ::2] = 0.0  # zero atoms, as in deterministic occupations
+        xs /= xs.sum(axis=1, keepdims=True)
+        for alpha in (0.0, 0.5, 0.9):
+            cvar, mean = risk.cvar_right_and_mean_rows(inst, xs, alpha)
+            for x, c, m in zip(xs, cvar, mean):
+                law = risk.reward_distribution(inst, x)
+                assert c == pytest.approx(risk.cvar_right(law, alpha), abs=1e-12)
+                assert m == pytest.approx(law.mean(), abs=1e-12)
+
+    def test_tied_rewards(self):
+        inst = model.MdpInstance("ties", ("s",), (("a", "b", "c"),), np.ones((3, 1)),
+                                 rewards=np.array([1.0, 5.0, 1.0]))
+        cvar, mean = risk.cvar_right_and_mean_rows(inst, np.array([[0.3, 0.4, 0.3]]), 0.5)
+        assert cvar[0] == pytest.approx((0.1 * 1.0 + 0.4 * 5.0) / 0.5, abs=1e-12)
+        assert mean[0] == pytest.approx(0.6 + 2.0, abs=1e-12)
+
+
 class TestSaddleValue:
     def one_pair(self, r=5.0):
         return model.MdpInstance("one", ("s",), (("a",),), np.array([[1.0]]),
