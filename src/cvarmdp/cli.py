@@ -197,9 +197,12 @@ def cmd_enumerate(config):
     instance = _validated_instance(config)
     params = risk.RiskParams(config.alpha, config.beta)
     table = solver.enumerate_deterministic(instance, params)
-    sol = solver.solve_cvar(instance, params)
+    dual = lp.solve(lp.build_dual_lp(instance, params))
+    if dual.status != "optimal":
+        raise solver.SolverError(f"occupation LP returned {dual.status}")
+    optimum = dual.objective
     order = sorted(range(len(table.rows)), key=lambda i: -table.rows[i].combined)
-    gap = sol.v_star - table.best.combined
+    gap = optimum - table.best.combined
     rows_payload = []
     lines = [f"{'policy':<40}{'mean':>12}{'cvar':>12}{'combined':>12}"]
     for rank, i in enumerate(order):
@@ -212,10 +215,10 @@ def cmd_enumerate(config):
         if rank >= 50 and not config.as_json:
             lines.append(f"... ({len(order) - rank - 1} more rows)")
             break
-    lines.append(f"best deterministic {table.best.combined:.4f}; optimum {sol.v_star:.4f}; "
+    lines.append(f"best deterministic {table.best.combined:.4f}; optimum {optimum:.4f}; "
                  f"gap {gap:.4f}")
     payload = {"rows": rows_payload, "best": rows_payload[0] if rows_payload else None,
-               "optimum": sol.v_star, "gap": gap}
+               "optimum": optimum, "gap": gap}
     _emit(config, payload, lines)
     return EXIT_OK
 

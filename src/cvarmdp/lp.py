@@ -115,12 +115,12 @@ def _check_solution(lp, x, tol):
     return worst, obj
 
 
-def solve(lp, require_vertex=False, tol=FEASIBILITY_TOL):
+def solve(lp, tol=FEASIBILITY_TOL):
     """Solve an LP with HiGHS dual simplex.
 
-    The simplex method returns an extreme point of the feasible region, so
-    `require_vertex` is always honored. Identical programs yield identical
-    solutions across runs.
+    The simplex method returns a basic solution, an extreme point of the
+    feasible region, which is what bounds the solver's randomization count.
+    Identical programs yield identical solutions across runs.
     """
     order = {v.name: i for i, v in enumerate(lp.variables)}
     n = len(lp.variables)

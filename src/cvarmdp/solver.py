@@ -1,14 +1,20 @@
-"""Saddle-point pipeline: solve, sparsify, extract, certify.
+"""Saddle-point pipeline: solve, extract, certify.
 
-The default route solves only the polynomial-size occupation program. The
-reported tail level is the quantile of the optimal reward law, which is
-what pins the sparsification program; saddle certificates are computed at
-the exact minimax level, which can sit strictly between reward values when
-the optimal law's CDF ties the probability level exactly (the generic
-situation whenever the optimum genuinely randomizes). Every solution is
-checked against independent recomputations: a fresh occupation LP at the
-certified level, an endpoint scan with interval refinement, and exhaustive
-deterministic enumeration.
+The default route solves only the polynomial-size occupation program and
+keeps its basic optimum. The reported tail level is the quantile of the
+optimal law; certificates are computed at the exact minimax level, which
+can sit strictly between reward values. Independent recomputations check
+every solution: an endpoint scan with interval refinement (its envelope is
+the left certificate at a reward value), a fresh occupation LP at an
+interior level, and deterministic enumeration.
+
+The basic optimum randomizes at most once. For fixed x, e -> v(x, e) is
+convex and piecewise linear with kinks only at the reward atoms of x's
+support, so the binding rows v(x, e) >= z2 all lie in one segment between
+consecutive atoms (or beyond the outer ones), where they are affine in e
+and span at most 2 dimensions on the support columns and z2. The polytope
+rows span at most |R| there, R the states carrying mass, and a vertex
+needs |support| + 1 independent rows, so |support| <= |R| + 1.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 from . import chains, lp, model, risk
 
 CERT_TOL = 2e-6           # certification gaps: twice the LP tolerance stack
-CONSISTENCY_TOL = 1e-6    # value decomposition and sparsify-objective match
+CONSISTENCY_TOL = 1e-6    # value decomposition
 QUANTILE_TIE_TOL = 1e-9
 
 
@@ -32,7 +38,7 @@ class SolverError(RuntimeError):
 class VerificationReport:
     """Independent checks of a solved saddle point.
 
-    saddle_left_gap  = max_x v(x, tail_level) - v*  (fresh occupation LP)
+    saddle_left_gap  = max_x v(x, tail_level) - v*  (scan envelope or fresh LP)
     saddle_right_gap = v* - min_y v(x*, y)          (reward-endpoint scan)
     oracle_gap       = |v* - scan-with-refinement optimum|
     deterministic_best = best combined value over deterministic policies
@@ -121,15 +127,22 @@ def verify_saddle(instance, x_star, y_star, v_star, params):
     the exact minimax level for a meaningful certificate (the quantile of
     the optimal law fails it whenever the CDF ties alpha there).
     """
-    x = model.as_pair_array(x_star)
-    left_sol = lp.solve(lp.build_average_lp(instance, y_star, params))
-    if left_sol.status != "optimal":
-        raise SolverError(f"certification LP returned {left_sol.status}")
-    left_gap = left_sol.objective - v_star
-    bp = risk.breakpoints(instance)
-    right_min = min(risk.saddle_value(instance, x, float(y), params) for y in bp.values)
-    right_gap = v_star - right_min
-    scan = endpoint_scan_oracle(instance, params)
+    return _certify(instance, x_star, y_star, v_star, params, endpoint_scan_oracle(instance, params))
+
+
+def _inner_max(instance, scan, y, params):
+    """max_x v(x, y): the scan's envelope at a reward value, else a fresh LP."""
+    if y in scan.ys:
+        return float(scan.envelope[np.searchsorted(scan.ys, y)])
+    sol = lp.solve(lp.build_average_lp(instance, y, params))
+    if sol.status != "optimal":
+        raise SolverError(f"certification LP returned {sol.status}")
+    return sol.objective
+
+
+def _certify(instance, x, y_star, v_star, params, scan):
+    left_gap = _inner_max(instance, scan, y_star, params) - v_star
+    right_gap = v_star - min(risk.saddle_value(instance, x, float(y), params) for y in scan.ys)
     enum = enumerate_deterministic(instance, params)
     flags = []
     if left_gap < -CERT_TOL or right_gap < -CERT_TOL:
@@ -144,7 +157,7 @@ def verify_saddle(instance, x_star, y_star, v_star, params):
     )
 
 
-def sparsify(instance, x_star, y_star, params, delta=None):
+def sparsify(instance, x_star, y_star, params):
     """Reduce an optimal occupation measure to one with few nonzeros.
 
     Solves the tail-pinned occupation program at y_star for a basic optimal
@@ -157,10 +170,8 @@ def sparsify(instance, x_star, y_star, params, delta=None):
 
     Returns (occupation measure, quantile_tie flag).
     """
-    if delta is None:
-        delta = risk.breakpoints(instance).delta
-    prog = lp.build_sparsify_lp(instance, y_star, params, delta)
-    sol = lp.solve(prog, require_vertex=True)
+    prog = lp.build_sparsify_lp(instance, y_star, params, risk.breakpoints(instance).delta)
+    sol = lp.solve(prog)
     if sol.status != "optimal":
         raise SolverError(
             f"sparsification LP is {sol.status}; the tail-pinned polytope "
@@ -215,34 +226,33 @@ def enumerate_deterministic(instance, params, cap=10**6):
 
 
 def solve_cvar(instance, params, mode="dual", cap=10**6):
-    """Full pipeline: occupation LP, quantile recovery, sparsification,
-    policy extraction, certification.
+    """Full pipeline: occupation LP, quantile recovery, policy extraction,
+    certification.
 
     mode "dual" solves only the polynomial-size program; "dual-primal"
     additionally enumerates the polytope vertices, solves the vertex
     program, and checks that both optima agree.
 
-    The reported y_star is the quantile of the final reward law (a reward
-    value, and the level the sparsification is pinned to). Certificates are
-    computed there when possible; when the optimal law ties alpha exactly
-    at its quantile the minimax-optimal level moves strictly above it and
-    the certificates are computed at the exact level from the joint
-    program instead, with the run flagged "interior-tail-level".
+    x_star is the occupation program's basic optimum and y_star the
+    quantile of its reward law. Certificates are computed there unless the
+    law ties alpha at its quantile; then they are computed at the exact
+    minimax level from the joint program and the run is flagged
+    "interior-tail-level".
     """
-    bp = risk.breakpoints(instance)
-    dual_sol = lp.solve(lp.build_dual_lp(instance, params), require_vertex=True)
+    dual_sol = lp.solve(lp.build_dual_lp(instance, params))
     if dual_sol.status != "optimal":
         raise SolverError(f"occupation LP returned {dual_sol.status}; "
                           "check the instance with validate()")
     v_star = dual_sol.objective
-    x_raw = lp.pair_values(instance, dual_sol)
-    y_star = risk.var(risk.reward_distribution(instance, x_raw), params.alpha)
+    x_star = model.OccupationMeasure(lp.pair_values(instance, dual_sol))
+    law = risk.reward_distribution(instance, x_star)
+    y_star = risk.var(law, params.alpha)
     flags = []
 
     primal_value = None
-    if mode in ("dual-primal", "dual+primal"):
+    if mode == "dual-primal":
         vertices = chains.polytope_vertices(instance, cap=cap)
-        primal_sol = lp.solve(lp.build_primal_lp(instance, vertices, params), require_vertex=True)
+        primal_sol = lp.solve(lp.build_primal_lp(instance, vertices, params))
         if primal_sol.status != "optimal":
             raise SolverError(f"vertex LP returned {primal_sol.status}")
         primal_value = primal_sol.objective
@@ -253,22 +263,9 @@ def solve_cvar(instance, params, mode="dual", cap=10**6):
     elif mode != "dual":
         raise ValueError(f"mode must be 'dual' or 'dual-primal', got {mode!r}")
 
-    x_final, tie = sparsify(instance, x_raw, y_star, params, bp.delta)
-    if tie:
-        flags.append("quantile-tie")
-    check = risk.saddle_value(instance, x_final.x, y_star, params)
-    if abs(check - v_star) > CONSISTENCY_TOL:
-        raise SolverError(f"sparsified objective {check!r} drifted from optimum {v_star!r}")
-    # The quantile of the final law equals the pinned level by construction
-    # (outside the tie case the sparsify rows force it; inside it we kept
-    # the original measure whose quantile defined the level).
-    y_star = risk.var(risk.reward_distribution(instance, x_final), params.alpha)
-
-    cert_probe = lp.solve(lp.build_average_lp(instance, y_star, params))
-    if cert_probe.status != "optimal":
-        raise SolverError(f"certification LP returned {cert_probe.status}")
+    scan = endpoint_scan_oracle(instance, params)
     cert_y = y_star
-    if cert_probe.objective - v_star > CERT_TOL:
+    if _inner_max(instance, scan, y_star, params) - v_star > CERT_TOL:
         level = lp.solve(lp.build_level_lp(instance, params))
         if level.status != "optimal":
             raise SolverError(f"level LP returned {level.status}")
@@ -279,13 +276,12 @@ def solve_cvar(instance, params, mode="dual", cap=10**6):
         cert_y = float(level.values["y"])
         flags.append("interior-tail-level")
 
-    report = verify_saddle(instance, x_final, cert_y, v_star, params)
+    report = _certify(instance, x_star, cert_y, v_star, params, scan)
 
-    policy = model.extract_policy(instance, x_final)
+    policy = model.extract_policy(instance, x_star)
     n_rand = model.n_randomizations(instance, policy)
-    final_law = risk.reward_distribution(instance, x_final)
-    cvar_component = risk.cvar_right(final_law, params.alpha)
-    mean_component = final_law.mean()
+    cvar_component = risk.cvar_right(law, params.alpha)
+    mean_component = law.mean()
     if abs(v_star - (cvar_component + params.beta * mean_component)) > CONSISTENCY_TOL:
         raise SolverError(
             f"value decomposition off: {v_star!r} vs cvar {cvar_component!r} "
@@ -297,7 +293,7 @@ def solve_cvar(instance, params, mode="dual", cap=10**6):
 
     return SaddleSolution(
         v_star=float(v_star),
-        x_star=x_final,
+        x_star=x_star,
         y_star=float(y_star),
         policy=policy,
         n_rand=n_rand,

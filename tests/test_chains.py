@@ -316,12 +316,12 @@ def sparse_instance(rng, n_states, counts, rewards3=False):
 
 
 @st.composite
-def sparse_kernels(draw):
+def sparse_kernels(draw, rewards3=False):
     n_states = draw(st.integers(min_value=1, max_value=4))
     counts = draw(st.lists(st.integers(min_value=1, max_value=3),
                            min_size=n_states, max_size=n_states))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    return sparse_instance(np.random.default_rng(seed), n_states, counts)
+    return sparse_instance(np.random.default_rng(seed), n_states, counts, rewards3)
 
 
 def seeded_instances():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvarmdp import cli, lp, model
+from cvarmdp import chains, cli, lp, model
 
 
 def run(capsys, *argv):
@@ -131,6 +131,23 @@ class TestEnumerateCommand:
                                 "--alpha", "0.9", "--beta", "0.5")
         assert code == 0
         assert doc["gap"] == pytest.approx(0.0, abs=1e-6)
+
+    def test_endowment_sweeps_once(self, capsys, monkeypatch):
+        calls = []
+        sweep = chains._deterministic_sweep
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(chains, "_deterministic_sweep", counting)
+        code, doc, _ = run_json(capsys, "enumerate", "--builtin", "endowment",
+                                "--alpha", "0.9", "--beta", "0.5")
+        assert code == 0
+        assert len(calls) == 1
+        assert doc["optimum"] == pytest.approx(96.84, abs=1e-12)
+        assert doc["gap"] == pytest.approx(0.0, abs=1e-12)
+        assert doc["gap"] == doc["optimum"] - doc["best"]["combined"]
 
     def test_single_state_single_row(self, capsys, tmp_path):
         inst = model.MdpInstance("unit", ("s",), (("a",),), np.array([[1.0]]),

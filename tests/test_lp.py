@@ -36,8 +36,8 @@ class TestSolve:
     def test_deterministic_repeats(self):
         inst = model.builtin("example2")
         prog = lp.build_dual_lp(inst, risk.RiskParams(0.7))
-        a = lp.solve(prog, require_vertex=True)
-        b = lp.solve(prog, require_vertex=True)
+        a = lp.solve(prog)
+        b = lp.solve(prog)
         assert a.values == b.values
 
     def test_validation_catches_undeclared(self):
@@ -96,15 +96,15 @@ class TestPrimalLp:
         inst = model.builtin("example2")
         params = risk.RiskParams(0.7)
         verts = chains.polytope_vertices(inst)
-        primal = lp.solve(lp.build_primal_lp(inst, verts, params), require_vertex=True)
-        dual = lp.solve(lp.build_dual_lp(inst, params), require_vertex=True)
+        primal = lp.solve(lp.build_primal_lp(inst, verts, params))
+        dual = lp.solve(lp.build_dual_lp(inst, params))
         assert primal.objective == pytest.approx(dual.objective, abs=2e-6)
 
     def test_excess_variables_tight_at_optimum(self):
         inst = model.builtin("example2")
         params = risk.RiskParams(0.7)
         verts = chains.polytope_vertices(inst)
-        sol = lp.solve(lp.build_primal_lp(inst, verts, params), require_vertex=True)
+        sol = lp.solve(lp.build_primal_lp(inst, verts, params))
         y = sol.values["y"]
         for k in range(inst.n_pairs):
             i = int(inst.pair_state[k])
@@ -114,8 +114,7 @@ class TestPrimalLp:
     def test_endowment_recovers_tail_level(self):
         inst = model.builtin("endowment")
         verts = chains.polytope_vertices(inst)
-        sol = lp.solve(lp.build_primal_lp(inst, verts, risk.RiskParams(0.9, 0.5)),
-                       require_vertex=True)
+        sol = lp.solve(lp.build_primal_lp(inst, verts, risk.RiskParams(0.9, 0.5)))
         assert sol.values["y"] == 84.0
         assert sol.objective == pytest.approx(96.84, abs=0.01)
 
@@ -192,18 +191,18 @@ class TestSparsifyLp:
         inst = one_pair_instance(2.0)
         params = risk.RiskParams(0.4)
         prog = lp.build_sparsify_lp(inst, 2.0, params, None)
-        sol = lp.solve(prog, require_vertex=True)
+        sol = lp.solve(prog)
         assert sol.values["x_0_0"] == pytest.approx(1.0)
         assert sol.values["x0"] == pytest.approx(0.4)
 
     def test_example2_vertex_support(self):
         inst = model.builtin("example2")
         params = risk.RiskParams(0.7)
-        dual = lp.solve(lp.build_dual_lp(inst, params), require_vertex=True)
+        dual = lp.solve(lp.build_dual_lp(inst, params))
         x = lp.pair_values(inst, dual)
         y = risk.var(risk.reward_distribution(inst, x), 0.7)
         bp = risk.breakpoints(inst)
-        sol = lp.solve(lp.build_sparsify_lp(inst, y, params, bp.delta), require_vertex=True)
+        sol = lp.solve(lp.build_sparsify_lp(inst, y, params, bp.delta))
         assert sol.objective == pytest.approx(93.24, abs=0.01)
         xs = lp.pair_values(inst, sol)
         assert (xs > 1e-9).sum() <= inst.n_states + 1
@@ -211,11 +210,10 @@ class TestSparsifyLp:
     def test_random_instance_randomization_bound(self):
         inst = model.random_instance(13, 4, 3)
         params = risk.RiskParams(0.7)
-        dual = lp.solve(lp.build_dual_lp(inst, params), require_vertex=True)
+        dual = lp.solve(lp.build_dual_lp(inst, params))
         x = lp.pair_values(inst, dual)
         y = risk.var(risk.reward_distribution(inst, x), 0.7)
-        sol = lp.solve(lp.build_sparsify_lp(inst, y, params, risk.breakpoints(inst).delta),
-                       require_vertex=True)
+        sol = lp.solve(lp.build_sparsify_lp(inst, y, params, risk.breakpoints(inst).delta))
         if sol.values["x0"] > 1e-9:
             pol = model.extract_policy(inst, lp.pair_values(inst, sol))
             assert model.n_randomizations(inst, pol) <= 1

@@ -1,7 +1,12 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_chains import sparse_kernels
 
-from cvarmdp import model, risk, solver
+from cvarmdp import lp, model, risk, solver
 
 
 def one_pair_instance(r=5.0):
@@ -122,7 +127,7 @@ class TestSparsify:
         ties = 0
         for seed in range(100):
             inst = model.random_instance(seed, 5, 2)
-            dual = lp.solve(lp.build_dual_lp(inst, params), require_vertex=True)
+            dual = lp.solve(lp.build_dual_lp(inst, params))
             x = lp.pair_values(inst, dual)
             y = risk.var(risk.reward_distribution(inst, x), 0.7)
             xf, tie = solver.sparsify(inst, x, y, params)
@@ -133,11 +138,57 @@ class TestSparsify:
                 assert model.n_randomizations(inst, pol) <= 1, f"seed {seed}"
         assert ties <= 20  # ties need the LP to pick an exact-CDF vertex
 
-    def test_alpha_zero_always_ties(self):
-        # at alpha 0 the strictly-below row forces the slack to zero
+
+
+class TestRandomizationBound:
+    """The occupation program's basic optimum randomizes at most once, so
+    solve_cvar reports it without a sparsification stage."""
+
+    def test_alpha_zero_randomizes_at_most_once(self):
+        # the instance on which the sparsification program always tied
         inst = model.random_instance(3, 3, 2)
         sol = solver.solve_cvar(inst, risk.RiskParams(0.0))
-        assert "quantile-tie" in sol.flags
+        assert sol.n_rand <= 1
+        assert "quantile-tie" not in sol.flags
+        assert sol.certificates.certified
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(sparse_kernels(), sparse_kernels(rewards3=True)),
+           st.sampled_from([0.0, 0.3, 0.7, 0.95]), st.sampled_from([0.0, 0.5]))
+    def test_sparse_kernels_certified_with_one_randomization(self, inst, alpha, beta):
+        sol = solver.solve_cvar(inst, risk.RiskParams(alpha, beta))
+        assert sol.certificates.certified
+        assert sol.n_rand <= 1
+        assert sol.y_star in risk.breakpoints(inst).values
+
+    @pytest.mark.parametrize("name, alpha, beta, mode", [
+        ("example2", 0.7, 0.0, "dual-primal"),   # interior certification level
+        ("endowment", 0.9, 0.5, "dual"),
+        ("example1", 0.0, 0.0, "dual"),
+    ])
+    def test_no_program_solved_twice(self, monkeypatch, name, alpha, beta, mode):
+        solved = []
+        plain = lp.solve
+
+        def recording(prog, *args, **kwargs):
+            text = io.StringIO()
+            lp.write_lp_file(prog, text)
+            solved.append((prog.name, text.getvalue()))
+            return plain(prog, *args, **kwargs)
+
+        monkeypatch.setattr(lp, "solve", recording)
+        solver.solve_cvar(model.builtin(name), risk.RiskParams(alpha, beta), mode=mode)
+        names = [n for n, _ in solved]
+        assert len({t for _, t in solved}) == len(solved), names
+        assert not any("-sparsify" in n for n in names)
+        assert sum("-dual" in n for n in names) == 1
+
+
+class TestModes:
+    @pytest.mark.parametrize("mode", ["dual+primal", "primal", ""])
+    def test_unknown_mode_raises(self, mode):
+        with pytest.raises(ValueError, match="mode must be"):
+            solver.solve_cvar(one_pair_instance(), risk.RiskParams(0.5), mode=mode)
 
 
 class TestEnumerateDeterministic:
