@@ -25,11 +25,11 @@ from . import _kernels
 from .model import (
     DeterministicPolicy,
     OccupationMeasure,
-    TimeDependentPolicy,
     as_pair_array,
     deterministic_policies,  # re-exported: callers look it up in this module
     deterministic_policy_count,
     polytope_residual,
+    rule_rows,
 )
 
 # Edges below this mass are treated as absent; kernel entries are data
@@ -342,15 +342,6 @@ def _deterministic_sweep(instance, cap=10**6):
     return blocks()
 
 
-def _policy_rows(instance, policy, T):
-    """Rule rows for the evolution kernels: (1, n_pairs) for a stationary
-    policy, (T, n_pairs) for a time-dependent one."""
-    if isinstance(policy, TimeDependentPolicy):
-        return policy.rows(T)
-    probs = as_pair_array(policy)
-    return probs.reshape(1, -1)
-
-
 def t_step_distribution(instance, policy, s0, t, check_mass=True):
     """Exact law over state-action pairs after t steps from state s0.
 
@@ -361,7 +352,7 @@ def t_step_distribution(instance, policy, s0, t, check_mass=True):
     if t < 0:
         raise ValueError("t must be nonnegative")
     s0 = instance.state_index(s0) if isinstance(s0, str) else int(s0)
-    rules = _policy_rows(instance, policy, t + 1)
+    rules, _ = rule_rows(policy, t + 1)
     mu0 = np.zeros(instance.n_states)
     mu0[s0] = 1.0
     mu = _kernels.evolve_mu(instance.kernel, instance.pair_state, rules, mu0, t)

@@ -42,7 +42,6 @@ class RunConfig:
     horizon: int
     policy: str | None
     tol: float | None
-    waive_assumption: bool
     states: int
     actions: int
     reward_range: tuple
@@ -74,7 +73,6 @@ def _make_config(args):
         horizon=getattr(args, "T", 100),
         policy=getattr(args, "policy", None),
         tol=getattr(args, "tol", None),
-        waive_assumption=getattr(args, "waive_assumption", False),
         states=getattr(args, "states", 3),
         actions=getattr(args, "actions", 2),
         reward_range=tuple(getattr(args, "reward_range", (0.0, 100.0))),
@@ -145,7 +143,6 @@ def _solution_payload(sol):
             "right_gap": c.saddle_right_gap,
             "oracle_gap": c.oracle_gap,
             "tail_level": c.tail_level,
-            "deterministic_best": c.deterministic_best,
         },
         "flags": list(sol.flags),
     }
@@ -154,13 +151,6 @@ def _solution_payload(sol):
 def cmd_solve(config):
     instance = _validated_instance(config)
     params = risk.RiskParams(config.alpha, config.beta)
-    warn = []
-    if not config.waive_assumption:
-        report = chains.check_assumption(instance)
-        if not report.ok:
-            warn.append(f"warning: {len(report.violators)} of {report.total} deterministic "
-                        "policies are not unichain and aperiodic; results describe the "
-                        "occupation polytope optimum")
     sol = solver.solve_cvar(instance, params, mode=config.mode)
     mapping = sol.policy.to_mapping(instance)
     payload = _solution_payload(sol)
@@ -170,8 +160,7 @@ def cmd_solve(config):
         payload["n_randomizations"] = model.n_randomizations(
             instance, sol.policy, tol=config.tol)
     c = sol.certificates
-    lines = list(warn)
-    lines += [
+    lines = [
         f"instance        {instance.name}",
         f"value           {sol.v_star:.4f}",
         f"y_star          {sol.y_star:.4f}",
@@ -380,8 +369,6 @@ def build_parser():
     _add_instance_flags(p)
     _add_common_flags(p)
     p.add_argument("--mode", choices=["dual", "dual-primal"], default="dual")
-    p.add_argument("--waive-assumption", action="store_true",
-                   help="skip the unichain check over deterministic policies")
 
     p = sub.add_parser("enumerate", help="evaluate every deterministic policy")
     _add_instance_flags(p)

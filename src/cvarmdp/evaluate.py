@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, chains, risk
-from .model import TimeDependentPolicy, as_pair_array
+from .model import TimeDependentPolicy, rule_rows
 
 MASS_DRIFT_TOL = 1e-12
 
@@ -47,13 +47,6 @@ def _value_index_tables(instance):
     return values.astype(np.float64), vidx.astype(np.int64), vidx3, triple
 
 
-def _rule_rows(instance, policy, T):
-    if isinstance(policy, TimeDependentPolicy):
-        return policy.rows(T), policy.label
-    probs = as_pair_array(policy)
-    return probs.reshape(1, -1), "stationary"
-
-
 def cvar_sequence(instance, policy, s0, T, alpha):
     """Exact CVaR of the reward law at every step t < T from state s0.
 
@@ -67,7 +60,7 @@ def cvar_sequence(instance, policy, s0, T, alpha):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     s0_name = s0 if isinstance(s0, str) else instance.states[int(s0)]
     s0_idx = instance.state_index(s0_name)
-    rules, label = _rule_rows(instance, policy, T)
+    rules, label = rule_rows(policy, T)
     values, vidx, vidx3, triple = _value_index_tables(instance)
     mu0 = np.zeros(instance.n_states)
     mu0[s0_idx] = 1.0
@@ -179,7 +172,7 @@ def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
     if replications < 1:
         raise ValueError("need at least one replication")
     s0_idx = instance.state_index(s0) if isinstance(s0, str) else int(s0)
-    rules, _ = _rule_rows(instance, policy, T)
+    rules, _ = rule_rows(policy, T)
     values, vidx, vidx3, triple = _value_index_tables(instance)
     rng = np.random.default_rng(seed)
 

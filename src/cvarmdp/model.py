@@ -275,6 +275,14 @@ def as_pair_array(x):
     return np.asarray(x, dtype=np.float64)
 
 
+def rule_rows(policy, T):
+    """Rule rows for the evolution kernels and a label: (T, n_pairs) for a
+    time-dependent policy, one (1, n_pairs) row for a stationary one."""
+    if isinstance(policy, TimeDependentPolicy):
+        return policy.rows(T), policy.label
+    return as_pair_array(policy).reshape(1, -1), "stationary"
+
+
 def policy_residual(instance, policy):
     """Largest violation of per-state normalization / nonnegativity."""
     probs = as_pair_array(policy)

@@ -4,9 +4,12 @@ The default route solves only the polynomial-size occupation program and
 keeps its basic optimum. The reported tail level is the quantile of the
 optimal law; certificates are computed at the exact minimax level, which
 can sit strictly between reward values. Independent recomputations check
-every solution: an endpoint scan with interval refinement (its envelope is
-the left certificate at a reward value), a fresh occupation LP at an
-interior level, and deterministic enumeration.
+every solution, all of them linear programs: an endpoint scan with
+interval refinement (its envelope is the left certificate at a reward
+value) and a fresh occupation LP at an interior level. So a solve takes
+polynomial time and never visits the exponentially many deterministic
+policies; `enumerate_deterministic`, `chains.check_assumption` and mode
+"dual-primal" (`polytope_vertices`) do, and run only when called.
 
 The basic optimum randomizes at most once. For fixed x, e -> v(x, e) is
 convex and piecewise linear with kinks only at the reward atoms of x's
@@ -41,14 +44,12 @@ class VerificationReport:
     saddle_left_gap  = max_x v(x, tail_level) - v*  (scan envelope or fresh LP)
     saddle_right_gap = v* - min_y v(x*, y)          (reward-endpoint scan)
     oracle_gap       = |v* - scan-with-refinement optimum|
-    deterministic_best = best combined value over deterministic policies
     tail_level       = the y at which the saddle conditions were checked
     """
 
     saddle_left_gap: float
     saddle_right_gap: float
     oracle_gap: float
-    deterministic_best: float
     tail_level: float
     flags: tuple
 
@@ -143,7 +144,6 @@ def _inner_max(instance, scan, y, params):
 def _certify(instance, x, y_star, v_star, params, scan):
     left_gap = _inner_max(instance, scan, y_star, params) - v_star
     right_gap = v_star - min(risk.saddle_value(instance, x, float(y), params) for y in scan.ys)
-    enum = enumerate_deterministic(instance, params)
     flags = []
     if left_gap < -CERT_TOL or right_gap < -CERT_TOL:
         flags.append("negative-gap")
@@ -151,7 +151,6 @@ def _certify(instance, x, y_star, v_star, params, scan):
         saddle_left_gap=float(left_gap),
         saddle_right_gap=float(right_gap),
         oracle_gap=float(abs(v_star - scan.value)),
-        deterministic_best=enum.best.combined,
         tail_level=float(y_star),
         flags=tuple(flags),
     )

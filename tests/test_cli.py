@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvarmdp import chains, cli, lp, model
+from cvarmdp import chains, cli, lp, model, risk, solver
 
 
 def run(capsys, *argv):
@@ -70,6 +70,36 @@ class TestSolveCommand:
         code, doc, _ = run_json(capsys, "solve", "--gen", "3,2,5", "--alpha", "0.6")
         assert code == 0
         assert doc["certificates"]["left_gap"] <= 2e-6
+
+
+class TestNoExhaustiveWork:
+    """solve runs linear programs only: no sweep over deterministic policies."""
+
+    @pytest.fixture(autouse=True)
+    def no_sweep(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("deterministic sweep on the solve path")
+
+        monkeypatch.setattr(chains, "_deterministic_sweep", refuse)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "endowment"])
+    def test_solve_cvar_builtins(self, name):
+        sol = solver.solve_cvar(model.builtin(name), risk.RiskParams(0.7), mode="dual")
+        assert sol.certificates.certified
+
+    def test_solve_above_policy_cap(self, capsys):
+        # 3**13 deterministic policies, more than the enumeration cap
+        code, doc, _ = run_json(capsys, "solve", "--gen", "13,3,1", "--alpha", "0.7")
+        assert code == 0
+        for gap in ("left_gap", "right_gap", "oracle_gap"):
+            assert doc["certificates"][gap] <= solver.CERT_TOL
+        assert "deterministic_best" not in doc["certificates"]
+
+    def test_waive_assumption_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--builtin", "example2", "--waive-assumption"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --waive-assumption" in capsys.readouterr().err
 
 
 class TestExitCodes:

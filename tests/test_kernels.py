@@ -13,7 +13,7 @@ pytestmark = pytest.mark.skipif(
 
 
 def sequence_inputs(instance, policy, s0, T):
-    rules, _ = evaluate._rule_rows(instance, policy, T)
+    rules, _ = model.rule_rows(policy, T)
     values, vidx, vidx3, triple = evaluate._value_index_tables(instance)
     mu0 = np.zeros(instance.n_states)
     mu0[instance.state_index(s0)] = 1.0

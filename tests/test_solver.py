@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_chains import sparse_kernels
+from test_chains import sparse_instance, sparse_kernels
 
 from cvarmdp import lp, model, risk, solver
 
@@ -140,6 +140,13 @@ class TestSparsify:
 
 
 
+def assert_certified_with_one_randomization(inst, params):
+    sol = solver.solve_cvar(inst, params)
+    assert sol.certificates.certified
+    assert sol.n_rand <= 1
+    assert sol.y_star in risk.breakpoints(inst).values
+
+
 class TestRandomizationBound:
     """The occupation program's basic optimum randomizes at most once, so
     solve_cvar reports it without a sparsification stage."""
@@ -160,6 +167,21 @@ class TestRandomizationBound:
         assert sol.certificates.certified
         assert sol.n_rand <= 1
         assert sol.y_star in risk.breakpoints(inst).values
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(min_value=13, max_value=16), st.booleans(),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([0.0, 0.5, 0.9]), st.sampled_from([0.0, 0.5]))
+    def test_above_policy_cap_certified(self, n_states, rewards3, seed, alpha, beta):
+        # 3**13 deterministic policies already exceed the enumeration cap
+        inst = sparse_instance(np.random.default_rng(seed), n_states, [3] * n_states,
+                               rewards3)
+        assert_certified_with_one_randomization(inst, risk.RiskParams(alpha, beta))
+
+    @pytest.mark.parametrize("n_states, n_actions", [(13, 3), (20, 4)])
+    def test_dense_above_policy_cap_certified(self, n_states, n_actions):
+        inst = model.random_instance(1, n_states, n_actions)
+        assert_certified_with_one_randomization(inst, risk.RiskParams(0.7))
 
     @pytest.mark.parametrize("name, alpha, beta, mode", [
         ("example2", 0.7, 0.0, "dual-primal"),   # interior certification level
@@ -289,7 +311,8 @@ class TestDominance:
             inst = model.random_instance(seed, 4, 2)
             params = risk.RiskParams(0.7)
             sol = solver.solve_cvar(inst, params)
-            assert sol.v_star >= sol.certificates.deterministic_best - 1e-8
+            best = solver.enumerate_deterministic(inst, params).best
+            assert sol.v_star >= best.combined - 1e-8
 
     def test_consistency_recomputed_from_first_principles(self):
         for seed in range(5):
