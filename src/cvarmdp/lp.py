@@ -89,10 +89,25 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """Outcome of `solve`.
+
+    duals maps each constraint name to its shadow price: the rate at which
+    the optimal objective, in the program's own sense, changes per unit
+    increase of the row's right-hand side. So a binding "<=" row of a
+    "max" program has a price >= 0 and a binding ">=" row one <= 0. nit is
+    HiGHS's iteration count; residual (worst constraint or bound violation)
+    and mismatch (|backend objective - recomputed objective|) are the
+    re-check's figures.
+    """
+
     status: str  # optimal | infeasible | unbounded
     objective: float | None
     values: dict | None
     vertex: bool
+    duals: dict | None = None
+    nit: int = 0
+    residual: float | None = None
+    mismatch: float | None = None
 
     def __getitem__(self, name):
         return self.values[name]
@@ -129,17 +144,23 @@ def solve(lp, tol=FEASIBILITY_TOL):
         c[order[name]] = coef
     sign = 1.0 if lp.sense == "min" else -1.0
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    # per constraint: (is an equality, position in its block, sign taking
+    # the backend's marginal to the shadow price in the program's sense)
+    dual_map = []
     for con in lp.constraints:
         row = np.zeros(n)
         for name, coef in con.coeffs.items():
             row[order[name]] = coef
         if con.relation == "<=":
+            dual_map.append((False, len(a_ub), sign))
             a_ub.append(row)
             b_ub.append(con.rhs)
         elif con.relation == ">=":
+            dual_map.append((False, len(a_ub), -sign))
             a_ub.append(-row)
             b_ub.append(-con.rhs)
         else:
+            dual_map.append((True, len(a_eq), sign))
             a_eq.append(row)
             b_eq.append(con.rhs)
     bounds = [(v.lb if np.isfinite(v.lb) else None, v.ub if np.isfinite(v.ub) else None)
@@ -163,9 +184,15 @@ def solve(lp, tol=FEASIBILITY_TOL):
     residual, objective = _check_solution(lp, values, tol)
     if residual > tol:
         raise LpSolveError(f"{lp.name}: solution violates constraints by {residual:.3g}")
-    if abs(sign * res.fun - objective) > max(tol, tol * abs(objective)):
+    mismatch = abs(sign * res.fun - objective)
+    if mismatch > max(tol, tol * abs(objective)):
         raise LpSolveError(f"{lp.name}: objective mismatch {sign * res.fun!r} vs {objective!r}")
-    return LpSolution("optimal", float(objective), values, True)
+    marginals = (res.ineqlin.marginals.tolist() if a_ub else [],
+                 res.eqlin.marginals.tolist() if a_eq else [])
+    duals = {con.name: s * marginals[eq][i]
+             for con, (eq, i, s) in zip(lp.constraints, dual_map)}
+    return LpSolution("optimal", float(objective), values, True, duals=duals,
+                      nit=int(res.nit), residual=float(residual), mismatch=float(mismatch))
 
 
 # -- naming -------------------------------------------------------------------
@@ -219,14 +246,15 @@ def build_average_lp(instance, y, params):
     return LinearProgram(f"{instance.name}-average(y={y:g})", "max", objective, variables, constraints)
 
 
-def build_dual_lp(instance, params, per_pair_tail=False):
+def build_dual_lp(instance, params, per_pair_tail=False, grid=None):
     """The polynomial-size program that yields the optimal occupation
     measure: max z2 subject to v(x, e) >= z2 at every reward endpoint e,
     x in the occupation polytope.
 
     Endpoints sharing a reward value produce identical rows; by default one
-    row per distinct value is emitted, `per_pair_tail` restores the
-    one-row-per-pair (or per-triple) layout.
+    row per distinct value is emitted (row `tail_i` at the i-th sorted
+    value, `grid` when the caller already holds `breakpoints(instance).values`),
+    `per_pair_tail` restores the one-row-per-pair (or per-triple) layout.
     """
     x_names = _pair_var_names(instance)
     variables = tuple(Variable(nm, 0.0, np.inf) for nm in x_names) + (Variable("z2", -np.inf, np.inf),)
@@ -235,7 +263,9 @@ def build_dual_lp(instance, params, per_pair_tail=False):
         table = instance.reward_table()
         endpoints = [(f"tail_{i}", float(v)) for i, v in enumerate(table)]
     else:
-        endpoints = [(f"tail_{i}", float(v)) for i, v in enumerate(breakpoints(instance).values)]
+        if grid is None:
+            grid = breakpoints(instance).values
+        endpoints = [(f"tail_{i}", float(v)) for i, v in enumerate(grid)]
     for row_name, e in endpoints:
         coeff = saddle_coefficients(instance, e, params)
         coeffs = {nm: float(coeff[k]) for k, nm in enumerate(x_names)}

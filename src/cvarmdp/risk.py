@@ -231,3 +231,24 @@ def saddle_value(instance, x, y, params):
     and convex in y with kinks at the instance's reward values."""
     x = as_pair_array(x)
     return float(x @ saddle_coefficients(instance, y, params))
+
+
+def saddle_values(instance, x, ys, params):
+    """v(x, y) at every level of ys in one pass.
+
+    Sorts the reward atoms once; each level's excess term
+    E[R - y]^+ = sum_{r > y} w r - y sum_{r > y} w is read off suffix sums.
+    """
+    x = as_pair_array(x)
+    if instance.rewards is not None:
+        r, w = instance.rewards, x
+    else:
+        r, w = instance.rewards3.ravel(), (x[:, None] * instance.kernel).ravel()
+    order = np.argsort(r, kind="stable")
+    r, w = r[order], w[order]
+    above_w = np.append(np.cumsum(w[::-1])[::-1], 0.0)
+    above_wr = np.append(np.cumsum((w * r)[::-1])[::-1], 0.0)
+    ys = np.asarray(ys, dtype=np.float64)
+    idx = np.searchsorted(r, ys, side="right")
+    inv = 1.0 / (1.0 - params.alpha)
+    return ys * w.sum() + inv * (above_wr[idx] - ys * above_w[idx]) + params.beta * float(w @ r)

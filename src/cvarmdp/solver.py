@@ -1,15 +1,40 @@
 """Saddle-point pipeline: solve, extract, certify.
 
-The default route solves only the polynomial-size occupation program and
-keeps its basic optimum. The reported tail level is the quantile of the
-optimal law; certificates are computed at the exact minimax level, which
-can sit strictly between reward values. Independent recomputations check
-every solution, all of them linear programs: an endpoint scan with
-interval refinement (its envelope is the left certificate at a reward
-value) and a fresh occupation LP at an interior level. So a solve takes
-polynomial time and never visits the exponentially many deterministic
-policies; `enumerate_deterministic`, `chains.check_assumption` and mode
-"dual-primal" (`polytope_vertices`) do, and run only when called.
+The default route solves only the polynomial-size occupation program
+(`lp.build_dual_lp`): max z2 subject to v(x, e) >= z2 at every reward
+value e and x in the occupation polytope. It keeps that program's basic
+optimum x* and certifies it from the same program's dual prices, so a
+solve is one linear program and never visits the exponentially many
+deterministic policies; `enumerate_deterministic`,
+`chains.check_assumption` and mode "dual-primal" (`polytope_vertices`) do,
+and run only when called. The reported tail level y_star is the quantile
+of x*'s reward law.
+
+The certificate is weak duality on the occupation polytope (Puterman
+1994, section 8.8) applied to the Rockafellar-Uryasev form
+v(x, y) = sum_k x_k c_k(y), c_k(y) = y + E_k[r - y]^+ / (1-alpha) + beta E_k r.
+Let lambda be the tail rows' prices negated, clipped at 0 and normalised
+to sum 1, ybar = sum_e lambda_e e, and u the balance rows' prices. Then
+
+    UB = max_k [c_k(ybar) - u_i(k) + (P u)_k]
+
+bounds the optimum from above for *any* u and any ybar: every polytope
+point has sum_k x_k (u_i(k) - (P u)_k) = 0 (flow balance) and sum_k x_k = 1
+with x >= 0, so v(x, ybar) = sum_k x_k [c_k(ybar) - u_i(k) + (P u)_k] <= UB,
+and min_y max_x v(x, y) <= max_x v(x, ybar) <= UB. A sign slip or noise in
+the prices can therefore only loosen the bound, never certify a wrong
+value. With the exact prices UB = v*: dual feasibility of the program
+gives sum_e lambda_e c_k(e) - u_i(k) + (P u)_k <= v* for every pair, and
+y -> c_k(y) is convex, so c_k(ybar) <= sum_e lambda_e c_k(e). The lower
+bound is x*'s own value min_y v(x*, y), attained at a reward value. So the
+optimum lies in [v* - right gap, v* + left gap] with
+
+    left gap  = UB - v*,    right gap = v* - min_e v(x*, e),
+
+and ybar is the level at which the left condition holds (flagged
+"interior-tail-level" when it is not a reward value). The independent
+oracles, the endpoint scan (`endpoint_scan_oracle`, behind `cvarmdp scan`)
+and `verify_saddle`, are linear programs too and stay off the solve path.
 
 The basic optimum randomizes at most once. For fixed x, e -> v(x, e) is
 convex and piecewise linear with kinks only at the reward atoms of x's
@@ -39,12 +64,17 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Independent checks of a solved saddle point.
+    """Certificates of a solved saddle point.
 
-    saddle_left_gap  = max_x v(x, tail_level) - v*  (scan envelope or fresh LP)
-    saddle_right_gap = v* - min_y v(x*, y)          (reward-endpoint scan)
-    oracle_gap       = |v* - scan-with-refinement optimum|
-    tail_level       = the y at which the saddle conditions were checked
+    saddle_left_gap  = an upper bound on max_x v(x, tail_level), minus v*
+                       (`solve_cvar`: the price bound UB of the module
+                       docstring; `verify_saddle`: the scan envelope or a
+                       fresh LP, i.e. the maximum itself)
+    saddle_right_gap = v* - min_y v(x*, y) over the reward values
+    oracle_gap       = a bound on |v* - optimum|: from `solve_cvar`
+                       max(left, right, 0), which weak duality guarantees;
+                       from `verify_saddle` |v* - endpoint-scan optimum|
+    tail_level       = the y at which the left condition was checked
     """
 
     saddle_left_gap: float
@@ -126,32 +156,29 @@ def verify_saddle(instance, x_star, y_star, v_star, params):
 
     y_star is the tail level at which the left condition is checked; pass
     the exact minimax level for a meaningful certificate (the quantile of
-    the optimal law fails it whenever the CDF ties alpha there).
+    the optimal law fails it whenever the CDF ties alpha there). The inner
+    maximum max_x v(x, y_star) is the endpoint scan's envelope at a reward
+    value, else a fresh occupation LP.
     """
-    return _certify(instance, x_star, y_star, v_star, params, endpoint_scan_oracle(instance, params))
+    scan = endpoint_scan_oracle(instance, params)
+    if y_star in scan.ys:
+        inner = float(scan.envelope[np.searchsorted(scan.ys, y_star)])
+    else:
+        sol = lp.solve(lp.build_average_lp(instance, y_star, params))
+        if sol.status != "optimal":
+            raise SolverError(f"certification LP returned {sol.status}")
+        inner = sol.objective
+    right_gap = v_star - float(risk.saddle_values(instance, x_star, scan.ys, params).min())
+    return _report(inner - v_star, right_gap, abs(v_star - scan.value), y_star)
 
 
-def _inner_max(instance, scan, y, params):
-    """max_x v(x, y): the scan's envelope at a reward value, else a fresh LP."""
-    if y in scan.ys:
-        return float(scan.envelope[np.searchsorted(scan.ys, y)])
-    sol = lp.solve(lp.build_average_lp(instance, y, params))
-    if sol.status != "optimal":
-        raise SolverError(f"certification LP returned {sol.status}")
-    return sol.objective
-
-
-def _certify(instance, x, y_star, v_star, params, scan):
-    left_gap = _inner_max(instance, scan, y_star, params) - v_star
-    right_gap = v_star - min(risk.saddle_value(instance, x, float(y), params) for y in scan.ys)
-    flags = []
-    if left_gap < -CERT_TOL or right_gap < -CERT_TOL:
-        flags.append("negative-gap")
+def _report(left_gap, right_gap, oracle_gap, tail_level):
+    flags = ["negative-gap"] if min(left_gap, right_gap) < -CERT_TOL else []
     return VerificationReport(
         saddle_left_gap=float(left_gap),
         saddle_right_gap=float(right_gap),
-        oracle_gap=float(abs(v_star - scan.value)),
-        tail_level=float(y_star),
+        oracle_gap=float(oracle_gap),
+        tail_level=float(tail_level),
         flags=tuple(flags),
     )
 
@@ -224,6 +251,27 @@ def enumerate_deterministic(instance, params, cap=10**6):
     return EnumerationTable(rows=tuple(rows), best_index=best_idx)
 
 
+def _dual_certificate(instance, dual_sol, x, v_star, params, ys):
+    """Weak-duality certificate read off the occupation program's prices.
+
+    See the module docstring: the tail rows' prices give the level ybar,
+    the balance rows' prices the bias u, and UB = max_k [c_k(ybar) - u_i(k)
+    + (P u)_k] bounds max_x v(x, ybar), hence the optimum, from above.
+    """
+    duals = dual_sol.duals
+    lam = np.clip([-duals[f"tail_{i}"] for i in range(ys.size)], 0.0, None)
+    total = float(lam.sum())
+    if not (np.isfinite(total) and total > 0.0):
+        raise SolverError(f"occupation LP's tail prices sum to {total!r}")
+    y_bar = float((lam / total) @ ys)
+    u = np.array([duals[f"balance_{j}"] for j in range(instance.n_states)])
+    reduced = (risk.saddle_coefficients(instance, y_bar, params)
+               - u[instance.pair_state] + instance.kernel @ u)
+    left_gap = float(reduced.max()) - v_star
+    right_gap = v_star - float(risk.saddle_values(instance, x, ys, params).min())
+    return _report(left_gap, right_gap, max(left_gap, right_gap, 0.0), y_bar)
+
+
 def solve_cvar(instance, params, mode="dual", cap=10**6):
     """Full pipeline: occupation LP, quantile recovery, policy extraction,
     certification.
@@ -233,12 +281,13 @@ def solve_cvar(instance, params, mode="dual", cap=10**6):
     program, and checks that both optima agree.
 
     x_star is the occupation program's basic optimum and y_star the
-    quantile of its reward law. Certificates are computed there unless the
-    law ties alpha at its quantile; then they are computed at the exact
-    minimax level from the joint program and the run is flagged
+    quantile of its reward law. The certificates come from the same
+    program's prices; their tail level is the price-weighted mean of the
+    reward values, and a run whose level is not a reward value is flagged
     "interior-tail-level".
     """
-    dual_sol = lp.solve(lp.build_dual_lp(instance, params))
+    ys = risk.breakpoints(instance).values
+    dual_sol = lp.solve(lp.build_dual_lp(instance, params, grid=ys))
     if dual_sol.status != "optimal":
         raise SolverError(f"occupation LP returned {dual_sol.status}; "
                           "check the instance with validate()")
@@ -262,20 +311,9 @@ def solve_cvar(instance, params, mode="dual", cap=10**6):
     elif mode != "dual":
         raise ValueError(f"mode must be 'dual' or 'dual-primal', got {mode!r}")
 
-    scan = endpoint_scan_oracle(instance, params)
-    cert_y = y_star
-    if _inner_max(instance, scan, y_star, params) - v_star > CERT_TOL:
-        level = lp.solve(lp.build_level_lp(instance, params))
-        if level.status != "optimal":
-            raise SolverError(f"level LP returned {level.status}")
-        if abs(level.objective - v_star) > CERT_TOL:
-            raise SolverError(
-                f"minimax level program disagrees with occupation optimum: "
-                f"{level.objective!r} vs {v_star!r}")
-        cert_y = float(level.values["y"])
+    report = _dual_certificate(instance, dual_sol, x_star, v_star, params, ys)
+    if report.tail_level not in ys:
         flags.append("interior-tail-level")
-
-    report = _certify(instance, x_star, cert_y, v_star, params, scan)
 
     policy = model.extract_policy(instance, x_star)
     n_rand = model.n_randomizations(instance, policy)

@@ -30,7 +30,8 @@ class TestSolveCommand:
         assert doc["n_randomizations"] == 1
         assert doc["certificates"]["left_gap"] <= 2e-6
         assert doc["certificates"]["oracle_gap"] <= 2e-6
-        assert "left_gap" in doc["certificates"] and "right_gap" in doc["certificates"]
+        assert set(doc["certificates"]) == {"left_gap", "right_gap", "oracle_gap", "tail_level"}
+        assert 70.0 < doc["certificates"]["tail_level"] < 71.0
 
     def test_endowment_mean_cvar(self, capsys):
         code, doc, _ = run_json(capsys, "solve", "--builtin", "endowment",
@@ -263,6 +264,8 @@ class TestCheckCommand:
         assert code == 0
         assert doc["certificates"]["certified"]
         assert doc["certificates"]["left_gap"] <= 2e-6
+        assert set(doc["certificates"]) == {"left_gap", "right_gap", "oracle_gap",
+                                            "tail_level", "certified"}
 
 
 class TestGenCommand:

@@ -40,6 +40,39 @@ class TestSolve:
         b = lp.solve(prog)
         assert a.values == b.values
 
+    def test_shadow_price_convention(self):
+        # max a + 2b, a + b <= 4, a >= 1: optimum (1, 3). Raising the cap by
+        # one adds one b (+2); raising the floor by one trades b for a (-1).
+        prog = LinearProgram("t", "max", {"a": 1.0, "b": 2.0},
+                             (Variable("a"), Variable("b")),
+                             (Constraint("cap", {"a": 1.0, "b": 1.0}, "<=", 4.0),
+                              Constraint("floor", {"a": 1.0}, ">=", 1.0)))
+        sol = lp.solve(prog)
+        assert (sol.values["a"], sol.values["b"]) == pytest.approx((1.0, 3.0))
+        assert sol.duals == pytest.approx({"cap": 2.0, "floor": -1.0})
+        # min a + b, a - b = t, a + 2b >= s at t = 1, s = 4: optimum (2, 1)
+        # with value (2s + t) / 3, so the prices are 1/3 and 2/3.
+        prog = LinearProgram("t", "min", {"a": 1.0, "b": 1.0},
+                             (Variable("a"), Variable("b")),
+                             (Constraint("link", {"a": 1.0, "b": -1.0}, "=", 1.0),
+                              Constraint("floor", {"a": 1.0, "b": 2.0}, ">=", 4.0)))
+        sol = lp.solve(prog)
+        assert sol.objective == pytest.approx(3.0)
+        assert sol.duals == pytest.approx({"link": 1.0 / 3.0, "floor": 2.0 / 3.0})
+
+    def test_dual_lp_prices_and_diagnostics(self):
+        # tail prices sum to one (the free z2 column) and the norm row's
+        # price is the optimum itself (strong duality)
+        inst = model.builtin("example2")
+        sol = lp.solve(lp.build_dual_lp(inst, risk.RiskParams(0.7)))
+        tails = [v for k, v in sol.duals.items() if k.startswith("tail_")]
+        assert all(v <= 1e-12 for v in tails)
+        assert -sum(tails) == pytest.approx(1.0, abs=1e-9)
+        assert sol.duals["norm"] == pytest.approx(sol.objective, abs=1e-9)
+        assert sol.nit > 0
+        assert 0.0 <= sol.residual <= lp.FEASIBILITY_TOL
+        assert 0.0 <= sol.mismatch <= lp.FEASIBILITY_TOL * max(1.0, abs(sol.objective))
+
     def test_validation_catches_undeclared(self):
         with pytest.raises(ValueError, match="undeclared"):
             LinearProgram("t", "min", {"w": 1.0}, (Variable("z"),), ())

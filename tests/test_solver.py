@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_chains import sparse_instance, sparse_kernels
 
-from cvarmdp import lp, model, risk, solver
+from cvarmdp import chains, lp, model, risk, solver
 
 
 def one_pair_instance(r=5.0):
@@ -187,8 +188,12 @@ class TestRandomizationBound:
         ("example2", 0.7, 0.0, "dual-primal"),   # interior certification level
         ("endowment", 0.9, 0.5, "dual"),
         ("example1", 0.0, 0.0, "dual"),
+        ("example2", 0.7, 0.0, "dual"),
+        ("dense-20x4", 0.7, 0.5, "dual"),
     ])
     def test_no_program_solved_twice(self, monkeypatch, name, alpha, beta, mode):
+        inst = (model.random_instance(1, 20, 4) if name == "dense-20x4"
+                else model.builtin(name))
         solved = []
         plain = lp.solve
 
@@ -199,11 +204,70 @@ class TestRandomizationBound:
             return plain(prog, *args, **kwargs)
 
         monkeypatch.setattr(lp, "solve", recording)
-        solver.solve_cvar(model.builtin(name), risk.RiskParams(alpha, beta), mode=mode)
+        sol = solver.solve_cvar(inst, risk.RiskParams(alpha, beta), mode=mode)
+        assert sol.certificates.certified
         names = [n for n, _ in solved]
         assert len({t for _, t in solved}) == len(solved), names
         assert not any("-sparsify" in n for n in names)
         assert sum("-dual" in n for n in names) == 1
+        if mode == "dual":
+            # the certificate is read off the occupation program's prices
+            assert names == [f"{inst.name}-dual"]
+
+
+def suboptimal_vertex(inst, params, v_star):
+    """The polytope vertex of lowest value, or None when none is 1e-3 below
+    the optimum."""
+    xs = chains.polytope_vertices(inst).xs
+    cvar, mean = risk.cvar_right_and_mean_rows(inst, xs, params.alpha)
+    worst = int(np.argmin(cvar + params.beta * mean))
+    value = float(cvar[worst] + params.beta * mean[worst])
+    return (xs[worst], value) if value < v_star - 1e-3 else None
+
+
+class TestDualCertificate:
+    """The certificate is read off the occupation program's prices alone, so
+    the independent oracles check it here."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(sparse_kernels(), sparse_kernels(rewards3=True)),
+           st.sampled_from([0.0, 0.5, 0.7, 0.9]), st.sampled_from([0.0, 0.5]))
+    def test_interval_holds_oracles_and_rejects_suboptimal(self, inst, alpha, beta):
+        params = risk.RiskParams(alpha, beta)
+        ys = risk.breakpoints(inst).values
+        sol = solver.solve_cvar(inst, params)
+        c = sol.certificates
+        assert c.certified
+        assert c.oracle_gap == max(c.saddle_left_gap, c.saddle_right_gap, 0.0)
+        lo, hi = sol.v_star - c.saddle_right_gap, sol.v_star + c.saddle_left_gap
+        slack = 1e-9 * max(1.0, abs(sol.v_star))
+        scan = solver.endpoint_scan_oracle(inst, params).value
+        level = lp.solve(lp.build_level_lp(inst, params)).objective
+        for oracle in (scan, level):
+            assert lo - slack <= oracle <= hi + slack
+        assert ("interior-tail-level" in sol.flags) == (c.tail_level not in ys)
+
+        bad = suboptimal_vertex(inst, params, sol.v_star)
+        if bad is None:
+            return
+        x_bad, v_bad = bad
+        dual = lp.solve(lp.build_dual_lp(inst, params, grid=ys))
+        # the suboptimal point claiming its own value breaks the left
+        # condition; claiming the optimum, it breaks the right one
+        for claim in (v_bad, sol.v_star):
+            report = solver._dual_certificate(inst, dual, x_bad, claim, params, ys)
+            assert not report.certified
+
+    def test_zero_tail_prices_raise(self):
+        inst = model.builtin("example2")
+        params = risk.RiskParams(0.7)
+        ys = risk.breakpoints(inst).values
+        dual = lp.solve(lp.build_dual_lp(inst, params, grid=ys))
+        zeroed = dataclasses.replace(dual, duals={
+            k: 0.0 if k.startswith("tail_") else v for k, v in dual.duals.items()})
+        with pytest.raises(solver.SolverError, match="tail prices"):
+            solver._dual_certificate(inst, zeroed, lp.pair_values(inst, dual),
+                                     dual.objective, params, ys)
 
 
 class TestModes:
