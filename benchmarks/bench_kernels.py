@@ -1,89 +1,113 @@
-"""Timing comparison of the numba and numpy kernel paths.
+"""Wall time of the evolution kernels through their public entry points.
 
-Run:  python3 benchmarks/bench_kernels.py [--reps 100000 --T 200]
+Run:  PYTHONPATH=src python3 benchmarks/bench_kernels.py [--label after]
+          [--repeats 5] [--out BENCH_kernels.json]
 
-Covers the two hot loops: exact law evolution with per-step CVaR (the
-oscillator schedule at a quarter-million steps) and Monte Carlo stepping.
-The numba timings exclude the first call, which compiles.
+Cases:
+- `oscillator`: `evaluate.cvar_sequence` on `example1` under its tripling
+  switching schedule, T = (3^12 - 1)/2, alpha = 0.5;
+- `endowment`: `evaluate.cvar_sequence` on `endowment` (next-state
+  rewards, `rewards3`) under the stationary deterministic policy
+  (2, 0, 1, 2, 0, 1), T = 50,000, alpha = 0.9;
+- `monte-carlo`: `evaluate.monte_carlo_eval` on `example2` under the
+  stationary policy (2, 0, 2), 10^5 replications x 200 steps, alpha = 0.7.
+
+Each case runs --repeats times; the file records the median, min and max
+wall time, the median per step, and the machine. The result is stored
+under --label; other labels already in the file are kept, so runs of two
+versions of the package (put each on PYTHONPATH in turn) land side by
+side.
 """
 
 import argparse
+import json
+import os
+import platform
+import statistics
 import time
+from pathlib import Path
 
 import numpy as np
+import scipy
 
-from cvarmdp import _kernels, evaluate, model
+from cvarmdp import evaluate, model
+
+OSCILLATOR_T = (3**12 - 1) // 2
+ENDOWMENT_T = 50_000
+MC_REPLICATIONS = 100_000
+MC_T = 200
 
 
-def time_fn(fn, repeat=3):
-    best = np.inf
-    for _ in range(repeat):
+def cases():
+    """(name, description, steps, call) for every case."""
+    e1 = model.builtin("example1")
+    e2 = model.builtin("example2")
+    endow = model.builtin("endowment")
+    schedule = evaluate.example1_policy(OSCILLATOR_T)
+    endow_policy = model.DeterministicPolicy((2, 0, 1, 2, 0, 1)).to_stationary(endow)
+    mc_policy = model.DeterministicPolicy((2, 0, 2)).to_stationary(e2)
+    return [
+        ("oscillator", f"cvar_sequence example1 schedule, T={OSCILLATOR_T}", OSCILLATOR_T,
+         lambda: evaluate.cvar_sequence(e1, schedule, "s1", OSCILLATOR_T, 0.5)),
+        ("endowment", f"cvar_sequence endowment stationary (rewards3), T={ENDOWMENT_T}",
+         ENDOWMENT_T,
+         lambda: evaluate.cvar_sequence(endow, endow_policy, "(0,0.2)", ENDOWMENT_T, 0.9)),
+        ("monte-carlo",
+         f"monte_carlo_eval example2 stationary, {MC_REPLICATIONS} replications x {MC_T} steps",
+         MC_T,
+         lambda: evaluate.monte_carlo_eval(e2, mc_policy, "1", MC_T, MC_REPLICATIONS,
+                                           seed=0, alpha=0.7)),
+    ]
+
+
+def time_case(call, repeats):
+    walls = []
+    for _ in range(repeats):
         t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def bench_sequence(impls, T):
-    inst = model.builtin("example1")
-    pol = evaluate.example1_policy(T)
-    rules = pol.rows(T)
-    values, vidx, vidx3, triple = evaluate._value_index_tables(inst)
-    mu0 = np.zeros(inst.n_states)
-    mu0[0] = 1.0
-    args = (inst.kernel, inst.pair_state, rules, mu0, T, 0.5,
-            vidx, vidx3, triple, values.size, values)
-    rows = {}
-    for name, (_, seq_kernel, _) in impls.items():
-        seq_kernel(*args)  # warm-up / compile
-        rows[name] = time_fn(lambda: seq_kernel(*args))
-    return rows
-
-
-def bench_mc(impls, reps, T):
-    inst = model.builtin("example2")
-    pol = model.DeterministicPolicy((2, 0, 2)).to_stationary(inst)
-    kernel_cdf = np.cumsum(inst.kernel, axis=1)
-    rule_cdf2d = evaluate._rule_cdf2d(inst, pol.probs, 3)
-    counts2d = np.array([3, 3, 3], dtype=np.int64)
-    offsets = np.asarray(inst.offsets[:-1], dtype=np.int64)
-    rng = np.random.default_rng(0)
-    u_act = rng.random((T, reps))
-    u_nxt = rng.random((T, reps))
-
-    def run(step):
-        states = np.zeros(reps, dtype=np.int64)
-        for t in range(T):
-            _, states = step(states, u_act[t], u_nxt[t], rule_cdf2d, counts2d,
-                             offsets, kernel_cdf)
-        return states
-
-    rows = {}
-    for name, (_, _, step) in impls.items():
-        run(step)  # warm-up / compile
-        rows[name] = time_fn(lambda: run(step))
-    return rows
+        call()
+        walls.append(time.perf_counter() - t0)
+    return walls
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--T", type=int, default=(3**12 - 1) // 2,
-                    help="sequence horizon (default: the oscillator run)")
-    ap.add_argument("--reps", type=int, default=100_000)
-    ap.add_argument("--mc-T", type=int, default=200)
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--label", default="current", help="key the run is stored under")
+    ap.add_argument("--repeats", type=int, default=5, help="timed runs per case")
+    ap.add_argument("--out", default="BENCH_kernels.json")
     args = ap.parse_args()
 
-    impls = _kernels.implementations()
-    if "numba" not in impls:
-        print("numba unavailable; timing the numpy path only")
+    rows = []
+    for name, description, steps, call in cases():
+        walls = time_case(call, args.repeats)
+        median = statistics.median(walls)
+        rows.append({
+            "case": name,
+            "description": description,
+            "steps": steps,
+            "repeats": args.repeats,
+            "wall_s": {"median": median, "min": min(walls), "max": max(walls)},
+            "median_us_per_step": median / steps * 1e6,
+        })
+        print(f"{name:12s} median {median:8.3f} s  ({median / steps * 1e6:8.2f} us/step)  "
+              f"min {min(walls):.3f}  max {max(walls):.3f}")
 
-    print(f"exact CVaR sequence, T={args.T}:")
-    for name, secs in bench_sequence(impls, args.T).items():
-        print(f"  {name:6s} {secs * 1e3:10.1f} ms")
-
-    print(f"Monte Carlo stepping, {args.reps} replications x {args.mc_T} steps:")
-    for name, secs in bench_mc(impls, args.reps, args.mc_T).items():
-        print(f"  {name:6s} {secs * 1e3:10.1f} ms")
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc["benchmark"] = "wall time of cvar_sequence and monte_carlo_eval (numpy kernels)"
+    doc.setdefault("runs", {})[args.label] = {
+        "machine": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpus": os.cpu_count(),
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "platform": platform.platform(),
+        },
+        "cases": rows,
+    }
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {out} [{args.label}]")
 
 
 if __name__ == "__main__":

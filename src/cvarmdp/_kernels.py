@@ -1,28 +1,18 @@
 """Hot numeric loops: exact law evolution, per-step CVaR, Monte Carlo steps.
 
-Each kernel exists twice: a plain-numpy implementation and a numba
-`@njit` twin written as explicit loops. The module-level names bind to the
-numba versions when numba imports and the environment variable
-CVARMDP_NUMBA is not "0"; otherwise the numpy path is used. Both paths
-consume identical inputs (including pre-drawn uniforms for sampling) so
-they agree to floating-point roundoff; `benchmarks/bench_kernels.py`
-compares their speed.
+One numpy implementation of each: `evolve_mu` and `cvar_sequence_kernel`
+push the state law forward one step at a time, and `mc_step` advances
+every Monte Carlo replication by one step from pre-drawn uniforms.
+`benchmarks/bench_kernels.py` times them and writes `BENCH_kernels.json`.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-USE_NUMBA = _HAVE_NUMBA and os.environ.get("CVARMDP_NUMBA", "1").lower() not in ("0", "false", "no")
+# Always False: there is one (numpy) path; perfbench's environment record
+# still reads this name.
+USE_NUMBA = False
 
 
 # -- state-distribution evolution --------------------------------------------
@@ -36,7 +26,7 @@ def _rule_row(rules, t):
     return rules[0] if rules.shape[0] == 1 else rules[t]
 
 
-def _evolve_mu_numpy(kernel, pair_state, rules, mu0, t):
+def evolve_mu(kernel, pair_state, rules, mu0, t):
     mu = mu0.copy()
     for s in range(t):
         pk = mu[pair_state] * _rule_row(rules, s)
@@ -44,17 +34,22 @@ def _evolve_mu_numpy(kernel, pair_state, rules, mu0, t):
     return mu
 
 
-def _cvar_sequence_numpy(kernel, pair_state, rules, mu0, T, alpha, vidx, vidx3, triple, n_values, values):
+def cvar_sequence_kernel(kernel, pair_state, rules, mu0, T, alpha, atom_index, values):
+    """Per-step CVaR_alpha of the reward law for t < T, and the largest
+    drift of its total mass from 1. `atom_index` maps each pair (1-D) or
+    each (pair, next state) (2-D) to its reward's index in `values`."""
     per_step = np.empty(T)
     mu = mu0.copy()
     tail = 1.0 - alpha
     max_drift = 0.0
+    triple = atom_index.ndim == 2
+    flat_index = atom_index.ravel()
     for t in range(T):
         pk = mu[pair_state] * _rule_row(rules, t)
         if triple:
-            q = np.bincount(vidx3.ravel(), weights=(pk[:, None] * kernel).ravel(), minlength=n_values)
+            q = np.bincount(flat_index, weights=(pk[:, None] * kernel).ravel(), minlength=values.size)
         else:
-            q = np.bincount(vidx, weights=pk, minlength=n_values)
+            q = np.bincount(atom_index, weights=pk, minlength=values.size)
         drift = abs(1.0 - float(q.sum()))
         if drift > max_drift:
             max_drift = drift
@@ -66,7 +61,7 @@ def _cvar_sequence_numpy(kernel, pair_state, rules, mu0, T, alpha, vidx, vidx3, 
     return per_step, max_drift
 
 
-def _mc_step_numpy(states, u_act, u_nxt, rule_cdf2d, counts2d, offsets, kernel_cdf):
+def mc_step(states, u_act, u_nxt, rule_cdf2d, counts2d, offsets, kernel_cdf):
     # First index where the uniform falls below the padded per-state rule CDF.
     local = (u_act[:, None] >= rule_cdf2d[states]).sum(axis=1)
     local = np.minimum(local, counts2d[states] - 1)
@@ -74,114 +69,3 @@ def _mc_step_numpy(states, u_act, u_nxt, rule_cdf2d, counts2d, offsets, kernel_c
     nxt = (u_nxt[:, None] >= kernel_cdf[pairs]).sum(axis=1)
     nxt = np.minimum(nxt, kernel_cdf.shape[1] - 1)
     return pairs, nxt
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _evolve_mu_numba(kernel, pair_state, rules, mu0, t):
-        n_pairs, n_states = kernel.shape
-        mu = mu0.copy()
-        time_dep = rules.shape[0] > 1
-        for s in range(t):
-            row = rules[s] if time_dep else rules[0]
-            nxt = np.zeros(n_states)
-            for k in range(n_pairs):
-                pk = mu[pair_state[k]] * row[k]
-                if pk != 0.0:
-                    for j in range(n_states):
-                        nxt[j] += pk * kernel[k, j]
-            mu = nxt
-        return mu
-
-    @njit(cache=True)
-    def _cvar_sequence_numba(kernel, pair_state, rules, mu0, T, alpha, vidx, vidx3, triple, n_values, values):
-        n_pairs, n_states = kernel.shape
-        per_step = np.empty(T)
-        mu = mu0.copy()
-        tail = 1.0 - alpha
-        max_drift = 0.0
-        time_dep = rules.shape[0] > 1
-        q = np.empty(n_values)
-        for t in range(T):
-            row = rules[t] if time_dep else rules[0]
-            q[:] = 0.0
-            for k in range(n_pairs):
-                pk = mu[pair_state[k]] * row[k]
-                if pk == 0.0:
-                    continue
-                if triple:
-                    for j in range(n_states):
-                        pj = pk * kernel[k, j]
-                        if pj != 0.0:
-                            q[vidx3[k, j]] += pj
-                else:
-                    q[vidx[k]] += pk
-            total = 0.0
-            for v in range(n_values):
-                total += q[v]
-            drift = abs(1.0 - total)
-            if drift > max_drift:
-                max_drift = drift
-            acc = 0.0
-            s = 0.0
-            for v in range(n_values - 1, -1, -1):
-                if acc >= tail:
-                    break
-                w = q[v]
-                if w > tail - acc:
-                    w = tail - acc
-                s += values[v] * w
-                acc += w
-            per_step[t] = s / tail
-            nxt = np.zeros(n_states)
-            for k in range(n_pairs):
-                pk = mu[pair_state[k]] * row[k]
-                if pk != 0.0:
-                    for j in range(n_states):
-                        nxt[j] += pk * kernel[k, j]
-            mu = nxt
-        return per_step, max_drift
-
-    @njit(cache=True)
-    def _mc_step_numba(states, u_act, u_nxt, rule_cdf2d, counts2d, offsets, kernel_cdf):
-        reps = states.shape[0]
-        n_states = kernel_cdf.shape[1]
-        pairs = np.empty(reps, np.int64)
-        nxt = np.empty(reps, np.int64)
-        for r in range(reps):
-            s = states[r]
-            width = counts2d[s]
-            local = width - 1
-            for c in range(width):
-                if u_act[r] < rule_cdf2d[s, c]:
-                    local = c
-                    break
-            k = offsets[s] + local
-            pairs[r] = k
-            j = n_states - 1
-            for jj in range(n_states):
-                if u_nxt[r] < kernel_cdf[k, jj]:
-                    j = jj
-                    break
-            nxt[r] = j
-        return pairs, nxt
-
-
-if USE_NUMBA:
-    evolve_mu = _evolve_mu_numba
-    cvar_sequence_kernel = _cvar_sequence_numba
-    mc_step = _mc_step_numba
-else:
-    evolve_mu = _evolve_mu_numpy
-    cvar_sequence_kernel = _cvar_sequence_numpy
-    mc_step = _mc_step_numpy
-
-
-def implementations():
-    """Both paths of every kernel, keyed by path name, for tests and the
-    benchmark. The 'numba' entry is absent when numba is unavailable."""
-    out = {"numpy": (_evolve_mu_numpy, _cvar_sequence_numpy, _mc_step_numpy)}
-    if _HAVE_NUMBA:
-        out["numba"] = (_evolve_mu_numba, _cvar_sequence_numba, _mc_step_numba)
-    return out

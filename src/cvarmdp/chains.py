@@ -342,7 +342,7 @@ def _deterministic_sweep(instance, cap=10**6):
     return blocks()
 
 
-def t_step_distribution(instance, policy, s0, t, check_mass=True):
+def t_step_distribution(instance, policy, s0, t):
     """Exact law over state-action pairs after t steps from state s0.
 
     The law at step t spreads the time-t state distribution over the rule
@@ -358,7 +358,7 @@ def t_step_distribution(instance, policy, s0, t, check_mass=True):
     mu = _kernels.evolve_mu(instance.kernel, instance.pair_state, rules, mu0, t)
     row = rules[0] if rules.shape[0] == 1 else rules[t]
     pk = mu[instance.pair_state] * row
-    if check_mass and abs(pk.sum() - 1.0) > 1e-12:
+    if abs(pk.sum() - 1.0) > 1e-12:
         raise ChainStructureError(f"probability mass drifted to {pk.sum()!r} at t={t}")
     return pk
 

@@ -351,12 +351,12 @@ def _add_instance_flags(p):
     p.add_argument("--gen", help="random instance spec STATES,ACTIONS[,SEED]")
 
 
-def _add_common_flags(p):
+def _add_common_flags(p, mean_weight=True):
     p.add_argument("--alpha", type=float, default=0.0, help="probability level in [0,1)")
-    p.add_argument("--beta", type=float, default=0.0, help="mean weight (default 0)")
+    if mean_weight:
+        p.add_argument("--beta", type=float, default=0.0, help="mean weight (default 0)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
 
 
 def build_parser():
@@ -369,6 +369,9 @@ def build_parser():
     _add_instance_flags(p)
     _add_common_flags(p)
     p.add_argument("--mode", choices=["dual", "dual-primal"], default="dual")
+    p.add_argument("--tol", type=float, default=None,
+                   help="count an action as a randomization only when its mass "
+                        f"exceeds TOL (default {model.RANDOMIZATION_TOL:g})")
 
     p = sub.add_parser("enumerate", help="evaluate every deterministic policy")
     _add_instance_flags(p)
@@ -376,7 +379,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="exact per-step CVaR sequence of a policy")
     _add_instance_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, mean_weight=False)
     p.add_argument("--policy", help="'example1' or a policy file (state -> action -> prob)")
     p.add_argument("--T", type=int, default=100, help="horizon")
     p.add_argument("--s0", help="initial state (default: first state)")
@@ -398,7 +401,6 @@ def build_parser():
     p.add_argument("--reward-range", type=float, nargs=2, default=(0.0, 100.0),
                    metavar=("LO", "HI"))
     p.add_argument("--out", help="output path")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("scan", help="tabulate y against max_x v(x,y) over the endpoints")
     _add_instance_flags(p)

@@ -3,7 +3,8 @@ running averages, and a sampling-based sanity layer.
 
 The per-step laws are pushed forward exactly through the kernel; Monte
 Carlo exists only to cross-check that evolution, never as the primary
-evaluator.
+evaluator. The per-step loops of both live in `_kernels`, which has one
+numpy implementation of each.
 """
 
 from __future__ import annotations
@@ -33,18 +34,15 @@ class CvarSequence:
 
 
 def _value_index_tables(instance):
-    """Distinct reward values plus per-pair (or per-pair-and-next-state)
-    indices into them, for the evolution kernels."""
+    """Distinct reward values and, per pair (1-D) or per pair and next
+    state (2-D), the index of its reward among them; `atom_index.ndim`
+    tells the reward kind."""
     if instance.rewards is not None:
-        values, vidx = np.unique(instance.rewards, return_inverse=True)
-        vidx3 = np.zeros((1, 1), dtype=np.int64)
-        triple = False
+        values, atom_index = np.unique(instance.rewards, return_inverse=True)
     else:
         values, inverse = np.unique(instance.rewards3.ravel(), return_inverse=True)
-        vidx3 = inverse.reshape(instance.rewards3.shape).astype(np.int64)
-        vidx = np.zeros(1, dtype=np.int64)
-        triple = True
-    return values.astype(np.float64), vidx.astype(np.int64), vidx3, triple
+        atom_index = inverse.reshape(instance.rewards3.shape)
+    return values.astype(np.float64), atom_index.astype(np.int64)
 
 
 def cvar_sequence(instance, policy, s0, T, alpha):
@@ -61,12 +59,12 @@ def cvar_sequence(instance, policy, s0, T, alpha):
     s0_name = s0 if isinstance(s0, str) else instance.states[int(s0)]
     s0_idx = instance.state_index(s0_name)
     rules, label = rule_rows(policy, T)
-    values, vidx, vidx3, triple = _value_index_tables(instance)
+    values, atom_index = _value_index_tables(instance)
     mu0 = np.zeros(instance.n_states)
     mu0[s0_idx] = 1.0
     per_step, drift = _kernels.cvar_sequence_kernel(
         instance.kernel, instance.pair_state, rules, mu0, int(T), float(alpha),
-        vidx, vidx3, triple, values.size, values)
+        atom_index, values)
     if drift > MASS_DRIFT_TOL:
         raise chains.ChainStructureError(f"probability mass drifted by {drift:.3g}")
     cesaro = np.cumsum(per_step) / np.arange(1, T + 1)
@@ -173,7 +171,7 @@ def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
         raise ValueError("need at least one replication")
     s0_idx = instance.state_index(s0) if isinstance(s0, str) else int(s0)
     rules, _ = rule_rows(policy, T)
-    values, vidx, vidx3, triple = _value_index_tables(instance)
+    values, atom_index = _value_index_tables(instance)
     rng = np.random.default_rng(seed)
 
     kernel_cdf = np.cumsum(instance.kernel, axis=1)
@@ -191,11 +189,8 @@ def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
         u_nxt = rng.random(replications)
         pairs, nxt = _kernels.mc_step(states, u_act, u_nxt, rule_cdf2d, counts2d,
                                       offsets, kernel_cdf)
-        if triple:
-            step_vidx = vidx3[pairs, nxt]
-        else:
-            step_vidx = vidx[pairs]
-        counts[t] = np.bincount(step_vidx, minlength=values.size)
+        step_atoms = atom_index[pairs, nxt] if atom_index.ndim == 2 else atom_index[pairs]
+        counts[t] = np.bincount(step_atoms, minlength=values.size)
         states = nxt
 
     cvar = np.empty(T)

@@ -33,6 +33,16 @@ class TestSolveCommand:
         assert set(doc["certificates"]) == {"left_gap", "right_gap", "oracle_gap", "tail_level"}
         assert 70.0 < doc["certificates"]["tail_level"] < 71.0
 
+    def test_tol_sets_randomization_threshold(self, capsys):
+        # the optimum puts mass 0.0255 on a second action in state 3
+        argv = ("solve", "--builtin", "example2", "--alpha", "0.7")
+        assert run_json(capsys, *argv)[1]["n_randomizations"] == 1
+        assert run_json(capsys, *argv, "--tol", "0.01")[1]["n_randomizations"] == 1
+        assert run_json(capsys, *argv, "--tol", "0.1")[1]["n_randomizations"] == 0
+        code, out, _ = run(capsys, *argv, "--tol", "0.1")
+        assert code == 0
+        assert "n_rand          0" in out.splitlines()
+
     def test_endowment_mean_cvar(self, capsys):
         code, doc, _ = run_json(capsys, "solve", "--builtin", "endowment",
                                 "--alpha", "0.9", "--beta", "0.5")
@@ -304,6 +314,22 @@ class TestScanCommand:
         code, out, _ = run(capsys, "scan", "--builtin", "example2", "--alpha", "0.7")
         assert code == 0
         assert sum(ln.endswith("*") for ln in out.splitlines()) == 1
+
+
+class TestUnusedFlagsRejected:
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--builtin", "example2", "--alpha", "0.7", "--tol", "1e-3"),
+        ("enumerate", "--builtin", "example2", "--tol", "1e-3"),
+        ("check", "--builtin", "example2", "--tol", "1e-3"),
+        ("simulate", "--builtin", "example1", "--policy", "example1", "--tol", "1e-3"),
+        ("simulate", "--builtin", "example1", "--policy", "example1", "--beta", "0.5"),
+        ("gen", "--seed", "7", "--json"),
+    ])
+    def test_argparse_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

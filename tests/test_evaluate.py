@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_chains import sparse_kernels
 
 from cvarmdp import chains, evaluate, model, risk, solver
 
@@ -214,6 +217,45 @@ class TestMonteCarlo:
         mc = evaluate.monte_carlo_eval(inst, pol, "(0,0.2)", 60, 40_000,
                                        seed=3, alpha=0.9)
         assert np.abs(mc.cvar - exact.per_step).max() < 1.0
+
+
+def random_rules(instance, rng, T, time_dependent):
+    """A stationary rule, or one rule per step; each rule has some actions
+    switched off, and a state left with none plays its first action."""
+    def rule():
+        weights = rng.random(instance.n_pairs) * (rng.random(instance.n_pairs) < 0.7)
+        return model.extract_policy(instance, weights)
+    if time_dependent:
+        return model.TimeDependentPolicy.from_rules([rule().probs for _ in range(T)])
+    return rule()
+
+
+class TestEvolutionAgainstStepLaws:
+    """Sampled steps of the evolution kernels against an independent
+    reference: the t-step pair law from `chains.t_step_distribution`, turned into a
+    reward law by `risk.reward_distribution` and valued by `risk.cvar_right`."""
+
+    T = 12
+
+    @given(st.one_of(sparse_kernels(), sparse_kernels(rewards3=True)),
+           st.sampled_from([0.0, 0.5, 0.9]), st.booleans(),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.lists(st.integers(min_value=0, max_value=T - 1), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_per_step_cvar_and_monte_carlo_counts(self, inst, alpha, time_dependent,
+                                                  seed, steps):
+        rng = np.random.default_rng(seed)
+        policy = random_rules(inst, rng, self.T, time_dependent)
+        s0 = int(rng.integers(inst.n_states))
+        seq = evaluate.cvar_sequence(inst, policy, s0, self.T, alpha)
+        mc = evaluate.monte_carlo_eval(inst, policy, s0, self.T, 64, seed, alpha=alpha)
+        assert mc.counts.sum(axis=1).tolist() == [64] * self.T
+        for t in steps:
+            law = risk.reward_distribution(inst, chains.t_step_distribution(inst, policy, s0, t))
+            assert seq.per_step[t] == pytest.approx(risk.cvar_right(law, alpha), abs=1e-12)
+            # a sampled reward must have positive exact probability
+            possible = set(law.values[law.probs > 0].tolist())
+            assert set(mc.values[mc.counts[t] > 0].tolist()) <= possible
 
 
 class TestLemma2Gap:
