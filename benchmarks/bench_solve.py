@@ -1,17 +1,20 @@
-"""Wall time and certificate gaps of in-process `solve_cvar` by instance size.
+"""Wall time and certificate gaps of in-process `solve_cvar`, and wall time
+of the endpoint scan, by instance size.
 
 Run:  PYTHONPATH=src python3 benchmarks/bench_solve.py [--label after]
           [--seeds 3] [--out BENCH_solve.json]
 
-Sizes: dense `model.random_instance` 8x3, 20x4 and 60x4 (every kernel
-entry positive, K = pairs distinct rewards) and sparse 100x4 and 400x4
-from perfbench's `sparse_instance` (3 successors plus a ring edge per
-pair, K = 24). Each size is solved at alpha = 0.8, beta = 0.5 for seeds
-1..--seeds, once each after a warm-up solve; wall time covers the whole
-`solve_cvar` call, certificates included. The worst left and right
-certificate gaps per size show tolerance drift as instances grow. A solve
-that raises `LpSolveError` or `SolverError` is listed under `failures`
-and left out of the times.
+Solve sizes: dense `model.random_instance` 8x3, 20x4, 60x4 and 100x4
+(every kernel entry positive, K = pairs distinct rewards) and sparse 100x4
+and 400x4 from perfbench's `sparse_instance` (3 successors plus a ring edge
+per pair, K = 24). Scan sizes: `solver.endpoint_scan_oracle` (one average
+LP per reward value plus up to two level LPs, what `cvarmdp scan` runs) on
+sparse 100x4 (K = 24) and dense 20x4 (K = 80). Everything runs at
+alpha = 0.8, beta = 0.5 for seeds 1..--seeds, once each after a warm-up;
+solve times cover the whole `solve_cvar` call, certificates included. The
+worst left and right certificate gaps per size show tolerance drift as
+instances grow. A run that raises `LpSolveError` or `SolverError` is listed
+under `failures` and left out of the times.
 
 The result is stored under `--label` in the output file; other labels
 already there are kept, so runs of two versions of the package (put each
@@ -40,8 +43,13 @@ SIZES = (
     ("dense", 8, 3),
     ("dense", 20, 4),
     ("dense", 60, 4),
+    ("dense", 100, 4),
     ("sparse", 100, 4),
     ("sparse", 400, 4),
+)
+SCANS = (
+    ("sparse", 100, 4),
+    ("dense", 20, 4),
 )
 PARAMS = risk.RiskParams(0.8, 0.5)
 
@@ -75,10 +83,36 @@ def bench_size(kind, n_states, n_actions, seeds):
         "runs": seeds,
         "certified": certified,
         "failures": failures,
-        "wall_s": ({"median": statistics.median(times), "min": min(times), "max": max(times)}
-                   if times else None),
+        "wall_s": _wall(times),
         "worst_left_gap": max(lefts, default=None),
         "worst_right_gap": max(rights, default=None),
+    }
+
+
+def _wall(times):
+    return ({"median": statistics.median(times), "min": min(times), "max": max(times)}
+            if times else None)
+
+
+def bench_scan(kind, n_states, n_actions, seeds):
+    times, failures = [], []
+    for seed in range(1, seeds + 1):
+        inst = make_instance(kind, seed, n_states, n_actions)
+        t0 = time.perf_counter()
+        try:
+            solver.endpoint_scan_oracle(inst, PARAMS)
+        except (lp.LpSolveError, solver.SolverError) as exc:
+            failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        times.append(time.perf_counter() - t0)
+    return {
+        "kind": kind,
+        "states": n_states,
+        "actions": n_actions,
+        "distinct_rewards": int(risk.breakpoints(inst).values.size),
+        "runs": seeds,
+        "failures": failures,
+        "wall_s": _wall(times),
     }
 
 
@@ -95,6 +129,7 @@ def main():
     args = ap.parse_args()
 
     solver.solve_cvar(model.random_instance(0, 4, 2), PARAMS)  # warm-up
+    solver.endpoint_scan_oracle(model.random_instance(0, 4, 2), PARAMS)
     rows = []
     for kind, n_states, n_actions in SIZES:
         row = bench_size(kind, n_states, n_actions, args.seeds)
@@ -105,10 +140,18 @@ def main():
               f"left {_fmt(row['worst_left_gap'], '.2g')}  "
               f"right {_fmt(row['worst_right_gap'], '.2g')}  "
               f"certified {row['certified']}/{row['runs']}  failed {len(row['failures'])}")
+    scans = []
+    for kind, n_states, n_actions in SCANS:
+        row = bench_scan(kind, n_states, n_actions, args.seeds)
+        scans.append(row)
+        wall = row["wall_s"]
+        print(f"scan {kind:6s} {n_states:4d}x{n_actions}  K={row['distinct_rewards']:4d}  "
+              f"median {_fmt(wall and wall['median'], '8.3f')} s  failed {len(row['failures'])}")
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["benchmark"] = "in-process solve_cvar wall time and worst certificate gaps by size"
+    doc["benchmark"] = ("in-process solve_cvar wall time and worst certificate gaps, and "
+                        "endpoint-scan wall time, by size")
     doc["params"] = {"alpha": PARAMS.alpha, "beta": PARAMS.beta}
     doc.setdefault("runs", {})[args.label] = {
         "machine": {
@@ -119,6 +162,7 @@ def main():
             "platform": platform.platform(),
         },
         "sizes": rows,
+        "scans": scans,
     }
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {out} [{args.label}]")

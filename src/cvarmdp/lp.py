@@ -1,12 +1,15 @@
-"""Backend-neutral linear programs and the builders for every program the
+"""Linear programs as sparse arrays, and the builders for every program the
 solver needs.
 
-The LP description is plain data (named variables with bounds, an
-objective, relational constraints); `solve` maps it onto scipy's HiGHS
-dual simplex, which returns basic (vertex) solutions and is deterministic
-for identical input. Solutions are re-checked against the original
-description before they are returned; a numerical failure raises instead
-of masquerading as "optimal".
+A program is what HiGHS reads: min or max c @ x subject to A_ub @ x <= b_ub,
+A_eq @ x = b_eq and lb <= x <= ub, with CSR matrices that store no zeros,
+plus one name per column and one per row. The builders assemble the arrays
+with numpy from the instance's kernel, pair layout and rewards. `solve` hands
+them to HiGHS dual simplex (basic solutions, deterministic for identical
+input) and re-checks the point with A @ x - b and the bounds; a numerical
+failure raises instead of masquerading as "optimal". `Variable` and
+`Constraint` are a named view built on demand for LP-file export and
+hand-written programs (`LinearProgram.from_rows`); solving never builds it.
 """
 
 from __future__ import annotations
@@ -15,10 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array, vstack
 
 from .risk import breakpoints, saddle_coefficients
 
 FEASIBILITY_TOL = 1e-8
+# HiGHS's own primal tolerance (default 1e-7) sits below the re-check's, so
+# the points it returns pass FEASIBILITY_TOL.
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10}
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -46,34 +53,103 @@ class Constraint:
             raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
 
 
+def _matrix(shape, rows, cols, vals):
+    """CSR matrix from triplets; duplicates are summed and no zero is stored."""
+    a = csr_array((np.asarray(vals, float), (np.asarray(rows, int), np.asarray(cols, int))), shape=shape)
+    a.eliminate_zeros()
+    return a
+
+
 @dataclass(frozen=True)
 class LinearProgram:
+    """min or max c @ x s.t. A_ub @ x <= b_ub, A_eq @ x = b_eq, lb <= x <= ub.
+
+    row_names names the A_ub rows, then the A_eq rows. ub_sign[i] is +1
+    when A_ub row i was written "<=" and -1 when it was written ">=" and
+    is stored negated; shadow prices and the named view refer to the row
+    as written. A missing block has no rows.
+    """
+
     name: str
     sense: str  # "min" or "max"
-    objective: dict
-    variables: tuple
-    constraints: tuple
+    c: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    col_names: list
+    row_names: list
+    A_ub: csr_array | None = None
+    b_ub: np.ndarray | None = None
+    ub_sign: np.ndarray | None = None
+    A_eq: csr_array | None = None
+    b_eq: np.ndarray | None = None
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names")
-        cnames = [c.name for c in self.constraints]
-        if len(set(cnames)) != len(cnames):
-            raise ValueError("duplicate constraint names")
-        declared = set(names)
-        for c in self.constraints:
-            undeclared = set(c.coeffs) - declared
-            if undeclared:
-                raise ValueError(f"constraint {c.name!r} references undeclared {sorted(undeclared)}")
-        undeclared = set(self.objective) - declared
-        if undeclared:
-            raise ValueError(f"objective references undeclared {sorted(undeclared)}")
+        for field in ("A_ub", "b_ub", "ub_sign", "A_eq", "b_eq"):
+            if getattr(self, field) is None:
+                empty = csr_array((0, self.c.size)) if field[0] == "A" else np.zeros(0)
+                object.__setattr__(self, field, empty)
+
+    @classmethod
+    def from_rows(cls, name, sense, objective, variables, constraints):
+        """A program from named `Variable`s, an objective {name: coef} and
+        `Constraint`s."""
+        col = {v.name: i for i, v in enumerate(variables)}
+        if len(col) != len(variables) or len({c.name for c in constraints}) != len(constraints):
+            raise ValueError("duplicate variable or constraint names")
+        for label, coeffs in ([(f"constraint {c.name!r}", c.coeffs) for c in constraints]
+                              + [("objective", objective)]):
+            if set(coeffs) - set(col):
+                raise ValueError(f"{label} references undeclared {sorted(set(coeffs) - set(col))}")
+        n = len(variables)
+        c = np.zeros(n)
+        c[[col[nm] for nm in objective]] = list(objective.values())
+        ub_rows = [con for con in constraints if con.relation != "="]
+        eq_rows = [con for con in constraints if con.relation == "="]
+        ub_sign = np.array([1.0 if con.relation == "<=" else -1.0 for con in ub_rows])
+
+        def block(rows, signs):
+            trip = [(i, col[nm], s * coef) for i, (con, s) in enumerate(zip(rows, signs))
+                    for nm, coef in con.coeffs.items()]
+            r, k, v = zip(*trip) if trip else ((), (), ())
+            return (_matrix((len(rows), n), r, k, v),
+                    np.array([s * con.rhs for con, s in zip(rows, signs)], dtype=float))
+
+        a_ub, b_ub = block(ub_rows, ub_sign)
+        a_eq, b_eq = block(eq_rows, np.ones(len(eq_rows)))
+        return cls(name, sense, c, np.array([v.lb for v in variables], dtype=float),
+                   np.array([v.ub for v in variables], dtype=float), [v.name for v in variables],
+                   [con.name for con in ub_rows + eq_rows],
+                   A_ub=a_ub, b_ub=b_ub, ub_sign=ub_sign, A_eq=a_eq, b_eq=b_eq)
+
+    # -- named view, built on demand --------------------------------------------
+
+    @property
+    def variables(self):
+        return tuple(map(Variable, self.col_names, self.lb.tolist(), self.ub.tolist()))
+
+    @property
+    def objective(self):
+        return {self.col_names[i]: float(self.c[i]) for i in np.flatnonzero(self.c)}
+
+    @property
+    def constraints(self):
+        out = []
+        blocks = ((self.A_ub, self.b_ub, self.ub_sign, ["<=" if s > 0.0 else ">=" for s in self.ub_sign]),
+                  (self.A_eq, self.b_eq, np.ones(len(self.b_eq)), ["="] * len(self.b_eq)))
+        for a, b, signs, relations in blocks:
+            names = [self.col_names[j] for j in a.indices.tolist()]
+            coeffs = (a.data * np.repeat(signs, np.diff(a.indptr))).tolist()
+            ends = a.indptr.tolist()
+            for i, rhs in enumerate((signs * b).tolist()):
+                lo, hi = ends[i], ends[i + 1]
+                out.append(Constraint(self.row_names[len(out)], dict(zip(names[lo:hi], coeffs[lo:hi])),
+                                      relations[i], rhs))
+        return tuple(out)
 
     def n_structural_rows(self):
-        return len(self.constraints)
+        return len(self.row_names)
 
     def n_rows_with_bounds(self):
         """Constraint count including one row per finite variable bound.
@@ -82,9 +158,7 @@ class LinearProgram:
         constraints; this matches that convention, while
         n_structural_rows counts relational rows only.
         """
-        bound_rows = sum((1 if np.isfinite(v.lb) else 0) + (1 if np.isfinite(v.ub) else 0)
-                         for v in self.variables)
-        return len(self.constraints) + bound_rows
+        return len(self.row_names) + int(np.isfinite(self.lb).sum() + np.isfinite(self.ub).sum())
 
 
 @dataclass(frozen=True)
@@ -113,23 +187,6 @@ class LpSolution:
         return self.values[name]
 
 
-def _check_solution(lp, x, tol):
-    """Feasibility residual and recomputed objective of a candidate point."""
-    worst = 0.0
-    for c in lp.constraints:
-        lhs = sum(coef * x[v] for v, coef in c.coeffs.items())
-        if c.relation == "<=":
-            worst = max(worst, lhs - c.rhs)
-        elif c.relation == ">=":
-            worst = max(worst, c.rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - c.rhs))
-    for v in lp.variables:
-        worst = max(worst, v.lb - x[v.name], x[v.name] - v.ub)
-    obj = sum(coef * x[v] for v, coef in lp.objective.items())
-    return worst, obj
-
-
 def solve(lp, tol=FEASIBILITY_TOL):
     """Solve an LP with HiGHS dual simplex.
 
@@ -137,96 +194,83 @@ def solve(lp, tol=FEASIBILITY_TOL):
     feasible region, which is what bounds the solver's randomization count.
     Identical programs yield identical solutions across runs.
     """
-    order = {v.name: i for i, v in enumerate(lp.variables)}
-    n = len(lp.variables)
-    c = np.zeros(n)
-    for name, coef in lp.objective.items():
-        c[order[name]] = coef
     sign = 1.0 if lp.sense == "min" else -1.0
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    # per constraint: (is an equality, position in its block, sign taking
-    # the backend's marginal to the shadow price in the program's sense)
-    dual_map = []
-    for con in lp.constraints:
-        row = np.zeros(n)
-        for name, coef in con.coeffs.items():
-            row[order[name]] = coef
-        if con.relation == "<=":
-            dual_map.append((False, len(a_ub), sign))
-            a_ub.append(row)
-            b_ub.append(con.rhs)
-        elif con.relation == ">=":
-            dual_map.append((False, len(a_ub), -sign))
-            a_ub.append(-row)
-            b_ub.append(-con.rhs)
-        else:
-            dual_map.append((True, len(a_eq), sign))
-            a_eq.append(row)
-            b_eq.append(con.rhs)
-    bounds = [(v.lb if np.isfinite(v.lb) else None, v.ub if np.isfinite(v.ub) else None)
-              for v in lp.variables]
-    res = linprog(
-        sign * c,
-        A_ub=np.asarray(a_ub) if a_ub else None,
-        b_ub=np.asarray(b_ub) if b_ub else None,
-        A_eq=np.asarray(a_eq) if a_eq else None,
-        b_eq=np.asarray(b_eq) if b_eq else None,
-        bounds=bounds,
-        method="highs-ds",
-    )
+    res = linprog(sign * lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
+                  bounds=np.column_stack((lp.lb, lp.ub)), method="highs-ds",
+                  options=HIGHS_OPTIONS)
     if res.status == 2:
         return LpSolution("infeasible", None, None, False)
     if res.status == 3:
         return LpSolution("unbounded", None, None, False)
     if res.status != 0 or res.x is None:
         raise LpSolveError(f"{lp.name}: backend failure ({res.message})")
-    values = {v.name: float(x) for v, x in zip(lp.variables, res.x)}
-    residual, objective = _check_solution(lp, values, tol)
-    if residual > tol:
+    x = res.x
+    residual = float(np.max([np.max(lp.A_ub @ x - lp.b_ub, initial=0.0),
+                             np.max(np.abs(lp.A_eq @ x - lp.b_eq), initial=0.0),
+                             np.max(lp.lb - x, initial=0.0), np.max(x - lp.ub, initial=0.0)]))
+    if not residual <= tol:
         raise LpSolveError(f"{lp.name}: solution violates constraints by {residual:.3g}")
+    objective = float(lp.c @ x)
     mismatch = abs(sign * res.fun - objective)
     if mismatch > max(tol, tol * abs(objective)):
         raise LpSolveError(f"{lp.name}: objective mismatch {sign * res.fun!r} vs {objective!r}")
-    marginals = (res.ineqlin.marginals.tolist() if a_ub else [],
-                 res.eqlin.marginals.tolist() if a_eq else [])
-    duals = {con.name: s * marginals[eq][i]
-             for con, (eq, i, s) in zip(lp.constraints, dual_map)}
-    return LpSolution("optimal", float(objective), values, True, duals=duals,
-                      nit=int(res.nit), residual=float(residual), mismatch=float(mismatch))
+    prices = np.concatenate((sign * lp.ub_sign * res.ineqlin.marginals,
+                             sign * res.eqlin.marginals))
+    return LpSolution("optimal", objective, dict(zip(lp.col_names, x.tolist())), True,
+                      duals=dict(zip(lp.row_names, prices.tolist())),
+                      nit=int(res.nit), residual=residual, mismatch=float(mismatch))
 
 
-# -- naming -------------------------------------------------------------------
+# -- blocks ---------------------------------------------------------------------
 
 
 def _pair_suffixes(instance):
     # State and local-action indices; positional so the names stay safe for
     # the LP file format. instance.pair_name maps them back to labels.
-    out = []
-    for k in range(instance.n_pairs):
-        i = int(instance.pair_state[k])
-        out.append(f"{i}_{k - instance.offsets[i]}")
-    return out
+    local = np.arange(instance.n_pairs) - instance.offsets[instance.pair_state]
+    return [f"{i}_{a}" for i, a in zip(instance.pair_state.tolist(), local.tolist())]
 
 
-def _pair_var_names(instance):
+def _x_names(instance):
     return [f"x_{sfx}" for sfx in _pair_suffixes(instance)]
 
 
-def _polytope_rows(instance, x_names):
-    """Flow balance per state plus total mass one, over the variables x."""
-    rows = []
-    for j in range(instance.n_states):
-        coeffs = {}
-        lo, hi = instance.offsets[j], instance.offsets[j + 1]
-        for k in range(lo, hi):
-            coeffs[x_names[k]] = coeffs.get(x_names[k], 0.0) + 1.0
-        for k in range(instance.n_pairs):
-            p = instance.kernel[k, j]
-            if p != 0.0:
-                coeffs[x_names[k]] = coeffs.get(x_names[k], 0.0) - p
-        rows.append(Constraint(f"balance_{j}", coeffs, "=", 0.0))
-    rows.append(Constraint("norm", {name: 1.0 for name in x_names}, "=", 1.0))
-    return rows
+def _unit(n, i):
+    out = np.zeros(n)
+    out[i] = 1.0
+    return out
+
+
+def _polytope(instance, n_cols):
+    """Flow balance per state plus total mass one over the first n_pairs
+    columns: balance row j is [pair_state == j] - kernel[:, j], the norm row
+    all ones. Returns (A_eq, b_eq, row names)."""
+    n, m = instance.n_pairs, instance.n_states
+    k, j = np.nonzero(instance.kernel)
+    pairs = np.arange(n)
+    a = _matrix((m + 1, n_cols),
+                np.concatenate((instance.pair_state, j, np.full(n, m))),
+                np.concatenate((pairs, k, pairs)),
+                np.concatenate((np.ones(n), -instance.kernel[k, j], np.ones(n))))
+    return a, _unit(m + 1, m), [f"balance_{s}" for s in range(m)] + ["norm"]
+
+
+def _excess(instance, n_cols, y_col, w_col):
+    """Rows w >= r - y, one per excess variable w (per pair, or per pair and
+    next state), stored as -w - y <= -r. Returns (A_ub, b_ub, row names,
+    w column names)."""
+    # (w suffix, row suffix): the pair's name suffix and its flat index, then the next state
+    tags = list(zip(_pair_suffixes(instance), range(instance.n_pairs)))
+    if instance.uses_next_state_rewards:
+        r = instance.rewards3.ravel()
+        tags = [(f"{s}_{j}", f"{k}_{j}") for s, k in tags for j in range(instance.n_states)]
+    else:
+        r = instance.rewards
+    w_names, rows = [f"w_{s}" for s, _ in tags], [f"excess_{k}" for _, k in tags]
+    e = np.arange(r.size)
+    a = _matrix((r.size, n_cols), np.concatenate((e, e)),
+                np.concatenate((w_col + e, np.full(r.size, y_col))), np.full(2 * r.size, -1.0))
+    return a, -r, rows, w_names
 
 
 # -- builders -----------------------------------------------------------------
@@ -238,12 +282,11 @@ def build_average_lp(instance, y, params):
     With y fixed the positive parts are constants, so this is the classical
     average-reward occupation LP with per-pair coefficients c_k(y).
     """
-    x_names = _pair_var_names(instance)
-    coeff = saddle_coefficients(instance, y, params)
-    variables = tuple(Variable(nm, 0.0, np.inf) for nm in x_names)
-    objective = {nm: float(coeff[k]) for k, nm in enumerate(x_names)}
-    constraints = tuple(_polytope_rows(instance, x_names))
-    return LinearProgram(f"{instance.name}-average(y={y:g})", "max", objective, variables, constraints)
+    n = instance.n_pairs
+    a_eq, b_eq, rows = _polytope(instance, n)
+    return LinearProgram(f"{instance.name}-average(y={y:g})", "max",
+                         saddle_coefficients(instance, y, params), np.zeros(n),
+                         np.full(n, np.inf), _x_names(instance), rows, A_eq=a_eq, b_eq=b_eq)
 
 
 def build_dual_lp(instance, params, per_pair_tail=False, grid=None):
@@ -256,23 +299,18 @@ def build_dual_lp(instance, params, per_pair_tail=False, grid=None):
     value, `grid` when the caller already holds `breakpoints(instance).values`),
     `per_pair_tail` restores the one-row-per-pair (or per-triple) layout.
     """
-    x_names = _pair_var_names(instance)
-    variables = tuple(Variable(nm, 0.0, np.inf) for nm in x_names) + (Variable("z2", -np.inf, np.inf),)
-    rows = []
-    if per_pair_tail:
-        table = instance.reward_table()
-        endpoints = [(f"tail_{i}", float(v)) for i, v in enumerate(table)]
-    else:
-        if grid is None:
-            grid = breakpoints(instance).values
-        endpoints = [(f"tail_{i}", float(v)) for i, v in enumerate(grid)]
-    for row_name, e in endpoints:
-        coeff = saddle_coefficients(instance, e, params)
-        coeffs = {nm: float(coeff[k]) for k, nm in enumerate(x_names)}
-        coeffs["z2"] = -1.0
-        rows.append(Constraint(row_name, coeffs, ">=", 0.0))
-    rows.extend(_polytope_rows(instance, x_names))
-    return LinearProgram(f"{instance.name}-dual", "max", {"z2": 1.0}, variables, tuple(rows))
+    ends = (instance.reward_table() if per_pair_tail
+            else breakpoints(instance).values if grid is None else grid)
+    n, n_tail = instance.n_pairs, len(ends)
+    tail = np.array([saddle_coefficients(instance, float(e), params) for e in ends])
+    a_eq, b_eq, rows = _polytope(instance, n + 1)
+    # v(x, e) - z2 >= 0, stored negated
+    return LinearProgram(f"{instance.name}-dual", "max", _unit(n + 1, n),
+                         np.append(np.zeros(n), -np.inf), np.full(n + 1, np.inf),
+                         _x_names(instance) + ["z2"], [f"tail_{i}" for i in range(n_tail)] + rows,
+                         A_ub=csr_array(np.column_stack((-tail, np.ones(n_tail)))),
+                         b_ub=-np.zeros(n_tail), ub_sign=np.full(n_tail, -1.0),
+                         A_eq=a_eq, b_eq=b_eq)
 
 
 def build_primal_lp(instance, vertices, params):
@@ -284,41 +322,24 @@ def build_primal_lp(instance, vertices, params):
         raise ValueError("need at least one polytope vertex")
     lo, hi = instance.reward_bounds()
     inv = 1.0 / (1.0 - params.alpha)
-    triple = instance.uses_next_state_rewards
-    sfx = _pair_suffixes(instance)
-    if triple:
-        w_names = {(k, j): f"w_{sfx[k]}_{j}" for k in range(instance.n_pairs)
-                   for j in range(instance.n_states)}
+    xs = np.asarray(vertices.xs, dtype=float)
+    # row by row: a matrix product may sum in another order and move the last bit
+    if instance.uses_next_state_rewards:
+        w = ((inv * xs)[:, :, None] * instance.kernel).reshape(len(xs), -1)
+        mean = [np.einsum("k,kj,kj->", xl, instance.kernel, instance.rewards3) for xl in xs]
     else:
-        w_names = {k: f"w_{sfx[k]}" for k in range(instance.n_pairs)}
-    variables = [Variable("y", lo, hi), Variable("z1", -np.inf, np.inf)]
-    variables += [Variable(nm, 0.0, np.inf) for nm in w_names.values()]
-    rows = []
-    for l in range(len(vertices)):
-        xl = vertices.xs[l]
-        coeffs = {"y": float(xl.sum()), "z1": -1.0}
-        if triple:
-            rhs = -params.beta * float(np.einsum("k,kj,kj->", xl, instance.kernel, instance.rewards3))
-            for k in np.flatnonzero(xl):
-                for j in range(instance.n_states):
-                    w = inv * xl[k] * instance.kernel[k, j]
-                    if w != 0.0:
-                        coeffs[w_names[(int(k), j)]] = float(w)
-        else:
-            rhs = -params.beta * float(xl @ instance.rewards)
-            for k in np.flatnonzero(xl):
-                coeffs[w_names[int(k)]] = float(inv * xl[k])
-        rows.append(Constraint(f"vertex_{l}", coeffs, "<=", rhs))
-    if triple:
-        for (k, j), nm in w_names.items():
-            rows.append(Constraint(f"excess_{k}_{j}", {nm: 1.0, "y": 1.0}, ">=",
-                                   float(instance.rewards3[k, j])))
-    else:
-        for k, nm in w_names.items():
-            rows.append(Constraint(f"excess_{k}", {nm: 1.0, "y": 1.0}, ">=",
-                                   float(instance.rewards[k])))
-    return LinearProgram(f"{instance.name}-primal", "min", {"z1": 1.0},
-                         tuple(variables), tuple(rows))
+        w, mean = inv * xs, [xl @ instance.rewards for xl in xs]
+    # columns y, z1, w; vertex row l: (sum x^l) y - z1 + x^l w / (1-alpha) <= -beta mean
+    vertex = csr_array(np.column_stack(([xl.sum() for xl in xs], np.full(len(xs), -1.0), w)))
+    n_cols = vertex.shape[1]
+    a_exc, b_exc, exc_rows, w_names = _excess(instance, n_cols, 0, 2)
+    return LinearProgram(f"{instance.name}-primal", "min", _unit(n_cols, 1),
+                         np.concatenate(([lo, -np.inf], np.zeros(n_cols - 2))),
+                         np.concatenate(([hi], np.full(n_cols - 1, np.inf))),
+                         ["y", "z1"] + w_names, [f"vertex_{l}" for l in range(len(xs))] + exc_rows,
+                         A_ub=vstack((vertex, a_exc), format="csr"),
+                         b_ub=np.concatenate((-params.beta * np.array(mean), b_exc)),
+                         ub_sign=np.concatenate((np.ones(len(xs)), -np.ones(b_exc.size))))
 
 
 def build_level_lp(instance, params, y_lo=None, y_hi=None):
@@ -337,46 +358,31 @@ def build_level_lp(instance, params, y_lo=None, y_hi=None):
     y_lo = lo if y_lo is None else float(y_lo)
     y_hi = hi if y_hi is None else float(y_hi)
     inv = 1.0 / (1.0 - params.alpha)
-    triple = instance.uses_next_state_rewards
-    u_names = [f"u_{j}" for j in range(instance.n_states)]
-    sfx = _pair_suffixes(instance)
-    if triple:
-        w_names = {(k, j): f"w_{sfx[k]}_{j}" for k in range(instance.n_pairs)
-                   for j in range(instance.n_states)}
+    n, m = instance.n_pairs, instance.n_states
+    u0, y, w0 = m, m + 1, m + 2  # columns u_0..u_{m-1}, u0, y, then w
+    k, j = np.nonzero(instance.kernel)
+    p = instance.kernel[k, j]
+    pairs = np.arange(n)
+    if instance.uses_next_state_rewards:
+        n_w, w_rows, w_cols, w_vals = n * m, k, w0 + k * m + j, inv * p
+        # row by row, like the vertex program's means
+        rhs = params.beta * np.array([p_k @ r_k for p_k, r_k in zip(instance.kernel, instance.rewards3)])
     else:
-        w_names = {k: f"w_{sfx[k]}" for k in range(instance.n_pairs)}
-    variables = [Variable(nm, -np.inf, np.inf) for nm in u_names]
-    variables.append(Variable("u0", -np.inf, np.inf))
-    variables.append(Variable("y", y_lo, y_hi))
-    variables += [Variable(nm, 0.0, np.inf) for nm in w_names.values()]
-    rows = []
-    for k in range(instance.n_pairs):
-        i = int(instance.pair_state[k])
-        coeffs = {u_names[i]: 1.0, "u0": 1.0, "y": -1.0}
-        for j in range(instance.n_states):
-            p = instance.kernel[k, j]
-            if p != 0.0:
-                coeffs[u_names[j]] = coeffs.get(u_names[j], 0.0) - p
-        if triple:
-            rhs = params.beta * float(instance.kernel[k] @ instance.rewards3[k])
-            for j in range(instance.n_states):
-                p = instance.kernel[k, j]
-                if p != 0.0:
-                    coeffs[w_names[(k, j)]] = -inv * p
-        else:
-            rhs = params.beta * float(instance.rewards[k])
-            coeffs[w_names[k]] = -inv
-        rows.append(Constraint(f"price_{k}", coeffs, ">=", rhs))
-    if triple:
-        for (k, j), nm in w_names.items():
-            rows.append(Constraint(f"excess_{k}_{j}", {nm: 1.0, "y": 1.0}, ">=",
-                                   float(instance.rewards3[k, j])))
-    else:
-        for k, nm in w_names.items():
-            rows.append(Constraint(f"excess_{k}", {nm: 1.0, "y": 1.0}, ">=",
-                                   float(instance.rewards[k])))
-    return LinearProgram(f"{instance.name}-level", "min", {"u0": 1.0},
-                         tuple(variables), tuple(rows))
+        n_w, w_rows, w_cols, w_vals = n, pairs, w0 + pairs, np.full(n, inv)
+        rhs = params.beta * instance.rewards
+    # price row k, negated: -u_i(k) + (P u)_k - u0 + y + E_k[w] / (1-alpha) <= -beta E_k r
+    price = _matrix((n, w0 + n_w),
+                    np.concatenate((pairs, k, pairs, pairs, w_rows)),
+                    np.concatenate((instance.pair_state, j, np.full(n, u0), np.full(n, y), w_cols)),
+                    np.concatenate((-np.ones(n), p, -np.ones(n), np.ones(n), w_vals)))
+    a_exc, b_exc, exc_rows, w_names = _excess(instance, w0 + n_w, y, w0)
+    return LinearProgram(f"{instance.name}-level", "min", _unit(w0 + n_w, u0),
+                         np.concatenate((np.full(m + 1, -np.inf), [y_lo], np.zeros(n_w))),
+                         np.concatenate((np.full(m + 1, np.inf), [y_hi], np.full(n_w, np.inf))),
+                         [f"u_{s}" for s in range(m)] + ["u0", "y"] + w_names,
+                         [f"price_{q}" for q in range(n)] + exc_rows,
+                         A_ub=vstack((price, a_exc), format="csr"),
+                         b_ub=np.concatenate((-rhs, b_exc)), ub_sign=np.full(n + n_w, -1.0))
 
 
 def build_sparsify_lp(instance, y_star, params, delta):
@@ -389,33 +395,29 @@ def build_sparsify_lp(instance, y_star, params, delta):
     theory puts on x0 cannot be expressed in an LP; callers must treat
     x0 ~ 0 as a tie and keep their original measure.
     """
-    x_names = _pair_var_names(instance)
-    coeff = saddle_coefficients(instance, y_star, params)
+    n = instance.n_pairs
     # r <= y* - delta on the instance's value grid is the same as r < y*;
     # the midpoint threshold is immune to rounding of y* - delta.
     below = y_star - (delta / 2.0 if delta is not None else 0.0)
-    if instance.rewards is not None:
-        at_w = (instance.rewards <= y_star).astype(float)
-        below_w = (instance.rewards < below).astype(float) if delta is not None else np.zeros(instance.n_pairs)
-    else:
-        at_w = np.einsum("kj,kj->k", instance.kernel, (instance.rewards3 <= y_star).astype(float))
-        if delta is not None:
-            below_w = np.einsum("kj,kj->k", instance.kernel, (instance.rewards3 < below).astype(float))
-        else:
-            below_w = np.zeros(instance.n_pairs)
-    variables = tuple(Variable(nm, 0.0, np.inf) for nm in x_names) + (Variable("x0", 0.0, np.inf),)
-    rows = [
-        Constraint("tail_at", {nm: -float(at_w[k]) for k, nm in enumerate(x_names) if at_w[k] != 0.0},
-                   "<=", -params.alpha),
-        Constraint("tail_below",
-                   {**{nm: float(below_w[k]) for k, nm in enumerate(x_names) if below_w[k] != 0.0},
-                    "x0": 1.0},
-                   "=", params.alpha),
-    ]
-    rows.extend(_polytope_rows(instance, x_names))
-    objective = {nm: float(coeff[k]) for k, nm in enumerate(x_names)}
-    return LinearProgram(f"{instance.name}-sparsify(y={y_star:g})", "max", objective,
-                         variables, tuple(rows))
+    triple = instance.uses_next_state_rewards
+    r = instance.rewards3 if triple else instance.rewards
+
+    def mass(hit):  # per pair: the probability of a reward in `hit`
+        return np.einsum("kj,kj->k", instance.kernel, hit.astype(float)) if triple else hit.astype(float)
+
+    at_w = mass(r <= y_star)
+    below_w = mass(r < below) if delta is not None else np.zeros(n)
+    a_poly, b_poly, rows = _polytope(instance, n + 1)
+    # columns x, x0; tail_at: -at_w x <= -alpha, tail_below: below_w x + x0 = alpha
+    return LinearProgram(f"{instance.name}-sparsify(y={y_star:g})", "max",
+                         np.append(saddle_coefficients(instance, y_star, params), 0.0),
+                         np.zeros(n + 1), np.full(n + 1, np.inf), _x_names(instance) + ["x0"],
+                         ["tail_at", "tail_below"] + rows,
+                         A_ub=csr_array(np.append(-at_w, 0.0)[None, :]),
+                         b_ub=np.array([-params.alpha]), ub_sign=np.ones(1),
+                         A_eq=vstack((csr_array(np.append(below_w, 1.0)[None, :]), a_poly),
+                                     format="csr"),
+                         b_eq=np.concatenate(([params.alpha], b_poly)))
 
 
 def pair_values(instance, solution, prefix="x"):
@@ -442,8 +444,7 @@ def write_lp_file(lp, target):
 
 def _term_str(coef, name, first):
     sign = "-" if coef < 0 else ("" if first else "+")
-    mag = abs(coef)
-    return f"{sign} {mag:.17g} {name}".strip()
+    return f"{sign} {abs(coef):.17g} {name}".strip()
 
 
 def _write_lp(lp, fh):
@@ -452,18 +453,15 @@ def _write_lp(lp, fh):
     terms = [_term_str(coef, nm, i == 0) for i, (nm, coef) in enumerate(lp.objective.items())]
     fh.write(" obj: " + " ".join(terms) + "\n")
     fh.write("Subject To\n")
-    rel_map = {"<=": "<=", ">=": ">=", "=": "="}
     for c in lp.constraints:
         terms = [_term_str(coef, nm, i == 0) for i, (nm, coef) in enumerate(c.coeffs.items())]
-        fh.write(f" {c.name}: " + " ".join(terms) + f" {rel_map[c.relation]} {c.rhs:.17g}\n")
+        fh.write(f" {c.name}: " + " ".join(terms) + f" {c.relation} {c.rhs:.17g}\n")
     fh.write("Bounds\n")
     for v in lp.variables:
-        if v.lb == 0.0 and v.ub == np.inf:
-            continue
         if v.lb == -np.inf and v.ub == np.inf:
             fh.write(f" {v.name} free\n")
-            continue
-        lo = "-inf" if v.lb == -np.inf else f"{v.lb:.17g}"
-        hi = "+inf" if v.ub == np.inf else f"{v.ub:.17g}"
-        fh.write(f" {lo} <= {v.name} <= {hi}\n")
+        elif not (v.lb == 0.0 and v.ub == np.inf):
+            lo = "-inf" if v.lb == -np.inf else f"{v.lb:.17g}"
+            hi = "+inf" if v.ub == np.inf else f"{v.ub:.17g}"
+            fh.write(f" {lo} <= {v.name} <= {hi}\n")
     fh.write("End\n")

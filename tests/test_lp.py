@@ -2,6 +2,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_chains import sparse_instance
 
 from cvarmdp import chains, lp, model, risk
 from cvarmdp.lp import Constraint, LinearProgram, Variable
@@ -14,23 +17,23 @@ def one_pair_instance(r=5.0):
 
 class TestSolve:
     def test_simple_max(self):
-        prog = LinearProgram("t", "max", {"z": 1.0},
-                             (Variable("z", -np.inf, np.inf),),
-                             (Constraint("cap", {"z": 1.0}, "<=", 3.0),))
+        prog = LinearProgram.from_rows("t", "max", {"z": 1.0},
+                                       (Variable("z", -np.inf, np.inf),),
+                                       (Constraint("cap", {"z": 1.0}, "<=", 3.0),))
         sol = lp.solve(prog)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(3.0)
         assert sol.vertex
 
     def test_unbounded(self):
-        prog = LinearProgram("t", "max", {"z": 1.0},
-                             (Variable("z", -np.inf, np.inf),), ())
+        prog = LinearProgram.from_rows("t", "max", {"z": 1.0},
+                                       (Variable("z", -np.inf, np.inf),), ())
         assert lp.solve(prog).status == "unbounded"
 
     def test_infeasible(self):
-        prog = LinearProgram("t", "max", {"z": 1.0},
-                             (Variable("z", 0.0, np.inf),),
-                             (Constraint("neg", {"z": 1.0}, "<=", -1.0),))
+        prog = LinearProgram.from_rows("t", "max", {"z": 1.0},
+                                       (Variable("z", 0.0, np.inf),),
+                                       (Constraint("neg", {"z": 1.0}, "<=", -1.0),))
         assert lp.solve(prog).status == "infeasible"
 
     def test_deterministic_repeats(self):
@@ -43,19 +46,19 @@ class TestSolve:
     def test_shadow_price_convention(self):
         # max a + 2b, a + b <= 4, a >= 1: optimum (1, 3). Raising the cap by
         # one adds one b (+2); raising the floor by one trades b for a (-1).
-        prog = LinearProgram("t", "max", {"a": 1.0, "b": 2.0},
-                             (Variable("a"), Variable("b")),
-                             (Constraint("cap", {"a": 1.0, "b": 1.0}, "<=", 4.0),
-                              Constraint("floor", {"a": 1.0}, ">=", 1.0)))
+        prog = LinearProgram.from_rows("t", "max", {"a": 1.0, "b": 2.0},
+                                       (Variable("a"), Variable("b")),
+                                       (Constraint("cap", {"a": 1.0, "b": 1.0}, "<=", 4.0),
+                                        Constraint("floor", {"a": 1.0}, ">=", 1.0)))
         sol = lp.solve(prog)
         assert (sol.values["a"], sol.values["b"]) == pytest.approx((1.0, 3.0))
         assert sol.duals == pytest.approx({"cap": 2.0, "floor": -1.0})
         # min a + b, a - b = t, a + 2b >= s at t = 1, s = 4: optimum (2, 1)
         # with value (2s + t) / 3, so the prices are 1/3 and 2/3.
-        prog = LinearProgram("t", "min", {"a": 1.0, "b": 1.0},
-                             (Variable("a"), Variable("b")),
-                             (Constraint("link", {"a": 1.0, "b": -1.0}, "=", 1.0),
-                              Constraint("floor", {"a": 1.0, "b": 2.0}, ">=", 4.0)))
+        prog = LinearProgram.from_rows("t", "min", {"a": 1.0, "b": 1.0},
+                                       (Variable("a"), Variable("b")),
+                                       (Constraint("link", {"a": 1.0, "b": -1.0}, "=", 1.0),
+                                        Constraint("floor", {"a": 1.0, "b": 2.0}, ">=", 4.0)))
         sol = lp.solve(prog)
         assert sol.objective == pytest.approx(3.0)
         assert sol.duals == pytest.approx({"link": 1.0 / 3.0, "floor": 2.0 / 3.0})
@@ -75,7 +78,112 @@ class TestSolve:
 
     def test_validation_catches_undeclared(self):
         with pytest.raises(ValueError, match="undeclared"):
-            LinearProgram("t", "min", {"w": 1.0}, (Variable("z"),), ())
+            LinearProgram.from_rows("t", "min", {"w": 1.0}, (Variable("z"),), ())
+
+
+def patch_backend(monkeypatch, edit):
+    """Let HiGHS solve, then pass its result through `edit` before solve
+    re-checks it."""
+    real = lp.linprog
+
+    def patched(*args, **kwargs):
+        res = real(*args, **kwargs)
+        edit(res)
+        return res
+
+    monkeypatch.setattr(lp, "linprog", patched)
+
+
+def shifted(column, by):
+    def edit(res):
+        res.x = res.x.copy()
+        res.x[column] += by
+    return edit
+
+
+class TestRecheck:
+    """solve re-checks HiGHS's point with A @ x - b and the bounds, and its
+    objective, at FEASIBILITY_TOL."""
+
+    @pytest.mark.parametrize("case, column, by", [
+        ("dual", 0, 1e-6),     # off the norm row (and the balance rows)
+        ("dual", 9, 1e-6),     # z2 above the binding tail rows (">=", stored negated)
+        ("floor", 0, -1e-6),   # a hand-written ">=" row
+        ("bound", 0, -1e-6),   # below a column's lower bound
+    ])
+    def test_point_off_a_row_refused(self, monkeypatch, case, column, by):
+        rows = {"floor": (Constraint("floor", {"a": 1.0}, ">=", 1.0),), "bound": ()}
+        prog = (lp.build_dual_lp(model.builtin("example2"), risk.RiskParams(0.7))
+                if case == "dual" else
+                LinearProgram.from_rows("t", "max", {"a": -1.0}, (Variable("a"),), rows[case]))
+        lp.solve(prog)
+        patch_backend(monkeypatch, shifted(column, by))
+        with pytest.raises(lp.LpSolveError, match="violates constraints by 1e-06"):
+            lp.solve(prog)
+
+    def test_nan_point_refused(self, monkeypatch):
+        prog = lp.build_dual_lp(model.builtin("example2"), risk.RiskParams(0.7))
+        patch_backend(monkeypatch, shifted(3, np.nan))
+        with pytest.raises(lp.LpSolveError, match="violates constraints by nan"):
+            lp.solve(prog)
+
+    def test_wrong_objective_refused(self, monkeypatch):
+        prog = lp.build_dual_lp(model.builtin("example2"), risk.RiskParams(0.7))
+
+        def edit(res):
+            res.fun += 1e-3
+        patch_backend(monkeypatch, edit)
+        with pytest.raises(lp.LpSolveError, match="objective mismatch"):
+            lp.solve(prog)
+
+
+@st.composite
+def self_loop_instances(draw):
+    """Sparse instances, both reward kinds, in which pair 0 and a random set
+    of other pairs stay in their own state with probability one, so their
+    balance coefficient 1 - p is exactly zero."""
+    n_states = draw(st.integers(min_value=1, max_value=5))
+    counts = draw(st.lists(st.integers(min_value=1, max_value=3),
+                           min_size=n_states, max_size=n_states))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    inst = sparse_instance(np.random.default_rng(seed), n_states, counts,
+                           rewards3=draw(st.booleans()))
+    stay = [True] + draw(st.lists(st.booleans(), min_size=inst.n_pairs - 1,
+                                  max_size=inst.n_pairs - 1))
+    kernel = inst.kernel.copy()
+    for k in np.flatnonzero(stay):
+        kernel[k] = 0.0
+        kernel[k, inst.pair_state[k]] = 1.0
+    return model.MdpInstance(inst.name, inst.states, inst.actions, kernel,
+                             rewards=inst.rewards, rewards3=inst.rewards3)
+
+
+class TestBuilderArrays:
+    """Every builder's arrays read straight off the instance."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(self_loop_instances(), st.sampled_from([0.0, 0.5, 0.9]), st.sampled_from([0.0, 0.5]))
+    def test_rows_match_instance(self, inst, alpha, beta):
+        params = risk.RiskParams(alpha, beta)
+        bp = risk.breakpoints(inst)
+        n, m = inst.n_pairs, inst.n_states
+        dual = lp.build_dual_lp(inst, params, grid=bp.values)
+        assert dual.row_names == ([f"tail_{e}" for e in range(bp.values.size)]
+                                  + [f"balance_{j}" for j in range(m)] + ["norm"])
+        eq = dual.A_eq.toarray()
+        for j in range(m):
+            assert np.array_equal(eq[j], np.append((inst.pair_state == j) - inst.kernel[:, j], 0.0))
+        assert np.array_equal(eq[m], np.append(np.ones(n), 0.0))
+        tail = dual.ub_sign[:, None] * dual.A_ub.toarray()
+        for e, y in enumerate(bp.values):
+            assert np.array_equal(tail[e], np.append(risk.saddle_coefficients(inst, y, params), -1.0))
+        level = lp.build_level_lp(inst, params)
+        for prog in (dual, level, lp.build_average_lp(inst, float(bp.values[0]), params),
+                     lp.build_sparsify_lp(inst, float(bp.values[-1]), params, bp.delta),
+                     lp.build_primal_lp(inst, chains.polytope_vertices(inst), params)):
+            for a in (prog.A_ub, prog.A_eq):
+                assert np.all(a.data != 0.0), prog.name
+        assert lp.solve(dual).objective == pytest.approx(lp.solve(level).objective, abs=1e-9)
 
 
 class TestDualLp:
@@ -253,6 +361,23 @@ class TestSparsifyLp:
 
 
 class TestLpFileExport:
+    @pytest.mark.parametrize("name", ["example2", "endowment"])
+    def test_named_view_rebuilds_the_arrays(self, name):
+        inst = model.builtin(name)
+        params = risk.RiskParams(0.7, 0.5)
+        y = float(risk.breakpoints(inst).values[1])
+        for prog in (lp.build_dual_lp(inst, params), lp.build_level_lp(inst, params),
+                     lp.build_average_lp(inst, y, params),
+                     lp.build_sparsify_lp(inst, y, params, risk.breakpoints(inst).delta),
+                     lp.build_primal_lp(inst, chains.polytope_vertices(inst), params)):
+            back = LinearProgram.from_rows(prog.name, prog.sense, prog.objective,
+                                           prog.variables, prog.constraints)
+            for field in ("c", "b_ub", "ub_sign", "b_eq", "lb", "ub"):
+                assert np.array_equal(getattr(back, field), getattr(prog, field)), field
+            for field in ("A_ub", "A_eq"):
+                assert (getattr(back, field) != getattr(prog, field)).nnz == 0, field
+            assert (back.col_names, back.row_names) == (prog.col_names, prog.row_names)
+
     def test_tokens_present(self):
         inst = model.builtin("example2")
         prog = lp.build_dual_lp(inst, risk.RiskParams(0.7))

@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_chains import sparse_instance, sparse_kernels
 
@@ -176,6 +176,17 @@ class TestRandomizationBound:
     def test_above_policy_cap_certified(self, n_states, rewards3, seed, alpha, beta):
         # 3**13 deterministic policies already exceed the enumeration cap
         inst = sparse_instance(np.random.default_rng(seed), n_states, [3] * n_states,
+                               rewards3)
+        assert_certified_with_one_randomization(inst, risk.RiskParams(alpha, beta))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=50, max_value=200), st.integers(min_value=2, max_value=4),
+           st.booleans(), st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([0.0, 0.5, 0.8]), st.sampled_from([0.0, 0.5]))
+    @example(200, 4, False, 2, 0.8, 0.5)
+    @example(200, 4, True, 2, 0.8, 0.5)
+    def test_large_sparse_certified(self, n_states, n_actions, rewards3, seed, alpha, beta):
+        inst = sparse_instance(np.random.default_rng(seed), n_states, [n_actions] * n_states,
                                rewards3)
         assert_certified_with_one_randomization(inst, risk.RiskParams(alpha, beta))
 
