@@ -34,28 +34,26 @@ def evolve_mu(kernel, pair_state, rules, mu0, t):
     return mu
 
 
-def cvar_sequence_kernel(kernel, pair_state, rules, mu0, T, alpha, atom_index, values):
+def cvar_sequence_kernel(kernel, pair_state, rules, mu0, T, alpha, atom_index, values, probs):
     """Per-step CVaR_alpha of the reward law for t < T, and the largest
-    drift of its total mass from 1. `atom_index` maps each pair (1-D) or
-    each (pair, next state) (2-D) to its reward's index in `values`."""
+    drift of its total mass from 1. Pair k pays the reward with index
+    atom_index[k, c] in `values` with probability probs[k, c] (the
+    instance's `reward_atoms` layout)."""
     per_step = np.empty(T)
     mu = mu0.copy()
     tail = 1.0 - alpha
     max_drift = 0.0
-    triple = atom_index.ndim == 2
     flat_index = atom_index.ravel()
     for t in range(T):
         pk = mu[pair_state] * _rule_row(rules, t)
-        if triple:
-            q = np.bincount(flat_index, weights=(pk[:, None] * kernel).ravel(), minlength=values.size)
-        else:
-            q = np.bincount(atom_index, weights=pk, minlength=values.size)
+        q = np.bincount(flat_index, weights=(pk[:, None] * probs).ravel(), minlength=values.size)
         drift = abs(1.0 - float(q.sum()))
         if drift > max_drift:
             max_drift = drift
         ctop = np.cumsum(q[::-1])
         prev = ctop - q[::-1]
-        w = np.clip(np.minimum(ctop, tail) - prev, 0.0, None)
+        # np.clip(., 0.0, None) calls this ufunc too, with several times its overhead
+        w = np.maximum(np.minimum(ctop, tail) - prev, 0.0)
         per_step[t] = float(values[::-1] @ w) / tail
         mu = pk @ kernel
     return per_step, max_drift

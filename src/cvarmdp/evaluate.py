@@ -34,14 +34,10 @@ class CvarSequence:
 
 
 def _value_index_tables(instance):
-    """Distinct reward values and, per pair (1-D) or per pair and next
-    state (2-D), the index of its reward among them; `atom_index.ndim`
-    tells the reward kind."""
-    if instance.rewards is not None:
-        values, atom_index = np.unique(instance.rewards, return_inverse=True)
-    else:
-        values, inverse = np.unique(instance.rewards3.ravel(), return_inverse=True)
-        atom_index = inverse.reshape(instance.rewards3.shape)
+    """Distinct reward values and, for each entry of the instance's
+    `reward_atoms` values, the index of that reward among them."""
+    values, inverse = np.unique(instance.reward_table(), return_inverse=True)
+    atom_index = inverse.reshape(instance.reward_atoms[0].shape)
     return values.astype(np.float64), atom_index.astype(np.int64)
 
 
@@ -64,7 +60,7 @@ def cvar_sequence(instance, policy, s0, T, alpha):
     mu0[s0_idx] = 1.0
     per_step, drift = _kernels.cvar_sequence_kernel(
         instance.kernel, instance.pair_state, rules, mu0, int(T), float(alpha),
-        atom_index, values)
+        atom_index, values, instance.reward_atoms[1])
     if drift > MASS_DRIFT_TOL:
         raise chains.ChainStructureError(f"probability mass drifted by {drift:.3g}")
     cesaro = np.cumsum(per_step) / np.arange(1, T + 1)
@@ -172,6 +168,8 @@ def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
     s0_idx = instance.state_index(s0) if isinstance(s0, str) else int(s0)
     rules, _ = rule_rows(policy, T)
     values, atom_index = _value_index_tables(instance)
+    # one column per next state, so the step's atom is [pair, state reached]
+    atom_index = np.broadcast_to(atom_index, (instance.n_pairs, instance.n_states))
     rng = np.random.default_rng(seed)
 
     kernel_cdf = np.cumsum(instance.kernel, axis=1)
@@ -189,8 +187,7 @@ def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
         u_nxt = rng.random(replications)
         pairs, nxt = _kernels.mc_step(states, u_act, u_nxt, rule_cdf2d, counts2d,
                                       offsets, kernel_cdf)
-        step_atoms = atom_index[pairs, nxt] if atom_index.ndim == 2 else atom_index[pairs]
-        counts[t] = np.bincount(step_atoms, minlength=values.size)
+        counts[t] = np.bincount(atom_index[pairs, nxt], minlength=values.size)
         states = nxt
 
     cvar = np.empty(T)

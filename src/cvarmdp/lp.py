@@ -4,7 +4,7 @@ solver needs.
 A program is what HiGHS reads: min or max c @ x subject to A_ub @ x <= b_ub,
 A_eq @ x = b_eq and lb <= x <= ub, with CSR matrices that store no zeros,
 plus one name per column and one per row. The builders assemble the arrays
-with numpy from the instance's kernel, pair layout and rewards. `solve` hands
+with numpy from the instance's kernel, pair layout and `reward_atoms`. `solve` hands
 them to HiGHS dual simplex (basic solutions, deterministic for identical
 input) and re-checks the point with A @ x - b and the bounds; a numerical
 failure raises instead of masquerading as "optimal". `Variable` and
@@ -151,15 +151,6 @@ class LinearProgram:
     def n_structural_rows(self):
         return len(self.row_names)
 
-    def n_rows_with_bounds(self):
-        """Constraint count including one row per finite variable bound.
-
-        Older complexity analyses count sign restrictions and bounds as
-        constraints; this matches that convention, while
-        n_structural_rows counts relational rows only.
-        """
-        return len(self.row_names) + int(np.isfinite(self.lb).sum() + np.isfinite(self.ub).sum())
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -255,18 +246,24 @@ def _polytope(instance, n_cols):
     return a, _unit(m + 1, m), [f"balance_{s}" for s in range(m)] + ["norm"]
 
 
+def _mean_rewards(instance):
+    """E_k r, the mean reward each pair pays: one dot product per row, the
+    same as probs[k] @ values[k]; a matrix product may sum in another order
+    and move the last bit."""
+    values, probs = instance.reward_atoms
+    return (probs[:, None, :] @ values[:, :, None]).ravel()
+
+
 def _excess(instance, n_cols, y_col, w_col):
-    """Rows w >= r - y, one per excess variable w (per pair, or per pair and
-    next state), stored as -w - y <= -r. Returns (A_ub, b_ub, row names,
-    w column names)."""
-    # (w suffix, row suffix): the pair's name suffix and its flat index, then the next state
-    tags = list(zip(_pair_suffixes(instance), range(instance.n_pairs)))
-    if instance.uses_next_state_rewards:
-        r = instance.rewards3.ravel()
-        tags = [(f"{s}_{j}", f"{k}_{j}") for s, k in tags for j in range(instance.n_states)]
-    else:
-        r = instance.rewards
-    w_names, rows = [f"w_{s}" for s, _ in tags], [f"excess_{k}" for _, k in tags]
+    """Rows w >= r - y, one per excess variable w, that is per entry r of
+    the instance's `reward_atoms` values, stored as -w - y <= -r. Returns
+    (A_ub, b_ub, row names, w column names)."""
+    values = instance.reward_atoms[0]
+    r = values.ravel()
+    # names carry the next state only where a pair can pay several rewards
+    cols = [f"_{j}" for j in range(values.shape[1])] if values.shape[1] > 1 else [""]
+    w_names = [f"w_{s}{c}" for s in _pair_suffixes(instance) for c in cols]
+    rows = [f"excess_{k}{c}" for k in range(instance.n_pairs) for c in cols]
     e = np.arange(r.size)
     a = _matrix((r.size, n_cols), np.concatenate((e, e)),
                 np.concatenate((w_col + e, np.full(r.size, y_col))), np.full(2 * r.size, -1.0))
@@ -289,18 +286,16 @@ def build_average_lp(instance, y, params):
                          np.full(n, np.inf), _x_names(instance), rows, A_eq=a_eq, b_eq=b_eq)
 
 
-def build_dual_lp(instance, params, per_pair_tail=False, grid=None):
+def build_dual_lp(instance, params, grid=None):
     """The polynomial-size program that yields the optimal occupation
     measure: max z2 subject to v(x, e) >= z2 at every reward endpoint e,
     x in the occupation polytope.
 
-    Endpoints sharing a reward value produce identical rows; by default one
-    row per distinct value is emitted (row `tail_i` at the i-th sorted
-    value, `grid` when the caller already holds `breakpoints(instance).values`),
-    `per_pair_tail` restores the one-row-per-pair (or per-triple) layout.
+    Endpoints sharing a reward value produce identical rows, so one row
+    per distinct value is emitted: row `tail_i` at the i-th sorted value
+    (`grid` when the caller already holds `breakpoints(instance).values`).
     """
-    ends = (instance.reward_table() if per_pair_tail
-            else breakpoints(instance).values if grid is None else grid)
+    ends = breakpoints(instance).values if grid is None else grid
     n, n_tail = instance.n_pairs, len(ends)
     tail = np.array([saddle_coefficients(instance, float(e), params) for e in ends])
     a_eq, b_eq, rows = _polytope(instance, n + 1)
@@ -323,12 +318,9 @@ def build_primal_lp(instance, vertices, params):
     lo, hi = instance.reward_bounds()
     inv = 1.0 / (1.0 - params.alpha)
     xs = np.asarray(vertices.xs, dtype=float)
-    # row by row: a matrix product may sum in another order and move the last bit
-    if instance.uses_next_state_rewards:
-        w = ((inv * xs)[:, :, None] * instance.kernel).reshape(len(xs), -1)
-        mean = [np.einsum("k,kj,kj->", xl, instance.kernel, instance.rewards3) for xl in xs]
-    else:
-        w, mean = inv * xs, [xl @ instance.rewards for xl in xs]
+    w = ((inv * xs)[:, :, None] * instance.reward_atoms[1]).reshape(len(xs), -1)
+    pair_mean = _mean_rewards(instance)
+    mean = [xl @ pair_mean for xl in xs]  # row by row, like the pair means
     # columns y, z1, w; vertex row l: (sum x^l) y - z1 + x^l w / (1-alpha) <= -beta mean
     vertex = csr_array(np.column_stack(([xl.sum() for xl in xs], np.full(len(xs), -1.0), w)))
     n_cols = vertex.shape[1]
@@ -363,13 +355,10 @@ def build_level_lp(instance, params, y_lo=None, y_hi=None):
     k, j = np.nonzero(instance.kernel)
     p = instance.kernel[k, j]
     pairs = np.arange(n)
-    if instance.uses_next_state_rewards:
-        n_w, w_rows, w_cols, w_vals = n * m, k, w0 + k * m + j, inv * p
-        # row by row, like the vertex program's means
-        rhs = params.beta * np.array([p_k @ r_k for p_k, r_k in zip(instance.kernel, instance.rewards3)])
-    else:
-        n_w, w_rows, w_cols, w_vals = n, pairs, w0 + pairs, np.full(n, inv)
-        rhs = params.beta * instance.rewards
+    probs = instance.reward_atoms[1]
+    w_rows, w_at = np.nonzero(probs)  # the rewards each pair can pay
+    n_w, w_cols, w_vals = probs.size, w0 + w_rows * probs.shape[1] + w_at, inv * probs[w_rows, w_at]
+    rhs = params.beta * _mean_rewards(instance)
     # price row k, negated: -u_i(k) + (P u)_k - u0 + y + E_k[w] / (1-alpha) <= -beta E_k r
     price = _matrix((n, w0 + n_w),
                     np.concatenate((pairs, k, pairs, pairs, w_rows)),
@@ -399,11 +388,10 @@ def build_sparsify_lp(instance, y_star, params, delta):
     # r <= y* - delta on the instance's value grid is the same as r < y*;
     # the midpoint threshold is immune to rounding of y* - delta.
     below = y_star - (delta / 2.0 if delta is not None else 0.0)
-    triple = instance.uses_next_state_rewards
-    r = instance.rewards3 if triple else instance.rewards
+    r, probs = instance.reward_atoms
 
     def mass(hit):  # per pair: the probability of a reward in `hit`
-        return np.einsum("kj,kj->k", instance.kernel, hit.astype(float)) if triple else hit.astype(float)
+        return np.einsum("kj,kj->k", probs, hit.astype(float))
 
     at_w = mass(r <= y_star)
     below_w = mass(r < below) if delta is not None else np.zeros(n)

@@ -44,7 +44,9 @@ class MdpInstance:
     kernel[k, j] is the probability of moving to state j from pair k.
     Exactly one of `rewards` (per pair) and `rewards3` (per pair and next
     state) is present; `rewards3` models rewards that depend on the state
-    reached, as in the endowment instance.
+    reached, as in the endowment instance. This class is the one reader of
+    the two fields: every computation on rewards goes through
+    `reward_atoms`, the law of the reward each pair pays.
     """
 
     name: str
@@ -136,6 +138,24 @@ class MdpInstance:
     def uses_next_state_rewards(self):
         return self.rewards3 is not None
 
+    @cached_property
+    def reward_atoms(self):
+        """The reward each pair pays, as a law: (values, probs), both of
+        shape (n_pairs, m).
+
+        values[k, c] is a reward pair k can pay and probs[k, c] its
+        probability given k. Per-pair rewards have m = 1 and probs exactly
+        1.0; next-state rewards have m = n_states and probs the kernel, so
+        the reward paid on a step is values[k, j] with j the state reached.
+        The mass of the reward law under pair weights x is
+        x[:, None] * probs, whichever kind the instance has.
+        """
+        if self.rewards is not None:
+            probs = np.ones((self.n_pairs, 1))
+            probs.setflags(write=False)
+            return self.rewards[:, None], probs
+        return self.rewards3, self.kernel
+
     def reward_table(self):
         """All reward values of the instance as one flat array.
 
@@ -143,9 +163,7 @@ class MdpInstance:
         whether or not the transition carries probability; those values are
         part of the instance data and of its breakpoint set.
         """
-        if self.rewards is not None:
-            return self.rewards
-        return self.rewards3.ravel()
+        return self.reward_atoms[0].ravel()
 
     def reward_bounds(self):
         table = self.reward_table()

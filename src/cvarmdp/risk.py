@@ -149,16 +149,12 @@ def cvar_via_ru(dist, alpha):
 
 
 def reward_distribution(instance, x):
-    """Law of the reward under the state-action weights x.
-
-    With next-state rewards each atom value r(i,a,j) carries weight
-    x(i,a) * P(j|i,a).
+    """Law of the reward under the state-action weights x: each atom
+    values[k, c] of `instance.reward_atoms` carries weight x(k) * probs[k, c].
     """
+    values, probs = instance.reward_atoms
     x = as_pair_array(x)
-    if instance.rewards is not None:
-        return DiscreteDistribution.from_atoms(instance.rewards, x)
-    weights = x[:, None] * instance.kernel
-    return DiscreteDistribution.from_atoms(instance.rewards3.ravel(), weights.ravel())
+    return DiscreteDistribution.from_atoms(values.ravel(), (x[:, None] * probs).ravel())
 
 
 def cvar_right_and_mean_rows(instance, xs, alpha):
@@ -170,12 +166,10 @@ def cvar_right_and_mean_rows(instance, xs, alpha):
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    values, probs = instance.reward_atoms
     xs = np.clip(xs, 0.0, None)
-    if instance.rewards is not None:
-        values, weights = instance.rewards, xs
-    else:
-        values = instance.rewards3.ravel()
-        weights = (xs[:, :, None] * instance.kernel).reshape(xs.shape[0], -1)
+    values = values.ravel()
+    weights = (xs[:, :, None] * probs).reshape(xs.shape[0], -1)
     order = np.argsort(values, kind="stable")
     values, weights = values[order], weights[:, order]
     cum = np.cumsum(weights, axis=1)
@@ -213,17 +207,13 @@ def breakpoints(instance):
 def saddle_coefficients(instance, y, params):
     """Per-pair coefficients c_k(y) with v(x, y) = sum_k x(k) c_k(y).
 
-    State-action rewards give
-        c_k = y + [r_k - y]^+ / (1-alpha) + beta * r_k;
-    next-state rewards average the bracket over the transition kernel.
+    c_k is the bracket y + [r - y]^+ / (1-alpha) + beta * r averaged over
+    the law of the reward r that pair k pays (`instance.reward_atoms`).
     """
+    values, probs = instance.reward_atoms
     inv = 1.0 / (1.0 - params.alpha)
-    if instance.rewards is not None:
-        r = instance.rewards
-        return y + inv * np.clip(r - y, 0.0, None) + params.beta * r
-    r3 = instance.rewards3
-    inner = y + inv * np.clip(r3 - y, 0.0, None) + params.beta * r3
-    return np.einsum("kj,kj->k", instance.kernel, inner)
+    inner = y + inv * np.clip(values - y, 0.0, None) + params.beta * values
+    return np.einsum("kj,kj->k", probs, inner)
 
 
 def saddle_value(instance, x, y, params):
@@ -239,11 +229,9 @@ def saddle_values(instance, x, ys, params):
     Sorts the reward atoms once; each level's excess term
     E[R - y]^+ = sum_{r > y} w r - y sum_{r > y} w is read off suffix sums.
     """
+    values, probs = instance.reward_atoms
     x = as_pair_array(x)
-    if instance.rewards is not None:
-        r, w = instance.rewards, x
-    else:
-        r, w = instance.rewards3.ravel(), (x[:, None] * instance.kernel).ravel()
+    r, w = values.ravel(), (x[:, None] * probs).ravel()
     order = np.argsort(r, kind="stable")
     r, w = r[order], w[order]
     above_w = np.append(np.cumsum(w[::-1])[::-1], 0.0)

@@ -178,6 +178,9 @@ class TestBuilderArrays:
         for e, y in enumerate(bp.values):
             assert np.array_equal(tail[e], np.append(risk.saddle_coefficients(inst, y, params), -1.0))
         level = lp.build_level_lp(inst, params)
+        values, probs = inst.reward_atoms
+        mean = np.array([p_k @ r_k for p_k, r_k in zip(probs, values)])
+        assert np.array_equal(level.b_ub[:n], -beta * mean)
         for prog in (dual, level, lp.build_average_lp(inst, float(bp.values[0]), params),
                      lp.build_sparsify_lp(inst, float(bp.values[-1]), params, bp.delta),
                      lp.build_primal_lp(inst, chains.polytope_vertices(inst), params)):
@@ -206,23 +209,10 @@ class TestDualLp:
         dup = model.MdpInstance("dup", inst.states, inst.actions, inst.kernel,
                                 rewards=np.repeat([1.0, 2.0, 3.0], 3))
         assert lp.build_dual_lp(dup, params).n_structural_rows() == 3 + 3 + 1
-        assert lp.build_dual_lp(dup, params, per_pair_tail=True).n_structural_rows() == 9 + 3 + 1
 
     def test_endowment_mean_cvar_value(self):
         sol = lp.solve(lp.build_dual_lp(model.builtin("endowment"), risk.RiskParams(0.9, 0.5)))
         assert sol.objective == pytest.approx(96.84, abs=0.01)
-
-    def test_bound_inclusive_row_counts(self):
-        # with sign rows counted, the per-pair dual layout has
-        # |S| + 2 * sum |A(i)| + 1 rows and the vertex program
-        # L + 2 * sum |A(i)| + 2
-        inst = model.builtin("example2")
-        params = risk.RiskParams(0.7)
-        dual = lp.build_dual_lp(inst, params, per_pair_tail=True)
-        assert dual.n_rows_with_bounds() == 3 + 2 * 9 + 1
-        verts = chains.polytope_vertices(inst)
-        primal = lp.build_primal_lp(inst, verts, params)
-        assert primal.n_rows_with_bounds() == len(verts) + 2 * 9 + 2
 
 
 class TestPrimalLp:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_chains import sparse_kernels
 
-from cvarmdp import chains, model
+from cvarmdp import chains, evaluate, model, risk, solver
 
 
 def two_state_instance(p12=0.3, p21=0.6, rewards=(1.0, 4.0, 2.0)):
@@ -45,6 +48,34 @@ class TestInstance:
         inst = two_state_instance()
         with pytest.raises(ValueError):
             inst.kernel[0, 0] = 0.5
+
+
+class TestRewardLayout:
+    """Per-pair rewards are next-state rewards that ignore the state
+    reached: lifting rewards[k] to rewards3[k, :] changes no result."""
+
+    @given(sparse_kernels(), st.sampled_from([0.0, 0.5, 0.9]), st.sampled_from([0.0, 0.5]))
+    @example(model.builtin("example2"), 0.7, 0.5)
+    @settings(max_examples=30, deadline=None)
+    def test_lifted_instance_agrees(self, inst, alpha, beta):
+        lifted = model.MdpInstance(inst.name, inst.states, inst.actions, inst.kernel,
+                                   rewards3=np.repeat(inst.rewards[:, None], inst.n_states, axis=1))
+        assert inst.reward_atoms[1].shape == (inst.n_pairs, 1)
+        assert np.all(inst.reward_atoms[1] == 1.0)
+        assert lifted.reward_atoms[1] is lifted.kernel
+        params = risk.RiskParams(alpha, beta)
+        sol = solver.solve_cvar(inst, params)
+        assert solver.solve_cvar(lifted, params).v_star == pytest.approx(sol.v_star, abs=1e-9)
+        x = sol.x_star.x
+        law, lifted_law = risk.reward_distribution(inst, x), risk.reward_distribution(lifted, x)
+        assert np.array_equal(law.values, lifted_law.values)
+        assert np.allclose(law.probs, lifted_law.probs, rtol=0.0, atol=1e-9)
+        ys = risk.breakpoints(inst).values
+        assert np.allclose(risk.saddle_values(inst, x, ys, params),
+                           risk.saddle_values(lifted, x, ys, params), rtol=0.0, atol=1e-9)
+        seq = evaluate.cvar_sequence(inst, sol.policy, 0, 12, alpha)
+        lifted_seq = evaluate.cvar_sequence(lifted, sol.policy, 0, 12, alpha)
+        assert np.allclose(seq.per_step, lifted_seq.per_step, rtol=0.0, atol=1e-9)
 
 
 class TestValidate:
