@@ -3,12 +3,20 @@
 One numpy implementation of each: `evolve_mu` and `cvar_sequence_kernel`
 push the state law forward one step at a time, and `mc_step` advances
 every Monte Carlo replication by one step from pre-drawn uniforms.
+`cvar_sequence_kernel` buffers the step laws and takes their CVaR from
+`risk.cvar_right_rows`, one pass per buffer.
 `benchmarks/bench_kernels.py` times them and writes `BENCH_kernels.json`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .risk import cvar_right_rows
+
+# Entries of the buffer of step laws that `cvar_sequence_kernel` values in
+# one `cvar_right_rows` pass; bounds its memory whatever the horizon.
+LAW_BLOCK_ENTRIES = 2**16
 
 # Always False: there is one (numpy) path; perfbench's environment record
 # still reads this name.
@@ -38,24 +46,22 @@ def cvar_sequence_kernel(kernel, pair_state, rules, mu0, T, alpha, atom_index, v
     """Per-step CVaR_alpha of the reward law for t < T, and the largest
     drift of its total mass from 1. Pair k pays the reward with index
     atom_index[k, c] in `values` with probability probs[k, c] (the
-    instance's `reward_atoms` layout)."""
+    instance's `reward_atoms` layout). The laws of up to
+    LAW_BLOCK_ENTRIES / len(values) consecutive steps are valued together."""
     per_step = np.empty(T)
     mu = mu0.copy()
-    tail = 1.0 - alpha
     max_drift = 0.0
     flat_index = atom_index.ravel()
-    for t in range(T):
-        pk = mu[pair_state] * _rule_row(rules, t)
-        q = np.bincount(flat_index, weights=(pk[:, None] * probs).ravel(), minlength=values.size)
-        drift = abs(1.0 - float(q.sum()))
-        if drift > max_drift:
-            max_drift = drift
-        ctop = np.cumsum(q[::-1])
-        prev = ctop - q[::-1]
-        # np.clip(., 0.0, None) calls this ufunc too, with several times its overhead
-        w = np.maximum(np.minimum(ctop, tail) - prev, 0.0)
-        per_step[t] = float(values[::-1] @ w) / tail
-        mu = pk @ kernel
+    laws = np.empty((max(1, LAW_BLOCK_ENTRIES // values.size), values.size))
+    for start in range(0, T, laws.shape[0]):
+        block = laws[: T - start]
+        for i in range(block.shape[0]):
+            pk = mu[pair_state] * _rule_row(rules, start + i)
+            block[i] = np.bincount(flat_index, weights=(pk[:, None] * probs).ravel(),
+                                   minlength=values.size)
+            mu = pk @ kernel
+        max_drift = max(max_drift, float(np.abs(1.0 - block.sum(axis=1)).max()))
+        per_step[start : start + block.shape[0]] = cvar_right_rows(values, block, alpha)
     return per_step, max_drift
 
 

@@ -36,9 +36,8 @@ class CvarSequence:
 def _value_index_tables(instance):
     """Distinct reward values and, for each entry of the instance's
     `reward_atoms` values, the index of that reward among them."""
-    values, inverse = np.unique(instance.reward_table(), return_inverse=True)
-    atom_index = inverse.reshape(instance.reward_atoms[0].shape)
-    return values.astype(np.float64), atom_index.astype(np.int64)
+    values = risk.breakpoints(instance).values
+    return values, np.searchsorted(values, instance.reward_atoms[0])
 
 
 def cvar_sequence(instance, policy, s0, T, alpha):
@@ -165,6 +164,8 @@ def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
     """
     if replications < 1:
         raise ValueError("need at least one replication")
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     s0_idx = instance.state_index(s0) if isinstance(s0, str) else int(s0)
     rules, _ = rule_rows(policy, T)
     values, atom_index = _value_index_tables(instance)
@@ -190,11 +191,8 @@ def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
         counts[t] = np.bincount(atom_index[pairs, nxt], minlength=values.size)
         states = nxt
 
-    cvar = np.empty(T)
-    for t in range(T):
-        law = risk.DiscreteDistribution.from_atoms(values, counts[t] / replications)
-        cvar[t] = risk.cvar_right(law, alpha)
-    return MonteCarloResult(values=values, counts=counts, cvar=cvar,
+    return MonteCarloResult(values=values, counts=counts,
+                            cvar=risk.cvar_right_rows(values, counts / replications, alpha),
                             replications=replications)
 
 

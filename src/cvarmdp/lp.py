@@ -148,9 +148,6 @@ class LinearProgram:
                                       relations[i], rhs))
         return tuple(out)
 
-    def n_structural_rows(self):
-        return len(self.row_names)
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -254,20 +251,22 @@ def _mean_rewards(instance):
     return (probs[:, None, :] @ values[:, :, None]).ravel()
 
 
-def _excess(instance, n_cols, y_col, w_col):
-    """Rows w >= r - y, one per excess variable w, that is per entry r of
-    the instance's `reward_atoms` values, stored as -w - y <= -r. Returns
-    (A_ub, b_ub, row names, w column names)."""
-    values = instance.reward_atoms[0]
-    r = values.ravel()
+def _excess(instance, y_col, w_col):
+    """Rows w >= r - y, one per excess variable w, that is per reward
+    values[k, c] of `reward_atoms` paid with positive probability (in
+    `np.nonzero(probs)` order), stored as -w - y <= -r. The w columns come
+    last, from w_col. Returns (A_ub, b_ub, row names, w column names)."""
+    values, probs = instance.reward_atoms
+    k, c = np.nonzero(probs)
+    sfx, n_w = _pair_suffixes(instance), k.size
     # names carry the next state only where a pair can pay several rewards
-    cols = [f"_{j}" for j in range(values.shape[1])] if values.shape[1] > 1 else [""]
-    w_names = [f"w_{s}{c}" for s in _pair_suffixes(instance) for c in cols]
-    rows = [f"excess_{k}{c}" for k in range(instance.n_pairs) for c in cols]
-    e = np.arange(r.size)
-    a = _matrix((r.size, n_cols), np.concatenate((e, e)),
-                np.concatenate((w_col + e, np.full(r.size, y_col))), np.full(2 * r.size, -1.0))
-    return a, -r, rows, w_names
+    cols = [f"_{j}" for j in c.tolist()] if values.shape[1] > 1 else [""] * n_w
+    w_names = [f"w_{sfx[q]}{t}" for q, t in zip(k.tolist(), cols)]
+    rows = [f"excess_{q}{t}" for q, t in zip(k.tolist(), cols)]
+    e = np.arange(n_w)
+    a = _matrix((n_w, w_col + n_w), np.concatenate((e, e)),
+                np.concatenate((w_col + e, np.full(n_w, y_col))), np.full(2 * n_w, -1.0))
+    return a, -values[k, c], rows, w_names
 
 
 # -- builders -----------------------------------------------------------------
@@ -318,13 +317,15 @@ def build_primal_lp(instance, vertices, params):
     lo, hi = instance.reward_bounds()
     inv = 1.0 / (1.0 - params.alpha)
     xs = np.asarray(vertices.xs, dtype=float)
-    w = ((inv * xs)[:, :, None] * instance.reward_atoms[1]).reshape(len(xs), -1)
+    probs = instance.reward_atoms[1]
+    k, c = np.nonzero(probs)  # the rewards each pair can pay
+    w = (inv * xs)[:, k] * probs[k, c]
     pair_mean = _mean_rewards(instance)
     mean = [xl @ pair_mean for xl in xs]  # row by row, like the pair means
     # columns y, z1, w; vertex row l: (sum x^l) y - z1 + x^l w / (1-alpha) <= -beta mean
     vertex = csr_array(np.column_stack(([xl.sum() for xl in xs], np.full(len(xs), -1.0), w)))
     n_cols = vertex.shape[1]
-    a_exc, b_exc, exc_rows, w_names = _excess(instance, n_cols, 0, 2)
+    a_exc, b_exc, exc_rows, w_names = _excess(instance, 0, 2)
     return LinearProgram(f"{instance.name}-primal", "min", _unit(n_cols, 1),
                          np.concatenate(([lo, -np.inf], np.zeros(n_cols - 2))),
                          np.concatenate(([hi], np.full(n_cols - 1, np.inf))),
@@ -357,14 +358,14 @@ def build_level_lp(instance, params, y_lo=None, y_hi=None):
     pairs = np.arange(n)
     probs = instance.reward_atoms[1]
     w_rows, w_at = np.nonzero(probs)  # the rewards each pair can pay
-    n_w, w_cols, w_vals = probs.size, w0 + w_rows * probs.shape[1] + w_at, inv * probs[w_rows, w_at]
+    n_w, w_cols, w_vals = w_rows.size, w0 + np.arange(w_rows.size), inv * probs[w_rows, w_at]
     rhs = params.beta * _mean_rewards(instance)
     # price row k, negated: -u_i(k) + (P u)_k - u0 + y + E_k[w] / (1-alpha) <= -beta E_k r
     price = _matrix((n, w0 + n_w),
                     np.concatenate((pairs, k, pairs, pairs, w_rows)),
                     np.concatenate((instance.pair_state, j, np.full(n, u0), np.full(n, y), w_cols)),
                     np.concatenate((-np.ones(n), p, -np.ones(n), np.ones(n), w_vals)))
-    a_exc, b_exc, exc_rows, w_names = _excess(instance, w0 + n_w, y, w0)
+    a_exc, b_exc, exc_rows, w_names = _excess(instance, y, w0)
     return LinearProgram(f"{instance.name}-level", "min", _unit(w0 + n_w, u0),
                          np.concatenate((np.full(m + 1, -np.inf), [y_lo], np.zeros(n_w))),
                          np.concatenate((np.full(m + 1, np.inf), [y_hi], np.full(n_w, np.inf))),

@@ -8,6 +8,7 @@ measures, policy probabilities) is aligned to that pair order.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -684,20 +685,8 @@ def deterministic_policy_count(instance, cap=10**6):
 def deterministic_policies(instance, cap=10**6):
     """All deterministic policies in lexicographic order of action indices."""
     deterministic_policy_count(instance, cap)
-    counts = [len(acts) for acts in instance.actions]
-    idx = [0] * len(counts)
-    out = []
-    while True:
-        out.append(DeterministicPolicy(tuple(idx)))
-        pos = len(counts) - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < counts[pos]:
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return out
+    return [DeterministicPolicy(idx)
+            for idx in itertools.product(*(range(len(acts)) for acts in instance.actions))]
 
 
 class CapExceededError(RuntimeError):

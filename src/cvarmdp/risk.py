@@ -99,14 +99,25 @@ def var(dist, alpha):
     return float(dist.values[idx])
 
 
-def cvar_right(dist, alpha):
-    """Mean of the top (1-alpha) quantile mass, as an exact segment sum."""
+def cvar_right_rows(values, weights, alpha):
+    """Mean of the top (1-alpha) mass of each law in `weights`, a 1-D law
+    or a stack of laws on the sorted 1-D grid `values`.
+
+    The segment sum runs down from the top atom, so exactly 1-alpha is
+    taken even when a law's total drifts in the last bit.
+    """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    cum = dist.cdf
-    prev = np.concatenate(([0.0], cum[:-1]))
-    weights = np.clip(cum - np.maximum(prev, alpha), 0.0, None)
-    return float(dist.values @ weights) / (1.0 - alpha)
+    tail = 1.0 - alpha
+    w = np.asarray(weights, dtype=np.float64)[..., ::-1]
+    top = np.cumsum(w, axis=-1)
+    # np.clip(., 0.0, None) calls this ufunc too, with several times its overhead
+    return np.maximum(np.minimum(top, tail) - (top - w), 0.0) @ values[::-1] / tail
+
+
+def cvar_right(dist, alpha):
+    """Mean of the top (1-alpha) quantile mass, as an exact segment sum."""
+    return float(cvar_right_rows(dist.values, dist.probs, alpha))
 
 
 def cvar_left(dist, alpha):
@@ -162,20 +173,15 @@ def cvar_right_and_mean_rows(instance, xs, alpha):
 
     Row-batched `cvar_right(reward_distribution(instance, x), alpha)` and
     `.mean()`: the atoms are sorted once, equal values stay adjacent, and
-    each row's tail is one cumulative-sum segment sum.
+    `cvar_right_rows` values every row in one pass.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     values, probs = instance.reward_atoms
     xs = np.clip(xs, 0.0, None)
     values = values.ravel()
     weights = (xs[:, :, None] * probs).reshape(xs.shape[0], -1)
     order = np.argsort(values, kind="stable")
     values, weights = values[order], weights[:, order]
-    cum = np.cumsum(weights, axis=1)
-    prev = np.concatenate((np.zeros((cum.shape[0], 1)), cum[:, :-1]), axis=1)
-    tail = np.clip(cum - np.maximum(prev, alpha), 0.0, None)
-    return tail @ values / (1.0 - alpha), weights @ values
+    return cvar_right_rows(values, weights, alpha), weights @ values
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_chains import sparse_kernels
 
-from cvarmdp import chains, evaluate, model, risk, solver
+from cvarmdp import _kernels, chains, evaluate, model, risk, solver
 
 
 def dirac_reward_instance():
@@ -209,6 +209,17 @@ class TestMonteCarlo:
         empirical = mc.counts[39] / mc.replications
         for v, p_hat in zip(mc.values, empirical):
             assert p_hat == pytest.approx(exact_probs.get(float(v), 0.0), abs=4e-3)
+
+    @pytest.mark.parametrize("alpha", [1.0, -0.1])
+    def test_rejects_alpha_before_sampling(self, monkeypatch, alpha):
+        def step(*args):
+            raise AssertionError("sampled before checking alpha")
+
+        monkeypatch.setattr(_kernels, "mc_step", step)
+        inst = model.builtin("example2")
+        pol = model.DeterministicPolicy((2, 0, 2)).to_stationary(inst)
+        with pytest.raises(ValueError, match="alpha"):
+            evaluate.monte_carlo_eval(inst, pol, "1", 10, 100, seed=0, alpha=alpha)
 
     def test_next_state_rewards(self):
         inst = model.builtin("endowment")

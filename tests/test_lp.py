@@ -181,9 +181,23 @@ class TestBuilderArrays:
         values, probs = inst.reward_atoms
         mean = np.array([p_k @ r_k for p_k, r_k in zip(probs, values)])
         assert np.array_equal(level.b_ub[:n], -beta * mean)
+        # one excess row w >= r - y per reward a pair pays with positive
+        # probability; per-pair rewards keep one per pair
+        paid = probs > 0.0
+        w0 = m + 2
+        excess = level.A_ub[n:].toarray()
+        assert len(level.col_names) == w0 + paid.sum() == excess.shape[1]
+        assert np.array_equal(level.b_ub[n:], -values[paid])
+        assert np.array_equal(excess[:, m + 1], -np.ones(paid.sum()))
+        assert np.array_equal(excess[:, w0:], -np.eye(paid.sum()))
+        assert np.all(level.A_ub[:n].toarray()[:, w0:].any(axis=0))
+        if inst.rewards is not None:
+            assert level.row_names[n:] == [f"excess_{k}" for k in range(n)]
+        primal = lp.build_primal_lp(inst, chains.polytope_vertices(inst), params)
+        assert primal.col_names[2:] == level.col_names[w0:]
+        assert np.array_equal(primal.b_ub[-paid.sum():], -values[paid])
         for prog in (dual, level, lp.build_average_lp(inst, float(bp.values[0]), params),
-                     lp.build_sparsify_lp(inst, float(bp.values[-1]), params, bp.delta),
-                     lp.build_primal_lp(inst, chains.polytope_vertices(inst), params)):
+                     lp.build_sparsify_lp(inst, float(bp.values[-1]), params, bp.delta), primal):
             for a in (prog.A_ub, prog.A_eq):
                 assert np.all(a.data != 0.0), prog.name
         assert lp.solve(dual).objective == pytest.approx(lp.solve(level).objective, abs=1e-9)
@@ -204,11 +218,11 @@ class TestDualLp:
         inst = model.builtin("example2")  # 9 pairs, 9 distinct rewards
         params = risk.RiskParams(0.7)
         dedup = lp.build_dual_lp(inst, params)
-        assert dedup.n_structural_rows() == 9 + 3 + 1
+        assert len(dedup.row_names) == 9 + 3 + 1
         # force duplicate rewards and watch the tail rows shrink
         dup = model.MdpInstance("dup", inst.states, inst.actions, inst.kernel,
                                 rewards=np.repeat([1.0, 2.0, 3.0], 3))
-        assert lp.build_dual_lp(dup, params).n_structural_rows() == 3 + 3 + 1
+        assert len(lp.build_dual_lp(dup, params).row_names) == 3 + 3 + 1
 
     def test_endowment_mean_cvar_value(self):
         sol = lp.solve(lp.build_dual_lp(model.builtin("endowment"), risk.RiskParams(0.9, 0.5)))
@@ -310,6 +324,12 @@ class TestLevelLp:
         sol = lp.solve(lp.build_level_lp(inst, risk.RiskParams(0.7)))
         assert sol.objective == pytest.approx(93.2402, abs=1e-3)
         assert 70.0 < sol.values["y"] < 71.0
+
+    def test_endowment_excess_only_where_paid(self):
+        # 36 of endowment's 108 (pair, next state) entries carry probability
+        prog = lp.build_level_lp(model.builtin("endowment"), risk.RiskParams(0.9, 0.5))
+        assert (len(prog.col_names), len(prog.row_names)) == (44, 54)
+        assert lp.solve(prog).objective == pytest.approx(96.84, abs=0.01)
 
     def test_bounded_interval(self):
         inst = model.builtin("example2")

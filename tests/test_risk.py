@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,54 @@ class TestRewardDistribution:
         d = risk.reward_distribution(inst, x)
         i = list(d.values).index(84.0)
         assert d.probs[i] == pytest.approx(0.7)  # bull-to-bull probability
+
+
+def exact_cvar_right(values, weights, alpha):
+    """Right-tail CVaR of float inputs in rational arithmetic: take mass
+    from the top atom down until 1 - alpha is used up."""
+    left = tail = 1 - Fraction(alpha)
+    total = Fraction(0)
+    for v, w in zip(reversed(values.tolist()), reversed(weights.tolist())):
+        take = min(Fraction(w), left)
+        total += take * Fraction(v)
+        left -= take
+    return total / tail
+
+
+@st.composite
+def laws_on_a_grid(draw):
+    """A sorted grid of up to 8 values (ties allowed) and 1-4 laws on it,
+    each normalized in floating point, so its total may miss 1 in the last bit."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    values = np.sort(draw(st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n)))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    weights = np.array(draw(st.lists(st.lists(st.integers(0, 50), min_size=n, max_size=n)
+                                     .filter(any), min_size=rows, max_size=rows)), dtype=float)
+    return values, weights / weights.sum(axis=1, keepdims=True)
+
+
+class TestCvarRightRows:
+    def test_total_short_of_one_takes_exactly_the_tail(self):
+        d = DiscreteDistribution.from_atoms([4.0], [1 - 2**-52])
+        assert risk.cvar_right(d, 0.5) == 4.0
+
+    @given(laws_on_a_grid(), st.floats(0.0, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rational_arithmetic(self, law, alpha):
+        values, weights = law
+        tol = 1e-13 * max(1.0, float(np.abs(values).max())) / (1.0 - alpha)
+        one = risk.cvar_right_rows(values, weights[0], alpha)
+        assert one.shape == ()
+        assert abs(float(one) - float(exact_cvar_right(values, weights[0], alpha))) <= tol
+        batch = risk.cvar_right_rows(values, weights, alpha)
+        assert batch.shape == (weights.shape[0],)
+        for row, c in zip(weights, batch):
+            assert abs(float(c) - float(exact_cvar_right(values, row, alpha))) <= tol
+
+    @pytest.mark.parametrize("alpha", [1.0, -0.1])
+    def test_alpha_out_of_range(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            risk.cvar_right_rows(np.array([1.0]), np.array([1.0]), alpha)
 
 
 class TestCvarAndMeanRows:
