@@ -1,10 +1,18 @@
 """Hot numeric loops: exact law evolution, per-step CVaR, Monte Carlo steps.
 
-One numpy implementation of each: `evolve_mu` and `cvar_sequence_kernel`
-push the state law forward one step at a time, and `mc_step` advances
-every Monte Carlo replication by one step from pre-drawn uniforms.
-`cvar_sequence_kernel` buffers the step laws and takes their CVaR from
-`risk.cvar_right_rows`, one pass per buffer.
+`pair_law_blocks` is the one push-forward of the state law; `evolve_mu`
+and `cvar_sequence_kernel` both read it. It splits the rule rows into
+runs of identical rules and pushes the law one step at a time, as
+`pk = mu[pair_state] * rule`, `mu = pk @ kernel`. Once a run's law comes
+back bit for bit to its value of two steps before, the rest of the run
+repeats its last two laws and is copied into the buffer instead of
+computed, so a stationary or block schedule pays Python work per step
+only until its law settles, and every law is the one the plain loop
+gives. `cvar_sequence_kernel` maps each buffer of pair laws to reward
+laws with one sparse product and values them with one
+`risk.cvar_right_rows` pass. `mc_step` advances every Monte Carlo
+replication by one step from pre-drawn uniforms, counting the CDF levels
+each uniform reaches one level (or one slab of levels) at a time.
 `benchmarks/bench_kernels.py` times them and writes `BENCH_kernels.json`.
 """
 
@@ -14,8 +22,8 @@ import numpy as np
 
 from .risk import cvar_right_rows
 
-# Entries of the buffer of step laws that `cvar_sequence_kernel` values in
-# one `cvar_right_rows` pass; bounds its memory whatever the horizon.
+# Entries of each buffer of step laws; bounds the memory of the evolution
+# whatever the horizon.
 LAW_BLOCK_ENTRIES = 2**16
 
 # Always False: there is one (numpy) path; perfbench's environment record
@@ -30,46 +38,102 @@ USE_NUMBA = False
 # every step, the stationary case) or one row per step.
 
 
-def _rule_row(rules, t):
-    return rules[0] if rules.shape[0] == 1 else rules[t]
+def _run_bounds(rules, T):
+    """Start of each run of identical rule rows among steps 0..T-1, then T."""
+    if rules.shape[0] == 1:
+        return [0, T]
+    change = np.flatnonzero((rules[1:T] != rules[: T - 1]).any(axis=1)) + 1
+    return [0, *change.tolist(), T]
+
+
+def pair_law_blocks(kernel, pair_state, rules, mu0, T, rows):
+    """Yield the pair laws of steps 0..T-1 as consecutive (<= rows, pairs)
+    blocks. Each block is a view of one buffer that the next overwrites.
+
+    Inside a run of identical rules the state law is pushed one step at a
+    time until it comes back, bit for bit, to its value of two steps
+    before. The push is then periodic (period 1 or 2): the same float
+    operations on the same inputs. So the rest of the run repeats the last
+    two laws exactly, and is copied instead of computed."""
+    buf = np.empty((min(rows, T), kernel.shape[0]))
+    mu, i = mu0, 0
+    bounds = _run_bounds(rules, T)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        rule, prev, cycle, t = rules[start], None, None, start
+        while t < stop:
+            if i == buf.shape[0]:
+                yield buf
+                i = 0
+            if cycle is None:
+                m = 1
+                buf[i] = pk = mu[pair_state] * rule
+                nxt = pk @ kernel
+                if prev is not None and nxt.tobytes() == prev.tobytes():
+                    # state laws of the next two steps, repeating from then on
+                    cycle = np.stack([nxt, mu])
+                prev, mu = mu, nxt
+            else:
+                m = min(stop - t, buf.shape[0] - i)
+                laws = cycle[:, pair_state] * rule
+                buf[i : i + m : 2] = laws[0]
+                buf[i + 1 : i + m : 2] = laws[1]
+                if m % 2:
+                    cycle = cycle[::-1]
+                mu = cycle[0]
+            i += m
+            t += m
+    yield buf[:i]
 
 
 def evolve_mu(kernel, pair_state, rules, mu0, t):
+    """The state law after t steps from mu0."""
     mu = mu0.copy()
-    for s in range(t):
-        pk = mu[pair_state] * _rule_row(rules, s)
-        mu = pk @ kernel
+    if t > 0:
+        for block in pair_law_blocks(kernel, pair_state, rules, mu0, t,
+                                     max(1, LAW_BLOCK_ENTRIES // kernel.shape[0])):
+            pass
+        mu = block[-1] @ kernel
     return mu
 
 
-def cvar_sequence_kernel(kernel, pair_state, rules, mu0, T, alpha, atom_index, values, probs):
+def cvar_sequence_kernel(kernel, pair_state, rules, mu0, T, alpha, atoms, values):
     """Per-step CVaR_alpha of the reward law for t < T, and the largest
-    drift of its total mass from 1. Pair k pays the reward with index
-    atom_index[k, c] in `values` with probability probs[k, c] (the
-    instance's `reward_atoms` layout). The laws of up to
-    LAW_BLOCK_ENTRIES / len(values) consecutive steps are valued together."""
+    drift of its total mass from 1. `atoms` is the (len(values), pairs)
+    CSR matrix whose entry [v, k] is the probability that pair k pays
+    values[v]. The laws of up to LAW_BLOCK_ENTRIES / max(len(values),
+    pairs) consecutive steps are mapped and valued together."""
     per_step = np.empty(T)
-    mu = mu0.copy()
-    max_drift = 0.0
-    flat_index = atom_index.ravel()
-    laws = np.empty((max(1, LAW_BLOCK_ENTRIES // values.size), values.size))
-    for start in range(0, T, laws.shape[0]):
-        block = laws[: T - start]
-        for i in range(block.shape[0]):
-            pk = mu[pair_state] * _rule_row(rules, start + i)
-            block[i] = np.bincount(flat_index, weights=(pk[:, None] * probs).ravel(),
-                                   minlength=values.size)
-            mu = pk @ kernel
-        max_drift = max(max_drift, float(np.abs(1.0 - block.sum(axis=1)).max()))
-        per_step[start : start + block.shape[0]] = cvar_right_rows(values, block, alpha)
+    max_drift, start = 0.0, 0
+    rows = max(1, LAW_BLOCK_ENTRIES // max(values.size, kernel.shape[0]))
+    for block in pair_law_blocks(kernel, pair_state, rules, mu0, T, rows):
+        laws = (atoms @ block.T).T
+        max_drift = max(max_drift, float(np.abs(1.0 - laws.sum(axis=1)).max()))
+        per_step[start : start + block.shape[0]] = cvar_right_rows(values, laws, alpha)
+        start += block.shape[0]
     return per_step, max_drift
 
 
-def mc_step(states, u_act, u_nxt, rule_cdf2d, counts2d, offsets, kernel_cdf):
-    # First index where the uniform falls below the padded per-state rule CDF.
-    local = (u_act[:, None] >= rule_cdf2d[states]).sum(axis=1)
-    local = np.minimum(local, counts2d[states] - 1)
-    pairs = offsets[states] + local
-    nxt = (u_nxt[:, None] >= kernel_cdf[pairs]).sum(axis=1)
-    nxt = np.minimum(nxt, kernel_cdf.shape[1] - 1)
-    return pairs, nxt
+def _reached(u, levels, cols):
+    """How many of the levels levels[:, cols] each uniform in u reaches.
+    Many uniforms compare one level at a time. Few (at most
+    LAW_BLOCK_ENTRIES / 8) compare slabs of at least eight levels in one
+    go: that saves a Python pass per level, and below that size the
+    saving outweighs the slab's extra reduction pass."""
+    count = np.zeros(u.size, dtype=np.int64)
+    per = LAW_BLOCK_ENTRIES // u.size
+    if per < 8:
+        for level in levels:
+            count += u >= level[cols]
+    else:
+        for j in range(0, levels.shape[0], per):
+            count += (u >= np.take(levels[j : j + per], cols, axis=1)).sum(axis=0)
+    return count
+
+
+def mc_step(states, u_act, u_nxt, rule_cdf, offsets, kernel_cdf):
+    """One step of every replication: the pair each plays and the state it
+    reaches. Row j of rule_cdf (width - 1, states) and of kernel_cdf
+    (states - 1, pairs) is the CDF after the (j+1)-th action or next state;
+    a uniform picks as many as it reaches of these levels."""
+    pairs = offsets[states] + _reached(u_act, rule_cdf, states)
+    return pairs, _reached(u_nxt, kernel_cdf, pairs)

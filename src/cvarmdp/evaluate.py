@@ -3,8 +3,10 @@ running averages, and a sampling-based sanity layer.
 
 The per-step laws are pushed forward exactly through the kernel; Monte
 Carlo exists only to cross-check that evolution, never as the primary
-evaluator. The per-step loops of both live in `_kernels`, which has one
-numpy implementation of each.
+evaluator. The loops of both live in `_kernels`; this module sets up
+their inputs: the sparse map from pair laws to reward laws for
+`cvar_sequence`, and the transposed rule and kernel CDFs and the flat
+(pair, next state) atom table for `monte_carlo_eval`.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import _kernels, chains, risk
 from .model import TimeDependentPolicy, rule_rows
@@ -40,6 +43,20 @@ def _value_index_tables(instance):
     return values, np.searchsorted(values, instance.reward_atoms[0])
 
 
+def _atom_matrix(instance, values, atom_index):
+    """(len(values), pairs) CSR matrix whose entry [v, k] is the
+    probability that pair k pays values[v]. A pair's atoms stay separate
+    entries, in (pair, atom) order, so a product adds the same terms in the
+    same order as a bincount over the pairs' atoms."""
+    probs = instance.reward_atoms[1]
+    pair, col = np.nonzero(probs)
+    atom = atom_index[pair, col]
+    order = np.argsort(atom, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(atom, minlength=values.size))))
+    return sparse.csr_array((probs[pair, col][order], pair[order], indptr),
+                            shape=(values.size, instance.n_pairs))
+
+
 def cvar_sequence(instance, policy, s0, T, alpha):
     """Exact CVaR of the reward law at every step t < T from state s0.
 
@@ -59,7 +76,7 @@ def cvar_sequence(instance, policy, s0, T, alpha):
     mu0[s0_idx] = 1.0
     per_step, drift = _kernels.cvar_sequence_kernel(
         instance.kernel, instance.pair_state, rules, mu0, int(T), float(alpha),
-        atom_index, values, instance.reward_atoms[1])
+        _atom_matrix(instance, values, atom_index), values)
     if drift > MASS_DRIFT_TOL:
         raise chains.ChainStructureError(f"probability mass drifted by {drift:.3g}")
     cesaro = np.cumsum(per_step) / np.arange(1, T + 1)
@@ -146,13 +163,16 @@ class MonteCarloResult:
     replications: int
 
 
-def _rule_cdf2d(instance, row, max_width):
-    # Per-state action CDFs padded past 1 so absent slots never match.
-    out = np.full((instance.n_states, max_width), 1.1)
-    for i in range(instance.n_states):
-        lo, hi = instance.offsets[i], instance.offsets[i + 1]
-        out[i, : hi - lo] = np.cumsum(row[lo:hi])
-    return out
+def _rule_cdf(instance, row, slot, closed):
+    """Per-state action CDFs of a rule row as (width - 1, states) levels for
+    `_kernels.mc_step`. From each state's last action on they read 2.0,
+    which no uniform reaches, so the count of levels a uniform reaches
+    picks one of the state's actions."""
+    cdf = np.zeros(closed.shape)
+    cdf[instance.pair_state, slot] = row
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf[closed] = 2.0
+    return np.ascontiguousarray(cdf[:, :-1].T)
 
 
 def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
@@ -169,30 +189,36 @@ def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
     s0_idx = instance.state_index(s0) if isinstance(s0, str) else int(s0)
     rules, _ = rule_rows(policy, T)
     values, atom_index = _value_index_tables(instance)
-    # one column per next state, so the step's atom is [pair, state reached]
-    atom_index = np.broadcast_to(atom_index, (instance.n_pairs, instance.n_states))
+    n_states = instance.n_states
+    # the atom paid on a step from pair k to state j is atoms[k * n_states + j]
+    atoms = np.broadcast_to(atom_index, (instance.n_pairs, n_states)).ravel()
     rng = np.random.default_rng(seed)
 
-    kernel_cdf = np.cumsum(instance.kernel, axis=1)
-    max_width = max(len(a) for a in instance.actions)
-    counts2d = np.array([len(a) for a in instance.actions], dtype=np.int64)
+    kernel_cdf = np.ascontiguousarray(np.cumsum(instance.kernel, axis=1)[:, :-1].T)
     offsets = np.asarray(instance.offsets[:-1], dtype=np.int64)
+    slot = np.arange(instance.n_pairs) - offsets[instance.pair_state]
+    n_actions = np.diff(instance.offsets)
+    closed = np.arange(n_actions.max()) >= n_actions[:, None] - 1
     stationary = rules.shape[0] == 1
-    cdf_cache = _rule_cdf2d(instance, rules[0], max_width) if stationary else None
+    cdf_cache = _rule_cdf(instance, rules[0], slot, closed) if stationary else None
 
     states = np.full(replications, s0_idx, dtype=np.int64)
     counts = np.zeros((T, values.size), dtype=np.int64)
     for t in range(T):
-        rule_cdf2d = cdf_cache if stationary else _rule_cdf2d(instance, rules[t], max_width)
+        rule_cdf = cdf_cache if stationary else _rule_cdf(instance, rules[t], slot, closed)
         u_act = rng.random(replications)
         u_nxt = rng.random(replications)
-        pairs, nxt = _kernels.mc_step(states, u_act, u_nxt, rule_cdf2d, counts2d,
-                                      offsets, kernel_cdf)
-        counts[t] = np.bincount(atom_index[pairs, nxt], minlength=values.size)
+        pairs, nxt = _kernels.mc_step(states, u_act, u_nxt, rule_cdf, offsets, kernel_cdf)
+        counts[t] = np.bincount(atoms[pairs * n_states + nxt], minlength=values.size)
         states = nxt
 
-    return MonteCarloResult(values=values, counts=counts,
-                            cvar=risk.cvar_right_rows(values, counts / replications, alpha),
+    # valued in row blocks so the float temporaries stay bounded
+    cvar = np.empty(T)
+    rows = max(1, _kernels.LAW_BLOCK_ENTRIES // values.size)
+    for start in range(0, T, rows):
+        cvar[start : start + rows] = risk.cvar_right_rows(
+            values, counts[start : start + rows] / replications, alpha)
+    return MonteCarloResult(values=values, counts=counts, cvar=cvar,
                             replications=replications)
 
 

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,14 @@ def dirac_reward_instance():
     kernel = np.array([[0.3, 0.7], [0.6, 0.4]])
     return model.MdpInstance("flat", ("s1", "s2"), (("a",), ("a",)), kernel,
                              rewards=np.array([4.0, 4.0]))
+
+
+def repeated_reward_instance():
+    """Next-state rewards that repeat across the states a pair reaches."""
+    kernel = np.array([[0.1, 0.3, 0.6], [0.7, 0.2, 0.1], [1 / 3, 1 / 3, 1 / 3]])
+    r3 = np.array([[1.0, 1.0, 2.0], [2.0, 2.0, 2.0], [0.0, 1.0, 1.0]])
+    return model.MdpInstance("repeated", ("s1", "s2", "s3"), (("a",),) * 3, kernel,
+                             rewards3=r3)
 
 
 def single_action_policy(instance):
@@ -229,6 +240,54 @@ class TestMonteCarlo:
                                        seed=3, alpha=0.9)
         assert np.abs(mc.cvar - exact.per_step).max() < 1.0
 
+    # Counts for a pinned seed, as drawn by comparing each replication's
+    # uniform with its whole CDF row. They guard the sampling stream: the
+    # level counts must make the same comparisons on the same uniforms.
+    # 50 replications count the levels in one slab, 40,000 one level at a
+    # time.
+    PINNED_COUNTS = {
+        50: [[8, 1, 24, 9, 4, 4, 0], [4, 9, 11, 8, 6, 11, 1], [7, 19, 1, 4, 0, 19, 0],
+             [9, 5, 4, 5, 3, 23, 1], [1, 4, 13, 6, 5, 19, 2], [3, 23, 1, 2, 0, 21, 0]],
+        40_000: [[6813, 3175, 17577, 4708, 1191, 6536, 0],
+                 [2279, 6165, 10076, 3448, 6240, 9265, 2527],
+                 [3247, 12887, 1550, 5287, 0, 17029, 0],
+                 [4654, 6941, 3362, 6299, 2501, 15080, 1163],
+                 [2450, 5623, 10527, 3629, 6005, 9303, 2463],
+                 [3305, 13032, 1521, 5416, 0, 16726, 0]],
+    }
+
+    @pytest.mark.parametrize("replications", sorted(PINNED_COUNTS))
+    def test_pinned_seed_counts(self, replications):
+        # 1, 3 and 2 actions per state, so padded and single-action CDFs
+        # are both sampled; next-state rewards; a rule that changes every step
+        kernel = np.array([[0.2, 0.5, 0.3], [0.6, 0.4, 0.0], [0.0, 0.1, 0.9],
+                           [1 / 3, 1 / 3, 1 / 3], [0.5, 0.0, 0.5], [0.25, 0.25, 0.5]])
+        r3 = (np.arange(6)[:, None] * 3 + np.arange(3) * 5) % 7 - 3.0
+        inst = model.MdpInstance("uneven", ("s1", "s2", "s3"),
+                                 (("a",), ("a", "b", "c"), ("a", "b")), kernel, rewards3=r3)
+        rows = np.array([[1, 0.2, 0.3, 0.5, 0.7, 0.3], [1, 0, 1, 0, 0.4, 0.6],
+                         [1, 0.5, 0, 0.5, 1, 0]])
+        pol = model.TimeDependentPolicy.from_rules(rows[[0, 1, 2, 0, 1, 2]])
+        mc = evaluate.monte_carlo_eval(inst, pol, "s2", 6, replications, 2024, alpha=0.5)
+        assert mc.values.tolist() == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+        assert mc.counts.tolist() == self.PINNED_COUNTS[replications]
+
+    def test_cvar_valued_in_bounded_blocks(self):
+        # 100 states x 4 actions, K = 400: the histogram is valued in row
+        # blocks, so the peak stays near the size of `counts` (one pass over
+        # the whole histogram took about five times it)
+        inst = model.random_instance(1, 100, 4)
+        pol = model.DeterministicPolicy((0,) * 100).to_stationary(inst)
+        tracemalloc.start()
+        try:
+            mc = evaluate.monte_carlo_eval(inst, pol, "s1", 1000, 50, seed=0, alpha=0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - mc.counts.nbytes <= 4 * 2**20
+        whole = risk.cvar_right_rows(mc.values, mc.counts / mc.replications, 0.8)
+        assert np.array_equal(mc.cvar, whole)
+
 
 def random_rules(instance, rng, T, time_dependent):
     """A stationary rule, or one rule per step; each rule has some actions
@@ -242,8 +301,8 @@ def random_rules(instance, rng, T, time_dependent):
 
 
 class TestEvolutionAgainstStepLaws:
-    """Sampled steps of the evolution kernels against an independent
-    reference: the t-step pair law from `chains.t_step_distribution`, turned into a
+    """Sampled steps of the evolution kernels against the single-law path:
+    the t-step pair law from `chains.t_step_distribution`, turned into a
     reward law by `risk.reward_distribution` and valued by `risk.cvar_right`."""
 
     T = 12
@@ -267,6 +326,107 @@ class TestEvolutionAgainstStepLaws:
             # a sampled reward must have positive exact probability
             possible = set(law.values[law.probs > 0].tolist())
             assert set(mc.values[mc.counts[t] > 0].tolist()) <= possible
+
+
+def step_by_step(instance, rules, s0, T, alpha):
+    """Plain reference for the chunked evolution: push the state law one
+    step at a time, bincount each step's reward law and value it alone.
+    Returns the per-step CVaR, the pair laws and the state law at T."""
+    values, atom_index = evaluate._value_index_tables(instance)
+    probs = instance.reward_atoms[1]
+    mu = np.zeros(instance.n_states)
+    mu[s0] = 1.0
+    cvar, pair_laws = np.empty(T), np.empty((T, instance.n_pairs))
+    for t in range(T):
+        pk = mu[instance.pair_state] * rules[min(t, rules.shape[0] - 1)]
+        law = np.bincount(atom_index.ravel(), weights=(pk[:, None] * probs).ravel(),
+                          minlength=values.size)
+        cvar[t] = risk.cvar_right_rows(values, law, alpha)
+        pair_laws[t] = pk
+        mu = pk @ instance.kernel
+    return cvar, pair_laws, mu
+
+
+class TestChunkedEvolution:
+    """`_kernels.pair_law_blocks` (runs of identical rules, settled runs
+    copied, buffered sparse atom map) against `step_by_step`: the same
+    float operations on the same inputs, so the same bits."""
+
+    @given(st.one_of(sparse_kernels(), sparse_kernels(rewards3=True)),
+           st.lists(st.integers(min_value=1, max_value=70), min_size=1, max_size=8),
+           st.booleans(), st.integers(min_value=1, max_value=40),
+           st.sampled_from([0.0, 0.5, 0.9]), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_step_by_step(self, inst, run_lengths, stationary, rows, alpha, seed):
+        # Small buffers put buffer edges inside the runs and inside the
+        # copied stretches of settled runs; T is rarely a multiple of rows.
+        rng = np.random.default_rng(seed)
+        T = sum(run_lengths)
+        if stationary:
+            rules = model.extract_policy(inst, rng.random(inst.n_pairs)).probs[None]
+        else:
+            rules = np.repeat([random_rules(inst, rng, 1, False).probs for _ in run_lengths],
+                              run_lengths, axis=0)
+        s0 = int(rng.integers(inst.n_states))
+        values, atom_index = evaluate._value_index_tables(inst)
+        mu0 = np.zeros(inst.n_states)
+        mu0[s0] = 1.0
+        ref, ref_pairs, ref_mu = step_by_step(inst, rules, s0, T, alpha)
+        entries = rows * max(values.size, inst.n_pairs)
+        with mock.patch.object(_kernels, "LAW_BLOCK_ENTRIES", entries):
+            per_step, drift = _kernels.cvar_sequence_kernel(
+                inst.kernel, inst.pair_state, rules, mu0, T, alpha,
+                evaluate._atom_matrix(inst, values, atom_index), values)
+        blocks = [b.copy() for b in _kernels.pair_law_blocks(
+            inst.kernel, inst.pair_state, rules, mu0, T, rows)]
+        assert all(0 < b.shape[0] <= rows for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), ref_pairs)
+        assert np.array_equal(_kernels.evolve_mu(inst.kernel, inst.pair_state, rules, mu0, T),
+                              ref_mu)
+        assert np.array_equal(per_step, ref)
+        assert drift <= evaluate.MASS_DRIFT_TOL
+
+    def test_settling_starts_afresh_in_each_run(self):
+        # Two swaps take the law from s1 to s2 and back; the next rule sends
+        # s1 to s2 and keeps s2 there. Its first step reaches the law of two
+        # steps before, yet the two laws are no cycle of the new rule.
+        inst = model.builtin("example1")
+        swap, to_s2 = [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]
+        rules = np.array([swap] * 2 + [to_s2] * 6)
+        ref, ref_pairs, _ = step_by_step(inst, rules, 0, 8, 0.5)
+        seq = evaluate.cvar_sequence(inst, model.TimeDependentPolicy.from_rules(rules), "s1",
+                                     8, 0.5)
+        assert np.array_equal(seq.per_step, ref)
+        assert ref_pairs[3:, 3].tolist() == [1.0] * 5
+
+    def test_long_horizon_keeps_mass(self):
+        # A dense kernel whose rows miss 1 by a few units in the last place:
+        # evolved exactly, its mass drifts by about 1.3e-12 over 20,000
+        # steps; the float push settles and keeps it near 1.
+        inst = model.random_instance(1, 10, 4)
+        pol = single_action_policy(inst)
+        seq = evaluate.cvar_sequence(inst, pol, "s1", 20_000, 0.8)
+        ref, _, _ = step_by_step(inst, model.rule_rows(pol, 1)[0], 0, 20_000, 0.8)
+        assert np.array_equal(seq.per_step, ref)
+
+    @pytest.mark.parametrize("name", ["example2", "endowment", "repeated"])
+    def test_atom_matrix_sums_like_bincount(self, name):
+        inst = repeated_reward_instance() if name == "repeated" else model.builtin(name)
+        values, atom_index = evaluate._value_index_tables(inst)
+        pk = np.random.default_rng(0).dirichlet(np.ones(inst.n_pairs), size=50)
+        probs = inst.reward_atoms[1]
+        ref = np.stack([np.bincount(atom_index.ravel(), weights=(p[:, None] * probs).ravel(),
+                                    minlength=values.size) for p in pk])
+        atoms = evaluate._atom_matrix(inst, values, atom_index)
+        assert np.array_equal((atoms @ pk.T).T, ref)
+
+    def test_oscillator_bit_identical(self):
+        # every block of the schedule is a run that settles after two steps
+        inst = model.builtin("example1")
+        T = (3**9 - 1) // 2
+        pol = evaluate.example1_policy(T)
+        ref, _, _ = step_by_step(inst, model.rule_rows(pol, T)[0], 0, T, 0.5)
+        assert np.array_equal(evaluate.cvar_sequence(inst, pol, "s1", T, 0.5).per_step, ref)
 
 
 class TestLemma2Gap:
