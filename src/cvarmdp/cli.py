@@ -368,7 +368,9 @@ def build_parser():
     p = sub.add_parser("solve", help="solve an instance and certify the result")
     _add_instance_flags(p)
     _add_common_flags(p)
-    p.add_argument("--mode", choices=["dual", "dual-primal"], default="dual")
+    p.add_argument("--mode", choices=["dual", "dual-primal"], default="dual",
+                   help="dual-primal: also solve the minimax level LP and check both "
+                        "optima agree")
     p.add_argument("--tol", type=float, default=None,
                    help="count an action as a randomization only when its mass "
                         f"exceeds TOL (default {model.RANDOMIZATION_TOL:g})")

@@ -335,7 +335,7 @@ def build_primal_lp(instance, vertices, params):
                          ub_sign=np.concatenate((np.ones(len(xs)), -np.ones(b_exc.size))))
 
 
-def build_level_lp(instance, params, y_lo=None, y_hi=None):
+def build_level_lp(instance, params):
     """Joint program over the tail level y and the polytope's dual prices.
 
     For fixed y the inner maximum of v(x, y) over the occupation polytope
@@ -344,12 +344,9 @@ def build_level_lp(instance, params, y_lo=None, y_hi=None):
     Minimizing jointly over (u, u0, y) with the positive parts linearized
     through w >= r - y, w >= 0 yields min_y max_x v(x, y) exactly, including
     tail levels strictly between reward values (where the upper envelope of
-    the vertex lines has a crossing). Optional bounds restrict y to a
-    subinterval of [L, U].
+    the vertex lines has a crossing). y ranges over the reward bounds [L, U].
     """
     lo, hi = instance.reward_bounds()
-    y_lo = lo if y_lo is None else float(y_lo)
-    y_hi = hi if y_hi is None else float(y_hi)
     inv = 1.0 / (1.0 - params.alpha)
     n, m = instance.n_pairs, instance.n_states
     u0, y, w0 = m, m + 1, m + 2  # columns u_0..u_{m-1}, u0, y, then w
@@ -367,8 +364,8 @@ def build_level_lp(instance, params, y_lo=None, y_hi=None):
                     np.concatenate((-np.ones(n), p, -np.ones(n), np.ones(n), w_vals)))
     a_exc, b_exc, exc_rows, w_names = _excess(instance, y, w0)
     return LinearProgram(f"{instance.name}-level", "min", _unit(w0 + n_w, u0),
-                         np.concatenate((np.full(m + 1, -np.inf), [y_lo], np.zeros(n_w))),
-                         np.concatenate((np.full(m + 1, np.inf), [y_hi], np.full(n_w, np.inf))),
+                         np.concatenate((np.full(m + 1, -np.inf), [lo], np.zeros(n_w))),
+                         np.concatenate((np.full(m + 1, np.inf), [hi], np.full(n_w, np.inf))),
                          [f"u_{s}" for s in range(m)] + ["u0", "y"] + w_names,
                          [f"price_{q}" for q in range(n)] + exc_rows,
                          A_ub=vstack((price, a_exc), format="csr"),

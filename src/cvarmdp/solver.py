@@ -5,10 +5,9 @@ The default route solves only the polynomial-size occupation program
 value e and x in the occupation polytope. It keeps that program's basic
 optimum x* and certifies it from the same program's dual prices, so a
 solve is one linear program and never visits the exponentially many
-deterministic policies; `enumerate_deterministic`,
-`chains.check_assumption` and mode "dual-primal" (`polytope_vertices`) do,
-and run only when called. The reported tail level y_star is the quantile
-of x*'s reward law.
+deterministic policies; only `enumerate_deterministic` and
+`chains.check_assumption` do, and they run only when called. The reported
+tail level y_star is the quantile of x*'s reward law.
 
 The certificate is weak duality on the occupation polytope (Puterman
 1994, section 8.8) applied to the Rockafellar-Uryasev form
@@ -33,8 +32,11 @@ optimum lies in [v* - right gap, v* + left gap] with
 
 and ybar is the level at which the left condition holds (flagged
 "interior-tail-level" when it is not a reward value). The independent
-oracles, the endpoint scan (`endpoint_scan_oracle`, behind `cvarmdp scan`)
-and `verify_saddle`, are linear programs too and stay off the solve path.
+oracle is the paper's second program, the full-range level LP
+(`lp.build_level_lp`: min_y max_x v(x, y) with the inner maximum
+dualised, |pairs| + |atoms| rows). Mode "dual-primal", the endpoint scan
+(`endpoint_scan_oracle`, behind `cvarmdp scan`) and `verify_saddle`
+solve it; the default solve does not.
 
 The basic optimum randomizes at most once. For fixed x, e -> v(x, e) is
 convex and piecewise linear with kinks only at the reward atoms of x's
@@ -68,12 +70,12 @@ class VerificationReport:
 
     saddle_left_gap  = an upper bound on max_x v(x, tail_level), minus v*
                        (`solve_cvar`: the price bound UB of the module
-                       docstring; `verify_saddle`: the scan envelope or a
-                       fresh LP, i.e. the maximum itself)
+                       docstring; `verify_saddle`: one average LP at
+                       tail_level, i.e. the maximum itself)
     saddle_right_gap = v* - min_y v(x*, y) over the reward values
     oracle_gap       = a bound on |v* - optimum|: from `solve_cvar`
                        max(left, right, 0), which weak duality guarantees;
-                       from `verify_saddle` |v* - endpoint-scan optimum|
+                       from `verify_saddle` |v* - level optimum|
     tail_level       = the y at which the left condition was checked
     """
 
@@ -105,11 +107,12 @@ class SaddleSolution:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Endpoint scan of y -> max_x v(x, y), refined between endpoints.
+    """Endpoint scan of y -> max_x v(x, y) and its exact minimum.
 
     ys / envelope tabulate the reward values; y_star / value give the exact
-    minimum, which lies inside an interval flanking the tabulated argmin
-    whenever the envelope's kink falls between reward values.
+    minimum: the level LP's when it lies below every tabulated value (the
+    envelope's kink falls between reward values, `interior`), else the
+    leftmost tabulated argmin.
     """
 
     ys: np.ndarray
@@ -119,14 +122,22 @@ class ScanResult:
     interior: bool
 
 
+def _minimax(instance, params):
+    """The full-range level LP, min_y max_x v(x, y), solved."""
+    sol = lp.solve(lp.build_level_lp(instance, params))
+    if sol.status != "optimal":
+        raise SolverError(f"level LP returned {sol.status}")
+    return sol
+
+
 def endpoint_scan_oracle(instance, params):
     """Exact independent recomputation of the optimum from the minimax side.
 
     For fixed x the objective kinks only at reward values, but the upper
     envelope over the polytope also kinks where two vertex lines cross, so
-    after scanning the reward endpoints the two flanking intervals of the
-    best endpoint are minimized exactly with the joint level program. The
-    envelope is convex, which confines the true minimum to those intervals.
+    the tabulated minimum can exceed the true one. The level LP gives the
+    true minimum over the whole range; it replaces the tabulated one only
+    when it is lower by more than rounding.
     """
     bp = risk.breakpoints(instance)
     envelope = np.empty(bp.values.size)
@@ -137,16 +148,9 @@ def endpoint_scan_oracle(instance, params):
         envelope[i] = sol.objective
     best = int(np.argmin(envelope))  # leftmost on exact ties
     y_star, value, interior = float(bp.values[best]), float(envelope[best]), False
-    for side in (-1, +1):
-        j = best + side
-        if not 0 <= j < bp.values.size:
-            continue
-        lo, hi = sorted((bp.values[best], bp.values[j]))
-        sol = lp.solve(lp.build_level_lp(instance, params, y_lo=float(lo), y_hi=float(hi)))
-        if sol.status != "optimal":
-            raise SolverError(f"level LP on [{lo}, {hi}] returned {sol.status}")
-        if sol.objective < value - 1e-12:
-            y_star, value, interior = float(sol.values["y"]), float(sol.objective), True
+    level = _minimax(instance, params)
+    if level.objective < value - 1e-12:
+        y_star, value, interior = float(level.values["y"]), float(level.objective), True
     return ScanResult(ys=bp.values.copy(), envelope=envelope,
                       y_star=y_star, value=value, interior=interior)
 
@@ -156,20 +160,18 @@ def verify_saddle(instance, x_star, y_star, v_star, params):
 
     y_star is the tail level at which the left condition is checked; pass
     the exact minimax level for a meaningful certificate (the quantile of
-    the optimal law fails it whenever the CDF ties alpha there). The inner
-    maximum max_x v(x, y_star) is the endpoint scan's envelope at a reward
-    value, else a fresh occupation LP.
+    the optimal law fails it whenever the CDF ties alpha there). The left
+    gap solves max_x v(x, y_star) with one occupation LP, the oracle gap
+    compares v_star with the level LP's optimum, and the right gap
+    evaluates x_star at every reward value.
     """
-    scan = endpoint_scan_oracle(instance, params)
-    if y_star in scan.ys:
-        inner = float(scan.envelope[np.searchsorted(scan.ys, y_star)])
-    else:
-        sol = lp.solve(lp.build_average_lp(instance, y_star, params))
-        if sol.status != "optimal":
-            raise SolverError(f"certification LP returned {sol.status}")
-        inner = sol.objective
-    right_gap = v_star - float(risk.saddle_values(instance, x_star, scan.ys, params).min())
-    return _report(inner - v_star, right_gap, abs(v_star - scan.value), y_star)
+    sol = lp.solve(lp.build_average_lp(instance, y_star, params))
+    if sol.status != "optimal":
+        raise SolverError(f"certification LP returned {sol.status}")
+    oracle = _minimax(instance, params).objective
+    ys = risk.breakpoints(instance).values
+    right_gap = v_star - float(risk.saddle_values(instance, x_star, ys, params).min())
+    return _report(sol.objective - v_star, right_gap, abs(v_star - oracle), y_star)
 
 
 def _report(left_gap, right_gap, oracle_gap, tail_level):
@@ -272,13 +274,13 @@ def _dual_certificate(instance, dual_sol, x, v_star, params, ys):
     return _report(left_gap, right_gap, max(left_gap, right_gap, 0.0), y_bar)
 
 
-def solve_cvar(instance, params, mode="dual", cap=10**6):
+def solve_cvar(instance, params, mode="dual"):
     """Full pipeline: occupation LP, quantile recovery, policy extraction,
     certification.
 
-    mode "dual" solves only the polynomial-size program; "dual-primal"
-    additionally enumerates the polytope vertices, solves the vertex
-    program, and checks that both optima agree.
+    mode "dual" solves only the occupation program; "dual-primal" also
+    solves the minimax level LP, reports its optimum as primal_value, and
+    checks that both optima agree. Both programs are polynomial-size.
 
     x_star is the occupation program's basic optimum and y_star the
     quantile of its reward law. The certificates come from the same
@@ -299,14 +301,10 @@ def solve_cvar(instance, params, mode="dual", cap=10**6):
 
     primal_value = None
     if mode == "dual-primal":
-        vertices = chains.polytope_vertices(instance, cap=cap)
-        primal_sol = lp.solve(lp.build_primal_lp(instance, vertices, params))
-        if primal_sol.status != "optimal":
-            raise SolverError(f"vertex LP returned {primal_sol.status}")
-        primal_value = primal_sol.objective
+        primal_value = _minimax(instance, params).objective
         if abs(primal_value - v_star) > CERT_TOL:
             raise SolverError(
-                f"minimax equality violated: vertex optimum {primal_value!r} "
+                f"minimax equality violated: level optimum {primal_value!r} "
                 f"vs occupation optimum {v_star!r}")
     elif mode != "dual":
         raise ValueError(f"mode must be 'dual' or 'dual-primal', got {mode!r}")
@@ -358,7 +356,7 @@ def alpha_zero_degeneration(instance, cap=10**6):
     """At alpha = 0 the tail objective is the mean, so the solve must agree
     with the best deterministic long-run average reward."""
     params = risk.RiskParams(alpha=0.0, beta=0.0)
-    sol = solve_cvar(instance, params, cap=cap)
+    sol = solve_cvar(instance, params)
     enum = enumerate_deterministic(instance, params, cap=cap)
     return DegenerationRecord(lp_value=sol.v_star,
                               best_deterministic_mean=enum.best.mean)

@@ -77,6 +77,14 @@ class TestSolveCommand:
         assert code == 0
         assert doc["primal_value"] == pytest.approx(doc["value"], abs=2e-6)
 
+    def test_dual_primal_above_policy_cap(self, capsys):
+        # 3**13 deterministic policies: the minimax side is one level LP,
+        # not a vertex enumeration, so the policy cap does not apply
+        code, doc, _ = run_json(capsys, "solve", "--gen", "13,3,1", "--alpha", "0.8",
+                                "--mode", "dual-primal")
+        assert code == 0
+        assert abs(doc["primal_value"] - doc["value"]) <= solver.CERT_TOL
+
     def test_generated_source(self, capsys):
         code, doc, _ = run_json(capsys, "solve", "--gen", "3,2,5", "--alpha", "0.6")
         assert code == 0
@@ -93,9 +101,11 @@ class TestNoExhaustiveWork:
 
         monkeypatch.setattr(chains, "_deterministic_sweep", refuse)
 
-    @pytest.mark.parametrize("name", ["example1", "example2", "endowment"])
-    def test_solve_cvar_builtins(self, name):
-        sol = solver.solve_cvar(model.builtin(name), risk.RiskParams(0.7), mode="dual")
+    @pytest.mark.parametrize("name, mode", [
+        pytest.param(name, mode, id=name if mode == "dual" else f"{name}-{mode}")
+        for mode in ("dual", "dual-primal") for name in ("example1", "example2", "endowment")])
+    def test_solve_cvar_builtins(self, name, mode):
+        sol = solver.solve_cvar(model.builtin(name), risk.RiskParams(0.7), mode=mode)
         assert sol.certificates.certified
 
     def test_solve_above_policy_cap(self, capsys):

@@ -331,11 +331,6 @@ class TestLevelLp:
         assert (len(prog.col_names), len(prog.row_names)) == (44, 54)
         assert lp.solve(prog).objective == pytest.approx(96.84, abs=0.01)
 
-    def test_bounded_interval(self):
-        inst = model.builtin("example2")
-        sol = lp.solve(lp.build_level_lp(inst, risk.RiskParams(0.7), y_lo=94.0, y_hi=94.0))
-        assert sol.objective == pytest.approx(94.0, abs=1e-9)
-
 
 class TestSparsifyLp:
     def test_forced_single_pair(self):

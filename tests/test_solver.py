@@ -226,6 +226,50 @@ class TestRandomizationBound:
             assert names == [f"{inst.name}-dual"]
 
 
+def solved_names(monkeypatch):
+    """Record the name of every program `lp.solve` is handed."""
+    names = []
+    plain = lp.solve
+
+    def recording(prog, *args, **kwargs):
+        names.append(prog.name)
+        return plain(prog, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    return names
+
+
+class TestMinimaxLpCount:
+    """The minimax side is one full-range level LP wherever it is needed."""
+
+    def test_verify_saddle_solves_one_level_and_one_average(self, monkeypatch,
+                                                            example2_solution):
+        inst = model.builtin("example2")
+        names = solved_names(monkeypatch)
+        solver.verify_saddle(inst, example2_solution.x_star,
+                             example2_solution.certificates.tail_level,
+                             example2_solution.v_star, risk.RiskParams(0.7))
+        assert len(names) == 2
+        assert names.count(f"{inst.name}-level") == 1
+        assert sum(n.startswith(f"{inst.name}-average(") for n in names) == 1
+
+    def test_scan_solves_one_average_per_reward_and_one_level(self, monkeypatch):
+        inst = model.builtin("example2")
+        names = solved_names(monkeypatch)
+        solver.endpoint_scan_oracle(inst, risk.RiskParams(0.7))
+        k = risk.breakpoints(inst).values.size
+        assert sum("-average(" in n for n in names) == k
+        assert names.count(f"{inst.name}-level") == 1
+        assert len(names) == k + 1
+
+    def test_dual_primal_solves_dual_then_level(self, monkeypatch):
+        inst = model.builtin("example2")
+        names = solved_names(monkeypatch)
+        sol = solver.solve_cvar(inst, risk.RiskParams(0.7), mode="dual-primal")
+        assert names == [f"{inst.name}-dual", f"{inst.name}-level"]
+        assert abs(sol.primal_value - sol.v_star) <= solver.CERT_TOL
+
+
 def suboptimal_vertex(inst, params, v_star):
     """The polytope vertex of lowest value, or None when none is 1e-3 below
     the optimum."""
@@ -254,7 +298,9 @@ class TestDualCertificate:
         slack = 1e-9 * max(1.0, abs(sol.v_star))
         scan = solver.endpoint_scan_oracle(inst, params).value
         level = lp.solve(lp.build_level_lp(inst, params)).objective
-        for oracle in (scan, level):
+        vertex = lp.solve(lp.build_primal_lp(inst, chains.polytope_vertices(inst),
+                                             params)).objective
+        for oracle in (scan, level, vertex):
             assert lo - slack <= oracle <= hi + slack
         assert ("interior-tail-level" in sol.flags) == (c.tail_level not in ys)
 
