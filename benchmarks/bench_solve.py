@@ -11,9 +11,10 @@ per pair, K = 24). `verify_saddle` runs at the solve sizes on the default
 solve's x*, v* and certificate level; its time leaves the solve out.
 `solve_cvar(mode="dual-primal")` (the occupation LP plus the minimax level
 LP) runs at dense 8x3 and 20x4 and sparse 100x4. Scan sizes:
-`solver.endpoint_scan_oracle` (one average LP per reward value plus one
-level LP, what `cvarmdp scan` runs) on sparse 100x4 and 400x4 (K = 24) and
-dense 20x4 (K = 80). Everything runs at alpha = 0.8, beta = 0.5 for seeds
+`solver.endpoint_scan_oracle` (what `cvarmdp scan` runs: one warm-started
+`lp.solve_sweep` of the average LP over the K reward values, each point
+starting from the previous optimal basis, plus one level LP) on sparse
+100x4 and 400x4 (K = 24) and dense 20x4 (K = 80). Everything runs at alpha = 0.8, beta = 0.5 for seeds
 1..--seeds, once each after a warm-up; solve times cover the whole
 `solve_cvar` call, certificates included. The worst left, right (and, for
 `verify_saddle`, oracle) gaps per size show tolerance drift as instances

@@ -7,9 +7,16 @@ plus one name per column and one per row. The builders assemble the arrays
 with numpy from the instance's kernel, pair layout and `reward_atoms`. `solve` hands
 them to HiGHS dual simplex (basic solutions, deterministic for identical
 input) and re-checks the point with A @ x - b and the bounds; a numerical
-failure raises instead of masquerading as "optimal". `Variable` and
-`Constraint` are a named view built on demand for LP-file export and
-hand-written programs (`LinearProgram.from_rows`); solving never builds it.
+failure raises instead of masquerading as "optimal". `solve_sweep` solves
+one program under a sequence of objectives on one HiGHS model, so each
+objective after the first starts from the previous optimal basis; it backs
+the endpoint scan, whose average programs differ only in their costs.
+`solve` stays on `linprog`: the benchmark's span tracing
+(`perfbench/spans.py`) times HiGHS by wrapping `lp.linprog`, so moving
+`solve` onto the same model code goes with a change to that harness.
+`Variable` and `Constraint` are a named view built on demand for LP-file
+export and hand-written programs (`LinearProgram.from_rows`); solving
+never builds it.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_array, vstack
+from scipy.optimize._highspy import _core as highs
+from scipy.sparse import csc_array, csr_array, vstack
 
 from .risk import breakpoints, saddle_coefficients
 
@@ -151,7 +159,8 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Outcome of `solve`.
+    """Outcome of `solve`, or of one point of `solve_sweep` (which leaves
+    duals None).
 
     duals maps each constraint name to its shadow price: the rate at which
     the optimal objective, in the program's own sense, changes per unit
@@ -175,6 +184,23 @@ class LpSolution:
         return self.values[name]
 
 
+def _recheck(lp, cost, x, backend_objective, tol, name):
+    """Re-check a backend point of `lp` under objective `cost` (in the
+    program's sense): the worst constraint or bound violation must be at
+    most tol, and the backend's objective must match cost @ x. Returns
+    (objective, residual, mismatch)."""
+    residual = float(np.max([np.max(lp.A_ub @ x - lp.b_ub, initial=0.0),
+                             np.max(np.abs(lp.A_eq @ x - lp.b_eq), initial=0.0),
+                             np.max(lp.lb - x, initial=0.0), np.max(x - lp.ub, initial=0.0)]))
+    if not residual <= tol:
+        raise LpSolveError(f"{name}: solution violates constraints by {residual:.3g}")
+    objective = float(cost @ x)
+    mismatch = abs(backend_objective - objective)
+    if mismatch > max(tol, tol * abs(objective)):
+        raise LpSolveError(f"{name}: objective mismatch {backend_objective!r} vs {objective!r}")
+    return objective, residual, float(mismatch)
+
+
 def solve(lp, tol=FEASIBILITY_TOL):
     """Solve an LP with HiGHS dual simplex.
 
@@ -193,20 +219,86 @@ def solve(lp, tol=FEASIBILITY_TOL):
     if res.status != 0 or res.x is None:
         raise LpSolveError(f"{lp.name}: backend failure ({res.message})")
     x = res.x
-    residual = float(np.max([np.max(lp.A_ub @ x - lp.b_ub, initial=0.0),
-                             np.max(np.abs(lp.A_eq @ x - lp.b_eq), initial=0.0),
-                             np.max(lp.lb - x, initial=0.0), np.max(x - lp.ub, initial=0.0)]))
-    if not residual <= tol:
-        raise LpSolveError(f"{lp.name}: solution violates constraints by {residual:.3g}")
-    objective = float(lp.c @ x)
-    mismatch = abs(sign * res.fun - objective)
-    if mismatch > max(tol, tol * abs(objective)):
-        raise LpSolveError(f"{lp.name}: objective mismatch {sign * res.fun!r} vs {objective!r}")
+    objective, residual, mismatch = _recheck(lp, lp.c, x, sign * res.fun, tol, lp.name)
     prices = np.concatenate((sign * lp.ub_sign * res.ineqlin.marginals,
                              sign * res.eqlin.marginals))
     return LpSolution("optimal", objective, dict(zip(lp.col_names, x.tolist())), True,
                       duals=dict(zip(lp.row_names, prices.tolist())),
-                      nit=int(res.nit), residual=residual, mismatch=float(mismatch))
+                      nit=int(res.nit), residual=residual, mismatch=mismatch)
+
+
+def _highs_inf(v):
+    return np.where(np.isinf(v), np.copysign(highs.kHighsInf, v), v)
+
+
+def _highs_model(lp, c):
+    """A HiGHS model of lp minimising c, loaded the way
+    `linprog(method="highs-ds")` loads it: A_ub over A_eq in CSC form, rows
+    -inf/b_eq <= A x <= b_ub/b_eq, dual simplex with presolve on."""
+    opts = highs.HighsOptions()
+    opts.presolve = "on"
+    opts.solver = "simplex"
+    opts.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.output_flag = opts.log_to_console = False
+    for key, val in HIGHS_OPTIONS.items():
+        setattr(opts, key, val)
+    a = csc_array(vstack((lp.A_ub, lp.A_eq)))
+    model = highs.HighsLp()
+    model.num_col_, model.num_row_ = a.shape[1], a.shape[0]
+    model.a_matrix_.num_col_, model.a_matrix_.num_row_ = a.shape[1], a.shape[0]
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
+        a.indptr, a.indices, a.data)
+    model.col_cost_ = c
+    model.col_lower_, model.col_upper_ = _highs_inf(lp.lb), _highs_inf(lp.ub)
+    model.row_lower_ = _highs_inf(np.concatenate((np.full(lp.b_ub.size, -np.inf), lp.b_eq)))
+    model.row_upper_ = _highs_inf(np.concatenate((lp.b_ub, lp.b_eq)))
+    h = highs._Highs()
+    if (h.passOptions(opts) == highs.HighsStatus.kError
+            or h.passModel(model) == highs.HighsStatus.kError):
+        raise LpSolveError(f"{lp.name}: HiGHS refused the model")
+    return h
+
+
+def solve_sweep(lp, costs, tol=FEASIBILITY_TOL):
+    """Solve lp under each objective in costs (vectors in lp's sense; lp.c
+    itself is not used), returning one `LpSolution` per cost.
+
+    All points share one HiGHS model: the first cost runs cold, exactly as
+    `solve` would run it, and each later one only changes the costs, so
+    dual simplex starts from the previous optimal basis. Every point is
+    re-checked as in `solve`; duals are not collected.
+    """
+    sign = 1.0 if lp.sense == "min" else -1.0
+    cols = np.arange(lp.c.size, dtype=np.int32)
+    h, out = None, []
+    for i, cost in enumerate(costs):
+        name = f"{lp.name} [cost {i}]"
+        if h is None:
+            h = _highs_model(lp, sign * cost)
+        else:
+            h.changeColsCost(cols.size, cols, sign * cost)
+        if h.run() == highs.HighsStatus.kError:
+            raise LpSolveError(f"{name}: backend failure "
+                               f"({h.modelStatusToString(h.getModelStatus())})")
+        status = h.getModelStatus()
+        if status == highs.HighsModelStatus.kInfeasible:
+            out.append(LpSolution("infeasible", None, None, False))
+            continue
+        if status == highs.HighsModelStatus.kUnbounded:
+            out.append(LpSolution("unbounded", None, None, False))
+            continue
+        if status != highs.HighsModelStatus.kOptimal:
+            raise LpSolveError(f"{name}: backend failure ({h.modelStatusToString(status)})")
+        info = h.getInfo()
+        x = np.array(h.getSolution().col_value)
+        objective, residual, mismatch = _recheck(lp, cost, x, sign * info.objective_function_value,
+                                                 tol, name)
+        out.append(LpSolution("optimal", objective, dict(zip(lp.col_names, x.tolist())), True,
+                              nit=int(info.simplex_iteration_count), residual=residual,
+                              mismatch=mismatch))
+    return out
 
 
 # -- blocks ---------------------------------------------------------------------

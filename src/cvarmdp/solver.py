@@ -36,7 +36,8 @@ oracle is the paper's second program, the full-range level LP
 (`lp.build_level_lp`: min_y max_x v(x, y) with the inner maximum
 dualised, |pairs| + |atoms| rows). Mode "dual-primal", the endpoint scan
 (`endpoint_scan_oracle`, behind `cvarmdp scan`) and `verify_saddle`
-solve it; the default solve does not.
+solve it; the default solve does not. The scan adds one warm-started sweep
+of the average LP over the reward values (`lp.solve_sweep`).
 
 The basic optimum randomizes at most once. For fixed x, e -> v(x, e) is
 convex and piecewise linear with kinks only at the reward atoms of x's
@@ -133,25 +134,33 @@ def _minimax(instance, params):
 def endpoint_scan_oracle(instance, params):
     """Exact independent recomputation of the optimum from the minimax side.
 
+    The envelope y -> max_x v(x, y) at the K reward values is K average
+    LPs over one occupation polytope that differ only in their costs, so
+    they run as one warm-started `lp.solve_sweep` in increasing y; each
+    point starts from the previous one's optimal basis.
+
     For fixed x the objective kinks only at reward values, but the upper
     envelope over the polytope also kinks where two vertex lines cross, so
     the tabulated minimum can exceed the true one. The level LP gives the
     true minimum over the whole range; it replaces the tabulated one only
-    when it is lower by more than rounding.
+    when it is lower by more than rounding (`lp.FEASIBILITY_TOL`, relative
+    to the value above 1): the sweep and the level LP reach the same
+    optimum along different pivots, and their last bits differ.
     """
-    bp = risk.breakpoints(instance)
-    envelope = np.empty(bp.values.size)
-    for i, y in enumerate(bp.values):
-        sol = lp.solve(lp.build_average_lp(instance, float(y), params))
+    ys = risk.breakpoints(instance).values
+    prog = lp.build_average_lp(instance, float(ys[0]), params)
+    sols = lp.solve_sweep(prog, [risk.saddle_coefficients(instance, float(y), params)
+                                 for y in ys])
+    for y, sol in zip(ys, sols):
         if sol.status != "optimal":
             raise SolverError(f"inner occupation LP at y={y} returned {sol.status}")
-        envelope[i] = sol.objective
+    envelope = np.array([sol.objective for sol in sols])
     best = int(np.argmin(envelope))  # leftmost on exact ties
-    y_star, value, interior = float(bp.values[best]), float(envelope[best]), False
+    y_star, value, interior = float(ys[best]), float(envelope[best]), False
     level = _minimax(instance, params)
-    if level.objective < value - 1e-12:
+    if level.objective < value - lp.FEASIBILITY_TOL * max(1.0, abs(value)):
         y_star, value, interior = float(level.values["y"]), float(level.objective), True
-    return ScanResult(ys=bp.values.copy(), envelope=envelope,
+    return ScanResult(ys=ys.copy(), envelope=envelope,
                       y_star=y_star, value=value, interior=interior)
 
 

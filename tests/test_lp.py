@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_chains import sparse_instance
+from test_chains import sparse_instance, sparse_kernels
 
 from cvarmdp import chains, lp, model, risk
 from cvarmdp.lp import Constraint, LinearProgram, Variable
@@ -135,6 +135,63 @@ class TestRecheck:
         patch_backend(monkeypatch, edit)
         with pytest.raises(lp.LpSolveError, match="objective mismatch"):
             lp.solve(prog)
+
+
+def sweep_instances():
+    rng = np.random.default_rng(5)
+    return [model.builtin("example2"), model.builtin("endowment"),
+            model.random_instance(3, 12, 4), sparse_instance(rng, 6, [3] * 6),
+            sparse_instance(rng, 6, [2] * 6, rewards3=True)]
+
+
+class TestSolveSweep:
+    """solve_sweep runs one HiGHS model under a sequence of costs."""
+
+    @pytest.mark.parametrize("inst", sweep_instances(), ids=lambda inst: inst.name)
+    def test_first_point_matches_solve_bit_for_bit(self, inst):
+        params = risk.RiskParams(0.8, 0.5)
+        y = float(risk.breakpoints(inst).values[0])
+        for prog in (lp.build_average_lp(inst, y, params), lp.build_dual_lp(inst, params),
+                     lp.build_level_lp(inst, params)):
+            cold = lp.solve(prog)
+            (first,) = lp.solve_sweep(prog, [prog.c])
+            assert first.status == "optimal"
+            assert first.objective == cold.objective
+            assert first.values == cold.values
+            assert first.duals is None
+            assert 0.0 <= first.residual <= lp.FEASIBILITY_TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(sparse_kernels(), sparse_kernels(rewards3=True)),
+           st.sampled_from([0.0, 0.5, 0.9]), st.sampled_from([0.0, 0.5]))
+    def test_every_point_matches_a_cold_solve(self, inst, alpha, beta):
+        params = risk.RiskParams(alpha, beta)
+        ys = risk.breakpoints(inst).values
+        sweep = lp.solve_sweep(lp.build_average_lp(inst, float(ys[0]), params),
+                               [risk.saddle_coefficients(inst, float(y), params) for y in ys])
+        assert len(sweep) == ys.size
+        for y, point in zip(ys, sweep):
+            cold = lp.solve(lp.build_average_lp(inst, float(y), params))
+            assert point.status == cold.status == "optimal"
+            assert abs(point.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+
+    def test_recheck_refuses_at_negative_tolerance(self):
+        inst, params = model.builtin("example2"), risk.RiskParams(0.7)
+        ys = risk.breakpoints(inst).values
+        with pytest.raises(lp.LpSolveError, match="violates constraints by"):
+            lp.solve_sweep(lp.build_average_lp(inst, float(ys[0]), params),
+                           [risk.saddle_coefficients(inst, float(y), params) for y in ys],
+                           tol=-1.0)
+
+    def test_infeasible_and_unbounded(self):
+        free = (Variable("z", -np.inf, np.inf),)
+        prog = LinearProgram.from_rows("t", "max", {"z": 1.0}, free,
+                                       (Constraint("cap", {"z": 1.0}, "<=", 3.0),))
+        assert [s.status for s in lp.solve_sweep(prog, [np.ones(1), -np.ones(1)])] == [
+            "optimal", "unbounded"]
+        prog = LinearProgram.from_rows("t", "max", {"z": 1.0}, (Variable("z"),),
+                                       (Constraint("neg", {"z": 1.0}, "<=", -1.0),))
+        assert lp.solve_sweep(prog, [np.ones(1)])[0].status == "infeasible"
 
 
 @st.composite

@@ -256,11 +256,18 @@ class TestMinimaxLpCount:
     def test_scan_solves_one_average_per_reward_and_one_level(self, monkeypatch):
         inst = model.builtin("example2")
         names = solved_names(monkeypatch)
+        sweeps = []
+        plain = lp.solve_sweep
+
+        def recording(prog, costs, *args, **kwargs):
+            sweeps.append((prog.name, len(costs)))
+            return plain(prog, costs, *args, **kwargs)
+
+        monkeypatch.setattr(lp, "solve_sweep", recording)
         solver.endpoint_scan_oracle(inst, risk.RiskParams(0.7))
-        k = risk.breakpoints(inst).values.size
-        assert sum("-average(" in n for n in names) == k
-        assert names.count(f"{inst.name}-level") == 1
-        assert len(names) == k + 1
+        ys = risk.breakpoints(inst).values
+        assert sweeps == [(f"{inst.name}-average(y={ys[0]:g})", ys.size)]
+        assert names == [f"{inst.name}-level"]
 
     def test_dual_primal_solves_dual_then_level(self, monkeypatch):
         inst = model.builtin("example2")
@@ -381,6 +388,19 @@ class TestEndpointScan:
             sol = solver.solve_cvar(inst, params)
             scan = solver.endpoint_scan_oracle(inst, params)
             assert abs(scan.value - sol.v_star) <= 2e-6, f"seed {seed}"
+
+    def test_rounding_gap_is_not_interior(self):
+        # Instance 13 of perfbench's scan-dense inputs at seed 2. The level
+        # LP lands on the tabulated argmin y = 98.22, but ~1.6e-12 below
+        # the sweep's envelope value there: a rounding gap, not a kink
+        # between reward values (real interior gaps here are >= 1e-4).
+        inst, params = model.random_instance(106166988, 18, 4), risk.RiskParams(0.9)
+        scan = solver.endpoint_scan_oracle(inst, params)
+        level = lp.solve(lp.build_level_lp(inst, params))
+        assert 1e-12 < scan.value - level.objective <= lp.FEASIBILITY_TOL
+        assert not scan.interior
+        assert scan.y_star == scan.ys[np.argmin(scan.envelope)] == 98.22
+        assert scan.value == scan.envelope.min()
 
 
 class TestVerifySaddle:
