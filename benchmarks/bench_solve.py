@@ -2,15 +2,16 @@
 `verify_saddle`, and wall time of the endpoint scan, by instance size.
 
 Run:  PYTHONPATH=src python3 benchmarks/bench_solve.py [--label after]
-          [--seeds 3] [--out BENCH_solve.json]
+          [--seeds 3] [--out BENCH_solve.json] [--skip sparse-1000x4 ...]
 
 Solve sizes: dense `model.random_instance` 8x3, 20x4, 60x4 and 100x4
 (every kernel entry positive, K = pairs distinct rewards) and sparse 100x4
 and 400x4 from perfbench's `sparse_instance` (3 successors plus a ring edge
-per pair, K = 24). `verify_saddle` runs at the solve sizes on the default
-solve's x*, v* and certificate level; its time leaves the solve out.
-`solve_cvar(mode="dual-primal")` (the occupation LP plus the minimax level
-LP) runs at dense 8x3 and 20x4 and sparse 100x4. Scan sizes:
+per pair, K = 24). `verify_saddle` runs at the solve sizes and sparse
+1000x4 on the default solve's x*, v* and certificate level; its time
+leaves the solve out. `solve_cvar(mode="dual-primal")` (the occupation LP
+plus the minimax level LP) runs at dense 8x3 and 20x4 and sparse 100x4,
+400x4 and 1000x4. Scan sizes:
 `solver.endpoint_scan_oracle` (what `cvarmdp scan` runs: one warm-started
 `lp.solve_sweep` of the average LP over the K reward values, each point
 starting from the previous optimal basis, plus one level LP) on sparse
@@ -23,7 +24,10 @@ grow. A run that raises `LpSolveError`, `SolverError` or
 
 The result is stored under `--label` in the output file; other labels
 already there are kept, so runs of two versions of the package (put each
-on PYTHONPATH in turn) land side by side in one file.
+on PYTHONPATH in turn) land side by side in one file. `--skip` leaves a
+size out of every table. The `before` run in BENCH_solve.json (the level
+LP on dual simplex) skips sparse-1000x4: there that level LP did not
+finish in 600 s, so `verify_saddle` and `dual-primal` could not be timed.
 """
 
 import argparse
@@ -52,10 +56,13 @@ SIZES = (
     ("sparse", 100, 4),
     ("sparse", 400, 4),
 )
+VERIFY = SIZES + (("sparse", 1000, 4),)
 DUAL_PRIMAL = (
     ("dense", 8, 3),
     ("dense", 20, 4),
     ("sparse", 100, 4),
+    ("sparse", 400, 4),
+    ("sparse", 1000, 4),
 )
 SCANS = (
     ("sparse", 100, 4),
@@ -165,19 +172,24 @@ def main():
     ap.add_argument("--label", default="current", help="key the run is stored under")
     ap.add_argument("--seeds", type=int, default=3, help="instances per size")
     ap.add_argument("--out", default="BENCH_solve.json")
+    ap.add_argument("--skip", action="append", default=[], metavar="KIND-SxA",
+                    help="leave a size out, e.g. sparse-1000x4 (repeatable)")
     args = ap.parse_args()
+
+    def kept(sizes):
+        return [size for size in sizes if "{}-{}x{}".format(*size) not in args.skip]
 
     solver.solve_cvar(model.random_instance(0, 4, 2), PARAMS)  # warm-up
     solver.endpoint_scan_oracle(model.random_instance(0, 4, 2), PARAMS)
     rows, verify, dual_primal, scans = [], [], [], []
-    for kind, n_states, n_actions in SIZES:
+    for kind, n_states, n_actions in kept(SIZES):
         rows.append(_report("solve", bench_size(kind, n_states, n_actions, args.seeds)))
-    for kind, n_states, n_actions in SIZES:
+    for kind, n_states, n_actions in kept(VERIFY):
         verify.append(_report("verify", bench_verify(kind, n_states, n_actions, args.seeds)))
-    for kind, n_states, n_actions in DUAL_PRIMAL:
+    for kind, n_states, n_actions in kept(DUAL_PRIMAL):
         dual_primal.append(_report("dual-primal", bench_size(kind, n_states, n_actions,
                                                              args.seeds, mode="dual-primal")))
-    for kind, n_states, n_actions in SCANS:
+    for kind, n_states, n_actions in kept(SCANS):
         scans.append(_report("scan", bench_scan(kind, n_states, n_actions, args.seeds)))
 
     out = Path(args.out)

@@ -4,16 +4,20 @@ solver needs.
 A program is what HiGHS reads: min or max c @ x subject to A_ub @ x <= b_ub,
 A_eq @ x = b_eq and lb <= x <= ub, with CSR matrices that store no zeros,
 plus one name per column and one per row. The builders assemble the arrays
-with numpy from the instance's kernel, pair layout and `reward_atoms`. `solve` hands
-them to HiGHS dual simplex (basic solutions, deterministic for identical
-input) and re-checks the point with A @ x - b and the bounds; a numerical
-failure raises instead of masquerading as "optimal". `solve_sweep` solves
-one program under a sequence of objectives on one HiGHS model, so each
-objective after the first starts from the previous optimal basis; it backs
-the endpoint scan, whose average programs differ only in their costs.
-`solve` stays on `linprog`: the benchmark's span tracing
-(`perfbench/spans.py`) times HiGHS by wrapping `lp.linprog`, so moving
-`solve` onto the same model code goes with a change to that harness.
+with numpy from the instance's kernel, pair layout and `reward_atoms`.
+
+`solve` and `solve_sweep` load a program into one HiGHS simplex model
+(basic solutions, deterministic for identical input) and re-check every
+point with A @ x - b and the bounds; a numerical failure raises instead of
+masquerading as "optimal". `solve` runs one cost and reads the shadow
+prices too; `solve_sweep` runs a sequence of objectives on the same model,
+so each objective after the first starts from the previous optimal basis,
+which backs the endpoint scan, whose average programs differ only in their
+costs. The simplex direction is the program's own (`LinearProgram.simplex`),
+set by its builder: `build_level_lp`, which dualises the occupation
+polytope, pivots primal, because dual simplex takes thousands of
+iterations on it where primal takes hundreds; every other program pivots
+dual, the faster direction on the occupation programs.
 `Variable` and `Constraint` are a named view built on demand for LP-file
 export and hand-written programs (`LinearProgram.from_rows`); solving
 never builds it.
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  unused here; perfbench/spans.py wraps lp.linprog
 from scipy.optimize._highspy import _core as highs
 from scipy.sparse import csc_array, csr_array, vstack
 
@@ -36,6 +40,8 @@ FEASIBILITY_TOL = 1e-8
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10}
 
 RELATIONS = ("<=", "=", ">=")
+SIMPLEX = {"dual": highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+           "primal": highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal}
 
 
 class LpSolveError(RuntimeError):
@@ -75,7 +81,8 @@ class LinearProgram:
     row_names names the A_ub rows, then the A_eq rows. ub_sign[i] is +1
     when A_ub row i was written "<=" and -1 when it was written ">=" and
     is stored negated; shadow prices and the named view refer to the row
-    as written. A missing block has no rows.
+    as written. A missing block has no rows. simplex ("dual" or "primal")
+    is the direction HiGHS pivots in, chosen by the program's builder.
     """
 
     name: str
@@ -90,10 +97,13 @@ class LinearProgram:
     ub_sign: np.ndarray | None = None
     A_eq: csr_array | None = None
     b_eq: np.ndarray | None = None
+    simplex: str = "dual"
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
+        if self.simplex not in SIMPLEX:
+            raise ValueError(f"simplex must be one of {tuple(SIMPLEX)}, got {self.simplex!r}")
         for field in ("A_ub", "b_ub", "ub_sign", "A_eq", "b_eq"):
             if getattr(self, field) is None:
                 empty = csr_array((0, self.c.size)) if field[0] == "A" else np.zeros(0)
@@ -201,44 +211,18 @@ def _recheck(lp, cost, x, backend_objective, tol, name):
     return objective, residual, float(mismatch)
 
 
-def solve(lp, tol=FEASIBILITY_TOL):
-    """Solve an LP with HiGHS dual simplex.
-
-    The simplex method returns a basic solution, an extreme point of the
-    feasible region, which is what bounds the solver's randomization count.
-    Identical programs yield identical solutions across runs.
-    """
-    sign = 1.0 if lp.sense == "min" else -1.0
-    res = linprog(sign * lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
-                  bounds=np.column_stack((lp.lb, lp.ub)), method="highs-ds",
-                  options=HIGHS_OPTIONS)
-    if res.status == 2:
-        return LpSolution("infeasible", None, None, False)
-    if res.status == 3:
-        return LpSolution("unbounded", None, None, False)
-    if res.status != 0 or res.x is None:
-        raise LpSolveError(f"{lp.name}: backend failure ({res.message})")
-    x = res.x
-    objective, residual, mismatch = _recheck(lp, lp.c, x, sign * res.fun, tol, lp.name)
-    prices = np.concatenate((sign * lp.ub_sign * res.ineqlin.marginals,
-                             sign * res.eqlin.marginals))
-    return LpSolution("optimal", objective, dict(zip(lp.col_names, x.tolist())), True,
-                      duals=dict(zip(lp.row_names, prices.tolist())),
-                      nit=int(res.nit), residual=residual, mismatch=mismatch)
-
-
 def _highs_inf(v):
     return np.where(np.isinf(v), np.copysign(highs.kHighsInf, v), v)
 
 
 def _highs_model(lp, c):
-    """A HiGHS model of lp minimising c, loaded the way
-    `linprog(method="highs-ds")` loads it: A_ub over A_eq in CSC form, rows
-    -inf/b_eq <= A x <= b_ub/b_eq, dual simplex with presolve on."""
+    """A HiGHS model of lp minimising c, loaded the way `linprog` loads it:
+    A_ub over A_eq in CSC form, rows -inf/b_eq <= A x <= b_ub/b_eq, simplex
+    in lp's direction with presolve on."""
     opts = highs.HighsOptions()
     opts.presolve = "on"
     opts.solver = "simplex"
-    opts.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.simplex_strategy = SIMPLEX[lp.simplex]
     opts.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
     opts.output_flag = opts.log_to_console = False
     for key, val in HIGHS_OPTIONS.items():
@@ -261,43 +245,92 @@ def _highs_model(lp, c):
     return h
 
 
+@dataclass
+class _HighsPoint:
+    """One HiGHS run as it came back, before any re-check: the status and,
+    when optimal, the point x, the objective HiGHS reports for the cost it
+    minimised, its simplex iteration count and its row duals (A_ub rows,
+    then A_eq rows, as HiGHS signs them)."""
+
+    status: str  # optimal | infeasible | unbounded
+    x: np.ndarray | None = None
+    fun: float | None = None
+    nit: int = 0
+    row_dual: np.ndarray | None = None
+
+
+_CLOSED = {highs.HighsModelStatus.kInfeasible: "infeasible",
+           highs.HighsModelStatus.kUnbounded: "unbounded"}
+
+
+def _run_highs(h, name):
+    """Run HiGHS model h and return its raw `_HighsPoint`. A run error or a
+    status other than optimal, infeasible or unbounded raises."""
+    if h.run() == highs.HighsStatus.kError:
+        raise LpSolveError(f"{name}: backend failure "
+                           f"({h.modelStatusToString(h.getModelStatus())})")
+    status = h.getModelStatus()
+    if status in _CLOSED:
+        return _HighsPoint(_CLOSED[status])
+    if status != highs.HighsModelStatus.kOptimal:
+        raise LpSolveError(f"{name}: backend failure ({h.modelStatusToString(status)})")
+    info, sol = h.getInfo(), h.getSolution()
+    return _HighsPoint("optimal", np.array(sol.col_value), info.objective_function_value,
+                      int(info.simplex_iteration_count), np.array(sol.row_dual))
+
+
+def _sign(lp):
+    """+1 for a "min" program, -1 for a "max" one, which HiGHS minimises negated."""
+    return 1.0 if lp.sense == "min" else -1.0
+
+
+def _solution(h, lp, cost, tol, name, duals):
+    """Run h, which minimises _sign(lp) * cost, re-check its point and wrap
+    it as an `LpSolution`, with shadow prices when duals is true."""
+    sign = _sign(lp)
+    point = _run_highs(h, name)
+    if point.status != "optimal":
+        return LpSolution(point.status, None, None, False)
+    objective, residual, mismatch = _recheck(lp, cost, point.x, sign * point.fun, tol, name)
+    prices = None
+    if duals:
+        flips = sign * np.concatenate((lp.ub_sign, np.ones(lp.b_eq.size)))
+        prices = dict(zip(lp.row_names, (flips * point.row_dual).tolist()))
+    return LpSolution("optimal", objective, dict(zip(lp.col_names, point.x.tolist())), True,
+                      duals=prices, nit=point.nit, residual=residual, mismatch=mismatch)
+
+
+def solve(lp, tol=FEASIBILITY_TOL):
+    """Solve an LP with HiGHS simplex in the program's direction
+    (`lp.simplex`), returning the point, the re-check's figures and the
+    shadow prices.
+
+    The simplex method returns a basic solution, an extreme point of the
+    feasible region, which is what bounds the solver's randomization count.
+    Identical programs yield identical solutions across runs, and
+    `solve_sweep(lp, [lp.c])[0]` runs the same model to the same point.
+    """
+    return _solution(_highs_model(lp, _sign(lp) * lp.c), lp, lp.c, tol, lp.name, duals=True)
+
+
 def solve_sweep(lp, costs, tol=FEASIBILITY_TOL):
     """Solve lp under each objective in costs (vectors in lp's sense; lp.c
     itself is not used), returning one `LpSolution` per cost.
 
     All points share one HiGHS model: the first cost runs cold, exactly as
     `solve` would run it, and each later one only changes the costs, so
-    dual simplex starts from the previous optimal basis. Every point is
+    the simplex starts from the previous optimal basis. Every point is
     re-checked as in `solve`; duals are not collected.
     """
-    sign = 1.0 if lp.sense == "min" else -1.0
+    sign = _sign(lp)
     cols = np.arange(lp.c.size, dtype=np.int32)
     h, out = None, []
     for i, cost in enumerate(costs):
-        name = f"{lp.name} [cost {i}]"
         if h is None:
             h = _highs_model(lp, sign * cost)
         else:
             h.changeColsCost(cols.size, cols, sign * cost)
-        if h.run() == highs.HighsStatus.kError:
-            raise LpSolveError(f"{name}: backend failure "
-                               f"({h.modelStatusToString(h.getModelStatus())})")
-        status = h.getModelStatus()
-        if status == highs.HighsModelStatus.kInfeasible:
-            out.append(LpSolution("infeasible", None, None, False))
-            continue
-        if status == highs.HighsModelStatus.kUnbounded:
-            out.append(LpSolution("unbounded", None, None, False))
-            continue
-        if status != highs.HighsModelStatus.kOptimal:
-            raise LpSolveError(f"{name}: backend failure ({h.modelStatusToString(status)})")
-        info = h.getInfo()
-        x = np.array(h.getSolution().col_value)
-        objective, residual, mismatch = _recheck(lp, cost, x, sign * info.objective_function_value,
-                                                 tol, name)
-        out.append(LpSolution("optimal", objective, dict(zip(lp.col_names, x.tolist())), True,
-                              nit=int(info.simplex_iteration_count), residual=residual,
-                              mismatch=mismatch))
+        out.append(_solution(h, lp, cost, tol, f"{lp.name} [cost {i}]", duals=False))
     return out
 
 
@@ -437,6 +470,10 @@ def build_level_lp(instance, params):
     through w >= r - y, w >= 0 yields min_y max_x v(x, y) exactly, including
     tail levels strictly between reward values (where the upper envelope of
     the vertex lines has a crossing). y ranges over the reward bounds [L, U].
+
+    The program pivots primal: dual simplex on it runs about fifteen times
+    as many iterations (sparse 400x4: about 8,800 against 590) and did not
+    finish in 600 s at sparse 1000x4.
     """
     lo, hi = instance.reward_bounds()
     inv = 1.0 / (1.0 - params.alpha)
@@ -461,7 +498,8 @@ def build_level_lp(instance, params):
                          [f"u_{s}" for s in range(m)] + ["u0", "y"] + w_names,
                          [f"price_{q}" for q in range(n)] + exc_rows,
                          A_ub=vstack((price, a_exc), format="csr"),
-                         b_ub=np.concatenate((-rhs, b_exc)), ub_sign=np.full(n + n_w, -1.0))
+                         b_ub=np.concatenate((-rhs, b_exc)), ub_sign=np.full(n + n_w, -1.0),
+                         simplex="primal")
 
 
 def build_sparsify_lp(instance, y_star, params, delta):

@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_chains import sparse_instance, sparse_kernels
 
-from cvarmdp import chains, lp, model, risk
+from cvarmdp import chains, lp, model, risk, solver
 from cvarmdp.lp import Constraint, LinearProgram, Variable
 
 
@@ -82,16 +83,16 @@ class TestSolve:
 
 
 def patch_backend(monkeypatch, edit):
-    """Let HiGHS solve, then pass its result through `edit` before solve
+    """Let HiGHS solve, then pass its raw point through `edit` before solve
     re-checks it."""
-    real = lp.linprog
+    real = lp._run_highs
 
     def patched(*args, **kwargs):
         res = real(*args, **kwargs)
         edit(res)
         return res
 
-    monkeypatch.setattr(lp, "linprog", patched)
+    monkeypatch.setattr(lp, "_run_highs", patched)
 
 
 def shifted(column, by):
@@ -192,6 +193,28 @@ class TestSolveSweep:
         prog = LinearProgram.from_rows("t", "max", {"z": 1.0}, (Variable("z"),),
                                        (Constraint("neg", {"z": 1.0}, "<=", -1.0),))
         assert lp.solve_sweep(prog, [np.ones(1)])[0].status == "infeasible"
+
+
+def test_level_lp_pivots_primal(monkeypatch):
+    """The level program dualises the occupation polytope; dual simplex
+    took about 8,800 iterations on this one, primal simplex under 600, to
+    the occupation LP's optimum."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import sparse_instance as perfbench_sparse_instance
+
+    inst, params = perfbench_sparse_instance(1, 400, 4), risk.RiskParams(0.8, 0.5)
+    level, dual = lp.build_level_lp(inst, params), lp.build_dual_lp(inst, params)
+    assert (level.simplex, dual.simplex) == ("primal", "dual")
+    sol = lp.solve(level)
+    assert sol.status == "optimal"
+    assert sol.nit <= 2000
+    assert abs(sol.objective - lp.solve(dual).objective) <= solver.CERT_TOL
+
+
+def test_unknown_simplex_direction_refused():
+    with pytest.raises(ValueError, match="simplex must be one of"):
+        LinearProgram("t", "min", np.zeros(1), np.zeros(1), np.ones(1), ["z"], [],
+                      simplex="barrier")
 
 
 @st.composite
