@@ -52,8 +52,10 @@ class RunConfig:
     def __post_init__(self):
         if self.alpha is not None and not 0.0 <= self.alpha < 1.0:
             raise InputError(f"--alpha must lie in [0, 1), got {self.alpha}")
-        if self.beta < 0.0:
-            raise InputError(f"--beta must be nonnegative, got {self.beta}")
+        if not 0.0 <= self.beta < np.inf:
+            raise InputError(f"--beta must be finite and nonnegative, got {self.beta}")
+        if self.tol is not None and not 0.0 <= self.tol < np.inf:
+            raise InputError(f"--tol must be finite and nonnegative, got {self.tol}")
         sources = [s for s in (self.builtin, self.instance_path, self.gen) if s is not None]
         if self.command not in ("gen",) and len(sources) != 1:
             raise InputError("give exactly one instance source: --builtin, --instance, or --gen")

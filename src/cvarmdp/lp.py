@@ -1,23 +1,25 @@
 """Linear programs as sparse arrays, and the builders for every program the
 solver needs.
 
-A program is what HiGHS reads: min or max c @ x subject to A_ub @ x <= b_ub,
-A_eq @ x = b_eq and lb <= x <= ub, with CSR matrices that store no zeros,
-plus one name per column and one per row. The builders assemble the arrays
-with numpy from the instance's kernel, pair layout and `reward_atoms`.
+A program is what HiGHS reads: min or max c @ x subject to
+row_lo <= A @ x <= row_hi and lb <= x <= ub, with one CSR matrix A that
+stores no zeros and keeps every row as written (see `LinearProgram`),
+plus one name per column and one per row. The builders assemble the
+arrays with numpy from the instance's kernel, pair layout and `reward_atoms`.
 
 `solve` and `solve_sweep` load a program into one HiGHS simplex model
 (basic solutions, deterministic for identical input) and re-check every
-point with A @ x - b and the bounds; a numerical failure raises instead of
-masquerading as "optimal". `solve` runs one cost and reads the shadow
-prices too; `solve_sweep` runs a sequence of objectives on the same model,
-so each objective after the first starts from the previous optimal basis,
-which backs the endpoint scan, whose average programs differ only in their
-costs. The simplex direction is the program's own (`LinearProgram.simplex`),
-set by its builder: `build_level_lp`, which dualises the occupation
-polytope, pivots primal, because dual simplex takes thousands of
-iterations on it where primal takes hundreds; every other program pivots
-dual, the faster direction on the occupation programs.
+point against the row and column bounds; a numerical failure raises
+instead of masquerading as "optimal". `solve` runs one cost and reads the
+shadow prices too; `solve_sweep` runs a sequence of objectives on the same
+model, so each objective after the first starts from the previous optimal
+basis, which backs the endpoint scan, whose average programs differ only
+in their costs. The simplex direction is the program's own
+(`LinearProgram.simplex`), set by its builder: `build_level_lp`, which
+dualises the occupation polytope, pivots primal, because dual simplex
+takes thousands of iterations on it where primal takes hundreds; every
+other program pivots dual, the faster direction on the occupation
+programs.
 `Variable` and `Constraint` are a named view built on demand for LP-file
 export and hand-written programs (`LinearProgram.from_rows`); solving
 never builds it.
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog  # noqa: F401  unused here; perfbench/spans.py wraps lp.linprog
 from scipy.optimize._highspy import _core as highs
-from scipy.sparse import csc_array, csr_array, vstack
+from scipy.sparse import csr_array, vstack
 
 from .risk import breakpoints, saddle_coefficients
 
@@ -76,13 +78,14 @@ def _matrix(shape, rows, cols, vals):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min or max c @ x s.t. A_ub @ x <= b_ub, A_eq @ x = b_eq, lb <= x <= ub.
+    """min or max c @ x s.t. row_lo <= A @ x <= row_hi, lb <= x <= ub.
 
-    row_names names the A_ub rows, then the A_eq rows. ub_sign[i] is +1
-    when A_ub row i was written "<=" and -1 when it was written ">=" and
-    is stored negated; shadow prices and the named view refer to the row
-    as written. A missing block has no rows. simplex ("dual" or "primal")
-    is the direction HiGHS pivots in, chosen by the program's builder.
+    A is CSR with one row per row_names entry, each row as written: an
+    equality has row_lo == row_hi, a "<=" row row_lo = -inf and a ">=" row
+    row_hi = +inf. A ranged row (both bounds finite and unequal) is
+    refused, because the named view cannot write one. simplex ("dual" or
+    "primal") is the direction HiGHS pivots in, chosen by the program's
+    builder.
     """
 
     name: str
@@ -91,12 +94,10 @@ class LinearProgram:
     lb: np.ndarray
     ub: np.ndarray
     col_names: list
+    A: csr_array
+    row_lo: np.ndarray
+    row_hi: np.ndarray
     row_names: list
-    A_ub: csr_array | None = None
-    b_ub: np.ndarray | None = None
-    ub_sign: np.ndarray | None = None
-    A_eq: csr_array | None = None
-    b_eq: np.ndarray | None = None
     simplex: str = "dual"
 
     def __post_init__(self):
@@ -104,15 +105,17 @@ class LinearProgram:
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         if self.simplex not in SIMPLEX:
             raise ValueError(f"simplex must be one of {tuple(SIMPLEX)}, got {self.simplex!r}")
-        for field in ("A_ub", "b_ub", "ub_sign", "A_eq", "b_eq"):
-            if getattr(self, field) is None:
-                empty = csr_array((0, self.c.size)) if field[0] == "A" else np.zeros(0)
-                object.__setattr__(self, field, empty)
+        ranged = np.flatnonzero(np.isfinite(self.row_lo) & np.isfinite(self.row_hi)
+                                & (self.row_lo != self.row_hi))
+        if ranged.size:
+            i = ranged[0]
+            raise ValueError(f"row {self.row_names[i]!r} is ranged ({self.row_lo[i]:g} <= "
+                             f"a x <= {self.row_hi[i]:g}); write it as two rows")
 
     @classmethod
     def from_rows(cls, name, sense, objective, variables, constraints):
         """A program from named `Variable`s, an objective {name: coef} and
-        `Constraint`s."""
+        `Constraint`s, whose rows keep the order given."""
         col = {v.name: i for i, v in enumerate(variables)}
         if len(col) != len(variables) or len({c.name for c in constraints}) != len(constraints):
             raise ValueError("duplicate variable or constraint names")
@@ -123,23 +126,17 @@ class LinearProgram:
         n = len(variables)
         c = np.zeros(n)
         c[[col[nm] for nm in objective]] = list(objective.values())
-        ub_rows = [con for con in constraints if con.relation != "="]
-        eq_rows = [con for con in constraints if con.relation == "="]
-        ub_sign = np.array([1.0 if con.relation == "<=" else -1.0 for con in ub_rows])
-
-        def block(rows, signs):
-            trip = [(i, col[nm], s * coef) for i, (con, s) in enumerate(zip(rows, signs))
-                    for nm, coef in con.coeffs.items()]
-            r, k, v = zip(*trip) if trip else ((), (), ())
-            return (_matrix((len(rows), n), r, k, v),
-                    np.array([s * con.rhs for con, s in zip(rows, signs)], dtype=float))
-
-        a_ub, b_ub = block(ub_rows, ub_sign)
-        a_eq, b_eq = block(eq_rows, np.ones(len(eq_rows)))
+        trip = [(i, col[nm], coef) for i, con in enumerate(constraints)
+                for nm, coef in con.coeffs.items()]
+        rows, cols, vals = zip(*trip) if trip else ((), (), ())
         return cls(name, sense, c, np.array([v.lb for v in variables], dtype=float),
                    np.array([v.ub for v in variables], dtype=float), [v.name for v in variables],
-                   [con.name for con in ub_rows + eq_rows],
-                   A_ub=a_ub, b_ub=b_ub, ub_sign=ub_sign, A_eq=a_eq, b_eq=b_eq)
+                   _matrix((len(constraints), n), rows, cols, vals),
+                   np.array([-np.inf if con.relation == "<=" else con.rhs for con in constraints],
+                            dtype=float),
+                   np.array([np.inf if con.relation == ">=" else con.rhs for con in constraints],
+                            dtype=float),
+                   [con.name for con in constraints])
 
     # -- named view, built on demand --------------------------------------------
 
@@ -153,17 +150,14 @@ class LinearProgram:
 
     @property
     def constraints(self):
+        names = [self.col_names[j] for j in self.A.indices.tolist()]
+        coeffs, ends = self.A.data.tolist(), self.A.indptr.tolist()
         out = []
-        blocks = ((self.A_ub, self.b_ub, self.ub_sign, ["<=" if s > 0.0 else ">=" for s in self.ub_sign]),
-                  (self.A_eq, self.b_eq, np.ones(len(self.b_eq)), ["="] * len(self.b_eq)))
-        for a, b, signs, relations in blocks:
-            names = [self.col_names[j] for j in a.indices.tolist()]
-            coeffs = (a.data * np.repeat(signs, np.diff(a.indptr))).tolist()
-            ends = a.indptr.tolist()
-            for i, rhs in enumerate((signs * b).tolist()):
-                lo, hi = ends[i], ends[i + 1]
-                out.append(Constraint(self.row_names[len(out)], dict(zip(names[lo:hi], coeffs[lo:hi])),
-                                      relations[i], rhs))
+        for i, (lo, hi) in enumerate(zip(self.row_lo.tolist(), self.row_hi.tolist())):
+            relation, rhs = ("=", lo) if lo == hi else ("<=", hi) if lo == -np.inf else (">=", lo)
+            start, stop = ends[i], ends[i + 1]
+            out.append(Constraint(self.row_names[i], dict(zip(names[start:stop], coeffs[start:stop])),
+                                  relation, rhs))
         return tuple(out)
 
 
@@ -184,14 +178,10 @@ class LpSolution:
     status: str  # optimal | infeasible | unbounded
     objective: float | None
     values: dict | None
-    vertex: bool
     duals: dict | None = None
     nit: int = 0
     residual: float | None = None
     mismatch: float | None = None
-
-    def __getitem__(self, name):
-        return self.values[name]
 
 
 def _recheck(lp, cost, x, backend_objective, tol, name):
@@ -199,8 +189,9 @@ def _recheck(lp, cost, x, backend_objective, tol, name):
     program's sense): the worst constraint or bound violation must be at
     most tol, and the backend's objective must match cost @ x. Returns
     (objective, residual, mismatch)."""
-    residual = float(np.max([np.max(lp.A_ub @ x - lp.b_ub, initial=0.0),
-                             np.max(np.abs(lp.A_eq @ x - lp.b_eq), initial=0.0),
+    ax = lp.A @ x
+    residual = float(np.max([np.max(lp.row_lo - ax, initial=0.0),
+                             np.max(ax - lp.row_hi, initial=0.0),
                              np.max(lp.lb - x, initial=0.0), np.max(x - lp.ub, initial=0.0)]))
     if not residual <= tol:
         raise LpSolveError(f"{name}: solution violates constraints by {residual:.3g}")
@@ -216,9 +207,8 @@ def _highs_inf(v):
 
 
 def _highs_model(lp, c):
-    """A HiGHS model of lp minimising c, loaded the way `linprog` loads it:
-    A_ub over A_eq in CSC form, rows -inf/b_eq <= A x <= b_ub/b_eq, simplex
-    in lp's direction with presolve on."""
+    """A HiGHS model of lp minimising c: lp.A row-wise as it is stored, with
+    its row bounds, simplex in lp's direction with presolve on."""
     opts = highs.HighsOptions()
     opts.presolve = "on"
     opts.solver = "simplex"
@@ -227,17 +217,16 @@ def _highs_model(lp, c):
     opts.output_flag = opts.log_to_console = False
     for key, val in HIGHS_OPTIONS.items():
         setattr(opts, key, val)
-    a = csc_array(vstack((lp.A_ub, lp.A_eq)))
+    a = lp.A
     model = highs.HighsLp()
     model.num_col_, model.num_row_ = a.shape[1], a.shape[0]
     model.a_matrix_.num_col_, model.a_matrix_.num_row_ = a.shape[1], a.shape[0]
-    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.format_ = highs.MatrixFormat.kRowwise
     model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
         a.indptr, a.indices, a.data)
     model.col_cost_ = c
     model.col_lower_, model.col_upper_ = _highs_inf(lp.lb), _highs_inf(lp.ub)
-    model.row_lower_ = _highs_inf(np.concatenate((np.full(lp.b_ub.size, -np.inf), lp.b_eq)))
-    model.row_upper_ = _highs_inf(np.concatenate((lp.b_ub, lp.b_eq)))
+    model.row_lower_, model.row_upper_ = _highs_inf(lp.row_lo), _highs_inf(lp.row_hi)
     h = highs._Highs()
     if (h.passOptions(opts) == highs.HighsStatus.kError
             or h.passModel(model) == highs.HighsStatus.kError):
@@ -249,8 +238,8 @@ def _highs_model(lp, c):
 class _HighsPoint:
     """One HiGHS run as it came back, before any re-check: the status and,
     when optimal, the point x, the objective HiGHS reports for the cost it
-    minimised, its simplex iteration count and its row duals (A_ub rows,
-    then A_eq rows, as HiGHS signs them)."""
+    minimised, its simplex iteration count and its row duals (one per row
+    of the program, as HiGHS signs them)."""
 
     status: str  # optimal | infeasible | unbounded
     x: np.ndarray | None = None
@@ -290,13 +279,10 @@ def _solution(h, lp, cost, tol, name, duals):
     sign = _sign(lp)
     point = _run_highs(h, name)
     if point.status != "optimal":
-        return LpSolution(point.status, None, None, False)
+        return LpSolution(point.status, None, None)
     objective, residual, mismatch = _recheck(lp, cost, point.x, sign * point.fun, tol, name)
-    prices = None
-    if duals:
-        flips = sign * np.concatenate((lp.ub_sign, np.ones(lp.b_eq.size)))
-        prices = dict(zip(lp.row_names, (flips * point.row_dual).tolist()))
-    return LpSolution("optimal", objective, dict(zip(lp.col_names, point.x.tolist())), True,
+    prices = dict(zip(lp.row_names, (sign * point.row_dual).tolist())) if duals else None
+    return LpSolution("optimal", objective, dict(zip(lp.col_names, point.x.tolist())),
                       duals=prices, nit=point.nit, residual=residual, mismatch=mismatch)
 
 
@@ -354,10 +340,24 @@ def _unit(n, i):
     return out
 
 
+def _rows(a, relation, rhs, names):
+    """A block of rows a @ x (relation) rhs, as (A, row_lo, row_hi, names)."""
+    rhs = np.asarray(rhs, dtype=float)
+    free = np.full(rhs.size, np.inf)
+    return a, -free if relation == "<=" else rhs, free if relation == ">=" else rhs, names
+
+
+def _stack(*blocks):
+    """The (A, row_lo, row_hi, row_names) of row blocks stacked in order."""
+    mats, lo, hi, names = zip(*blocks)
+    return (mats[0] if len(mats) == 1 else vstack(mats, format="csr"),
+            np.concatenate(lo), np.concatenate(hi), [nm for block in names for nm in block])
+
+
 def _polytope(instance, n_cols):
     """Flow balance per state plus total mass one over the first n_pairs
-    columns: balance row j is [pair_state == j] - kernel[:, j], the norm row
-    all ones. Returns (A_eq, b_eq, row names)."""
+    columns: balance row j is [pair_state == j] - kernel[:, j] = 0, the
+    norm row all ones = 1. Returns a `_rows` block."""
     n, m = instance.n_pairs, instance.n_states
     k, j = np.nonzero(instance.kernel)
     pairs = np.arange(n)
@@ -365,7 +365,7 @@ def _polytope(instance, n_cols):
                 np.concatenate((instance.pair_state, j, np.full(n, m))),
                 np.concatenate((pairs, k, pairs)),
                 np.concatenate((np.ones(n), -instance.kernel[k, j], np.ones(n))))
-    return a, _unit(m + 1, m), [f"balance_{s}" for s in range(m)] + ["norm"]
+    return _rows(a, "=", _unit(m + 1, m), [f"balance_{s}" for s in range(m)] + ["norm"])
 
 
 def _mean_rewards(instance):
@@ -377,10 +377,10 @@ def _mean_rewards(instance):
 
 
 def _excess(instance, y_col, w_col):
-    """Rows w >= r - y, one per excess variable w, that is per reward
+    """Rows w + y >= r, one per excess variable w, that is per reward
     values[k, c] of `reward_atoms` paid with positive probability (in
-    `np.nonzero(probs)` order), stored as -w - y <= -r. The w columns come
-    last, from w_col. Returns (A_ub, b_ub, row names, w column names)."""
+    `np.nonzero(probs)` order). The w columns come last, from w_col.
+    Returns a `_rows` block and the w column names."""
     values, probs = instance.reward_atoms
     k, c = np.nonzero(probs)
     sfx, n_w = _pair_suffixes(instance), k.size
@@ -390,8 +390,8 @@ def _excess(instance, y_col, w_col):
     rows = [f"excess_{q}{t}" for q, t in zip(k.tolist(), cols)]
     e = np.arange(n_w)
     a = _matrix((n_w, w_col + n_w), np.concatenate((e, e)),
-                np.concatenate((w_col + e, np.full(n_w, y_col))), np.full(2 * n_w, -1.0))
-    return a, -values[k, c], rows, w_names
+                np.concatenate((w_col + e, np.full(n_w, y_col))), np.ones(2 * n_w))
+    return _rows(a, ">=", values[k, c], rows), w_names
 
 
 # -- builders -----------------------------------------------------------------
@@ -404,10 +404,9 @@ def build_average_lp(instance, y, params):
     average-reward occupation LP with per-pair coefficients c_k(y).
     """
     n = instance.n_pairs
-    a_eq, b_eq, rows = _polytope(instance, n)
     return LinearProgram(f"{instance.name}-average(y={y:g})", "max",
                          saddle_coefficients(instance, y, params), np.zeros(n),
-                         np.full(n, np.inf), _x_names(instance), rows, A_eq=a_eq, b_eq=b_eq)
+                         np.full(n, np.inf), _x_names(instance), *_stack(_polytope(instance, n)))
 
 
 def build_dual_lp(instance, params, grid=None):
@@ -422,14 +421,13 @@ def build_dual_lp(instance, params, grid=None):
     ends = breakpoints(instance).values if grid is None else grid
     n, n_tail = instance.n_pairs, len(ends)
     tail = np.array([saddle_coefficients(instance, float(e), params) for e in ends])
-    a_eq, b_eq, rows = _polytope(instance, n + 1)
-    # v(x, e) - z2 >= 0, stored negated
+    # v(x, e) - z2 >= 0
     return LinearProgram(f"{instance.name}-dual", "max", _unit(n + 1, n),
                          np.append(np.zeros(n), -np.inf), np.full(n + 1, np.inf),
-                         _x_names(instance) + ["z2"], [f"tail_{i}" for i in range(n_tail)] + rows,
-                         A_ub=csr_array(np.column_stack((-tail, np.ones(n_tail)))),
-                         b_ub=-np.zeros(n_tail), ub_sign=np.full(n_tail, -1.0),
-                         A_eq=a_eq, b_eq=b_eq)
+                         _x_names(instance) + ["z2"],
+                         *_stack(_rows(csr_array(np.column_stack((tail, -np.ones(n_tail)))), ">=",
+                                       np.zeros(n_tail), [f"tail_{i}" for i in range(n_tail)]),
+                                 _polytope(instance, n + 1)))
 
 
 def build_primal_lp(instance, vertices, params):
@@ -450,14 +448,12 @@ def build_primal_lp(instance, vertices, params):
     # columns y, z1, w; vertex row l: (sum x^l) y - z1 + x^l w / (1-alpha) <= -beta mean
     vertex = csr_array(np.column_stack(([xl.sum() for xl in xs], np.full(len(xs), -1.0), w)))
     n_cols = vertex.shape[1]
-    a_exc, b_exc, exc_rows, w_names = _excess(instance, 0, 2)
+    excess, w_names = _excess(instance, 0, 2)
     return LinearProgram(f"{instance.name}-primal", "min", _unit(n_cols, 1),
                          np.concatenate(([lo, -np.inf], np.zeros(n_cols - 2))),
-                         np.concatenate(([hi], np.full(n_cols - 1, np.inf))),
-                         ["y", "z1"] + w_names, [f"vertex_{l}" for l in range(len(xs))] + exc_rows,
-                         A_ub=vstack((vertex, a_exc), format="csr"),
-                         b_ub=np.concatenate((-params.beta * np.array(mean), b_exc)),
-                         ub_sign=np.concatenate((np.ones(len(xs)), -np.ones(b_exc.size))))
+                         np.concatenate(([hi], np.full(n_cols - 1, np.inf))), ["y", "z1"] + w_names,
+                         *_stack(_rows(vertex, "<=", -params.beta * np.array(mean),
+                                       [f"vertex_{l}" for l in range(len(xs))]), excess))
 
 
 def build_level_lp(instance, params):
@@ -485,20 +481,18 @@ def build_level_lp(instance, params):
     probs = instance.reward_atoms[1]
     w_rows, w_at = np.nonzero(probs)  # the rewards each pair can pay
     n_w, w_cols, w_vals = w_rows.size, w0 + np.arange(w_rows.size), inv * probs[w_rows, w_at]
-    rhs = params.beta * _mean_rewards(instance)
-    # price row k, negated: -u_i(k) + (P u)_k - u0 + y + E_k[w] / (1-alpha) <= -beta E_k r
+    # price row k: u_i(k) - (P u)_k + u0 - y - E_k[w] / (1-alpha) >= beta E_k r
     price = _matrix((n, w0 + n_w),
                     np.concatenate((pairs, k, pairs, pairs, w_rows)),
                     np.concatenate((instance.pair_state, j, np.full(n, u0), np.full(n, y), w_cols)),
-                    np.concatenate((-np.ones(n), p, -np.ones(n), np.ones(n), w_vals)))
-    a_exc, b_exc, exc_rows, w_names = _excess(instance, y, w0)
+                    np.concatenate((np.ones(n), -p, np.ones(n), -np.ones(n), -w_vals)))
+    excess, w_names = _excess(instance, y, w0)
     return LinearProgram(f"{instance.name}-level", "min", _unit(w0 + n_w, u0),
                          np.concatenate((np.full(m + 1, -np.inf), [lo], np.zeros(n_w))),
                          np.concatenate((np.full(m + 1, np.inf), [hi], np.full(n_w, np.inf))),
                          [f"u_{s}" for s in range(m)] + ["u0", "y"] + w_names,
-                         [f"price_{q}" for q in range(n)] + exc_rows,
-                         A_ub=vstack((price, a_exc), format="csr"),
-                         b_ub=np.concatenate((-rhs, b_exc)), ub_sign=np.full(n + n_w, -1.0),
+                         *_stack(_rows(price, ">=", params.beta * _mean_rewards(instance),
+                                       [f"price_{q}" for q in range(n)]), excess),
                          simplex="primal")
 
 
@@ -523,17 +517,15 @@ def build_sparsify_lp(instance, y_star, params, delta):
 
     at_w = mass(r <= y_star)
     below_w = mass(r < below) if delta is not None else np.zeros(n)
-    a_poly, b_poly, rows = _polytope(instance, n + 1)
     # columns x, x0; tail_at: -at_w x <= -alpha, tail_below: below_w x + x0 = alpha
     return LinearProgram(f"{instance.name}-sparsify(y={y_star:g})", "max",
                          np.append(saddle_coefficients(instance, y_star, params), 0.0),
                          np.zeros(n + 1), np.full(n + 1, np.inf), _x_names(instance) + ["x0"],
-                         ["tail_at", "tail_below"] + rows,
-                         A_ub=csr_array(np.append(-at_w, 0.0)[None, :]),
-                         b_ub=np.array([-params.alpha]), ub_sign=np.ones(1),
-                         A_eq=vstack((csr_array(np.append(below_w, 1.0)[None, :]), a_poly),
-                                     format="csr"),
-                         b_eq=np.concatenate(([params.alpha], b_poly)))
+                         *_stack(_rows(csr_array(np.append(-at_w, 0.0)[None, :]), "<=",
+                                       [-params.alpha], ["tail_at"]),
+                                 _rows(csr_array(np.append(below_w, 1.0)[None, :]), "=",
+                                       [params.alpha], ["tail_below"]),
+                                 _polytope(instance, n + 1)))
 
 
 def pair_values(instance, solution, prefix="x"):

@@ -23,7 +23,7 @@ _QEPS = 1e-12
 
 @dataclass(frozen=True)
 class RiskParams:
-    """Probability level alpha in [0,1) and mean weight beta >= 0.
+    """Probability level alpha in [0,1) and finite mean weight beta >= 0.
 
     beta = 0 is pure CVaR; alpha = 0 collapses CVaR to the mean, which
     recovers the classical average-reward criterion.
@@ -35,8 +35,8 @@ class RiskParams:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,23 @@ class TestExitCodes:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_beta_must_be_finite(self, capsys, beta):
+        code, out, err = run(capsys, "solve", "--builtin", "example2", "--alpha", "0.7",
+                             "--beta", beta)
+        assert (code, out) == (2, "")
+        assert f"--beta must be finite and nonnegative, got {beta}" in err
+        with pytest.raises(cli.InputError, match="--beta"):
+            cli._make_config(cli.build_parser().parse_args(
+                ["solve", "--builtin", "example2", "--alpha", "0.7", "--beta", beta]))
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_tol_must_be_finite_and_nonnegative(self, capsys, tol):
+        code, out, err = run(capsys, "solve", "--builtin", "example2", "--alpha", "0.7",
+                             "--tol", tol, "--json")
+        assert (code, out) == (2, "")
+        assert "--tol must be finite and nonnegative" in err
+
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "solve", "--builtin", "nope", "--alpha", "0.5")
         assert code == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 from test_chains import sparse_instance, sparse_kernels
 
 from cvarmdp import chains, lp, model, risk, solver
@@ -24,7 +25,6 @@ class TestSolve:
         sol = lp.solve(prog)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(3.0)
-        assert sol.vertex
 
     def test_unbounded(self):
         prog = LinearProgram.from_rows("t", "max", {"z": 1.0},
@@ -103,12 +103,12 @@ def shifted(column, by):
 
 
 class TestRecheck:
-    """solve re-checks HiGHS's point with A @ x - b and the bounds, and its
-    objective, at FEASIBILITY_TOL."""
+    """solve re-checks HiGHS's point against the row and column bounds, and
+    its objective, at FEASIBILITY_TOL."""
 
     @pytest.mark.parametrize("case, column, by", [
         ("dual", 0, 1e-6),     # off the norm row (and the balance rows)
-        ("dual", 9, 1e-6),     # z2 above the binding tail rows (">=", stored negated)
+        ("dual", 9, 1e-6),     # z2 above the binding tail rows (">=")
         ("floor", 0, -1e-6),   # a hand-written ">=" row
         ("bound", 0, -1e-6),   # below a column's lower bound
     ])
@@ -213,8 +213,8 @@ def test_level_lp_pivots_primal(monkeypatch):
 
 def test_unknown_simplex_direction_refused():
     with pytest.raises(ValueError, match="simplex must be one of"):
-        LinearProgram("t", "min", np.zeros(1), np.zeros(1), np.ones(1), ["z"], [],
-                      simplex="barrier")
+        LinearProgram("t", "min", np.zeros(1), np.zeros(1), np.ones(1), ["z"],
+                      csr_array((0, 1)), np.zeros(0), np.zeros(0), [], simplex="barrier")
 
 
 @st.composite
@@ -250,36 +250,41 @@ class TestBuilderArrays:
         dual = lp.build_dual_lp(inst, params, grid=bp.values)
         assert dual.row_names == ([f"tail_{e}" for e in range(bp.values.size)]
                                   + [f"balance_{j}" for j in range(m)] + ["norm"])
-        eq = dual.A_eq.toarray()
+        n_tail = bp.values.size
+        eq = dual.A[n_tail:].toarray()
         for j in range(m):
             assert np.array_equal(eq[j], np.append((inst.pair_state == j) - inst.kernel[:, j], 0.0))
         assert np.array_equal(eq[m], np.append(np.ones(n), 0.0))
-        tail = dual.ub_sign[:, None] * dual.A_ub.toarray()
+        assert np.array_equal(dual.row_lo[n_tail:], dual.row_hi[n_tail:])
+        # tail rows as written: c(e) x - z2 >= 0
+        tail = dual.A[:n_tail].toarray()
+        assert np.all(dual.row_hi[:n_tail] == np.inf)
         for e, y in enumerate(bp.values):
             assert np.array_equal(tail[e], np.append(risk.saddle_coefficients(inst, y, params), -1.0))
         level = lp.build_level_lp(inst, params)
         values, probs = inst.reward_atoms
         mean = np.array([p_k @ r_k for p_k, r_k in zip(probs, values)])
-        assert np.array_equal(level.b_ub[:n], -beta * mean)
-        # one excess row w >= r - y per reward a pair pays with positive
+        assert np.array_equal(level.row_lo[:n], beta * mean)
+        assert np.all(level.row_hi == np.inf)
+        # one excess row w + y >= r per reward a pair pays with positive
         # probability; per-pair rewards keep one per pair
         paid = probs > 0.0
         w0 = m + 2
-        excess = level.A_ub[n:].toarray()
+        excess = level.A[n:].toarray()
         assert len(level.col_names) == w0 + paid.sum() == excess.shape[1]
-        assert np.array_equal(level.b_ub[n:], -values[paid])
-        assert np.array_equal(excess[:, m + 1], -np.ones(paid.sum()))
-        assert np.array_equal(excess[:, w0:], -np.eye(paid.sum()))
-        assert np.all(level.A_ub[:n].toarray()[:, w0:].any(axis=0))
+        assert np.array_equal(level.row_lo[n:], values[paid])
+        assert np.array_equal(excess[:, m + 1], np.ones(paid.sum()))
+        assert np.array_equal(excess[:, w0:], np.eye(paid.sum()))
+        assert np.all(level.A[:n].toarray()[:, w0:].any(axis=0))
         if inst.rewards is not None:
             assert level.row_names[n:] == [f"excess_{k}" for k in range(n)]
         primal = lp.build_primal_lp(inst, chains.polytope_vertices(inst), params)
         assert primal.col_names[2:] == level.col_names[w0:]
-        assert np.array_equal(primal.b_ub[-paid.sum():], -values[paid])
+        assert np.array_equal(primal.row_lo[-paid.sum():], values[paid])
+        assert np.all(primal.row_hi[-paid.sum():] == np.inf)
         for prog in (dual, level, lp.build_average_lp(inst, float(bp.values[0]), params),
                      lp.build_sparsify_lp(inst, float(bp.values[-1]), params, bp.delta), primal):
-            for a in (prog.A_ub, prog.A_eq):
-                assert np.all(a.data != 0.0), prog.name
+            assert np.all(prog.A.data != 0.0), prog.name
         assert lp.solve(dual).objective == pytest.approx(lp.solve(level).objective, abs=1e-9)
 
 
@@ -457,11 +462,43 @@ class TestLpFileExport:
                      lp.build_primal_lp(inst, chains.polytope_vertices(inst), params)):
             back = LinearProgram.from_rows(prog.name, prog.sense, prog.objective,
                                            prog.variables, prog.constraints)
-            for field in ("c", "b_ub", "ub_sign", "b_eq", "lb", "ub"):
+            for field in ("c", "row_lo", "row_hi", "lb", "ub"):
                 assert np.array_equal(getattr(back, field), getattr(prog, field)), field
-            for field in ("A_ub", "A_eq"):
-                assert (getattr(back, field) != getattr(prog, field)).nnz == 0, field
+            assert (back.A != prog.A).nnz == 0
             assert (back.col_names, back.row_names) == (prog.col_names, prog.row_names)
+
+    def test_interleaved_rows_keep_their_order(self):
+        # max -a + b + 2c, a >= 1, b - c = 0, a + b + c <= 4: optimum
+        # (1, 1.5, 1.5), value 3.5. Raising the floor by one costs 2.5,
+        # the link 0.5, and raising the cap by one gains 1.5.
+        rows = (Constraint("floor", {"a": 1.0}, ">=", 1.0),
+                Constraint("link", {"b": 1.0, "c": -1.0}, "=", 0.0),
+                Constraint("cap", {"a": 1.0, "b": 1.0, "c": 1.0}, "<=", 4.0))
+        prog = LinearProgram.from_rows("t", "max", {"a": -1.0, "b": 1.0, "c": 2.0},
+                                       (Variable("a"), Variable("b"), Variable("c")), rows)
+        assert prog.row_names == ["floor", "link", "cap"]
+        assert np.array_equal(prog.row_lo, [1.0, 0.0, -np.inf])
+        assert np.array_equal(prog.row_hi, [np.inf, 0.0, 4.0])
+        assert prog.constraints == rows
+        buf = io.StringIO()
+        lp.write_lp_file(prog, buf)
+        body = buf.getvalue().split("Subject To\n")[1].split("Bounds\n")[0]
+        assert body.splitlines() == [" floor: 1 a >= 1", " link: 1 b - 1 c = 0",
+                                     " cap: 1 a + 1 b + 1 c <= 4"]
+        back = LinearProgram.from_rows("t", "max", prog.objective, prog.variables,
+                                       prog.constraints)
+        sols = [lp.solve(back), lp.solve(prog)]
+        for sol in sols:
+            assert sol.values == pytest.approx({"a": 1.0, "b": 1.5, "c": 1.5})
+            assert sol.objective == pytest.approx(3.5)
+            assert sol.duals == pytest.approx({"floor": -2.5, "link": -0.5, "cap": 1.5})
+            assert list(sol.duals) == ["floor", "link", "cap"]
+        assert (sols[0].values, sols[0].duals) == (sols[1].values, sols[1].duals)
+
+    def test_ranged_row_refused(self):
+        with pytest.raises(ValueError, match="'band' is ranged"):
+            LinearProgram("t", "min", np.zeros(1), np.zeros(1), np.ones(1), ["z"],
+                          csr_array(np.ones((1, 1))), np.zeros(1), np.ones(1), ["band"])
 
     def test_tokens_present(self):
         inst = model.builtin("example2")

@@ -353,3 +353,8 @@ class TestRiskParams:
             risk.RiskParams(1.0)
         with pytest.raises(ValueError):
             risk.RiskParams(0.5, -0.1)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_beta_must_be_finite(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
+            risk.RiskParams(0.7, beta)
