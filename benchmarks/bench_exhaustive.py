@@ -1,0 +1,115 @@
+"""Wall time of the exhaustive tools over every deterministic policy:
+`chains.check_assumption` (what `cvarmdp check` runs) and
+`solver.enumerate_deterministic` (what `cvarmdp enumerate` runs).
+
+Run:  PYTHONPATH=src python3 benchmarks/bench_exhaustive.py [--label after]
+          [--out BENCH_exhaustive.json]
+
+Instances, 12 states x 3 actions each (3^12 = 531,441 policies):
+- dense: `model.random_instance(1, 12, 3)`, every kernel entry positive, so
+  every policy is one aperiodic class;
+- ring-sparse: perfbench's `sparse_instance(1, 12, 3)`, 3 successors plus a
+  ring edge per pair, so each policy is unichain but few are positive;
+- multichain-heavy: `tests/test_chains.sparse_instance(default_rng(3), 12,
+  [3] * 12)`, kernel rows with 1..12 successors, most often one, so tens of
+  thousands of policies have several recurrent classes.
+
+Each call runs once, after a warm-up on a small instance, at alpha = 0.8,
+beta = 0.5. The row also records the number of multichain policies (read
+off the check's violators) so runs on different versions can be checked to
+see the same structure.
+
+The result is stored under `--label` in the output file; other labels
+already there are kept, so runs of two versions of the package (put each
+on PYTHONPATH in turn) land side by side in one file.
+"""
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+from test_chains import sparse_instance as multichain_instance  # noqa: E402
+from workloads import sparse_instance as ring_instance  # noqa: E402
+
+from cvarmdp import chains, model, risk, solver  # noqa: E402
+
+PARAMS = risk.RiskParams(0.8, 0.5)
+
+INSTANCES = (
+    ("dense", lambda: model.random_instance(1, 12, 3)),
+    ("ring-sparse", lambda: ring_instance(1, 12, 3)),
+    ("multichain-heavy",
+     lambda: multichain_instance(np.random.default_rng(3), 12, [3] * 12)),
+)
+
+
+def _timed(call):
+    t0 = time.perf_counter()
+    out = call()
+    return out, time.perf_counter() - t0
+
+
+def bench_instance(name, make):
+    inst = make()
+    report, check_s = _timed(lambda: chains.check_assumption(inst))
+    table, enumerate_s = _timed(lambda: solver.enumerate_deterministic(inst, PARAMS))
+    row = {
+        "instance": name,
+        "states": inst.n_states,
+        "pairs": inst.n_pairs,
+        "policies": report.total,
+        "violators": len(report.violators),
+        "multichain_policies": sum(not cls.unichain for _, cls in report.violators),
+        "best_index": table.best_index,
+        "check_s": check_s,
+        "enumerate_s": enumerate_s,
+    }
+    print(f"{name:17s} policies {row['policies']}  multichain {row['multichain_policies']:6d}  "
+          f"check {check_s:7.2f} s  enumerate {enumerate_s:7.2f} s")
+    return row
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--label", default="current", help="key the run is stored under")
+    ap.add_argument("--out", default="BENCH_exhaustive.json")
+    args = ap.parse_args()
+
+    warm = model.random_instance(0, 3, 2)
+    chains.check_assumption(warm)
+    solver.enumerate_deterministic(warm, PARAMS)
+    rows = [bench_instance(name, make) for name, make in INSTANCES]
+
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc["benchmark"] = ("wall time of check_assumption and enumerate_deterministic over "
+                        "every deterministic policy of 12x3 instances")
+    doc["params"] = {"alpha": PARAMS.alpha, "beta": PARAMS.beta}
+    doc.setdefault("runs", {})[args.label] = {
+        "machine": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpus": os.cpu_count(),
+            "platform": platform.platform(),
+        },
+        "instances": rows,
+    }
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {out} [{args.label}]")
+
+
+if __name__ == "__main__":
+    main()

@@ -3,23 +3,26 @@
 Chain structure (recurrent classes, periods) is computed graph-
 theoretically on the positive-probability graph, so classification never
 depends on the magnitudes of kernel entries. Stationary distributions are
-solved as linear systems on the recurrent class, which keeps transient
+solved as linear systems on each recurrent class, which keeps transient
 states at exactly zero.
 
-The exhaustive reports over deterministic policies (the assumption check,
-the vertex list, and the solver's enumeration) read one batched sweep that
-classifies and solves whole blocks of policies with array operations.
+One classifier, `_recurrent_classes`, takes a stack of chains as one
+block-diagonal graph, and one solve, `_class_occupations`, takes a stack
+of (policy, recurrent class) rows. `classify_chain` (unless every entry
+is positive) and `stationary_distribution` pass a stack of one; the
+exhaustive reports over deterministic policies (the assumption check, the
+vertex list, and the solver's enumeration) read one sweep that passes
+whole blocks of policies, multichain ones included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from . import _kernels
 from .model import (
@@ -86,84 +89,98 @@ class ChainClassification:
         return "; ".join(parts)
 
 
-def _class_period(adj, members):
-    """Period of an irreducible class: gcd of level differences over edges."""
-    members = list(members)
-    pos = {s: i for i, s in enumerate(members)}
-    level = {members[0]: 0}
-    frontier = [members[0]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(adj[u]):
-                v = int(v)
-                if v in pos and v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    g = 0
-    for u in members:
-        for v in np.flatnonzero(adj[u]):
-            v = int(v)
-            if v in pos:
-                g = gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g != 0 else 1
+def _recurrent_classes(adj):
+    """Recurrent classes of a stack of (n, S, S) adjacency matrices.
+
+    Returns (owner, members, aperiodic), one entry per recurrent class in
+    stack order and, within a matrix, by smallest state: owner[c] is the
+    class's matrix, members[c] its (S,) state mask and aperiodic[c] whether
+    its period is 1. A positive matrix is one aperiodic class. The others
+    form one block-diagonal graph: its strong components without an
+    outgoing edge are the recurrent classes, and a class's period is the
+    gcd, over its edges u -> v, of level(u) + 1 - level(v) for BFS levels
+    from the class's first state (any spanning tree's depths give the same
+    gcd). A class with a self-loop has period 1 and needs no levels.
+    """
+    n, S, _ = adj.shape
+    positive = adj.all(axis=(1, 2))
+    owner = np.flatnonzero(positive)
+    members = np.ones((owner.size, S), dtype=bool)
+    aperiodic = np.ones(owner.size, dtype=bool)
+    rest = np.flatnonzero(~positive)
+    if not rest.size:
+        return owner, members, aperiodic
+    # node p * S + u is state u of the p-th non-positive matrix; node N is a
+    # root with no edges for now
+    N = rest.size * S
+    tail, col = np.divmod(np.flatnonzero(adj[rest]), S)
+    head = tail - tail % S + col
+    indptr = np.zeros(N + 2, dtype=np.intp)
+    np.cumsum(np.bincount(tail, minlength=N), out=indptr[1:N + 1])
+    indptr[N + 1] = indptr[N]
+    n_comp, labels = connected_components(
+        csr_matrix((np.ones(head.size), head, indptr), shape=(N + 1, N + 1)),
+        connection="strong")
+    comp = labels[tail]
+    closed = np.ones(n_comp, dtype=bool)
+    closed[comp[comp != labels[head]]] = False
+    closed[labels[N]] = False
+    _, first = np.unique(labels, return_index=True)
+    period = np.zeros(n_comp, dtype=np.intp)
+    period[comp[tail == head]] = 1
+    todo = closed & (period == 0)
+    if todo.any():
+        # link the root to the first state of each class left, so one BFS
+        # levels them all; nothing leaves a closed class
+        indptr[N + 1] += np.count_nonzero(todo)
+        graph = csr_matrix((np.ones(indptr[-1]), np.concatenate([head, first[todo]]), indptr),
+                           shape=(N + 1, N + 1))
+        _, pred = breadth_first_order(graph, N, return_predecessors=True)
+        anc = np.where(pred < 0, N, pred)
+        level = (anc != N).astype(np.intp)
+        # pointer jumping: level = depth below the root. csgraph's unweighted
+        # dijkstra gives the same depths in one call, but it was about 8%
+        # slower per ring-sparse 12x3 block and returns inf off the tree
+        while (anc != N).any():
+            level += level[anc]
+            anc = anc[anc]
+        edge = todo[comp]
+        np.gcd.at(period, comp[edge], level[tail[edge]] + 1 - level[head[edge]])
+    roots = np.sort(first[closed])
+    local = roots // S
+    owner = np.concatenate([owner, rest[local]])
+    members = np.concatenate([members, labels[:N].reshape(-1, S)[local] == labels[roots, None]])
+    # a class without edges (a zero row) has gcd 0 and counts as aperiodic
+    aperiodic = np.concatenate([aperiodic, period[labels[roots]] <= 1])
+    order = np.argsort(owner, kind="stable")
+    return owner[order], members[order], aperiodic[order]
+
+
+def _classification(members, aperiodic):
+    """ChainClassification of one chain from its (k, S) class masks."""
+    return ChainClassification(
+        tuple(tuple(np.flatnonzero(m).tolist()) for m in members),
+        tuple(np.flatnonzero(~members.any(axis=0)).tolist()),
+        tuple(aperiodic.tolist()))
 
 
 def classify_chain(instance, policy):
     """Recurrent classes and per-class aperiodicity of the chain under d."""
-    M = transition_matrix(instance, policy)
-    adj = M > EDGE_TOL
+    adj = transition_matrix(instance, policy) > EDGE_TOL
     if adj.all():
         # strictly positive rows: one recurrent class, self-loops everywhere
         return ChainClassification((tuple(range(instance.n_states)),), (), (True,))
-    n, labels = connected_components(csr_matrix(adj), connection="strong")
-    outgoing = np.zeros(n, dtype=bool)
-    rows, cols = np.nonzero(adj)
-    for u, v in zip(rows, cols):
-        if labels[u] != labels[v]:
-            outgoing[labels[u]] = True
-    classes = []
-    transient = []
-    for comp in range(n):
-        members = tuple(int(s) for s in np.flatnonzero(labels == comp))
-        if outgoing[comp]:
-            transient.extend(members)
-        else:
-            classes.append(members)
-    classes.sort(key=lambda c: c[0])
-    aperiodic = tuple(_class_period(adj, cls) == 1 for cls in classes)
-    return ChainClassification(tuple(classes), tuple(sorted(transient)), aperiodic)
+    _, members, aperiodic = _recurrent_classes(adj[None])
+    return _classification(members, aperiodic)
 
 
 def _class_occupation(instance, policy, members):
-    """Occupation measure of one recurrent class under a stationary policy.
-
-    Solves the stationarity system restricted to the class, with the last
-    balance row replaced by normalization, then spreads each state's mass
-    over its action probabilities.
-    """
-    probs = as_pair_array(policy)
-    members = list(members)
-    M = transition_matrix(instance, policy)[np.ix_(members, members)]
-    n = len(members)
-    A = (np.eye(n) - M).T
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as e:
-        raise ChainStructureError(f"singular stationarity system: {e}") from None
-    pi[np.abs(pi) < 1e-15] = 0.0
-    x = np.zeros(instance.n_pairs)
-    for local, s in enumerate(members):
-        lo, hi = instance.offsets[s], instance.offsets[s + 1]
-        x[lo:hi] = pi[local] * probs[lo:hi]
-    residual = polytope_residual(instance, x)
-    if residual > STATIONARY_RESIDUAL_TOL:
-        raise ChainStructureError(f"stationary solve residual {residual:.3g} too large")
-    return OccupationMeasure(x)
+    """Occupation measure of one recurrent class under a stationary policy."""
+    mask = np.zeros((1, instance.n_states), dtype=bool)
+    mask[0, list(members)] = True
+    xs = _class_occupations(instance, transition_matrix(instance, policy)[None],
+                            as_pair_array(policy)[None], np.zeros(1, dtype=int), mask)
+    return OccupationMeasure(xs[0])
 
 
 def stationary_distribution(instance, policy):
@@ -179,40 +196,39 @@ def stationary_distribution(instance, policy):
     return _class_occupation(instance, policy, cls.recurrent_classes[0])
 
 
-def _unichain_occupations(instance, P, pairs, recurrent):
-    """Occupation measures of unichain deterministic policies, batched.
+def _class_occupations(instance, P, probs, owner, members):
+    """Occupation measures of recurrent classes of stationary policies.
 
-    P is the (n, S, S) transition stack, pairs the (n, S) chosen pair
-    indices and recurrent the (n, S) mask of each policy's one recurrent
-    class. Solves the same class-restricted system as `_class_occupation`,
-    one stacked solve per distinct class.
+    P is the (n, S, S) transition stack and probs the (n, n_pairs) action
+    probabilities of n policies; row c of the result is the occupation
+    measure of the class members[c] (an (S,) state mask) of policy
+    owner[c]. Each class's stationarity system is solved restricted to the
+    class, with the last balance row replaced by normalization, one stacked
+    solve per distinct class mask; each state's mass is then spread over
+    its action probabilities, so transient states get exactly zero.
     """
-    n, S = recurrent.shape
-    pi = np.zeros((n, S))
-    order = np.lexsort(recurrent.T)
-    new_mask = np.ones(n, dtype=bool)
-    new_mask[1:] = (recurrent[order[1:]] != recurrent[order[:-1]]).any(axis=1)
-    for rows in np.split(order, np.flatnonzero(new_mask)[1:]):
-        members = np.flatnonzero(recurrent[rows[0]])
-        k = members.size
-        A = np.eye(k) - P[np.ix_(rows, members, members)]
-        A = A.transpose(0, 2, 1).copy()
+    m, S = members.shape
+    pi = np.zeros((m, S))
+    order = np.lexsort(members.T)
+    srt = members[order]
+    cuts = np.flatnonzero((srt[1:] != srt[:-1]).any(axis=1)) + 1
+    bounds = [0, *cuts.tolist(), m]
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = order[lo:hi]
+        states = np.flatnonzero(srt[lo])
+        k = states.size
+        A = np.eye(k) - P[owner[rows]][:, states[:, None], states].transpose(0, 2, 1)
         A[:, -1, :] = 1.0
-        b = np.zeros((rows.size, k, 1))
-        b[:, -1, 0] = 1.0
+        b = np.zeros(k)
+        b[-1] = 1.0
         try:
-            sol = np.linalg.solve(A, b)[:, :, 0]
+            sol = np.linalg.solve(A, b)
         except np.linalg.LinAlgError as e:
             raise ChainStructureError(f"singular stationarity system: {e}") from None
-        pi[np.ix_(rows, members)] = sol
+        pi[rows[:, None], states] = sol
     pi[np.abs(pi) < 1e-15] = 0.0
-    xs = np.zeros((n, instance.n_pairs))
-    np.put_along_axis(xs, pairs, pi, axis=1)
-    # polytope_residual, row by row
-    balance = np.abs(pi - xs @ instance.kernel).max(axis=1)
-    norm = np.abs(xs.sum(axis=1) - 1.0)
-    neg = np.maximum(0.0, -xs.min(axis=1))
-    residual = np.maximum(np.maximum(balance, norm), neg)
+    xs = pi[:, instance.pair_state] * probs[owner]
+    residual = polytope_residual(instance, xs)
     worst = int(np.argmax(residual))
     if residual[worst] > STATIONARY_RESIDUAL_TOL:
         raise ChainStructureError(
@@ -224,30 +240,22 @@ class _PolicyBlock:
     """Consecutive deterministic policies of the sweep, classified at once.
 
     choices[i] holds the local action indices of the block's i-th policy.
-    From the adjacency of each policy's transition matrix, repeated boolean squaring
-    gives reachability; a state is recurrent when every state it reaches
-    reaches it back, and a policy is unichain when every recurrent state
-    reaches every other. A unichain class is aperiodic exactly when its
-    adjacency block raised to a power of at least (S-1)^2 + 1 is positive
-    (Wielandt's bound; an imprimitive class has no positive power).
-    Multichain policies are classified by `classify_chain`.
+    One `_recurrent_classes` call classifies the block's transition stack,
+    multichain policies included: owner, members and aperiodic hold one
+    entry per recurrent class, in policy order and, within a policy,
+    classify_chain's class order; policy i's classes are the entries
+    bounds[i]:bounds[i + 1].
     """
 
     def __init__(self, instance, choices):
         self.instance = instance
         self.choices = choices
-        n, S = choices.shape
         self.pairs = instance.offsets[:-1] + choices
         self.P = instance.kernel[self.pairs]
-        adj = self.P > EDGE_TOL
-        self.recurrent = np.ones((n, S), dtype=bool)
-        self.unichain = np.ones(n, dtype=bool)
-        self.unichain_aperiodic = np.ones(n, dtype=bool)
-        # a positive matrix is one aperiodic class; classify the rest
-        rest = np.flatnonzero(~adj.all(axis=(1, 2)))
-        if rest.size:
-            (self.recurrent[rest], self.unichain[rest],
-             self.unichain_aperiodic[rest]) = _classify_adjacency(adj[rest])
+        self.owner, self.members, self.aperiodic = _recurrent_classes(self.P > EDGE_TOL)
+        self.bounds = np.searchsorted(self.owner, np.arange(len(self) + 1))
+        self.unichain_aperiodic = ((np.diff(self.bounds) == 1)
+                                   & self.aperiodic[self.bounds[:-1]])
 
     def __len__(self):
         return self.choices.shape[0]
@@ -258,69 +266,20 @@ class _PolicyBlock:
     def policies(self):
         return [DeterministicPolicy(c) for c in self.choices.tolist()]
 
-    @cached_property
-    def _multichain(self):
-        """classify_chain's answer for each multichain policy, by index."""
-        out = {}
-        for i in np.flatnonzero(~self.unichain).tolist():
-            pol = self.policy(i).to_stationary(self.instance)
-            out[i] = (pol, classify_chain(self.instance, pol))
-        return out
-
     def classification(self, i):
         """The ChainClassification that classify_chain gives policy i."""
-        if not self.unichain[i]:
-            return self._multichain[i][1]
-        rec = self.recurrent[i]
-        return ChainClassification(
-            (tuple(np.flatnonzero(rec).tolist()),),
-            tuple(np.flatnonzero(~rec).tolist()),
-            (bool(self.unichain_aperiodic[i]),))
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        return _classification(self.members[lo:hi], self.aperiodic[lo:hi])
 
     @cached_property
     def occupations(self):
         """(owner, xs): the occupation measure of every recurrent class, in
         policy order and, within a policy, classify_chain's class order;
         owner[r] is the block index of row r's policy."""
-        uni = np.flatnonzero(self.unichain)
-        xs_uni = np.zeros((len(self), self.instance.n_pairs))
-        if uni.size:
-            xs_uni[uni] = _unichain_occupations(
-                self.instance, self.P[uni], self.pairs[uni], self.recurrent[uni])
-        if not self._multichain:
-            return np.arange(len(self)), xs_uni
-        owners, pieces, prev = [], [], 0
-        for i, (pol, cls) in self._multichain.items():
-            owners += [np.arange(prev, i), np.full(len(cls.recurrent_classes), i)]
-            pieces += [xs_uni[prev:i]]
-            pieces += [_class_occupation(self.instance, pol, members).x[None, :]
-                       for members in cls.recurrent_classes]
-            prev = i + 1
-        owners.append(np.arange(prev, len(self)))
-        pieces.append(xs_uni[prev:])
-        return np.concatenate(owners), np.concatenate(pieces)
-
-
-def _classify_adjacency(adj):
-    """Recurrent-state masks, unichain flags and unichain-aperiodic flags
-    of a stack of (S, S) adjacency matrices."""
-    S = adj.shape[1]
-    reach = adj | np.eye(S, dtype=bool)
-    for _ in range(max(S - 2, 0).bit_length()):  # paths of length <= S - 1
-        reach = _bool_square(reach)
-    rec = (reach <= reach.transpose(0, 2, 1)).all(axis=2)
-    pair_mask = rec[:, :, None] & rec[:, None, :]
-    unichain = ~(pair_mask & ~reach).any(axis=(1, 2))
-    walk = adj & pair_mask
-    for _ in range(((S - 1) ** 2).bit_length()):  # power >= (S - 1)^2 + 1
-        walk = _bool_square(walk)
-    return rec, unichain, unichain & ~(pair_mask & ~walk).any(axis=(1, 2))
-
-
-def _bool_square(a):
-    """Boolean matrix square of a stack: (a @ a) > 0."""
-    f = a.astype(np.float32)
-    return np.matmul(f, f) > 0.0
+        probs = np.zeros((len(self), self.instance.n_pairs))
+        np.put_along_axis(probs, self.pairs, 1.0, axis=1)
+        return self.owner, _class_occupations(self.instance, self.P, probs,
+                                              self.owner, self.members)
 
 
 def _deterministic_sweep(instance, cap=10**6):

@@ -315,14 +315,17 @@ def polytope_residual(instance, x):
     """Largest violation of the stationary-distribution constraint set.
 
     Covers flow balance at every state, total mass one, and nonnegativity.
+    An (n, n_pairs) stack of measures gives an array of n residuals.
     """
     x = as_pair_array(x)
-    out_mass = np.add.reduceat(x, instance.offsets[:-1]) if instance.n_pairs else np.zeros(instance.n_states)
-    in_mass = x @ instance.kernel
-    balance = float(np.abs(out_mass - in_mass).max()) if instance.n_states else 0.0
-    norm = float(abs(x.sum() - 1.0))
-    neg = float(max(0.0, -(x.min()))) if x.size else 0.0
-    return max(balance, norm, neg)
+    rows = np.atleast_2d(x)
+    out_mass = (np.add.reduceat(rows, instance.offsets[:-1], axis=1) if instance.n_pairs
+                else np.zeros((rows.shape[0], instance.n_states)))
+    balance = np.abs(out_mass - rows @ instance.kernel).max(axis=1, initial=0.0)
+    norm = np.abs(rows.sum(axis=1) - 1.0)
+    neg = -rows.min(axis=1, initial=0.0)
+    residual = np.maximum(np.maximum(balance, norm), neg)
+    return float(residual[0]) if x.ndim == 1 else residual
 
 
 # -- validation -------------------------------------------------------------
@@ -362,16 +365,15 @@ def validate(instance):
             bad.append(Violation(f"state {instance.states[i]!r}", "duplicate action names", 1.0))
     if len(set(instance.states)) != len(instance.states):
         bad.append(Violation("states", "duplicate state names", 1.0))
-    for k in range(instance.n_pairs):
-        row = instance.kernel[k]
+    gaps = np.abs(instance.kernel.sum(axis=1) - 1.0)
+    mins = instance.kernel.min(axis=1)
+    for k in np.flatnonzero((gaps > PROB_TOL) | (mins < 0.0)).tolist():
         state, action = instance.pair_name(k)
         where = f"({state!r}, {action!r})"
-        gap = abs(float(row.sum()) - 1.0)
-        if gap > PROB_TOL:
-            bad.append(Violation(where, "transition row does not sum to 1", gap))
-        neg = float(row.min())
-        if neg < 0.0:
-            bad.append(Violation(where, "negative transition probability", -neg))
+        if gaps[k] > PROB_TOL:
+            bad.append(Violation(where, "transition row does not sum to 1", float(gaps[k])))
+        if mins[k] < 0.0:
+            bad.append(Violation(where, "negative transition probability", -float(mins[k])))
     table = instance.reward_table()
     if not np.all(np.isfinite(table)):
         bad.append(Violation("rewards", "non-finite reward value", float(np.sum(~np.isfinite(table)))))
@@ -669,6 +671,8 @@ def extract_policy(instance, x, zero_tol=1e-12):
 
 def n_randomizations(instance, policy, tol=RANDOMIZATION_TOL):
     """Number of extra actions carrying mass beyond one per state."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     probs = as_pair_array(policy)
     active = probs > tol
     return int(active.sum()) - instance.n_states

@@ -1,9 +1,12 @@
 import tracemalloc
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from cvarmdp import chains, model, risk, solver
 from cvarmdp.model import DeterministicPolicy, StationaryPolicy
@@ -219,10 +222,89 @@ class TestPolytopeVertices:
                            (0.0, 0.5, 0.5, 0.0)}
 
 
+# -- the per-policy reference -------------------------------------------------
+#
+# One chain at a time, independent of chains.py's batched classifier and
+# solve: strong components from csgraph with a Python edge loop for the
+# closed ones, each class's period from a Python BFS, and one
+# class-restricted stationary system per class.
+
+
+def ref_period(adj, members):
+    """Period of an irreducible class: gcd of level differences over edges."""
+    members = list(members)
+    pos = {s: i for i, s in enumerate(members)}
+    level = {members[0]: 0}
+    frontier = [members[0]]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in np.flatnonzero(adj[u]):
+                v = int(v)
+                if v in pos and v not in level:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    g = 0
+    for u in members:
+        for v in np.flatnonzero(adj[u]):
+            v = int(v)
+            if v in pos:
+                g = gcd(g, level[u] + 1 - level[v])
+    return abs(g) if g != 0 else 1
+
+
+def ref_classify(instance, policy):
+    """Recurrent classes and per-class aperiodicity of the chain under d."""
+    adj = chains.transition_matrix(instance, policy) > chains.EDGE_TOL
+    n, labels = connected_components(csr_matrix(adj), connection="strong")
+    outgoing = np.zeros(n, dtype=bool)
+    rows, cols = np.nonzero(adj)
+    for u, v in zip(rows, cols):
+        if labels[u] != labels[v]:
+            outgoing[labels[u]] = True
+    classes = []
+    transient = []
+    for comp in range(n):
+        members = tuple(int(s) for s in np.flatnonzero(labels == comp))
+        if outgoing[comp]:
+            transient.extend(members)
+        else:
+            classes.append(members)
+    classes.sort(key=lambda c: c[0])
+    aperiodic = tuple(ref_period(adj, cls) == 1 for cls in classes)
+    return chains.ChainClassification(tuple(classes), tuple(sorted(transient)), aperiodic)
+
+
+def ref_class_occupation(instance, policy, members):
+    """Occupation measure of one recurrent class under a stationary policy.
+
+    Solves the stationarity system restricted to the class, with the last
+    balance row replaced by normalization, then spreads each state's mass
+    over its action probabilities.
+    """
+    probs = model.as_pair_array(policy)
+    members = list(members)
+    M = chains.transition_matrix(instance, policy)[np.ix_(members, members)]
+    n = len(members)
+    A = (np.eye(n) - M).T
+    A[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.linalg.solve(A, b)
+    pi[np.abs(pi) < 1e-15] = 0.0
+    x = np.zeros(instance.n_pairs)
+    for local, s in enumerate(members):
+        lo, hi = instance.offsets[s], instance.offsets[s + 1]
+        x[lo:hi] = pi[local] * probs[lo:hi]
+    assert model.polytope_residual(instance, x) <= chains.STATIONARY_RESIDUAL_TOL
+    return x
+
+
 # -- the deterministic sweep against the per-policy loops ---------------------
 #
-# The loops below are the per-policy reference: one classify_chain and one
-# _class_occupation per recurrent class of every deterministic policy.
+# The loops below run the reference on every deterministic policy: one
+# ref_classify and one ref_class_occupation per recurrent class.
 
 
 def loop_classes(instance):
@@ -230,8 +312,8 @@ def loop_classes(instance):
     out = []
     for dp in model.deterministic_policies(instance):
         pol = dp.to_stationary(instance)
-        cls = chains.classify_chain(instance, pol)
-        xs = [chains._class_occupation(instance, pol, m).x for m in cls.recurrent_classes]
+        cls = ref_classify(instance, pol)
+        xs = [ref_class_occupation(instance, pol, m) for m in cls.recurrent_classes]
         out.append((dp, cls, xs))
     return out
 
@@ -337,11 +419,59 @@ def seeded_instances():
     return out
 
 
+@st.composite
+def randomized_policies(draw):
+    """A sparse instance of either reward kind and a stationary policy on
+    random supports: each state mixes a random nonempty subset of its
+    actions, the others carry zero mass."""
+    instance = draw(sparse_kernels(rewards3=draw(st.booleans())))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    probs = np.zeros(instance.n_pairs)
+    for s in range(instance.n_states):
+        lo, hi = instance.offsets[s], instance.offsets[s + 1]
+        support = rng.random(hi - lo) < 0.5
+        support[rng.integers(hi - lo)] = True
+        weights = np.where(support, rng.integers(1, 6, size=hi - lo), 0).astype(float)
+        probs[lo:hi] = weights / weights.sum()
+    return instance, StationaryPolicy(probs)
+
+
+class TestRandomizedPolicies:
+    @given(randomized_policies())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, drawn):
+        instance, pol = drawn
+        ref = ref_classify(instance, pol)
+        assert chains.classify_chain(instance, pol) == ref
+        if len(ref.recurrent_classes) > 1:
+            with pytest.raises(chains.ChainStructureError):
+                chains.stationary_distribution(instance, pol)
+        else:
+            np.testing.assert_allclose(
+                chains.stationary_distribution(instance, pol).x,
+                ref_class_occupation(instance, pol, ref.recurrent_classes[0]),
+                rtol=0, atol=1e-12)
+
+
 class TestDeterministicSweep:
     @given(sparse_kernels())
     @settings(max_examples=120, deadline=None)
     def test_matches_classify_chain_and_class_occupation(self, instance):
         assert_sweep_matches_loop(instance)
+
+    def test_stays_batched(self, monkeypatch):
+        def per_policy(*args):
+            raise AssertionError("the sweep classified or solved one policy at a time")
+
+        inst = sparse_instance(np.random.default_rng(0), 4, [3, 1, 2, 1])
+        expected = loop_check_assumption(inst)
+        assert any(not cls.unichain for _, cls in expected[1])
+        monkeypatch.setattr(chains, "classify_chain", per_policy)
+        monkeypatch.setattr(chains, "_class_occupation", per_policy)
+        report = chains.check_assumption(inst)
+        assert (report.total, list(report.violators)) == expected
+        chains.polytope_vertices(inst)
+        solver.enumerate_deterministic(inst, risk.RiskParams(0.5))
 
     def test_covers_every_structure(self):
         seen = set()

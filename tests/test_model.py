@@ -107,6 +107,18 @@ class TestValidate:
         assert "negative transition probability" in rules
         assert "empty admissible action set" in rules
 
+    def test_row_violations_in_pair_order(self):
+        kernel = np.array([[1.2, -0.2], [0.5, 0.4], [0.7, 0.3], [-0.1, 0.9]])
+        inst = model.MdpInstance("bad", ("s1", "s2"), (("a", "b"), ("a", "b")),
+                                 kernel, rewards=np.zeros(4))
+        got = [(v.where, v.rule, v.magnitude) for v in model.validate(inst).violations]
+        assert got == [
+            ("('s1', 'a')", "negative transition probability", 0.2),
+            ("('s1', 'b')", "transition row does not sum to 1", abs(0.9 - 1.0)),
+            ("('s2', 'b')", "transition row does not sum to 1", abs(0.8 - 1.0)),
+            ("('s2', 'b')", "negative transition probability", 0.1),
+        ]
+
 
 class TestFileRoundTrip:
     @pytest.mark.parametrize("name", ["example1", "example2", "endowment"])
@@ -280,6 +292,13 @@ class TestRandomizationCount:
         inst = two_state_instance()
         pol = model.StationaryPolicy(np.array([1.0 - 1e-9, 1e-9, 1.0]))
         assert model.n_randomizations(inst, pol) == 0
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_refuses_bad_tol(self, tol):
+        inst = two_state_instance()
+        pol = model.DeterministicPolicy((0, 0)).to_stationary(inst)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            model.n_randomizations(inst, pol, tol=tol)
 
     def test_zero_iff_deterministic(self):
         inst = two_state_instance()
