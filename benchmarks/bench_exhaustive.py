@@ -14,8 +14,10 @@ Instances, 12 states x 3 actions each (3^12 = 531,441 policies):
   [3] * 12)`, kernel rows with 1..12 successors, most often one, so tens of
   thousands of policies have several recurrent classes.
 
-Each call runs once, after a warm-up on a small instance, at alpha = 0.8,
-beta = 0.5. The row also records the number of multichain policies (read
+Each call runs REPEATS times, after a warm-up on a small instance, at
+alpha = 0.8, beta = 0.5, and the row records the median and the range of
+its wall times: one call's time spreads by up to 64 % between runs on a
+2-CPU machine. The row also records the number of multichain policies (read
 off the check's violators) so runs on different versions can be checked to
 see the same structure.
 
@@ -28,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -45,6 +48,7 @@ from workloads import sparse_instance as ring_instance  # noqa: E402
 from cvarmdp import chains, model, risk, solver  # noqa: E402
 
 PARAMS = risk.RiskParams(0.8, 0.5)
+REPEATS = 3
 
 INSTANCES = (
     ("dense", lambda: model.random_instance(1, 12, 3)),
@@ -55,15 +59,21 @@ INSTANCES = (
 
 
 def _timed(call):
-    t0 = time.perf_counter()
-    out = call()
-    return out, time.perf_counter() - t0
+    """The call's last result and the median and range of its wall time
+    over REPEATS calls."""
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        out = call()
+        times.append(time.perf_counter() - t0)
+    return out, statistics.median(times), [min(times), max(times)]
 
 
 def bench_instance(name, make):
     inst = make()
-    report, check_s = _timed(lambda: chains.check_assumption(inst))
-    table, enumerate_s = _timed(lambda: solver.enumerate_deterministic(inst, PARAMS))
+    report, check_s, check_range = _timed(lambda: chains.check_assumption(inst))
+    table, enumerate_s, enumerate_range = _timed(
+        lambda: solver.enumerate_deterministic(inst, PARAMS))
     row = {
         "instance": name,
         "states": inst.n_states,
@@ -73,7 +83,9 @@ def bench_instance(name, make):
         "multichain_policies": sum(not cls.unichain for _, cls in report.violators),
         "best_index": table.best_index,
         "check_s": check_s,
+        "check_s_range": check_range,
         "enumerate_s": enumerate_s,
+        "enumerate_s_range": enumerate_range,
     }
     print(f"{name:17s} policies {row['policies']}  multichain {row['multichain_policies']:6d}  "
           f"check {check_s:7.2f} s  enumerate {enumerate_s:7.2f} s")
@@ -97,6 +109,7 @@ def main():
     doc["benchmark"] = ("wall time of check_assumption and enumerate_deterministic over "
                         "every deterministic policy of 12x3 instances")
     doc["params"] = {"alpha": PARAMS.alpha, "beta": PARAMS.beta}
+    doc["repeats"] = REPEATS
     doc.setdefault("runs", {})[args.label] = {
         "machine": {
             "python": platform.python_version(),

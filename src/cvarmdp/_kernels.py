@@ -97,20 +97,21 @@ def evolve_mu(kernel, pair_state, rules, mu0, t):
 
 
 def cvar_sequence_kernel(kernel, pair_state, rules, mu0, T, alpha, atoms, values):
-    """Per-step CVaR_alpha of the reward law for t < T, and the largest
-    drift of its total mass from 1. `atoms` is the (len(values), pairs)
+    """Per-step CVaR_alpha of the reward law for t < T, and the drift of
+    each step's total mass from 1. `atoms` is the (len(values), pairs)
     CSR matrix whose entry [v, k] is the probability that pair k pays
     values[v]. The laws of up to LAW_BLOCK_ENTRIES / max(len(values),
     pairs) consecutive steps are mapped and valued together."""
-    per_step = np.empty(T)
-    max_drift, start = 0.0, 0
+    per_step, drift = np.empty(T), np.empty(T)
+    start = 0
     rows = max(1, LAW_BLOCK_ENTRIES // max(values.size, kernel.shape[0]))
     for block in pair_law_blocks(kernel, pair_state, rules, mu0, T, rows):
         laws = (atoms @ block.T).T
-        max_drift = max(max_drift, float(np.abs(1.0 - laws.sum(axis=1)).max()))
-        per_step[start : start + block.shape[0]] = cvar_right_rows(values, laws, alpha)
-        start += block.shape[0]
-    return per_step, max_drift
+        stop = start + block.shape[0]
+        drift[start:stop] = np.abs(1.0 - laws.sum(axis=1))
+        per_step[start:stop] = cvar_right_rows(values, laws, alpha)
+        start = stop
+    return per_step, drift
 
 
 def _reached(u, levels, cols):

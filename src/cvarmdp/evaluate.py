@@ -19,6 +19,8 @@ from scipy import sparse
 from . import _kernels, chains, risk
 from .model import TimeDependentPolicy, rule_rows
 
+# Floor of the mass-drift gate: what float rounding may move the mass of a
+# law whose kernel, rule and reward rows sum to 1 exactly (see _mass_budget).
 MASS_DRIFT_TOL = 1e-12
 
 
@@ -57,12 +59,29 @@ def _atom_matrix(instance, values, atom_index):
                             shape=(values.size, instance.n_pairs))
 
 
+def _mass_budget(instance, rules, T):
+    """How far from 1 the total mass of each step's reward law, t < T, may
+    drift with no bug: MASS_DRIFT_TOL plus the rows' own error. Each of the
+    t + 1 rule applications behind step t can move the mass by as much as
+    a state's action weights miss 1, each of its t kernel pushes by as
+    much as a kernel row misses 1, and the map to rewards by as much as a
+    pair's reward atoms miss 1 (all as float sums). Rows that sum to 1
+    exactly leave the gate at MASS_DRIFT_TOL."""
+    def miss(sums):
+        return float(np.abs(sums - 1.0).max())
+
+    rule = miss(np.add.reduceat(rules, instance.offsets[:-1], axis=1))
+    first = MASS_DRIFT_TOL + rule + miss(instance.reward_atoms[1].sum(axis=1))
+    return first + np.arange(T) * (rule + miss(instance.kernel.sum(axis=1)))
+
+
 def cvar_sequence(instance, policy, s0, T, alpha):
     """Exact CVaR of the reward law at every step t < T from state s0.
 
     No sampling and no renormalization: the law of each step's reward is
     computed from the evolved state distribution, and a total-mass drift
-    beyond 1e-12 raises since it indicates a bug in the evolution.
+    beyond what the rows' own rounding allows (`_mass_budget`) raises
+    since it indicates a bug in the evolution.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
@@ -77,8 +96,12 @@ def cvar_sequence(instance, policy, s0, T, alpha):
     per_step, drift = _kernels.cvar_sequence_kernel(
         instance.kernel, instance.pair_state, rules, mu0, int(T), float(alpha),
         _atom_matrix(instance, values, atom_index), values)
-    if drift > MASS_DRIFT_TOL:
-        raise chains.ChainStructureError(f"probability mass drifted by {drift:.3g}")
+    budget = _mass_budget(instance, rules, T)
+    over = ~(drift <= budget)
+    if over.any():
+        t = int(np.argmax(over))
+        raise chains.ChainStructureError(f"probability mass drifted by {drift[t]:.3g} at step "
+                                         f"{t}, beyond its budget {budget[t]:.3g}")
     cesaro = np.cumsum(per_step) / np.arange(1, T + 1)
     return CvarSequence(per_step=per_step, cesaro=cesaro, alpha=float(alpha),
                         initial_state=s0_name, policy_label=label)

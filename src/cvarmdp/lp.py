@@ -23,18 +23,69 @@ programs.
 `Variable` and `Constraint` are a named view built on demand for LP-file
 export and hand-written programs (`LinearProgram.from_rows`); solving
 never builds it.
+HiGHS is scipy's `_highspy._core` extension, loaded by file path
+(`_load_highs`) so that importing this module does not run
+`scipy.optimize`'s package init.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog  # noqa: F401  unused here; perfbench/spans.py wraps lp.linprog
-from scipy.optimize._highspy import _core as highs
+import scipy
 from scipy.sparse import csr_array, vstack
 
 from .risk import breakpoints, saddle_coefficients
+
+_HIGHS_NAME = "scipy.optimize._highspy._core"
+
+
+def _load_highs(directory=None):
+    """scipy's HiGHS extension module, without running scipy.optimize's
+    package init, which costs far more than the extension itself.
+
+    The `_core` file in directory (scipy/optimize/_highspy by default) is
+    loaded under its real name and registered in sys.modules before its
+    exec step (where it registers its types) runs, so a later
+    `import scipy.optimize` reuses this module object and does not register
+    the types a second time. A module already in sys.modules is returned as
+    it is; with no `_core` file the normal import runs.
+    """
+    if _HIGHS_NAME in sys.modules:
+        return sys.modules[_HIGHS_NAME]
+    if directory is None:
+        directory = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    for suffix in EXTENSION_SUFFIXES:
+        path = Path(directory) / f"_core{suffix}"
+        if path.is_file():
+            loader = ExtensionFileLoader(_HIGHS_NAME, str(path))
+            module = module_from_spec(spec_from_file_location(_HIGHS_NAME, path, loader=loader))
+            sys.modules[_HIGHS_NAME] = module
+            try:
+                loader.exec_module(module)
+            except BaseException:
+                del sys.modules[_HIGHS_NAME]
+                raise
+            return module
+    from scipy.optimize._highspy import _core
+    return _core
+
+
+highs = _load_highs()
+
+
+def __getattr__(name):
+    # Only perfbench/spans.py TARGETS and its test read this; the next benchmark change drops both.
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 FEASIBILITY_TOL = 1e-8
 # HiGHS's own primal tolerance (default 1e-7) sits below the re-check's, so

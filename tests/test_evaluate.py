@@ -384,7 +384,8 @@ class TestChunkedEvolution:
         assert np.array_equal(_kernels.evolve_mu(inst.kernel, inst.pair_state, rules, mu0, T),
                               ref_mu)
         assert np.array_equal(per_step, ref)
-        assert drift <= evaluate.MASS_DRIFT_TOL
+        assert drift.shape == (T,)
+        assert drift.max() <= evaluate.MASS_DRIFT_TOL
 
     def test_settling_starts_afresh_in_each_run(self):
         # Two swaps take the law from s1 to s2 and back; the next rule sends
@@ -427,6 +428,73 @@ class TestChunkedEvolution:
         pol = evaluate.example1_policy(T)
         ref, _, _ = step_by_step(inst, model.rule_rows(pol, T)[0], 0, T, 0.5)
         assert np.array_equal(evaluate.cvar_sequence(inst, pol, "s1", T, 0.5).per_step, ref)
+
+
+def slowly_mixing_instance():
+    """Two 3-state Dirichlet blocks joined by a 1e-4 leak: kernel rows miss
+    1 by up to 2.2e-16 and the law takes tens of thousands of steps to
+    settle, so its mass moves by about that much per step."""
+    rng = np.random.default_rng(0)
+    kernel = np.zeros((6, 6))
+    kernel[:3, :3] = rng.dirichlet(np.ones(3), 3)
+    kernel[3:, 3:] = rng.dirichlet(np.ones(3), 3)
+    kernel = (1 - 1e-4) * kernel + 1e-4 / 6
+    return model.MdpInstance("leak", tuple(f"s{i}" for i in range(6)), (("a",),) * 6,
+                             kernel, rewards=np.arange(6.0))
+
+
+def off_by(eps):
+    """`_atom_matrix` with every reward weight scaled by 1 + eps."""
+    real = evaluate._atom_matrix
+
+    def patched(*args):
+        atoms = real(*args)
+        atoms.data *= 1.0 + eps
+        return atoms
+    return patched
+
+
+class TestMassDriftGate:
+    """The mass-drift gate grows with the steps pushed times the rows' own
+    float error, from the MASS_DRIFT_TOL floor."""
+
+    def test_slowly_mixing_chain_passes(self):
+        inst = slowly_mixing_instance()
+        assert model.validate(inst).ok
+        pol = single_action_policy(inst)
+        rules = model.rule_rows(pol, 1)[0]
+        seq = evaluate.cvar_sequence(inst, pol, "s0", 20_000, 0.8)
+        ref, _, _ = step_by_step(inst, rules, 0, 20_000, 0.8)
+        assert np.array_equal(seq.per_step, ref)
+        # one action and one-point rewards: only the kernel rows miss 1
+        miss = np.abs(inst.kernel.sum(axis=1) - 1.0).max()
+        assert 0.0 < miss <= 2.3e-16
+        budget = evaluate._mass_budget(inst, rules, 20_000)
+        assert budget[0] == evaluate.MASS_DRIFT_TOL
+        assert budget[-1] == pytest.approx(evaluate.MASS_DRIFT_TOL + 19_999 * miss, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "endowment"])
+    def test_exact_rows_keep_the_floor(self, name):
+        # deterministic rules, one for every step or one for all: their
+        # weights at each state sum to 1 exactly, as do these kernels' rows
+        inst = model.builtin(name)
+        rng = np.random.default_rng(1)
+        rules = np.array([model.DeterministicPolicy(tuple(rng.integers(np.diff(inst.offsets))))
+                          .to_stationary(inst).probs for _ in range(50)])
+        for rows in (rules[:1], rules):
+            assert np.all(evaluate._mass_budget(inst, rows, 50) == evaluate.MASS_DRIFT_TOL)
+
+    @pytest.mark.parametrize("leak, eps, match", [
+        (False, 1e-9, "drifted by"), (False, 2e-12, "drifted by"), (True, 1e-9, "drifted by"),
+        (False, np.nan, "drifted by nan at step 0")])
+    def test_mass_off_refused(self, monkeypatch, leak, eps, match):
+        # exact rows (example2) keep the 1e-12 floor; the leak chain's
+        # 20,000-step budget still refuses mass off by 1e-9
+        inst = slowly_mixing_instance() if leak else model.builtin("example2")
+        monkeypatch.setattr(evaluate, "_atom_matrix", off_by(eps))
+        with pytest.raises(chains.ChainStructureError, match=f"probability mass {match}"):
+            evaluate.cvar_sequence(inst, single_action_policy(inst), 0,
+                                   20_000 if leak else 2_000, 0.8)
 
 
 class TestLemma2Gap:

@@ -1,4 +1,8 @@
 import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +219,55 @@ def test_unknown_simplex_direction_refused():
     with pytest.raises(ValueError, match="simplex must be one of"):
         LinearProgram("t", "min", np.zeros(1), np.zeros(1), np.ones(1), ["z"],
                       csr_array((0, 1)), np.zeros(0), np.zeros(0), [], simplex="barrier")
+
+
+def run_fresh(code):
+    """Run code in a fresh interpreter with src/ on the path; return its
+    stdout parsed as JSON."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestHighsLoader:
+    """`lp` loads scipy's HiGHS extension by file, so importing cvarmdp does
+    not run scipy.optimize's package init."""
+
+    def test_cli_import_skips_scipy_optimize_and_shares_the_module(self):
+        out = run_fresh(
+            "import json, sys\n"
+            "import cvarmdp.cli\n"
+            "from cvarmdp import lp\n"
+            "before = 'scipy.optimize' in sys.modules\n"
+            "registered = sys.modules.get(lp._HIGHS_NAME) is lp.highs\n"
+            "import scipy.optimize\n"
+            "from scipy.optimize._highspy import _core\n"
+            "res = scipy.optimize.linprog([-1, -1], A_ub=[[1, 2], [3, 1]], b_ub=[4, 6],"
+            " method='highs')\n"
+            "print(json.dumps({'before': before, 'registered': registered,"
+            " 'same': _core is lp.highs,"
+            " 'status': res.status, 'x': res.x.tolist()}))\n")
+        assert out["before"] is False
+        assert out["registered"]
+        assert out["same"]
+        assert out["status"] == 0
+        assert out["x"] == pytest.approx([1.6, 1.2])
+
+    def test_loaded_module_is_returned_again(self):
+        assert lp._load_highs() is lp.highs
+
+    def test_falls_back_to_the_normal_import(self, tmp_path):
+        out = run_fresh(
+            "import json, sys\n"
+            "import scipy.optimize\n"
+            "from cvarmdp import lp\n"
+            "del sys.modules[lp._HIGHS_NAME]\n"
+            f"print(json.dumps(lp._load_highs({str(tmp_path)!r}) is lp.highs))\n")
+        assert out is True
 
 
 @st.composite
