@@ -1,6 +1,7 @@
 """Wall time of the exhaustive tools over every deterministic policy:
 `chains.check_assumption` (what `cvarmdp check` runs) and
-`solver.enumerate_deterministic` (what `cvarmdp enumerate` runs).
+`solver.enumerate_deterministic` (what `cvarmdp enumerate` runs), and the
+memory the enumeration's returned table keeps.
 
 Run:  PYTHONPATH=src python3 benchmarks/bench_exhaustive.py [--label after]
           [--out BENCH_exhaustive.json]
@@ -19,7 +20,9 @@ alpha = 0.8, beta = 0.5, and the row records the median and the range of
 its wall times: one call's time spreads by up to 64 % between runs on a
 2-CPU machine. The row also records the number of multichain policies (read
 off the check's violators) so runs on different versions can be checked to
-see the same structure.
+see the same structure. After the timed calls, one more enumeration runs
+under tracemalloc, and `enumerate_retained_mib` is the memory still
+allocated when it returns, which is what the table holds on to.
 
 The result is stored under `--label` in the output file; other labels
 already there are kept, so runs of two versions of the package (put each
@@ -33,6 +36,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +78,10 @@ def bench_instance(name, make):
     report, check_s, check_range = _timed(lambda: chains.check_assumption(inst))
     table, enumerate_s, enumerate_range = _timed(
         lambda: solver.enumerate_deterministic(inst, PARAMS))
+    tracemalloc.start()
+    table = solver.enumerate_deterministic(inst, PARAMS)
+    retained = tracemalloc.get_traced_memory()[0] / 2**20
+    tracemalloc.stop()
     row = {
         "instance": name,
         "states": inst.n_states,
@@ -86,9 +94,11 @@ def bench_instance(name, make):
         "check_s_range": check_range,
         "enumerate_s": enumerate_s,
         "enumerate_s_range": enumerate_range,
+        "enumerate_retained_mib": retained,
     }
     print(f"{name:17s} policies {row['policies']}  multichain {row['multichain_policies']:6d}  "
-          f"check {check_s:7.2f} s  enumerate {enumerate_s:7.2f} s")
+          f"check {check_s:7.2f} s  enumerate {enumerate_s:7.2f} s  "
+          f"table {retained:6.1f} MiB")
     return row
 
 
@@ -107,7 +117,8 @@ def main():
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["benchmark"] = ("wall time of check_assumption and enumerate_deterministic over "
-                        "every deterministic policy of 12x3 instances")
+                        "every deterministic policy of 12x3 instances, and the memory "
+                        "enumerate_deterministic's table keeps")
     doc["params"] = {"alpha": PARAMS.alpha, "beta": PARAMS.beta}
     doc["repeats"] = REPEATS
     doc.setdefault("runs", {})[args.label] = {

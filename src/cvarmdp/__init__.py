@@ -36,7 +36,6 @@ from .chains import (
     classify_chain,
     polytope_vertices,
     stationary_distribution,
-    t_step_distribution,
     transition_matrix,
 )
 from .lp import (
@@ -67,6 +66,7 @@ from .evaluate import (
     lemma2_gap,
     limsup_liminf_estimate,
     monte_carlo_eval,
+    t_step_distribution,
 )
 
 __version__ = "0.1.0"

@@ -24,15 +24,14 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from . import _kernels
 from .model import (
     DeterministicPolicy,
     OccupationMeasure,
     as_pair_array,
     deterministic_policies,  # re-exported: callers look it up in this module
     deterministic_policy_count,
+    policy_actions,
     polytope_residual,
-    rule_rows,
 )
 
 # Edges below this mass are treated as absent; kernel entries are data
@@ -263,9 +262,6 @@ class _PolicyBlock:
     def policy(self, i):
         return DeterministicPolicy(self.choices[i].tolist())
 
-    def policies(self):
-        return [DeterministicPolicy(c) for c in self.choices.tolist()]
-
     def classification(self, i):
         """The ChainClassification that classify_chain gives policy i."""
         lo, hi = self.bounds[i], self.bounds[i + 1]
@@ -290,36 +286,14 @@ def _deterministic_sweep(instance, cap=10**6):
     count exceeds cap.
     """
     total = deterministic_policy_count(instance, cap)
-    counts = np.diff(instance.offsets)
     per_block = max(1, SWEEP_ENTRIES // (instance.n_states * instance.n_pairs))
 
     def blocks():
         for start in range(0, total, per_block):
             index = np.arange(start, min(start + per_block, total))
-            yield _PolicyBlock(instance, np.stack(np.unravel_index(index, counts), axis=1))
+            yield _PolicyBlock(instance, policy_actions(instance, index))
 
     return blocks()
-
-
-def t_step_distribution(instance, policy, s0, t):
-    """Exact law over state-action pairs after t steps from state s0.
-
-    The law at step t spreads the time-t state distribution over the rule
-    used at t. No renormalization is applied anywhere; if the mass drifts
-    from 1 beyond 1e-12 an error is raised since that indicates a bug.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    s0 = instance.state_index(s0) if isinstance(s0, str) else int(s0)
-    rules, _ = rule_rows(policy, t + 1)
-    mu0 = np.zeros(instance.n_states)
-    mu0[s0] = 1.0
-    mu = _kernels.evolve_mu(instance.kernel, instance.pair_state, rules, mu0, t)
-    row = rules[0] if rules.shape[0] == 1 else rules[t]
-    pk = mu[instance.pair_state] * row
-    if abs(pk.sum() - 1.0) > 1e-12:
-        raise ChainStructureError(f"probability mass drifted to {pk.sum()!r} at t={t}")
-    return pk
 
 
 @dataclass(frozen=True)

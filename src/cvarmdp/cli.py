@@ -192,22 +192,22 @@ def cmd_enumerate(config):
     if dual.status != "optimal":
         raise solver.SolverError(f"occupation LP returned {dual.status}")
     optimum = dual.objective
-    order = sorted(range(len(table.rows)), key=lambda i: -table.rows[i].combined)
-    gap = optimum - table.best.combined
+    order = np.argsort(-table.combined, kind="stable")
+    best = float(table.combined[table.best_index])
+    gap = optimum - best
     rows_payload = []
     lines = [f"{'policy':<40}{'mean':>12}{'cvar':>12}{'combined':>12}"]
-    for rank, i in enumerate(order):
-        row = table.rows[i]
-        label = ",".join(f"{s}:{a}" for s, a in row.policy.to_mapping(instance).items())
+    for rank, i in enumerate(order.tolist()):
+        mean, cvar, combined = (float(a[i]) for a in (table.mean, table.cvar, table.combined))
+        policy = model.DeterministicPolicy(model.policy_actions(instance, i)).to_mapping(instance)
+        label = ",".join(f"{s}:{a}" for s, a in policy.items())
         mark = " *" if i == table.best_index else ""
-        lines.append(f"{label:<40}{row.mean:>12.4f}{row.cvar:>12.4f}{row.combined:>12.4f}{mark}")
-        rows_payload.append({"policy": row.policy.to_mapping(instance), "mean": row.mean,
-                             "cvar": row.cvar, "combined": row.combined})
+        lines.append(f"{label:<40}{mean:>12.4f}{cvar:>12.4f}{combined:>12.4f}{mark}")
+        rows_payload.append({"policy": policy, "mean": mean, "cvar": cvar, "combined": combined})
         if rank >= 50 and not config.as_json:
             lines.append(f"... ({len(order) - rank - 1} more rows)")
             break
-    lines.append(f"best deterministic {table.best.combined:.4f}; optimum {optimum:.4f}; "
-                 f"gap {gap:.4f}")
+    lines.append(f"best deterministic {best:.4f}; optimum {optimum:.4f}; gap {gap:.4f}")
     payload = {"rows": rows_payload, "best": rows_payload[0] if rows_payload else None,
                "optimum": optimum, "gap": gap}
     _emit(config, payload, lines)

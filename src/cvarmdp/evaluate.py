@@ -253,12 +253,36 @@ class GapBound:
     bound: float
 
 
+def t_step_distribution(instance, policy, s0, t):
+    """Exact law over state-action pairs after t steps from state s0.
+
+    The law at step t spreads the time-t state distribution over the rule
+    used at t. No renormalization is applied anywhere; a mass drift beyond
+    `cvar_sequence`'s budget (`_mass_budget`) raises since it is a bug.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    s0 = instance.state_index(s0) if isinstance(s0, str) else int(s0)
+    rules, _ = rule_rows(policy, t + 1)
+    mu0 = np.zeros(instance.n_states)
+    mu0[s0] = 1.0
+    mu = _kernels.evolve_mu(instance.kernel, instance.pair_state, rules, mu0, t)
+    row = rules[0] if rules.shape[0] == 1 else rules[t]
+    pk = mu[instance.pair_state] * row
+    drift = abs(pk.sum() - 1.0)
+    budget = _mass_budget(instance, rules, t + 1)[t]
+    if not drift <= budget:
+        raise chains.ChainStructureError(f"probability mass drifted by {drift:.3g} at step "
+                                         f"{t}, beyond its budget {budget:.3g}")
+    return pk
+
+
 def lemma2_gap(instance, policy, s0, t, alpha):
     """Gap between the step-t CVaR and the steady-state CVaR, with its
     total-variation bound (reward spread / (1 - alpha) times the pair-law
     distance). The bound is asserted, not just reported.
     """
-    pk = chains.t_step_distribution(instance, policy, s0, t)
+    pk = t_step_distribution(instance, policy, s0, t)
     occ = chains.stationary_distribution(instance, policy)
     law_t = risk.reward_distribution(instance, pk)
     law_inf = risk.reward_distribution(instance, occ)

@@ -8,7 +8,6 @@ measures, policy probabilities) is aligned to that pair order.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -17,10 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-# Tolerances. Probability data is validated tightly; occupation measures and
-# randomization counts carry LP solver noise and get looser thresholds.
+# Tolerances. Probability data is validated tightly; randomization counts
+# carry LP solver noise and get a looser threshold.
 PROB_TOL = 1e-9
-POLYTOPE_TOL = 1e-8
 RANDOMIZATION_TOL = 1e-6
 
 SCHEMA_TAG = "mdp-v1"
@@ -670,12 +668,12 @@ def extract_policy(instance, x, zero_tol=1e-12):
 
 
 def n_randomizations(instance, policy, tol=RANDOMIZATION_TOL):
-    """Number of extra actions carrying mass beyond one per state."""
+    """Number of extra actions carrying mass beyond one per state; a state
+    with no action above tol counts none."""
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    probs = as_pair_array(policy)
-    active = probs > tol
-    return int(active.sum()) - instance.n_states
+    active = np.add.reduceat(as_pair_array(policy) > tol, instance.offsets[:-1], dtype=np.intp)
+    return int(np.maximum(active - 1, 0).sum())
 
 
 def deterministic_policy_count(instance, cap=10**6):
@@ -686,11 +684,18 @@ def deterministic_policy_count(instance, cap=10**6):
     return total
 
 
+def policy_actions(instance, index):
+    """Local action indices of deterministic policy number `index`, the
+    policies numbered in lexicographic order of their action indices (the
+    `deterministic_policies` order); an array of numbers gives one row per
+    number."""
+    return np.stack(np.unravel_index(index, np.diff(instance.offsets)), axis=-1)
+
+
 def deterministic_policies(instance, cap=10**6):
     """All deterministic policies in lexicographic order of action indices."""
-    deterministic_policy_count(instance, cap)
-    return [DeterministicPolicy(idx)
-            for idx in itertools.product(*(range(len(acts)) for acts in instance.actions))]
+    total = deterministic_policy_count(instance, cap)
+    return [DeterministicPolicy(c) for c in policy_actions(instance, np.arange(total)).tolist()]
 
 
 class CapExceededError(RuntimeError):

@@ -220,21 +220,15 @@ def sparsify(instance, x_star, y_star, params):
 
 
 @dataclass(frozen=True)
-class PolicyRow:
-    policy: model.DeterministicPolicy
-    mean: float
-    cvar: float
-    combined: float
-
-
-@dataclass(frozen=True)
 class EnumerationTable:
-    rows: tuple
-    best_index: int
+    """Entry i of mean, cvar and combined scores policy number i in
+    `deterministic_policies` order (its actions: `model.policy_actions`);
+    best_index is the first policy of largest combined score."""
 
-    @property
-    def best(self):
-        return self.rows[self.best_index]
+    mean: np.ndarray
+    cvar: np.ndarray
+    combined: np.ndarray
+    best_index: int
 
 
 def enumerate_deterministic(instance, params, cap=10**6):
@@ -244,8 +238,9 @@ def enumerate_deterministic(instance, params, cap=10**6):
     (the value it achieves from initial states absorbed there); under the
     unichain assumption there is only one class.
     """
-    rows = []
-    scores = []
+    total = model.deterministic_policy_count(instance, cap)
+    scores = np.empty((3, total))
+    start = 0
     for block in chains._deterministic_sweep(instance, cap):
         owner, xs = block.occupations
         cvar, mean = risk.cvar_right_and_mean_rows(instance, xs, params.alpha)
@@ -256,10 +251,9 @@ def enumerate_deterministic(instance, params, cap=10**6):
             first = np.flatnonzero(np.diff(owner[order], prepend=-1))
             best = order[first]
             cvar, mean, combined = cvar[best], mean[best], combined[best]
-        rows += map(PolicyRow, block.policies(), mean.tolist(), cvar.tolist(), combined.tolist())
-        scores.append(combined)
-    best_idx = int(np.argmax(np.concatenate(scores))) if rows else -1
-    return EnumerationTable(rows=tuple(rows), best_index=best_idx)
+        scores[:, start:start + len(block)] = mean, cvar, combined
+        start += len(block)
+    return EnumerationTable(*scores, best_index=int(np.argmax(scores[2])) if total else -1)
 
 
 def _dual_certificate(instance, dual_sol, x, v_star, params, ys):
@@ -368,4 +362,4 @@ def alpha_zero_degeneration(instance, cap=10**6):
     sol = solve_cvar(instance, params)
     enum = enumerate_deterministic(instance, params, cap=cap)
     return DegenerationRecord(lp_value=sol.v_star,
-                              best_deterministic_mean=enum.best.mean)
+                              best_deterministic_mean=float(enum.mean[enum.best_index]))

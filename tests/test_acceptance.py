@@ -75,7 +75,7 @@ def test_c02_deterministic_gap(capsys):
     inst = model.builtin("example2")
     table = solver.enumerate_deterministic(inst, risk.RiskParams(0.7))
     sol = solver.solve_cvar(inst, risk.RiskParams(0.7))
-    best = table.best.combined
+    best = float(table.combined[table.best_index])
     with capsys.disabled():
         ok = abs(best - 92.6675) <= 1e-4 and best < sol.v_star
         report(2, "deterministic gap", ok,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from cvarmdp import chains, model, risk, solver
+from cvarmdp import chains, evaluate, model, risk, solver
 from cvarmdp.model import DeterministicPolicy, StationaryPolicy
 
 
@@ -130,38 +130,34 @@ class TestTStepDistribution:
     def test_initial_point_mass(self):
         inst = model.builtin("example2")
         d = DeterministicPolicy((1, 0, 0)).to_stationary(inst)
-        pk = chains.t_step_distribution(inst, d, "1", 0)
+        pk = evaluate.t_step_distribution(inst, d, "1", 0)
         assert pk[inst.pair_index("1", "2")] == 1.0
         assert pk.sum() == 1.0
 
     def test_example1_schedule_at_t1(self):
-        from cvarmdp import evaluate
-
         inst = model.builtin("example1")
         pol = evaluate.example1_policy(10)
-        pk = chains.t_step_distribution(inst, pol, "s1", 1)
+        pk = evaluate.t_step_distribution(inst, pol, "s1", 1)
         assert pk[inst.pair_index("s2", "a22")] == 1.0
 
     def test_converges_to_stationary(self):
         inst = model.random_instance(5, 4, 2)
         pol = model.extract_policy(inst, np.random.default_rng(3).random(8) + 0.1)
         occ = chains.stationary_distribution(inst, pol)
-        pk = chains.t_step_distribution(inst, pol, "s1", 1000)
+        pk = evaluate.t_step_distribution(inst, pol, "s1", 1000)
         assert np.abs(pk - occ.x).sum() < 1e-6
 
     def test_horizon_guard(self):
-        from cvarmdp import evaluate
-
         inst = model.builtin("example1")
         pol = evaluate.example1_policy(5)
         with pytest.raises(ValueError, match="horizon"):
-            chains.t_step_distribution(inst, pol, "s1", 10)
+            evaluate.t_step_distribution(inst, pol, "s1", 10)
 
     def test_distance_to_stationary_nonincreasing(self):
         inst = model.random_instance(8, 4, 2)
         pol = model.DeterministicPolicy((0, 1, 0, 1)).to_stationary(inst)
         occ = chains.stationary_distribution(inst, pol)
-        tv = [np.abs(chains.t_step_distribution(inst, pol, "s2", t) - occ.x).sum()
+        tv = [np.abs(evaluate.t_step_distribution(inst, pol, "s2", t) - occ.x).sum()
               for t in range(40)]
         assert all(b <= a + 1e-12 for a, b in zip(tv, tv[1:]))
         assert tv[-1] < 1e-10
@@ -338,6 +334,19 @@ def loop_enumerate(instance, params):
     return rows, best_idx
 
 
+def assert_table_matches_loop(instance, params):
+    """`enumerate_deterministic`'s arrays against `loop_enumerate`: entry i
+    is the i-th policy of `deterministic_policies`, whose actions
+    `model.policy_actions` gives back from i."""
+    table = solver.enumerate_deterministic(instance, params)
+    rows, best_idx = loop_enumerate(instance, params)
+    assert table.best_index == best_idx
+    decoded = [DeterministicPolicy(model.policy_actions(instance, i)) for i in range(len(rows))]
+    assert decoded == [dp for dp, *_ in rows]
+    got = np.stack([table.mean, table.cvar, table.combined], axis=1)
+    np.testing.assert_allclose(got, np.array([v for _, *v in rows]), rtol=0, atol=1e-12)
+
+
 def loop_vertices(instance):
     rows, gens = [], []
     for dp, _, xs in loop_classes(instance):
@@ -486,12 +495,7 @@ class TestDeterministicSweep:
     def test_outputs_match_loops_on_seeded_instances(self):
         params = risk.RiskParams(0.7, 0.5)
         for inst in seeded_instances():
-            table = solver.enumerate_deterministic(inst, params)
-            rows, best_idx = loop_enumerate(inst, params)
-            assert table.best_index == best_idx
-            assert [r.policy for r in table.rows] == [dp for dp, *_ in rows]
-            got = np.array([(r.mean, r.cvar, r.combined) for r in table.rows])
-            np.testing.assert_allclose(got, np.array([v for _, *v in rows]), rtol=0, atol=1e-12)
+            assert_table_matches_loop(inst, params)
 
             report = chains.check_assumption(inst)
             assert (report.total, list(report.violators)) == loop_check_assumption(inst)
@@ -518,13 +522,7 @@ class TestDeterministicSweep:
         inst = model.random_instance(3, 12, 2)
         blocks = list(chains._deterministic_sweep(inst))
         assert len(blocks) > 1 and sum(len(b) for b in blocks) == 2**12
-        params = risk.RiskParams(0.8)
-        table = solver.enumerate_deterministic(inst, params)
-        rows, best_idx = loop_enumerate(inst, params)
-        assert table.best_index == best_idx
-        assert [r.policy for r in table.rows] == [dp for dp, *_ in rows]
-        got = np.array([(r.mean, r.cvar, r.combined) for r in table.rows])
-        np.testing.assert_allclose(got, np.array([v for _, *v in rows]), rtol=0, atol=1e-12)
+        assert_table_matches_loop(inst, risk.RiskParams(0.8))
 
     def test_block_boundaries_inside_multichain_runs(self, monkeypatch):
         inst = sparse_instance(np.random.default_rng(5), 4, [3, 2, 2, 1])
@@ -540,9 +538,8 @@ class TestDeterministicSweep:
             np.testing.assert_allclose(np.array(a), np.array(b), rtol=0, atol=0)
         small_table = solver.enumerate_deterministic(inst, params)
         assert small_table.best_index == table.best_index
-        assert [r.policy for r in small_table.rows] == [r.policy for r in table.rows]
-        np.testing.assert_allclose([r.combined for r in small_table.rows],
-                                   [r.combined for r in table.rows], rtol=0, atol=1e-12)
+        assert small_table.combined.size == table.combined.size == 12
+        np.testing.assert_allclose(small_table.combined, table.combined, rtol=0, atol=1e-12)
         assert_sweep_matches_loop(inst)
 
 

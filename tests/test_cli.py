@@ -43,6 +43,12 @@ class TestSolveCommand:
         assert code == 0
         assert "n_rand          0" in out.splitlines()
 
+    def test_tol_above_every_weight_counts_zero(self, capsys):
+        # no action carries more than mass 1, so no state plays one
+        doc = run_json(capsys, "solve", "--builtin", "example2", "--alpha", "0.7",
+                       "--tol", "2")[1]
+        assert doc["n_randomizations"] == 0
+
     def test_endowment_mean_cvar(self, capsys):
         code, doc, _ = run_json(capsys, "solve", "--builtin", "endowment",
                                 "--alpha", "0.9", "--beta", "0.5")
@@ -215,6 +221,24 @@ class TestEnumerateCommand:
         assert len(calls) == 1
         assert doc["optimum"] == pytest.approx(96.84, abs=1e-12)
         assert doc["gap"] == pytest.approx(0.0, abs=1e-12)
+        assert doc["gap"] == doc["optimum"] - doc["best"]["combined"]
+
+    def test_json_rows_ranked_by_combined_then_policy_order(self, capsys):
+        inst = model.builtin("endowment")
+        code, doc, _ = run_json(capsys, "enumerate", "--builtin", "endowment",
+                                "--alpha", "0.9", "--beta", "0.5")
+        assert code == 0
+        assert len(doc["rows"]) == 729
+        # each row's policy number in deterministic_policies order
+        index = [int(np.ravel_multi_index(
+                     [inst.actions[i].index(row["policy"][s]) for i, s in enumerate(inst.states)],
+                     np.diff(inst.offsets)))
+                 for row in doc["rows"]]
+        assert sorted(index) == list(range(729))
+        keys = [(-row["combined"], i) for row, i in zip(doc["rows"], index)]
+        assert keys == sorted(keys)
+        assert len({row["combined"] for row in doc["rows"]}) < 729  # ties occur
+        assert doc["best"] == doc["rows"][0]
         assert doc["gap"] == doc["optimum"] - doc["best"]["combined"]
 
     def test_single_state_single_row(self, capsys, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_chains import sparse_kernels
 
+import cvarmdp
 from cvarmdp import _kernels, chains, evaluate, model, risk, solver
 
 
@@ -214,7 +215,7 @@ class TestMonteCarlo:
         sol = solver.solve_cvar(inst, risk.RiskParams(0.7))
         mc = evaluate.monte_carlo_eval(inst, sol.policy, "1", 40, 200_000,
                                        seed=11, alpha=0.7)
-        pk = chains.t_step_distribution(inst, sol.policy, "1", 39)
+        pk = evaluate.t_step_distribution(inst, sol.policy, "1", 39)
         law = risk.reward_distribution(inst, pk)
         exact_probs = {float(v): float(p) for v, p in zip(law.values, law.probs)}
         empirical = mc.counts[39] / mc.replications
@@ -302,7 +303,7 @@ def random_rules(instance, rng, T, time_dependent):
 
 class TestEvolutionAgainstStepLaws:
     """Sampled steps of the evolution kernels against the single-law path:
-    the t-step pair law from `chains.t_step_distribution`, turned into a
+    the t-step pair law from `evaluate.t_step_distribution`, turned into a
     reward law by `risk.reward_distribution` and valued by `risk.cvar_right`."""
 
     T = 12
@@ -321,7 +322,7 @@ class TestEvolutionAgainstStepLaws:
         mc = evaluate.monte_carlo_eval(inst, policy, s0, self.T, 64, seed, alpha=alpha)
         assert mc.counts.sum(axis=1).tolist() == [64] * self.T
         for t in steps:
-            law = risk.reward_distribution(inst, chains.t_step_distribution(inst, policy, s0, t))
+            law = risk.reward_distribution(inst, evaluate.t_step_distribution(inst, policy, s0, t))
             assert seq.per_step[t] == pytest.approx(risk.cvar_right(law, alpha), abs=1e-12)
             # a sampled reward must have positive exact probability
             possible = set(law.values[law.probs > 0].tolist())
@@ -495,6 +496,26 @@ class TestMassDriftGate:
         with pytest.raises(chains.ChainStructureError, match=f"probability mass {match}"):
             evaluate.cvar_sequence(inst, single_action_policy(inst), 0,
                                    20_000 if leak else 2_000, 0.8)
+
+    def test_t_step_law_on_the_same_budget(self):
+        # the leak chain's law at t = 19,999 drifts past the 1e-12 floor but
+        # stays inside the budget cvar_sequence grants the same step
+        inst = slowly_mixing_instance()
+        pol = single_action_policy(inst)
+        pk = evaluate.t_step_distribution(inst, pol, "s0", 19_999)
+        drift = abs(pk.sum() - 1.0)
+        assert evaluate.MASS_DRIFT_TOL < drift
+        assert drift <= evaluate._mass_budget(inst, model.rule_rows(pol, 1)[0], 20_000)[-1]
+        assert cvarmdp.t_step_distribution is evaluate.t_step_distribution
+
+    @pytest.mark.parametrize("leak", [False, True])
+    def test_t_step_mass_off_refused(self, monkeypatch, leak):
+        inst = slowly_mixing_instance() if leak else model.builtin("example2")
+        real = _kernels.evolve_mu
+        monkeypatch.setattr(_kernels, "evolve_mu", lambda *args: real(*args) * (1.0 + 1e-9))
+        with pytest.raises(chains.ChainStructureError, match="probability mass drifted by"):
+            evaluate.t_step_distribution(inst, single_action_policy(inst), 0,
+                                         19_999 if leak else 1_999)
 
 
 class TestLemma2Gap:

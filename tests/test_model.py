@@ -293,6 +293,18 @@ class TestRandomizationCount:
         pol = model.StationaryPolicy(np.array([1.0 - 1e-9, 1e-9, 1.0]))
         assert model.n_randomizations(inst, pol) == 0
 
+    def test_state_without_played_action_counts_zero(self):
+        # no action above tol in a state randomizes nothing there
+        kernel = np.array([[0.5, 0.5]] * 4)
+        inst = model.MdpInstance("mix", ("s1", "s2"), (("a", "b"), ("a", "b")),
+                                 kernel, rewards=np.zeros(4))
+        pol = model.StationaryPolicy(np.array([0.5, 0.5, 0.5, 0.5]))
+        assert model.n_randomizations(inst, pol, tol=0.6) == 0
+        pol = model.StationaryPolicy(np.array([0.2, 0.8, 0.5, 0.5]))
+        assert model.n_randomizations(inst, pol, tol=0.6) == 0
+        pol = model.StationaryPolicy(np.array([0.45, 0.55, 0.1, 0.9]))
+        assert model.n_randomizations(inst, pol, tol=0.4) == 1
+
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
     def test_refuses_bad_tol(self, tol):
         inst = two_state_instance()

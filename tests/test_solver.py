@@ -345,25 +345,35 @@ class TestEnumerateDeterministic:
     def test_example2_best_below_optimum(self, example2_solution):
         inst = model.builtin("example2")
         table = solver.enumerate_deterministic(inst, risk.RiskParams(0.7))
-        assert table.best.combined == pytest.approx(92.6675, abs=1e-4)
-        assert table.best.combined < example2_solution.v_star - 0.5
+        best = table.combined[table.best_index]
+        assert best == table.combined.max()
+        assert best == pytest.approx(92.6675, abs=1e-4)
+        assert best < example2_solution.v_star - 0.5
         # the achieving policy, recorded once and pinned
-        assert table.best.policy.to_mapping(inst) == {"1": "2", "2": "1", "3": "3"}
+        policy = model.DeterministicPolicy(model.policy_actions(inst, table.best_index))
+        assert policy.to_mapping(inst) == {"1": "2", "2": "1", "3": "3"}
 
     def test_single_pair_single_row(self):
         table = solver.enumerate_deterministic(one_pair_instance(), risk.RiskParams(0.5))
-        assert len(table.rows) == 1
-        assert table.best.combined == pytest.approx(5.0)
+        assert table.combined.size == 1 and table.best_index == 0
+        assert table.combined[0] == pytest.approx(5.0)
 
     def test_endowment_deterministic_optimum(self, endowment_solution):
         table = solver.enumerate_deterministic(model.builtin("endowment"),
                                                risk.RiskParams(0.9, 0.5))
-        assert table.best.combined == pytest.approx(endowment_solution.v_star, abs=1e-6)
+        assert table.combined[table.best_index] == pytest.approx(endowment_solution.v_star,
+                                                                 abs=1e-6)
 
     def test_canonical_row_order(self):
         inst = model.random_instance(1, 2, 2)
         table = solver.enumerate_deterministic(inst, risk.RiskParams(0.5))
-        assert [r.policy.choices for r in table.rows] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert table.combined.size == 4
+        assert model.policy_actions(inst, np.arange(4)).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        for i, dp in enumerate(model.deterministic_policies(inst)):
+            assert dp.choices == tuple(model.policy_actions(inst, i))
+            occ = chains.stationary_distribution(inst, dp.to_stationary(inst))
+            law = risk.reward_distribution(inst, occ)
+            assert table.combined[i] == pytest.approx(risk.cvar_right(law, 0.5), abs=1e-12)
 
 
 class TestEndpointScan:
@@ -452,8 +462,8 @@ class TestDominance:
             inst = model.random_instance(seed, 4, 2)
             params = risk.RiskParams(0.7)
             sol = solver.solve_cvar(inst, params)
-            best = solver.enumerate_deterministic(inst, params).best
-            assert sol.v_star >= best.combined - 1e-8
+            table = solver.enumerate_deterministic(inst, params)
+            assert sol.v_star >= table.combined[table.best_index] - 1e-8
 
     def test_consistency_recomputed_from_first_principles(self):
         for seed in range(5):
