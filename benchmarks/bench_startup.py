@@ -1,6 +1,7 @@
 """Start-up cost of cvarmdp: wall time of fresh interpreters, from process
-start to exit, for three cases.
+start to exit, for four cases.
 
+- numpy:  `python -c "import numpy"`, the floor every case pays;
 - import: `python -c "import cvarmdp.cli"`;
 - solve:  `python -m cvarmdp solve --builtin example2 --alpha 0.7 --json`;
 - scan:   `python -m cvarmdp scan --builtin example2 --alpha 0.7 --json`.
@@ -10,7 +11,7 @@ Run:  PYTHONPATH=src python3 benchmarks/bench_startup.py [--label after]
 
 The solve and the scan take a few milliseconds each; the rest is starting
 the interpreter and importing numpy, scipy and cvarmdp. Each of ROUNDS
-rounds runs the three cases once, each one after a calibration interpreter
+rounds runs the four cases once, each one after a calibration interpreter
 (perfbench's `SETUP_CALIBRATION_ARGV`: numpy, scipy.optimize and
 scipy.sparse.csgraph, no cvarmdp), with one more calibration after the last
 case. Next to its plain time each case gets a scaled time, as perfbench's
@@ -47,6 +48,7 @@ from calibration import SETUP_CALIBRATION_ARGV, SETUP_REFERENCE_S  # noqa: E402
 ROUNDS = 11
 CLI = ["--builtin", "example2", "--alpha", "0.7", "--json"]
 CASES = (
+    ("numpy", ["-c", "import numpy"]),
     ("import", ["-c", "import cvarmdp.cli"]),
     ("solve", ["-m", "cvarmdp", "solve", *CLI]),
     ("scan", ["-m", "cvarmdp", "scan", *CLI]),
@@ -100,8 +102,9 @@ def main():
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["benchmark"] = ("wall time of fresh interpreters that import cvarmdp.cli or run "
-                        "`cvarmdp solve|scan` on example2, process start to exit")
+    doc["benchmark"] = ("wall time of fresh interpreters that import numpy (the floor) or "
+                        "cvarmdp.cli, or run `cvarmdp solve|scan` on example2, process start "
+                        "to exit")
     doc["rounds"] = ROUNDS
     doc["calibration"] = {"argv": SETUP_CALIBRATION_ARGV, "reference_s": SETUP_REFERENCE_S}
     doc.setdefault("runs", {})[args.label] = {

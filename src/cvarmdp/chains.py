@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .model import (
     DeterministicPolicy,
@@ -109,6 +107,10 @@ def _recurrent_classes(adj):
     rest = np.flatnonzero(~positive)
     if not rest.size:
         return owner, members, aperiodic
+    # imported here so that runs whose chains are all positive never load them
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
     # node p * S + u is state u of the p-th non-positive matrix; node N is a
     # root with no edges for now
     N = rest.size * S

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import _kernels, chains, risk
 from .model import TimeDependentPolicy, rule_rows
@@ -49,7 +48,10 @@ def _atom_matrix(instance, values, atom_index):
     """(len(values), pairs) CSR matrix whose entry [v, k] is the
     probability that pair k pays values[v]. A pair's atoms stay separate
     entries, in (pair, atom) order, so a product adds the same terms in the
-    same order as a bincount over the pairs' atoms."""
+    same order as a bincount over the pairs' atoms. scipy.sparse is
+    imported here, not at module level, so that a solve never loads it."""
+    from scipy import sparse
+
     probs = instance.reward_atoms[1]
     pair, col = np.nonzero(probs)
     atom = atom_index[pair, col]

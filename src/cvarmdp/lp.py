@@ -4,8 +4,12 @@ solver needs.
 A program is what HiGHS reads: min or max c @ x subject to
 row_lo <= A @ x <= row_hi and lb <= x <= ub, with one CSR matrix A that
 stores no zeros and keeps every row as written (see `LinearProgram`),
-plus one name per column and one per row. The builders assemble the
-arrays with numpy from the instance's kernel, pair layout and `reward_atoms`.
+plus one name per column and one per row. A is a `CsrMatrix`, the numpy
+triple (indptr, indices, data) HiGHS loads row-wise, with its shape. The
+builders assemble it with numpy from the instance's kernel, pair layout
+and `reward_atoms`: from triplets (`_matrix`), from a dense block
+(`_dense`), and by stacking row blocks (`_stack`). No sparse-matrix
+library is imported, so solving loads none.
 
 `solve` and `solve_sweep` load a program into one HiGHS simplex model
 (basic solutions, deterministic for identical input) and re-check every
@@ -32,15 +36,15 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.sparse import csr_array, vstack
 
-from .risk import breakpoints, saddle_coefficients
+from .risk import breakpoints, saddle_coefficient_rows, saddle_coefficients
 
 _HIGHS_NAME = "scipy.optimize._highspy._core"
 
@@ -120,20 +124,65 @@ class Constraint:
             raise ValueError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
 
 
+@dataclass(frozen=True)
+class CsrMatrix:
+    """A compressed sparse row matrix as numpy arrays: row i holds
+    data[indptr[i]:indptr[i + 1]] in columns indices[indptr[i]:indptr[i + 1]].
+    The builders store no zeros and sort each row's columns."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    @cached_property
+    def rows(self):
+        """The row of every stored entry; a sweep re-checks every point
+        against the same matrix, so this is built once."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+
+def _csr(shape, rows, cols, vals):
+    """A `CsrMatrix` from entries already in (row, col) order."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return CsrMatrix(indptr, np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=float),
+                     tuple(shape))
+
+
 def _matrix(shape, rows, cols, vals):
-    """CSR matrix from triplets; duplicates are summed and no zero is stored."""
-    a = csr_array((np.asarray(vals, float), (np.asarray(rows, int), np.asarray(cols, int))), shape=shape)
-    a.eliminate_zeros()
-    return a
+    """CSR matrix from triplets; duplicates are summed in the order given and
+    no zero is stored."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], np.asarray(vals, dtype=float)[order]
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    # one bin per distinct (row, col); a bincount adds its entries in order
+    vals = np.bincount(np.cumsum(new) - 1, weights=vals, minlength=np.count_nonzero(new))
+    keep = vals != 0.0
+    return _csr(shape, rows[new][keep], cols[new][keep], vals[keep])
+
+
+def _dense(a):
+    """CSR matrix of a 2-D array's nonzero entries."""
+    rows, cols = np.nonzero(a)
+    return _csr(a.shape, rows, cols, a[rows, cols])
+
+
+def _matvec(a, x):
+    """a @ x for a `CsrMatrix` a. The bincount adds each row's products in
+    stored order, as a CSR product does, so the two agree bit for bit."""
+    return np.bincount(a.rows, weights=a.data * x[a.indices], minlength=a.shape[0])
 
 
 @dataclass(frozen=True)
 class LinearProgram:
     """min or max c @ x s.t. row_lo <= A @ x <= row_hi, lb <= x <= ub.
 
-    A is CSR with one row per row_names entry, each row as written: an
-    equality has row_lo == row_hi, a "<=" row row_lo = -inf and a ">=" row
-    row_hi = +inf. A ranged row (both bounds finite and unequal) is
+    A is a `CsrMatrix` with one row per row_names entry, each row as
+    written: an equality has row_lo == row_hi, a "<=" row row_lo = -inf
+    and a ">=" row row_hi = +inf. A ranged row (both bounds finite and unequal) is
     refused, because the named view cannot write one. simplex ("dual" or
     "primal") is the direction HiGHS pivots in, chosen by the program's
     builder.
@@ -145,7 +194,7 @@ class LinearProgram:
     lb: np.ndarray
     ub: np.ndarray
     col_names: list
-    A: csr_array
+    A: CsrMatrix
     row_lo: np.ndarray
     row_hi: np.ndarray
     row_names: list
@@ -240,7 +289,7 @@ def _recheck(lp, cost, x, backend_objective, tol, name):
     program's sense): the worst constraint or bound violation must be at
     most tol, and the backend's objective must match cost @ x. Returns
     (objective, residual, mismatch)."""
-    ax = lp.A @ x
+    ax = _matvec(lp.A, x)
     residual = float(np.max([np.max(lp.row_lo - ax, initial=0.0),
                              np.max(ax - lp.row_hi, initial=0.0),
                              np.max(lp.lb - x, initial=0.0), np.max(x - lp.ub, initial=0.0)]))
@@ -399,10 +448,14 @@ def _rows(a, relation, rhs, names):
 
 
 def _stack(*blocks):
-    """The (A, row_lo, row_hi, row_names) of row blocks stacked in order."""
+    """The (A, row_lo, row_hi, row_names) of row blocks, all as wide as the
+    first, stacked in order."""
     mats, lo, hi, names = zip(*blocks)
-    return (mats[0] if len(mats) == 1 else vstack(mats, format="csr"),
-            np.concatenate(lo), np.concatenate(hi), [nm for block in names for nm in block])
+    offsets = np.cumsum([0] + [m.data.size for m in mats])
+    indptr = np.concatenate([[0]] + [m.indptr[1:] + off for m, off in zip(mats, offsets)])
+    a = CsrMatrix(indptr, np.concatenate([m.indices for m in mats]),
+                  np.concatenate([m.data for m in mats]), (indptr.size - 1, mats[0].shape[1]))
+    return a, np.concatenate(lo), np.concatenate(hi), [nm for block in names for nm in block]
 
 
 def _polytope(instance, n_cols):
@@ -471,12 +524,12 @@ def build_dual_lp(instance, params, grid=None):
     """
     ends = breakpoints(instance).values if grid is None else grid
     n, n_tail = instance.n_pairs, len(ends)
-    tail = np.array([saddle_coefficients(instance, float(e), params) for e in ends])
+    tail = saddle_coefficient_rows(instance, ends, params)
     # v(x, e) - z2 >= 0
     return LinearProgram(f"{instance.name}-dual", "max", _unit(n + 1, n),
                          np.append(np.zeros(n), -np.inf), np.full(n + 1, np.inf),
                          _x_names(instance) + ["z2"],
-                         *_stack(_rows(csr_array(np.column_stack((tail, -np.ones(n_tail)))), ">=",
+                         *_stack(_rows(_dense(np.column_stack((tail, -np.ones(n_tail)))), ">=",
                                        np.zeros(n_tail), [f"tail_{i}" for i in range(n_tail)]),
                                  _polytope(instance, n + 1)))
 
@@ -497,7 +550,7 @@ def build_primal_lp(instance, vertices, params):
     pair_mean = _mean_rewards(instance)
     mean = [xl @ pair_mean for xl in xs]  # row by row, like the pair means
     # columns y, z1, w; vertex row l: (sum x^l) y - z1 + x^l w / (1-alpha) <= -beta mean
-    vertex = csr_array(np.column_stack(([xl.sum() for xl in xs], np.full(len(xs), -1.0), w)))
+    vertex = _dense(np.column_stack(([xl.sum() for xl in xs], np.full(len(xs), -1.0), w)))
     n_cols = vertex.shape[1]
     excess, w_names = _excess(instance, 0, 2)
     return LinearProgram(f"{instance.name}-primal", "min", _unit(n_cols, 1),
@@ -572,9 +625,9 @@ def build_sparsify_lp(instance, y_star, params, delta):
     return LinearProgram(f"{instance.name}-sparsify(y={y_star:g})", "max",
                          np.append(saddle_coefficients(instance, y_star, params), 0.0),
                          np.zeros(n + 1), np.full(n + 1, np.inf), _x_names(instance) + ["x0"],
-                         *_stack(_rows(csr_array(np.append(-at_w, 0.0)[None, :]), "<=",
+                         *_stack(_rows(_dense(np.append(-at_w, 0.0)[None, :]), "<=",
                                        [-params.alpha], ["tail_at"]),
-                                 _rows(csr_array(np.append(below_w, 1.0)[None, :]), "=",
+                                 _rows(_dense(np.append(below_w, 1.0)[None, :]), "=",
                                        [params.alpha], ["tail_below"]),
                                  _polytope(instance, n + 1)))
 

@@ -19,6 +19,9 @@ from .model import as_pair_array
 # Guard against last-bit noise in cumulative probabilities when locating
 # quantiles; distinct CDF levels of real data sit far above this.
 _QEPS = 1e-12
+# Most (level, pair, atom) brackets `saddle_coefficient_rows` holds at once
+# (2 MiB of float64 per temporary).
+_BRACKET_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -216,10 +219,24 @@ def saddle_coefficients(instance, y, params):
     c_k is the bracket y + [r - y]^+ / (1-alpha) + beta * r averaged over
     the law of the reward r that pair k pays (`instance.reward_atoms`).
     """
+    return saddle_coefficient_rows(instance, [y], params)[0]
+
+
+def saddle_coefficient_rows(instance, ys, params):
+    """`saddle_coefficients` at every level of ys, as a (len(ys), n_pairs)
+    array. The brackets are broadcast over blocks of levels, and each
+    pair's are summed over its atoms in one einsum row, so a row does not
+    depend on the other levels in the call."""
     values, probs = instance.reward_atoms
     inv = 1.0 / (1.0 - params.alpha)
-    inner = y + inv * np.clip(values - y, 0.0, None) + params.beta * values
-    return np.einsum("kj,kj->k", probs, inner)
+    ys = np.asarray(ys, dtype=np.float64)
+    out = np.empty((ys.size, instance.n_pairs))
+    step = max(1, _BRACKET_BLOCK // values.size)
+    for i in range(0, ys.size, step):
+        y = ys[i:i + step, None, None]
+        inner = y + inv * np.clip(values - y, 0.0, None) + params.beta * values
+        out[i:i + step] = np.einsum("kj,ekj->ek", probs, inner)
+    return out
 
 
 def saddle_value(instance, x, y, params):

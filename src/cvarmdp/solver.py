@@ -149,8 +149,7 @@ def endpoint_scan_oracle(instance, params):
     """
     ys = risk.breakpoints(instance).values
     prog = lp.build_average_lp(instance, float(ys[0]), params)
-    sols = lp.solve_sweep(prog, [risk.saddle_coefficients(instance, float(y), params)
-                                 for y in ys])
+    sols = lp.solve_sweep(prog, risk.saddle_coefficient_rows(instance, ys, params))
     for y, sol in zip(ys, sols):
         if sol.status != "optimal":
             raise SolverError(f"inner occupation LP at y={y} returned {sol.status}")

@@ -9,11 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, vstack
 from test_chains import sparse_instance, sparse_kernels
 
 from cvarmdp import chains, lp, model, risk, solver
 from cvarmdp.lp import Constraint, LinearProgram, Variable
+
+
+def dense(a):
+    """The dense array of a program's CSR matrix."""
+    return csr_array((a.data, a.indices, a.indptr), shape=a.shape).toarray()
 
 
 def one_pair_instance(r=5.0):
@@ -270,6 +275,40 @@ class TestHighsLoader:
         assert out is True
 
 
+class TestNoSparseOnSolvePath:
+    """`lp` keeps its CSR arrays in numpy and `chains`/`evaluate` import
+    scipy.sparse inside the functions that use it, so starting `cvarmdp`
+    and solving a program load no scipy.sparse module."""
+
+    def test_commands_load_no_scipy_sparse(self):
+        out = run_fresh(
+            "import contextlib, io, json, sys\n"
+            "def sparse():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy.sparse'))\n"
+            "import cvarmdp.cli as cli\n"
+            "seen = {'import': sparse()}\n"
+            "def run(*argv):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        code = cli.main(list(argv))\n"
+            "    assert code == 0, (argv, code)\n"
+            "    return buf.getvalue()\n"
+            "example2 = ['--builtin', 'example2', '--alpha', '0.7', '--json']\n"
+            "for cmd in ('solve', 'scan'):\n"
+            "    run(cmd, *example2)\n"
+            "    seen[cmd] = sparse()\n"
+            "run('solve', '--gen', '6,3,1', '--alpha', '0.8', '--json')\n"
+            "seen['solve --gen'] = sparse()\n"
+            "run('check', '--gen', '6,3,1')\n"
+            "seen['check --gen'] = sparse()\n"
+            "endowment = json.loads(run('solve', '--builtin', 'endowment', '--alpha', '0.9',"
+            " '--beta', '0.5', '--json'))\n"
+            "print(json.dumps({'seen': seen, 'endowment': endowment['value']}))\n")
+        assert out["seen"] == {case: [] for case in
+                               ("import", "solve", "scan", "solve --gen", "check --gen")}
+        assert out["endowment"] == pytest.approx(96.84, abs=0.005)
+
+
 @st.composite
 def self_loop_instances(draw):
     """Sparse instances, both reward kinds, in which pair 0 and a random set
@@ -304,13 +343,13 @@ class TestBuilderArrays:
         assert dual.row_names == ([f"tail_{e}" for e in range(bp.values.size)]
                                   + [f"balance_{j}" for j in range(m)] + ["norm"])
         n_tail = bp.values.size
-        eq = dual.A[n_tail:].toarray()
+        eq = dense(dual.A)[n_tail:]
         for j in range(m):
             assert np.array_equal(eq[j], np.append((inst.pair_state == j) - inst.kernel[:, j], 0.0))
         assert np.array_equal(eq[m], np.append(np.ones(n), 0.0))
         assert np.array_equal(dual.row_lo[n_tail:], dual.row_hi[n_tail:])
         # tail rows as written: c(e) x - z2 >= 0
-        tail = dual.A[:n_tail].toarray()
+        tail = dense(dual.A)[:n_tail]
         assert np.all(dual.row_hi[:n_tail] == np.inf)
         for e, y in enumerate(bp.values):
             assert np.array_equal(tail[e], np.append(risk.saddle_coefficients(inst, y, params), -1.0))
@@ -323,12 +362,12 @@ class TestBuilderArrays:
         # probability; per-pair rewards keep one per pair
         paid = probs > 0.0
         w0 = m + 2
-        excess = level.A[n:].toarray()
+        excess = dense(level.A)[n:]
         assert len(level.col_names) == w0 + paid.sum() == excess.shape[1]
         assert np.array_equal(level.row_lo[n:], values[paid])
         assert np.array_equal(excess[:, m + 1], np.ones(paid.sum()))
         assert np.array_equal(excess[:, w0:], np.eye(paid.sum()))
-        assert np.all(level.A[:n].toarray()[:, w0:].any(axis=0))
+        assert np.all(dense(level.A)[:n, w0:].any(axis=0))
         if inst.rewards is not None:
             assert level.row_names[n:] == [f"excess_{k}" for k in range(n)]
         primal = lp.build_primal_lp(inst, chains.polytope_vertices(inst), params)
@@ -339,6 +378,111 @@ class TestBuilderArrays:
                      lp.build_sparsify_lp(inst, float(bp.values[-1]), params, bp.delta), primal):
             assert np.all(prog.A.data != 0.0), prog.name
         assert lp.solve(dual).objective == pytest.approx(lp.solve(level).objective, abs=1e-9)
+
+
+def scipy_csr(shape, rows, cols, vals):
+    """scipy's CSR matrix of triplets, duplicates summed and zeros dropped."""
+    a = csr_array((np.asarray(vals, dtype=float), (np.asarray(rows, dtype=int),
+                                                   np.asarray(cols, dtype=int))), shape=shape)
+    a.eliminate_zeros()
+    return a
+
+
+def scipy_polytope(inst, n_cols):
+    n, m = inst.n_pairs, inst.n_states
+    k, j = np.nonzero(inst.kernel)
+    pairs = np.arange(n)
+    return scipy_csr((m + 1, n_cols), np.concatenate((inst.pair_state, j, np.full(n, m))),
+                     np.concatenate((pairs, k, pairs)),
+                     np.concatenate((np.ones(n), -inst.kernel[k, j], np.ones(n))))
+
+
+def scipy_excess(inst, y_col, w_col):
+    n_w = np.count_nonzero(inst.reward_atoms[1])
+    e = np.arange(n_w)
+    return scipy_csr((n_w, w_col + n_w), np.concatenate((e, e)),
+                     np.concatenate((w_col + e, np.full(n_w, y_col))), np.ones(2 * n_w))
+
+
+def assert_same_csr(a, ref):
+    assert tuple(a.shape) == ref.shape
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, field), getattr(ref, field)), field
+
+
+class TestCsrArrays:
+    """The builders' numpy CSR arrays equal scipy's CSR of the same
+    triplets and dense blocks, and the re-check's mat-vec equals scipy's
+    product bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(self_loop_instances(), st.sampled_from([0.0, 0.5, 0.9]), st.sampled_from([0.0, 0.5]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_builders_match_scipy(self, inst, alpha, beta, seed):
+        params = risk.RiskParams(alpha, beta)
+        bp = risk.breakpoints(inst)
+        n, m = inst.n_pairs, inst.n_states
+        values, probs = inst.reward_atoms
+        inv = 1.0 / (1.0 - alpha)
+        tail = np.array([risk.saddle_coefficients(inst, float(e), params) for e in bp.values])
+        refs = {"dual": vstack([csr_array(np.column_stack((tail, -np.ones(len(tail))))),
+                                scipy_polytope(inst, n + 1)], format="csr")}
+        k, j = np.nonzero(inst.kernel)
+        pairs = np.arange(n)
+        w_rows, w_at = np.nonzero(probs)
+        n_w, w0 = w_rows.size, m + 2
+        price = scipy_csr((n, w0 + n_w), np.concatenate((pairs, k, pairs, pairs, w_rows)),
+                          np.concatenate((inst.pair_state, j, np.full(n, m), np.full(n, m + 1),
+                                          w0 + np.arange(n_w))),
+                          np.concatenate((np.ones(n), -inst.kernel[k, j], np.ones(n), -np.ones(n),
+                                          -inv * probs[w_rows, w_at])))
+        refs["level"] = vstack([price, scipy_excess(inst, m + 1, w0)], format="csr")
+        refs["average"] = scipy_polytope(inst, n)
+        y = float(bp.values[-1])
+        below = y - bp.delta / 2.0 if bp.delta is not None else y
+        at_w = np.einsum("kj,kj->k", probs, (values <= y).astype(float))
+        below_w = (np.einsum("kj,kj->k", probs, (values < below).astype(float))
+                   if bp.delta is not None else np.zeros(n))
+        refs["sparsify"] = vstack([csr_array(np.append(-at_w, 0.0)[None, :]),
+                                   csr_array(np.append(below_w, 1.0)[None, :]),
+                                   scipy_polytope(inst, n + 1)], format="csr")
+        vertices = chains.polytope_vertices(inst)
+        xs = np.asarray(vertices.xs, dtype=float)
+        vertex = np.column_stack(([xl.sum() for xl in xs], np.full(len(xs), -1.0),
+                                  (inv * xs)[:, w_rows] * probs[w_rows, w_at]))
+        refs["primal"] = vstack([csr_array(vertex), scipy_excess(inst, 0, 2)], format="csr")
+        progs = {"dual": lp.build_dual_lp(inst, params, grid=bp.values),
+                 "level": lp.build_level_lp(inst, params),
+                 "average": lp.build_average_lp(inst, float(bp.values[0]), params),
+                 "sparsify": lp.build_sparsify_lp(inst, y, params, bp.delta),
+                 "primal": lp.build_primal_lp(inst, vertices, params)}
+        # pair 0 stays put with probability one: its balance entry cancels
+        # to zero and is not stored
+        avg, row = progs["average"].A, inst.pair_state[0]
+        assert 0 not in avg.indices[avg.indptr[row]:avg.indptr[row + 1]]
+        rng = np.random.default_rng(seed)
+        for name, prog in progs.items():
+            assert_same_csr(prog.A, refs[name])
+            x = rng.normal(size=prog.A.shape[1]) * 10.0 ** rng.integers(-3, 4, prog.A.shape[1])
+            assert np.array_equal(lp._matvec(prog.A, x), refs[name] @ x), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=6),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=5),
+                              st.integers(min_value=0, max_value=5),
+                              st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.25, 3.5])),
+                    max_size=40))
+    def test_triplets_match_scipy(self, n_rows, n_cols, entries):
+        """Duplicates are summed, entries that cancel or are zero are not
+        stored, and empty rows and matrices work. The values are dyadic, so
+        a sum does not depend on the order scipy adds duplicates in."""
+        entries = [(r, c, v) for r, c, v in entries if r < n_rows and c < n_cols]
+        rows, cols, vals = zip(*entries) if entries else ((), (), ())
+        a = lp._matrix((n_rows, n_cols), rows, cols, vals)
+        ref = scipy_csr((n_rows, n_cols), rows, cols, vals)
+        assert_same_csr(a, ref)
+        x = np.linspace(-1.3, 2.7, n_cols)
+        assert np.array_equal(lp._matvec(a, x), ref @ x)
 
 
 class TestDualLp:
@@ -517,7 +661,7 @@ class TestLpFileExport:
                                            prog.variables, prog.constraints)
             for field in ("c", "row_lo", "row_hi", "lb", "ub"):
                 assert np.array_equal(getattr(back, field), getattr(prog, field)), field
-            assert (back.A != prog.A).nnz == 0
+            assert np.array_equal(dense(back.A), dense(prog.A))
             assert (back.col_names, back.row_names) == (prog.col_names, prog.row_names)
 
     def test_interleaved_rows_keep_their_order(self):

@@ -296,6 +296,33 @@ class TestSaddleValue:
             assert best == pytest.approx(risk.cvar_right(law, 0.7), abs=1e-10)
 
 
+def per_level_coefficients(inst, ys, params):
+    """Reference for `saddle_coefficient_rows`: one bracket array and one
+    per-pair einsum per level."""
+    values, probs = inst.reward_atoms
+    inv = 1.0 / (1.0 - params.alpha)
+    return np.array([np.einsum("kj,kj->k", probs,
+                               y + inv * np.clip(values - y, 0.0, None) + params.beta * values)
+                     for y in ys])
+
+
+class TestSaddleCoefficientRows:
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    def test_equal_to_per_level_sums(self, block, monkeypatch):
+        """Bit for bit on both reward kinds, whether the levels go in one
+        block, one by one or in blocks of several."""
+        from test_chains import seeded_instances
+
+        for i, inst in enumerate(seeded_instances()):
+            if block is not None:
+                monkeypatch.setattr(risk, "_BRACKET_BLOCK", block * inst.reward_atoms[0].size)
+            params = risk.RiskParams([0.0, 0.5, 0.9][i % 3], [0.0, 0.5][i % 2])
+            ys = risk.breakpoints(inst).values
+            ref = per_level_coefficients(inst, ys, params)
+            assert np.array_equal(risk.saddle_coefficient_rows(inst, ys, params), ref), inst.name
+            assert np.array_equal(risk.saddle_coefficients(inst, float(ys[-1]), params), ref[-1])
+
+
 class TestSaddleValues:
     @pytest.mark.parametrize("name", ["example2", "endowment"])
     def test_matches_saddle_value_at_every_level(self, name):
