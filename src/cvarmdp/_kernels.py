@@ -1,19 +1,20 @@
 """Hot numeric loops: exact law evolution, per-step CVaR, Monte Carlo steps.
 
-`pair_law_blocks` is the one push-forward of the state law; `evolve_mu`
-and `cvar_sequence_kernel` both read it. It splits the rule rows into
-runs of identical rules and pushes the law one step at a time, as
-`pk = mu[pair_state] * rule`, `mu = pk @ kernel`. Once a run's law comes
-back bit for bit to its value of two steps before, the rest of the run
-repeats its last two laws and is copied into the buffer instead of
-computed, so a stationary or block schedule pays Python work per step
-only until its law settles, and every law is the one the plain loop
-gives. `cvar_sequence_kernel` maps each buffer of pair laws to reward
-laws with one sparse product and values them with one
-`risk.cvar_right_rows` pass. `mc_step` advances every Monte Carlo
+`pair_law_blocks` is the one push-forward of the state law;
+`cvar_sequence_kernel` and `evaluate.t_step_distribution` both read it.
+It splits the rule rows into runs of identical rules and pushes the law
+one step at a time, as `pk = mu[pair_state] * rule`, `mu = pk @ kernel`.
+Once a run's law comes back bit for bit to its value of two steps
+before, the rest of the run repeats its last two laws and is copied into
+the buffer instead of computed, so a stationary or block schedule pays
+Python work per step only until its law settles, and every law is the
+one the plain loop gives. `cvar_sequence_kernel` maps each buffer of
+pair laws to reward laws with one sparse product and values them with
+one `risk.cvar_right_rows` pass. `mc_step` advances every Monte Carlo
 replication by one step from pre-drawn uniforms, counting the CDF levels
 each uniform reaches one level (or one slab of levels) at a time.
-`benchmarks/bench_kernels.py` times them and writes `BENCH_kernels.json`.
+`benchmarks/bench_kernels.py` times them and writes
+`BENCH_kernels.json`.
 """
 
 from __future__ import annotations
@@ -83,17 +84,6 @@ def pair_law_blocks(kernel, pair_state, rules, mu0, T, rows):
             i += m
             t += m
     yield buf[:i]
-
-
-def evolve_mu(kernel, pair_state, rules, mu0, t):
-    """The state law after t steps from mu0."""
-    mu = mu0.copy()
-    if t > 0:
-        for block in pair_law_blocks(kernel, pair_state, rules, mu0, t,
-                                     max(1, LAW_BLOCK_ENTRIES // kernel.shape[0])):
-            pass
-        mu = block[-1] @ kernel
-    return mu
 
 
 def cvar_sequence_kernel(kernel, pair_state, rules, mu0, T, alpha, atoms, values):

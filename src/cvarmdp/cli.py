@@ -131,21 +131,24 @@ def _policy_table(instance, mapping):
     return lines
 
 
-def _solution_payload(sol):
-    c = sol.certificates
+def _certificate_payload(c):
+    return {
+        "left_gap": c.saddle_left_gap,
+        "right_gap": c.saddle_right_gap,
+        "oracle_gap": c.oracle_gap,
+        "tail_level": c.tail_level,
+    }
+
+
+def _solution_payload(sol, mapping):
     return {
         "value": sol.v_star,
         "y_star": sol.y_star,
         "cvar": sol.cvar_component,
         "mean": sol.mean_component,
-        "policy": None,  # filled by caller with the name-keyed mapping
+        "policy": mapping,
         "n_randomizations": sol.n_rand,
-        "certificates": {
-            "left_gap": c.saddle_left_gap,
-            "right_gap": c.saddle_right_gap,
-            "oracle_gap": c.oracle_gap,
-            "tail_level": c.tail_level,
-        },
+        "certificates": _certificate_payload(sol.certificates),
         "flags": list(sol.flags),
     }
 
@@ -155,8 +158,7 @@ def cmd_solve(config):
     params = risk.RiskParams(config.alpha, config.beta)
     sol = solver.solve_cvar(instance, params, mode=config.mode)
     mapping = sol.policy.to_mapping(instance)
-    payload = _solution_payload(sol)
-    payload["policy"] = mapping
+    payload = _solution_payload(sol, mapping)
     if config.tol is not None:
         # mass below --tol does not count as a randomization
         payload["n_randomizations"] = model.n_randomizations(
@@ -235,6 +237,8 @@ def cmd_simulate(config):
     instance = _validated_instance(config)
     policy = _resolve_policy(config, instance)
     s0 = config.s0 if config.s0 is not None else instance.states[0]
+    if s0 not in instance.states:
+        raise InputError(f"unknown state {s0!r}")
     seq = evaluate.cvar_sequence(instance, policy, s0, config.horizon, config.alpha)
     window = config.window
     if window is None:
@@ -287,13 +291,7 @@ def cmd_check(config):
     if config.alpha is not None:
         sol = solver.solve_cvar(instance, risk.RiskParams(config.alpha, config.beta))
         c = sol.certificates
-        payload["certificates"] = {
-            "left_gap": c.saddle_left_gap,
-            "right_gap": c.saddle_right_gap,
-            "oracle_gap": c.oracle_gap,
-            "tail_level": c.tail_level,
-            "certified": c.certified,
-        }
+        payload["certificates"] = {**_certificate_payload(c), "certified": c.certified}
         lines.append(
             f"certificates at alpha={config.alpha:g}: left={c.saddle_left_gap:.3g} "
             f"right={c.saddle_right_gap:.3g} oracle={c.oracle_gap:.3g} "

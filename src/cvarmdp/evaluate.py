@@ -77,6 +77,29 @@ def _mass_budget(instance, rules, T):
     return first + np.arange(T) * (rule + miss(instance.kernel.sum(axis=1)))
 
 
+def _setup(instance, policy, s0, T):
+    """Start-state index, rule rows and policy label of a T-step evaluation.
+    s0 is a state name or an index in [0, n_states)."""
+    if T < 1:
+        raise ValueError("T must be at least 1")
+    if isinstance(s0, str):
+        s0 = instance.state_index(s0)
+    elif not 0 <= s0 < instance.n_states:
+        raise ValueError(f"s0 must be a state name or an index in [0, {instance.n_states}), "
+                         f"got {s0!r}")
+    rules, label = rule_rows(policy, T)
+    return int(s0), rules, label
+
+
+def _check_mass(drift, budget, first=0):
+    """Raise if the mass of step first + i drifted from 1 beyond budget[i]."""
+    over = ~(drift <= budget)
+    if over.any():
+        t = int(np.argmax(over))
+        raise chains.ChainStructureError(f"probability mass drifted by {drift[t]:.3g} at step "
+                                         f"{first + t}, beyond its budget {budget[t]:.3g}")
+
+
 def cvar_sequence(instance, policy, s0, T, alpha):
     """Exact CVaR of the reward law at every step t < T from state s0.
 
@@ -85,28 +108,18 @@ def cvar_sequence(instance, policy, s0, T, alpha):
     beyond what the rows' own rounding allows (`_mass_budget`) raises
     since it indicates a bug in the evolution.
     """
-    if T < 1:
-        raise ValueError("T must be at least 1")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    s0_name = s0 if isinstance(s0, str) else instance.states[int(s0)]
-    s0_idx = instance.state_index(s0_name)
-    rules, label = rule_rows(policy, T)
+    s0, rules, label = _setup(instance, policy, s0, T)
     values, atom_index = _value_index_tables(instance)
-    mu0 = np.zeros(instance.n_states)
-    mu0[s0_idx] = 1.0
+    mu0 = np.eye(1, instance.n_states, s0)[0]
     per_step, drift = _kernels.cvar_sequence_kernel(
         instance.kernel, instance.pair_state, rules, mu0, int(T), float(alpha),
         _atom_matrix(instance, values, atom_index), values)
-    budget = _mass_budget(instance, rules, T)
-    over = ~(drift <= budget)
-    if over.any():
-        t = int(np.argmax(over))
-        raise chains.ChainStructureError(f"probability mass drifted by {drift[t]:.3g} at step "
-                                         f"{t}, beyond its budget {budget[t]:.3g}")
+    _check_mass(drift, _mass_budget(instance, rules, T))
     cesaro = np.cumsum(per_step) / np.arange(1, T + 1)
     return CvarSequence(per_step=per_step, cesaro=cesaro, alpha=float(alpha),
-                        initial_state=s0_name, policy_label=label)
+                        initial_state=instance.states[s0], policy_label=label)
 
 
 def limsup_liminf_estimate(seq, window):
@@ -149,29 +162,14 @@ def example1_policy(T):
 
     Starting in the first state, the policy stays one step, switches and
     stays 3 steps, switches back for 3^2 steps, then 3^3, and so on; the
-    switch action is taken on the last step of each block. Rules are
-    generated from the block boundaries, so any horizon is cheap.
+    switch action is taken on the last step of each block. The T rows are
+    written from the block boundaries, so any horizon is cheap. A horizon
+    below 1 gives an empty schedule, which every evaluation refuses.
     """
-    stay = np.array([1.0, 0.0, 0.0, 1.0])
-    switch = np.array([0.0, 1.0, 1.0, 0.0])
-
-    def rule(t):
-        nxt = 2 * (t + 1) + 1
-        # t+1 is a boundary (3^k - 1)/2 exactly when 2(t+1)+1 is a power of 3
-        p = 3
-        while p < nxt:
-            p *= 3
-        return switch if p == nxt else stay
-
-    def materialize(T):
-        rows = np.tile(stay, (T, 1))
-        cuts = example1_block_boundaries(T) - 1
-        cuts = cuts[cuts >= 0]
-        rows[cuts[cuts < T]] = switch
-        return rows
-
-    return TimeDependentPolicy(horizon=int(T), rule=rule, label="example1-schedule",
-                               materializer=materialize)
+    T = max(int(T), 0)
+    rows = np.tile([1.0, 0.0, 0.0, 1.0], (T, 1))
+    rows[example1_block_boundaries(T) - 1] = [0.0, 1.0, 1.0, 0.0]
+    return TimeDependentPolicy.from_rules(rows, label="example1-schedule")
 
 
 @dataclass(frozen=True)
@@ -211,8 +209,7 @@ def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
         raise ValueError("need at least one replication")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    s0_idx = instance.state_index(s0) if isinstance(s0, str) else int(s0)
-    rules, _ = rule_rows(policy, T)
+    s0, rules, _ = _setup(instance, policy, s0, T)
     values, atom_index = _value_index_tables(instance)
     n_states = instance.n_states
     # the atom paid on a step from pair k to state j is atoms[k * n_states + j]
@@ -227,7 +224,7 @@ def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
     stationary = rules.shape[0] == 1
     cdf_cache = _rule_cdf(instance, rules[0], slot, closed) if stationary else None
 
-    states = np.full(replications, s0_idx, dtype=np.int64)
+    states = np.full(replications, s0, dtype=np.int64)
     counts = np.zeros((T, values.size), dtype=np.int64)
     for t in range(T):
         rule_cdf = cdf_cache if stationary else _rule_cdf(instance, rules[t], slot, closed)
@@ -264,18 +261,14 @@ def t_step_distribution(instance, policy, s0, t):
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    s0 = instance.state_index(s0) if isinstance(s0, str) else int(s0)
-    rules, _ = rule_rows(policy, t + 1)
-    mu0 = np.zeros(instance.n_states)
-    mu0[s0] = 1.0
-    mu = _kernels.evolve_mu(instance.kernel, instance.pair_state, rules, mu0, t)
-    row = rules[0] if rules.shape[0] == 1 else rules[t]
-    pk = mu[instance.pair_state] * row
-    drift = abs(pk.sum() - 1.0)
-    budget = _mass_budget(instance, rules, t + 1)[t]
-    if not drift <= budget:
-        raise chains.ChainStructureError(f"probability mass drifted by {drift:.3g} at step "
-                                         f"{t}, beyond its budget {budget:.3g}")
+    s0, rules, _ = _setup(instance, policy, s0, t + 1)
+    mu0 = np.eye(1, instance.n_states, s0)[0]
+    rows = max(1, _kernels.LAW_BLOCK_ENTRIES // instance.n_pairs)
+    for block in _kernels.pair_law_blocks(instance.kernel, instance.pair_state, rules, mu0,
+                                          t + 1, rows):
+        pass
+    pk = block[-1].copy()
+    _check_mass(np.abs(pk.sum(keepdims=True) - 1.0), _mass_budget(instance, rules, t + 1)[t:], t)
     return pk
 
 

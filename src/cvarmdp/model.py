@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -244,33 +243,34 @@ class DeterministicPolicy:
         return {s: instance.actions[i][c] for i, (s, c) in enumerate(zip(instance.states, self.choices))}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeDependentPolicy:
-    """A finite schedule of per-step stationary rules u_t(a|s).
+    """A finite schedule of per-step stationary rules u_t(a|s): row t of the
+    read-only (horizon, n_pairs) array `rules` is the flat probability row
+    of step t."""
 
-    `rule(t)` returns the flat probability row for step t. For analytically
-    scheduled policies a vectorized `materializer` can build all rows at
-    once without calling `rule` per step.
-    """
-
-    horizon: int
-    rule: Callable[[int], np.ndarray]
+    rules: np.ndarray
     label: str = "time-dependent"
-    materializer: Callable[[int], np.ndarray] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "rules", _readonly(self.rules))
 
     @classmethod
     def from_rules(cls, rules, label="time-dependent"):
-        rows = [np.asarray(r, dtype=np.float64) for r in rules]
-        stacked = np.stack(rows)
-        return cls(horizon=len(rows), rule=lambda t: stacked[t], label=label,
-                   materializer=lambda T: stacked[:T].copy())
+        return cls(np.array(rules, dtype=np.float64), label)
+
+    @property
+    def horizon(self):
+        return self.rules.shape[0]
 
     def rows(self, T):
         if T > self.horizon:
             raise ValueError(f"horizon exceeded: need {T} steps, policy defines {self.horizon}")
-        if self.materializer is not None:
-            return np.asarray(self.materializer(T), dtype=np.float64)
-        return np.stack([np.asarray(self.rule(t), dtype=np.float64) for t in range(T)])
+        return self.rules[:T]
+
+    def __reduce__(self):
+        # rebuild through __post_init__, so an unpickled schedule is read-only too
+        return type(self), (self.rules, self.label)
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,14 @@ class TestSimulateCommand:
         tail = [row["cesaro"] for row in doc["rows"][-50:]]
         assert max(tail) - min(tail) < 0.5  # converging running average
 
+    def test_unknown_initial_state(self, capsys, tmp_path):
+        pol_path = tmp_path / "policy.json"
+        pol_path.write_text(json.dumps({s: {"1": 1.0} for s in ("1", "2", "3")}))
+        code, _, err = run(capsys, "simulate", "--builtin", "example2",
+                           "--policy", str(pol_path), "--s0", "nope")
+        assert code == 2
+        assert err == "error: unknown state 'nope'\n"
+
     def test_example1_default_window_spans_a_swing(self, capsys):
         code, out, _ = run(capsys, "simulate", "--builtin", "example1", "--policy", "example1",
                         "--alpha", "0.5", "--T", "29524")

@@ -1,3 +1,5 @@
+import pickle
+import re
 import tracemalloc
 from unittest import mock
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from test_chains import sparse_kernels
 
 import cvarmdp
-from cvarmdp import _kernels, chains, evaluate, model, risk, solver
+from cvarmdp import _kernels, chains, cli, evaluate, model, risk, solver
 
 
 def dirac_reward_instance():
@@ -33,14 +35,14 @@ class TestExample1Schedule:
     def test_switch_at_time_zero(self):
         inst = model.builtin("example1")
         pol = evaluate.example1_policy(10)
-        row = pol.rule(0)
+        row = pol.rows(1)[0]
         assert row[inst.pair_index("s1", "a12")] == 1.0  # move to the second state
 
     def test_stay_mid_block(self):
         inst = model.builtin("example1")
         pol = evaluate.example1_policy(10)
         for t in (1, 2):
-            row = pol.rule(t)
+            row = pol.rows(10)[t]
             assert row[inst.pair_index("s2", "a22")] == 1.0
 
     def test_block_boundaries(self):
@@ -57,11 +59,25 @@ class TestExample1Schedule:
         assert evaluate.example1_swing_window(88573) == 88573 - 9840
         assert [evaluate.example1_swing_window(T) for T in (1, 3, 13)] == [1, 3, 13]
 
-    def test_materializer_matches_rule(self):
-        pol = evaluate.example1_policy(200)
-        rows = pol.rows(200)
+    def test_rows_match_power_of_three_oracle(self):
+        # t + 1 is a block start (3^k - 1) / 2 exactly when 2(t + 1) + 1 is
+        # a power of 3; the switch action is played on such steps
+        stay, switch = [1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]
+        rows = evaluate.example1_policy(200).rows(200)
         for t in range(200):
-            assert np.array_equal(rows[t], pol.rule(t))
+            p = 3
+            while p < 2 * (t + 1) + 1:
+                p *= 3
+            assert rows[t].tolist() == (switch if p == 2 * (t + 1) + 1 else stay)
+
+    def test_pickle_round_trip(self):
+        rows = np.random.default_rng(0).random((7, 4))
+        for pol in (model.TimeDependentPolicy.from_rules(rows, label="random"),
+                    evaluate.example1_policy(200)):
+            back = pickle.loads(pickle.dumps(pol))
+            assert np.array_equal(back.rows(back.horizon), pol.rows(pol.horizon))
+            assert back.label == pol.label
+            assert not back.rules.flags.writeable
 
 
 class TestCvarSequenceExample1:
@@ -290,6 +306,37 @@ class TestMonteCarlo:
         assert np.array_equal(mc.cvar, whole)
 
 
+ENTRY_POINTS = {
+    "cvar_sequence": lambda inst, pol, s0, T: evaluate.cvar_sequence(inst, pol, s0, T, 0.5),
+    "t_step_distribution": lambda inst, pol, s0, T: evaluate.t_step_distribution(
+        inst, pol, s0, T - 1),
+    "monte_carlo_eval": lambda inst, pol, s0, T: evaluate.monte_carlo_eval(
+        inst, pol, s0, T, 8, 0, alpha=0.5),
+}
+
+
+class TestStartStateAndHorizon:
+    """The three entry points share one start-state and horizon check: an
+    index outside [0, n_states) is refused, not read from the end."""
+
+    @pytest.mark.parametrize("entry, s0, T", [
+        *[(entry, s0, 5) for entry in ENTRY_POINTS for s0 in (-1, 2)],
+        ("monte_carlo_eval", "s1", 0), ("monte_carlo_eval", "s1", -1), ("simulate", "s1", -1)])
+    def test_refused(self, capsys, entry, s0, T):
+        message = ("T must be at least 1" if T < 1
+                   else f"s0 must be a state name or an index in [0, 2), got {s0}")
+        if entry == "simulate":
+            # example1's schedule is built before the horizon is checked
+            code = cli.main(["simulate", "--builtin", "example1", "--policy", "example1",
+                             "--s0", s0, "--T", str(T)])
+            assert code == cli.EXIT_INPUT
+            assert capsys.readouterr().err == f"error: {message}\n"
+            return
+        inst = model.builtin("example1")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ENTRY_POINTS[entry](inst, evaluate.example1_policy(5), s0, T)
+
+
 def random_rules(instance, rng, T, time_dependent):
     """A stationary rule, or one rule per step; each rule has some actions
     switched off, and a state left with none plays its first action."""
@@ -332,7 +379,7 @@ class TestEvolutionAgainstStepLaws:
 def step_by_step(instance, rules, s0, T, alpha):
     """Plain reference for the chunked evolution: push the state law one
     step at a time, bincount each step's reward law and value it alone.
-    Returns the per-step CVaR, the pair laws and the state law at T."""
+    Returns the per-step CVaR and the pair laws."""
     values, atom_index = evaluate._value_index_tables(instance)
     probs = instance.reward_atoms[1]
     mu = np.zeros(instance.n_states)
@@ -345,7 +392,7 @@ def step_by_step(instance, rules, s0, T, alpha):
         cvar[t] = risk.cvar_right_rows(values, law, alpha)
         pair_laws[t] = pk
         mu = pk @ instance.kernel
-    return cvar, pair_laws, mu
+    return cvar, pair_laws
 
 
 class TestChunkedEvolution:
@@ -372,18 +419,20 @@ class TestChunkedEvolution:
         values, atom_index = evaluate._value_index_tables(inst)
         mu0 = np.zeros(inst.n_states)
         mu0[s0] = 1.0
-        ref, ref_pairs, ref_mu = step_by_step(inst, rules, s0, T, alpha)
+        ref, ref_pairs = step_by_step(inst, rules, s0, T, alpha)
+        policy = (model.StationaryPolicy(rules[0]) if stationary
+                  else model.TimeDependentPolicy.from_rules(rules))
         entries = rows * max(values.size, inst.n_pairs)
         with mock.patch.object(_kernels, "LAW_BLOCK_ENTRIES", entries):
             per_step, drift = _kernels.cvar_sequence_kernel(
                 inst.kernel, inst.pair_state, rules, mu0, T, alpha,
                 evaluate._atom_matrix(inst, values, atom_index), values)
+            last = evaluate.t_step_distribution(inst, policy, s0, T - 1)
         blocks = [b.copy() for b in _kernels.pair_law_blocks(
             inst.kernel, inst.pair_state, rules, mu0, T, rows)]
         assert all(0 < b.shape[0] <= rows for b in blocks)
         assert np.array_equal(np.concatenate(blocks), ref_pairs)
-        assert np.array_equal(_kernels.evolve_mu(inst.kernel, inst.pair_state, rules, mu0, T),
-                              ref_mu)
+        assert np.array_equal(last, ref_pairs[-1])
         assert np.array_equal(per_step, ref)
         assert drift.shape == (T,)
         assert drift.max() <= evaluate.MASS_DRIFT_TOL
@@ -395,7 +444,7 @@ class TestChunkedEvolution:
         inst = model.builtin("example1")
         swap, to_s2 = [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]
         rules = np.array([swap] * 2 + [to_s2] * 6)
-        ref, ref_pairs, _ = step_by_step(inst, rules, 0, 8, 0.5)
+        ref, ref_pairs = step_by_step(inst, rules, 0, 8, 0.5)
         seq = evaluate.cvar_sequence(inst, model.TimeDependentPolicy.from_rules(rules), "s1",
                                      8, 0.5)
         assert np.array_equal(seq.per_step, ref)
@@ -408,7 +457,7 @@ class TestChunkedEvolution:
         inst = model.random_instance(1, 10, 4)
         pol = single_action_policy(inst)
         seq = evaluate.cvar_sequence(inst, pol, "s1", 20_000, 0.8)
-        ref, _, _ = step_by_step(inst, model.rule_rows(pol, 1)[0], 0, 20_000, 0.8)
+        ref, _ = step_by_step(inst, model.rule_rows(pol, 1)[0], 0, 20_000, 0.8)
         assert np.array_equal(seq.per_step, ref)
 
     @pytest.mark.parametrize("name", ["example2", "endowment", "repeated"])
@@ -427,7 +476,7 @@ class TestChunkedEvolution:
         inst = model.builtin("example1")
         T = (3**9 - 1) // 2
         pol = evaluate.example1_policy(T)
-        ref, _, _ = step_by_step(inst, model.rule_rows(pol, T)[0], 0, T, 0.5)
+        ref, _ = step_by_step(inst, model.rule_rows(pol, T)[0], 0, T, 0.5)
         assert np.array_equal(evaluate.cvar_sequence(inst, pol, "s1", T, 0.5).per_step, ref)
 
 
@@ -465,7 +514,7 @@ class TestMassDriftGate:
         pol = single_action_policy(inst)
         rules = model.rule_rows(pol, 1)[0]
         seq = evaluate.cvar_sequence(inst, pol, "s0", 20_000, 0.8)
-        ref, _, _ = step_by_step(inst, rules, 0, 20_000, 0.8)
+        ref, _ = step_by_step(inst, rules, 0, 20_000, 0.8)
         assert np.array_equal(seq.per_step, ref)
         # one action and one-point rewards: only the kernel rows miss 1
         miss = np.abs(inst.kernel.sum(axis=1) - 1.0).max()
@@ -511,8 +560,9 @@ class TestMassDriftGate:
     @pytest.mark.parametrize("leak", [False, True])
     def test_t_step_mass_off_refused(self, monkeypatch, leak):
         inst = slowly_mixing_instance() if leak else model.builtin("example2")
-        real = _kernels.evolve_mu
-        monkeypatch.setattr(_kernels, "evolve_mu", lambda *args: real(*args) * (1.0 + 1e-9))
+        real = _kernels.pair_law_blocks
+        monkeypatch.setattr(_kernels, "pair_law_blocks",
+                            lambda *args: (b * (1.0 + 1e-9) for b in real(*args)))
         with pytest.raises(chains.ChainStructureError, match="probability mass drifted by"):
             evaluate.t_step_distribution(inst, single_action_policy(inst), 0,
                                          19_999 if leak else 1_999)
