@@ -18,15 +18,18 @@ Instances, 12 states x 3 actions each (3^12 = 531,441 policies):
 Each call runs REPEATS times, after a warm-up on a small instance, at
 alpha = 0.8, beta = 0.5, and the row records the median and the range of
 its wall times: one call's time spreads by up to 64 % between runs on a
-2-CPU machine. The row also records the number of multichain policies (read
-off the check's violators) so runs on different versions can be checked to
-see the same structure. After the timed calls, one more enumeration runs
+2-CPU machine. The row also records the number of multichain policies (the
+violators with more than one recurrent class in the report's `owner`
+array) so runs on different versions can be checked to see the same
+structure. After the timed calls, one more enumeration runs
 under tracemalloc, and `enumerate_retained_mib` is the memory still
 allocated when it returns, which is what the table holds on to.
 
 The result is stored under `--label` in the output file; other labels
 already there are kept, so runs of two versions of the package (put each
-on PYTHONPATH in turn) land side by side in one file.
+on PYTHONPATH in turn) land side by side in one file. This script reads
+`AssumptionReport`'s arrays; a version whose report holds per-violator
+objects is timed with that version's own copy of the script.
 """
 
 import argparse
@@ -87,8 +90,9 @@ def bench_instance(name, make):
         "states": inst.n_states,
         "pairs": inst.n_pairs,
         "policies": report.total,
-        "violators": len(report.violators),
-        "multichain_policies": sum(not cls.unichain for _, cls in report.violators),
+        "violators": int(report.violators.size),
+        "multichain_policies": int(np.count_nonzero(
+            np.bincount(report.owner, minlength=report.violators.size) > 1)),
         "best_index": table.best_index,
         "check_s": check_s,
         "check_s_range": check_range,

@@ -8,11 +8,11 @@ states at exactly zero.
 
 One classifier, `_recurrent_classes`, takes a stack of chains as one
 block-diagonal graph, and one solve, `_class_occupations`, takes a stack
-of (policy, recurrent class) rows. `classify_chain` (unless every entry
-is positive) and `stationary_distribution` pass a stack of one; the
-exhaustive reports over deterministic policies (the assumption check, the
-vertex list, and the solver's enumeration) read one sweep that passes
-whole blocks of policies, multichain ones included.
+of (policy, recurrent class) rows. `classify_chain` and
+`stationary_distribution` pass a stack of one; the exhaustive reports
+over deterministic policies (the assumption check, the vertex list, and
+the solver's enumeration) read one sweep that passes whole blocks of
+policies, multichain ones included.
 """
 
 from __future__ import annotations
@@ -168,9 +168,6 @@ def _classification(members, aperiodic):
 def classify_chain(instance, policy):
     """Recurrent classes and per-class aperiodicity of the chain under d."""
     adj = transition_matrix(instance, policy) > EDGE_TOL
-    if adj.all():
-        # strictly positive rows: one recurrent class, self-loops everywhere
-        return ChainClassification((tuple(range(instance.n_states)),), (), (True,))
     _, members, aperiodic = _recurrent_classes(adj[None])
     return _classification(members, aperiodic)
 
@@ -261,14 +258,6 @@ class _PolicyBlock:
     def __len__(self):
         return self.choices.shape[0]
 
-    def policy(self, i):
-        return DeterministicPolicy(self.choices[i].tolist())
-
-    def classification(self, i):
-        """The ChainClassification that classify_chain gives policy i."""
-        lo, hi = self.bounds[i], self.bounds[i + 1]
-        return _classification(self.members[lo:hi], self.aperiodic[lo:hi])
-
     @cached_property
     def occupations(self):
         """(owner, xs): the occupation measure of every recurrent class, in
@@ -300,14 +289,31 @@ def _deterministic_sweep(instance, cap=10**6):
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Outcome of classifying the chain of every deterministic policy."""
+    """Outcome of classifying the chain of every deterministic policy.
+
+    violators holds, ascending, the numbers (in `model.policy_actions`
+    order) of the policies whose chain is not unichain and aperiodic.
+    owner, members and aperiodic hold their recurrent classes as
+    `_recurrent_classes` returns them, with owner[c] an index into
+    violators.
+    """
 
     total: int
-    violators: tuple  # (DeterministicPolicy, ChainClassification) pairs
+    violators: np.ndarray
+    owner: np.ndarray
+    members: np.ndarray
+    aperiodic: np.ndarray
 
     @property
     def ok(self):
-        return not self.violators
+        return not self.violators.size
+
+    def classifications(self):
+        """The ChainClassification of each violator, in violators order,
+        decoded as it is read."""
+        bounds = np.searchsorted(self.owner, np.arange(self.violators.size + 1)).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield _classification(self.members[lo:hi], self.aperiodic[lo:hi])
 
 
 def check_assumption(instance, cap=10**6):
@@ -317,13 +323,20 @@ def check_assumption(instance, cap=10**6):
     Passing is a sufficient condition in practice: the solver additionally
     classifies whatever randomized policy it extracts.
     """
-    violators = []
+    # empty arrays of the report's shapes, for an instance without policies
+    parts = [(np.empty(0, np.intp), np.empty(0, np.intp),
+              np.empty((0, instance.n_states), bool), np.empty(0, bool))]
     total = 0
     for block in _deterministic_sweep(instance, cap):
+        bad = ~block.unichain_aperiodic
+        keep = bad[block.owner]
+        parts.append((total + np.flatnonzero(bad), total + block.owner[keep],
+                      block.members[keep], block.aperiodic[keep]))
         total += len(block)
-        for i in np.flatnonzero(~block.unichain_aperiodic).tolist():
-            violators.append((block.policy(i), block.classification(i)))
-    return AssumptionReport(total=total, violators=tuple(violators))
+    violators, owner, members, aperiodic = map(np.concatenate, zip(*parts))
+    # each class's owner, from its policy number to the policy's index in violators
+    return AssumptionReport(total, violators, np.searchsorted(violators, owner),
+                            members, aperiodic)
 
 
 @dataclass(frozen=True)
@@ -361,5 +374,5 @@ def polytope_vertices(instance, cap=10**6):
             if (np.abs(kept - x).max(axis=1) < VERTEX_DEDUP_TOL).any():
                 continue
             kept = np.vstack([kept, x])
-            gens.append(block.policy(i))
+            gens.append(DeterministicPolicy(block.choices[i].tolist()))
     return VertexSet(kept, tuple(gens))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,96 +25,54 @@ class InputError(ValueError):
     """Bad flags, unreadable files, or failed instance validation."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One command invocation: instance source, risk parameters, flags."""
-
-    command: str
-    builtin: str | None
-    instance_path: str | None
-    gen: str | None
-    alpha: float
-    beta: float
-    mode: str
-    as_json: bool
-    seed: int
-    horizon: int
-    policy: str | None
-    tol: float | None
-    states: int
-    actions: int
-    reward_range: tuple
-    out: str | None
-    s0: str | None
-    window: int | None
-
-    def __post_init__(self):
-        if self.alpha is not None and not 0.0 <= self.alpha < 1.0:
-            raise InputError(f"--alpha must lie in [0, 1), got {self.alpha}")
-        if not 0.0 <= self.beta < np.inf:
-            raise InputError(f"--beta must be finite and nonnegative, got {self.beta}")
-        if self.tol is not None and not 0.0 <= self.tol < np.inf:
-            raise InputError(f"--tol must be finite and nonnegative, got {self.tol}")
-        sources = [s for s in (self.builtin, self.instance_path, self.gen) if s is not None]
-        if self.command not in ("gen",) and len(sources) != 1:
-            raise InputError("give exactly one instance source: --builtin, --instance, or --gen")
+def _check_args(args):
+    """Refuse out-of-range risk parameters and a missing or doubled
+    instance source."""
+    alpha, beta = getattr(args, "alpha", None), getattr(args, "beta", 0.0)
+    tol = getattr(args, "tol", None)
+    if alpha is not None and not 0.0 <= alpha < 1.0:
+        raise InputError(f"--alpha must lie in [0, 1), got {alpha}")
+    if not 0.0 <= beta < np.inf:
+        raise InputError(f"--beta must be finite and nonnegative, got {beta}")
+    if tol is not None and not 0.0 <= tol < np.inf:
+        raise InputError(f"--tol must be finite and nonnegative, got {tol}")
+    sources = sum(getattr(args, k, None) is not None for k in ("builtin", "instance", "gen"))
+    if args.command != "gen" and sources != 1:
+        raise InputError("give exactly one instance source: --builtin, --instance, or --gen")
 
 
-def _make_config(args):
-    return RunConfig(
-        command=args.command,
-        builtin=getattr(args, "builtin", None),
-        instance_path=getattr(args, "instance", None),
-        gen=getattr(args, "gen", None),
-        alpha=getattr(args, "alpha", 0.0),
-        beta=getattr(args, "beta", 0.0),
-        mode=getattr(args, "mode", "dual"),
-        as_json=getattr(args, "json", False),
-        seed=getattr(args, "seed", 0),
-        horizon=getattr(args, "T", 100),
-        policy=getattr(args, "policy", None),
-        tol=getattr(args, "tol", None),
-        states=getattr(args, "states", 3),
-        actions=getattr(args, "actions", 2),
-        reward_range=tuple(getattr(args, "reward_range", (0.0, 100.0))),
-        out=getattr(args, "out", None),
-        s0=getattr(args, "s0", None),
-        window=getattr(args, "window", None),
-    )
-
-
-def _resolve_instance(config):
-    if config.builtin is not None:
+def _resolve_instance(args):
+    if args.builtin is not None:
         try:
-            return model.builtin(config.builtin)
+            return model.builtin(args.builtin)
         except KeyError as e:
-            raise InputError(str(e)) from None
-    if config.instance_path is not None:
+            raise InputError(e.args[0]) from None
+    if args.instance is not None:
         try:
-            return model.load(config.instance_path)
+            return model.load(args.instance)
         except (OSError, model.InstanceFormatError) as e:
             raise InputError(str(e)) from None
-    spec = config.gen.split(",")
+    spec = args.gen.split(",")
     if len(spec) not in (2, 3):
         raise InputError("--gen takes STATES,ACTIONS[,SEED]")
     try:
         n_states, n_actions = int(spec[0]), int(spec[1])
-        seed = int(spec[2]) if len(spec) == 3 else config.seed
+        seed = int(spec[2]) if len(spec) == 3 else args.seed
     except ValueError:
-        raise InputError(f"--gen spec {config.gen!r} is not numeric") from None
-    return model.random_instance(seed, n_states, n_actions, config.reward_range)
+        raise InputError(f"--gen spec {args.gen!r} is not numeric") from None
+    return model.random_instance(seed, n_states, n_actions)
 
 
-def _validated_instance(config):
-    instance = _resolve_instance(config)
+def _validated_instance(args):
+    instance = _resolve_instance(args)
     report = model.validate(instance)
     if not report.ok:
         raise InputError(f"instance {instance.name!r} is invalid:\n{report}")
     return instance
 
 
-def _emit(config, payload, table_lines):
-    if config.as_json:
+def _emit(args, payload, table_lines):
+    if args.json:
         print(json.dumps(payload, indent=2))
     else:
         print("\n".join(table_lines))
@@ -129,6 +86,13 @@ def _policy_table(instance, mapping):
         row = s.ljust(12) + "".join(f"{mapping[s].get(a, 0.0):12.4f}" for a in actions)
         lines.append(row)
     return lines
+
+
+def _policy_mappings(instance, numbers):
+    """Yield the state -> action mapping of each deterministic policy
+    number in `numbers`, decoded in one `model.policy_actions` call."""
+    for choices in model.policy_actions(instance, numbers):
+        yield model.DeterministicPolicy(choices).to_mapping(instance)
 
 
 def _certificate_payload(c):
@@ -153,16 +117,16 @@ def _solution_payload(sol, mapping):
     }
 
 
-def cmd_solve(config):
-    instance = _validated_instance(config)
-    params = risk.RiskParams(config.alpha, config.beta)
-    sol = solver.solve_cvar(instance, params, mode=config.mode)
+def cmd_solve(args):
+    instance = _validated_instance(args)
+    params = risk.RiskParams(args.alpha, args.beta)
+    sol = solver.solve_cvar(instance, params, mode=args.mode)
     mapping = sol.policy.to_mapping(instance)
     payload = _solution_payload(sol, mapping)
-    if config.tol is not None:
+    if args.tol is not None:
         # mass below --tol does not count as a randomization
         payload["n_randomizations"] = model.n_randomizations(
-            instance, sol.policy, tol=config.tol)
+            instance, sol.policy, tol=args.tol)
     c = sol.certificates
     lines = [
         f"instance        {instance.name}",
@@ -182,13 +146,13 @@ def cmd_solve(config):
     if sol.primal_value is not None:
         payload["primal_value"] = sol.primal_value
         lines.append(f"primal value    {sol.primal_value:.4f}")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_enumerate(config):
-    instance = _validated_instance(config)
-    params = risk.RiskParams(config.alpha, config.beta)
+def cmd_enumerate(args):
+    instance = _validated_instance(args)
+    params = risk.RiskParams(args.alpha, args.beta)
     table = solver.enumerate_deterministic(instance, params)
     dual = lp.solve(lp.build_dual_lp(instance, params))
     if dual.status != "optimal":
@@ -199,32 +163,32 @@ def cmd_enumerate(config):
     gap = optimum - best
     rows_payload = []
     lines = [f"{'policy':<40}{'mean':>12}{'cvar':>12}{'combined':>12}"]
-    for rank, i in enumerate(order.tolist()):
+    shown = order if args.json else order[:51]
+    for rank, (i, policy) in enumerate(zip(shown.tolist(), _policy_mappings(instance, shown))):
         mean, cvar, combined = (float(a[i]) for a in (table.mean, table.cvar, table.combined))
-        policy = model.DeterministicPolicy(model.policy_actions(instance, i)).to_mapping(instance)
         label = ",".join(f"{s}:{a}" for s, a in policy.items())
         mark = " *" if i == table.best_index else ""
         lines.append(f"{label:<40}{mean:>12.4f}{cvar:>12.4f}{combined:>12.4f}{mark}")
         rows_payload.append({"policy": policy, "mean": mean, "cvar": cvar, "combined": combined})
-        if rank >= 50 and not config.as_json:
+        if rank >= 50 and not args.json:
             lines.append(f"... ({len(order) - rank - 1} more rows)")
             break
     lines.append(f"best deterministic {best:.4f}; optimum {optimum:.4f}; gap {gap:.4f}")
     payload = {"rows": rows_payload, "best": rows_payload[0] if rows_payload else None,
                "optimum": optimum, "gap": gap}
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def _resolve_policy(config, instance):
-    if config.policy is None:
+def _resolve_policy(args, instance):
+    if args.policy is None:
         raise InputError("simulate needs --policy NAME|PATH")
-    if config.policy == "example1":
+    if args.policy == "example1":
         if instance.name != "example1":
             raise InputError("--policy example1 only applies to the example1 instance")
-        return evaluate.example1_policy(config.horizon)
+        return evaluate.example1_policy(args.T)
     try:
-        with open(config.policy) as fh:
+        with open(args.policy) as fh:
             mapping = json.load(fh)
         return model.StationaryPolicy.from_mapping(instance, mapping)
     except OSError as e:
@@ -233,20 +197,20 @@ def _resolve_policy(config, instance):
         raise InputError(f"bad policy file: {e}") from None
 
 
-def cmd_simulate(config):
-    instance = _validated_instance(config)
-    policy = _resolve_policy(config, instance)
-    s0 = config.s0 if config.s0 is not None else instance.states[0]
+def cmd_simulate(args):
+    instance = _validated_instance(args)
+    policy = _resolve_policy(args, instance)
+    s0 = args.s0 if args.s0 is not None else instance.states[0]
     if s0 not in instance.states:
         raise InputError(f"unknown state {s0!r}")
-    seq = evaluate.cvar_sequence(instance, policy, s0, config.horizon, config.alpha)
-    window = config.window
+    seq = evaluate.cvar_sequence(instance, policy, s0, args.T, args.alpha)
+    window = args.window
     if window is None:
-        window = (evaluate.example1_swing_window(len(seq)) if config.policy == "example1"
+        window = (evaluate.example1_swing_window(len(seq)) if args.policy == "example1"
                   else max(1, len(seq) // 2))
     hi, lo = evaluate.limsup_liminf_estimate(seq, window)
-    if config.out is not None:
-        evaluate.export_sequence(seq, config.out)
+    if args.out is not None:
+        evaluate.export_sequence(seq, args.out)
     payload = {
         "alpha": seq.alpha,
         "initial_state": seq.initial_state,
@@ -262,58 +226,61 @@ def cmd_simulate(config):
     lines += [f"{t},{seq.per_step[t]:.4f},{seq.cesaro[t]:.4f}" for t in range(len(seq))]
     lines.append(f"# trailing-window ({window}) cesaro extremes: "
                  f"max {hi:.4f}, min {lo:.4f}")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_check(config):
-    instance = _validated_instance(config)
+def cmd_check(args):
+    instance = _validated_instance(args)
     report = chains.check_assumption(instance)
+    n_bad = report.violators.size
+    # decode only the violators printed: all of them under --json, else 20
+    shown = report.violators if args.json else report.violators[:20]
+    violations = [{"policy": policy, "structure": cls.describe(instance)}
+                  for policy, cls in zip(_policy_mappings(instance, shown),
+                                         report.classifications())]
     payload = {
         "instance": instance.name,
         "policies": report.total,
-        "violations": [
-            {"policy": dp.to_mapping(instance), "structure": cls.describe(instance)}
-            for dp, cls in report.violators
-        ],
+        "violations": violations,
         "ok": report.ok,
     }
     lines = [f"instance   {instance.name}",
              f"policies   {report.total}",
-             f"violations {len(report.violators)}"]
-    for dp, cls in report.violators[:20]:
-        label = ",".join(f"{s}:{a}" for s, a in dp.to_mapping(instance).items())
-        lines.append(f"  {label}: {cls.describe(instance)}")
-    if len(report.violators) > 20:
-        lines.append(f"  ... ({len(report.violators) - 20} more)")
+             f"violations {n_bad}"]
+    for v in violations[:20]:
+        label = ",".join(f"{s}:{a}" for s, a in v["policy"].items())
+        lines.append(f"  {label}: {v['structure']}")
+    if n_bad > 20:
+        lines.append(f"  ... ({n_bad - 20} more)")
     lines.append("every deterministic policy is unichain and aperiodic" if report.ok
                  else "violations found; solve treats results as polytope optima")
-    if config.alpha is not None:
-        sol = solver.solve_cvar(instance, risk.RiskParams(config.alpha, config.beta))
+    if args.alpha is not None:
+        sol = solver.solve_cvar(instance, risk.RiskParams(args.alpha, args.beta))
         c = sol.certificates
         payload["certificates"] = {**_certificate_payload(c), "certified": c.certified}
         lines.append(
-            f"certificates at alpha={config.alpha:g}: left={c.saddle_left_gap:.3g} "
+            f"certificates at alpha={args.alpha:g}: left={c.saddle_left_gap:.3g} "
             f"right={c.saddle_right_gap:.3g} oracle={c.oracle_gap:.3g} "
             f"({'certified' if c.certified else 'NOT certified'})")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_gen(config):
-    instance = model.random_instance(config.seed, config.states, config.actions,
-                                     config.reward_range)
-    if config.out is None:
+def cmd_gen(args):
+    instance = model.random_instance(args.seed, args.states, args.actions,
+                                     args.reward_range)
+    if args.out is None:
         model.save(instance, sys.stdout)
     else:
-        model.save(instance, config.out)
-        print(f"wrote {instance.name} to {config.out}")
+        model.save(instance, args.out)
+        print(f"wrote {instance.name} to {args.out}")
     return EXIT_OK
 
 
-def cmd_scan(config):
-    instance = _validated_instance(config)
-    params = risk.RiskParams(config.alpha, config.beta)
+def cmd_scan(args):
+    instance = _validated_instance(args)
+    params = risk.RiskParams(args.alpha, args.beta)
     scan = solver.endpoint_scan_oracle(instance, params)
     grid_best = int(np.argmin(scan.envelope))
     payload = {
@@ -331,7 +298,7 @@ def cmd_scan(config):
                      "(between endpoints)")
     else:
         lines.append(f"exact minimum {scan.value:.4f} at y={scan.y_star:.4f}")
-    _emit(config, payload, lines)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -414,8 +381,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _make_config(args)
-        return _COMMANDS[args.command](config)
+        _check_args(args)
+        return _COMMANDS[args.command](args)
     except (InputError, model.InstanceFormatError, model.CapExceededError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -11,6 +11,7 @@ their inputs: the sparse map from pair laws to reward laws for
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,13 +83,12 @@ def _setup(instance, policy, s0, T):
     s0 is a state name or an index in [0, n_states)."""
     if T < 1:
         raise ValueError("T must be at least 1")
-    if isinstance(s0, str):
-        s0 = instance.state_index(s0)
-    elif not 0 <= s0 < instance.n_states:
+    s0 = instance.state_index(s0) if isinstance(s0, str) else operator.index(s0)
+    if not 0 <= s0 < instance.n_states:
         raise ValueError(f"s0 must be a state name or an index in [0, {instance.n_states}), "
                          f"got {s0!r}")
     rules, label = rule_rows(policy, T)
-    return int(s0), rules, label
+    return s0, rules, label
 
 
 def _check_mass(drift, budget, first=0):

@@ -264,6 +264,8 @@ class TimeDependentPolicy:
         return self.rules.shape[0]
 
     def rows(self, T):
+        if T < 0:
+            raise ValueError(f"T must be nonnegative, got {T}")
         if T > self.horizon:
             raise ValueError(f"horizon exceeded: need {T} steps, policy defines {self.horizon}")
         return self.rules[:T]

@@ -172,7 +172,8 @@ class TestCheckAssumption:
     def test_example1_violators(self):
         report = chains.check_assumption(model.builtin("example1"))
         assert not report.ok
-        structures = [cls for _, cls in report.violators]
+        structures = list(report.classifications())
+        assert len(structures) == report.violators.size
         assert any(not cls.unichain for cls in structures)
 
     def test_random_instances_clean(self):
@@ -358,13 +359,26 @@ def loop_vertices(instance):
 
 
 def sweep_classes(instance):
-    """The sweep's (policy, classification, class occupation rows) per policy."""
+    """The sweep's (policy, classification, class occupation rows) per
+    policy, decoded from each block's arrays."""
     out = []
     for block in chains._deterministic_sweep(instance):
         owner, xs = block.occupations
         for i in range(len(block)):
-            out.append((block.policy(i), block.classification(i), list(xs[owner == i])))
+            lo, hi = block.bounds[i], block.bounds[i + 1]
+            cls = chains._classification(block.members[lo:hi], block.aperiodic[lo:hi])
+            out.append((DeterministicPolicy(block.choices[i].tolist()), cls,
+                        list(xs[owner == i])))
     return out
+
+
+def decoded_check(instance, report):
+    """`check_assumption`'s report as `loop_check_assumption` gives it: the
+    total and a (policy, classification) pair per violator, the policy
+    decoded from its number by `model.policy_actions`."""
+    policies = [DeterministicPolicy(model.policy_actions(instance, i))
+                for i in report.violators.tolist()]
+    return report.total, list(zip(policies, report.classifications()))
 
 
 def assert_sweep_matches_loop(instance):
@@ -381,9 +395,7 @@ def assert_sweep_matches_loop(instance):
         seen |= {"periodic"} if not all(cls_l.aperiodic) else set()
         seen |= {"transient"} if cls_l.transient_states else set()
     report = chains.check_assumption(instance)
-    total, violators = loop_check_assumption(instance)
-    assert report.total == total
-    assert list(report.violators) == violators
+    assert decoded_check(instance, report) == loop_check_assumption(instance)
     return seen
 
 
@@ -477,8 +489,13 @@ class TestDeterministicSweep:
         assert any(not cls.unichain for _, cls in expected[1])
         monkeypatch.setattr(chains, "classify_chain", per_policy)
         monkeypatch.setattr(chains, "_class_occupation", per_policy)
-        report = chains.check_assumption(inst)
-        assert (report.total, list(report.violators)) == expected
+        with monkeypatch.context() as m:
+            # the report holds arrays: no per-policy object is built
+            m.setattr(chains, "DeterministicPolicy", per_policy)
+            m.setattr(model, "DeterministicPolicy", per_policy)
+            m.setattr(chains, "ChainClassification", per_policy)
+            report = chains.check_assumption(inst)
+        assert decoded_check(inst, report) == expected
         chains.polytope_vertices(inst)
         solver.enumerate_deterministic(inst, risk.RiskParams(0.5))
 
@@ -498,7 +515,7 @@ class TestDeterministicSweep:
             assert_table_matches_loop(inst, params)
 
             report = chains.check_assumption(inst)
-            assert (report.total, list(report.violators)) == loop_check_assumption(inst)
+            assert decoded_check(inst, report) == loop_check_assumption(inst)
 
             verts = chains.polytope_vertices(inst)
             xs, gens = loop_vertices(inst)

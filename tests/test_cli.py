@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_chains import sparse_instance
 
 from cvarmdp import chains, cli, lp, model, risk, solver
 
@@ -142,7 +143,7 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert f"--beta must be finite and nonnegative, got {beta}" in err
         with pytest.raises(cli.InputError, match="--beta"):
-            cli._make_config(cli.build_parser().parse_args(
+            cli._check_args(cli.build_parser().parse_args(
                 ["solve", "--builtin", "example2", "--alpha", "0.7", "--beta", beta]))
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
@@ -155,7 +156,8 @@ class TestExitCodes:
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "solve", "--builtin", "nope", "--alpha", "0.5")
         assert code == 2
-        assert "unknown builtin" in err
+        assert err == ("error: unknown builtin instance 'nope'; "
+                       "have ['endowment', 'example1', 'example2']\n")
 
     def test_two_sources_rejected(self, capsys):
         code, _, err = run(capsys, "solve", "--builtin", "example2",
@@ -335,6 +337,23 @@ class TestCheckCommand:
         assert doc["certificates"]["left_gap"] <= 2e-6
         assert set(doc["certificates"]) == {"left_gap", "right_gap", "oracle_gap",
                                             "tail_level", "certified"}
+
+    def test_text_prints_the_first_20_json_rows(self, capsys, tmp_path):
+        path = tmp_path / "multichain.json"
+        inst = sparse_instance(np.random.default_rng(3), 5, [3] * 5)
+        model.save(inst, path)
+        report = chains.check_assumption(inst)
+        assert report.violators.size == 39
+        code, doc, _ = run_json(capsys, "check", "--instance", str(path))
+        assert code == 0
+        assert len(doc["violations"]) == 39
+        code, out, _ = run(capsys, "check", "--instance", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        rows = [",".join(f"{s}:{a}" for s, a in v["policy"].items()) + ": " + v["structure"]
+                for v in doc["violations"][:20]]
+        assert lines[3:23] == ["  " + r for r in rows]
+        assert lines[23] == "  ... (19 more)"
 
 
 class TestGenCommand:

@@ -70,6 +70,12 @@ class TestExample1Schedule:
                 p *= 3
             assert rows[t].tolist() == (switch if p == 2 * (t + 1) + 1 else stay)
 
+    def test_rows_refuses_negative_horizon(self):
+        pol = evaluate.example1_policy(10)
+        assert pol.rows(0).shape == (0, 4)
+        with pytest.raises(ValueError, match="T must be nonnegative, got -2"):
+            pol.rows(-2)
+
     def test_pickle_round_trip(self):
         rows = np.random.default_rng(0).random((7, 4))
         for pol in (model.TimeDependentPolicy.from_rules(rows, label="random"),
@@ -335,6 +341,18 @@ class TestStartStateAndHorizon:
         inst = model.builtin("example1")
         with pytest.raises(ValueError, match=re.escape(message)):
             ENTRY_POINTS[entry](inst, evaluate.example1_policy(5), s0, T)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_float_index_refused(self, entry):
+        # 1.7 used to be truncated to state 1
+        inst = model.builtin("example1")
+        with pytest.raises(TypeError):
+            ENTRY_POINTS[entry](inst, evaluate.example1_policy(10), 1.7, 3)
+
+    def test_numpy_integer_index_accepted(self):
+        inst, pol = model.builtin("example1"), evaluate.example1_policy(10)
+        np.testing.assert_array_equal(evaluate.t_step_distribution(inst, pol, np.int64(1), 3),
+                                      evaluate.t_step_distribution(inst, pol, "s2", 3))
 
 
 def random_rules(instance, rng, T, time_dependent):
