@@ -33,9 +33,6 @@ objects is timed with that version's own copy of the script.
 """
 
 import argparse
-import json
-import os
-import platform
 import statistics
 import sys
 import time
@@ -43,12 +40,12 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "tests"))
 
+from record import write_run  # noqa: E402
 from test_chains import sparse_instance as multichain_instance  # noqa: E402
 from workloads import sparse_instance as ring_instance  # noqa: E402
 
@@ -118,25 +115,13 @@ def main():
     solver.enumerate_deterministic(warm, PARAMS)
     rows = [bench_instance(name, make) for name, make in INSTANCES]
 
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["benchmark"] = ("wall time of check_assumption and enumerate_deterministic over "
-                        "every deterministic policy of 12x3 instances, and the memory "
-                        "enumerate_deterministic's table keeps")
-    doc["params"] = {"alpha": PARAMS.alpha, "beta": PARAMS.beta}
-    doc["repeats"] = REPEATS
-    doc.setdefault("runs", {})[args.label] = {
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "cpus": os.cpu_count(),
-            "platform": platform.platform(),
-        },
-        "instances": rows,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out} [{args.label}]")
+    write_run(args.out, args.label, {
+        "benchmark": ("wall time of check_assumption and enumerate_deterministic over "
+                      "every deterministic policy of 12x3 instances, and the memory "
+                      "enumerate_deterministic's table keeps"),
+        "params": {"alpha": PARAMS.alpha, "beta": PARAMS.beta},
+        "repeats": REPEATS,
+    }, {"instances": rows})
 
 
 if __name__ == "__main__":

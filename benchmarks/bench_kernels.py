@@ -34,15 +34,12 @@ side.
 """
 
 import argparse
-import json
-import os
-import platform
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
-import scipy
+
+from record import write_run
 
 from cvarmdp import evaluate, model
 
@@ -131,22 +128,9 @@ def main():
         print(f"{name:12s} median {median:8.3f} s  ({median / steps * 1e6:8.2f} us/step)  "
               f"min {min(walls):.3f}  max {max(walls):.3f}")
 
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["benchmark"] = "wall time of cvar_sequence and monte_carlo_eval (numpy kernels)"
-    doc.setdefault("runs", {})[args.label] = {
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "cpus": os.cpu_count(),
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-            "platform": platform.platform(),
-        },
-        "cases": rows,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out} [{args.label}]")
+    write_run(args.out, args.label,
+              {"benchmark": "wall time of cvar_sequence and monte_carlo_eval (numpy kernels)"},
+              {"cases": rows}, blas_threads=True)
 
 
 if __name__ == "__main__":

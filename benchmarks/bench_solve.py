@@ -31,19 +31,14 @@ finish in 600 s, so `verify_saddle` and `dual-primal` could not be timed.
 """
 
 import argparse
-import json
-import os
-import platform
 import statistics
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-import scipy
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+from record import write_run  # noqa: E402
 from workloads import sparse_instance  # noqa: E402
 
 from cvarmdp import lp, model, risk, solver  # noqa: E402
@@ -98,7 +93,7 @@ def _runs(kind, n_states, n_actions, seeds, call, prepare=None):
         "kind": kind,
         "states": n_states,
         "actions": n_actions,
-        "distinct_rewards": int(risk.breakpoints(inst).values.size),
+        "distinct_rewards": int(risk.breakpoints(inst).size),
         "runs": seeds,
         "failures": failures,
         "wall_s": _wall(times),
@@ -192,26 +187,11 @@ def main():
     for kind, n_states, n_actions in kept(SCANS):
         scans.append(_report("scan", bench_scan(kind, n_states, n_actions, args.seeds)))
 
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["benchmark"] = ("in-process solve_cvar and verify_saddle wall time and worst "
-                        "certificate gaps, and endpoint-scan wall time, by size")
-    doc["params"] = {"alpha": PARAMS.alpha, "beta": PARAMS.beta}
-    doc.setdefault("runs", {})[args.label] = {
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "cpus": os.cpu_count(),
-            "platform": platform.platform(),
-        },
-        "sizes": rows,
-        "verify": verify,
-        "dual_primal": dual_primal,
-        "scans": scans,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out} [{args.label}]")
+    write_run(args.out, args.label, {
+        "benchmark": ("in-process solve_cvar and verify_saddle wall time and worst "
+                      "certificate gaps, and endpoint-scan wall time, by size"),
+        "params": {"alpha": PARAMS.alpha, "beta": PARAMS.beta},
+    }, {"sizes": rows, "verify": verify, "dual_primal": dual_primal, "scans": scans})
 
 
 if __name__ == "__main__":

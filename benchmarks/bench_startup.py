@@ -28,22 +28,17 @@ by side in one file.
 
 import argparse
 import importlib.util
-import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-import scipy
-
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from calibration import SETUP_CALIBRATION_ARGV, SETUP_REFERENCE_S  # noqa: E402
+from record import write_run  # noqa: E402
 
 ROUNDS = 11
 CLI = ["--builtin", "example2", "--alpha", "0.7", "--json"]
@@ -100,26 +95,13 @@ def main():
               f"scaled {row['scaled_s']['median']:.3f} s "
               f"[{row['scaled_s']['q1']:.3f}, {row['scaled_s']['q3']:.3f}]")
 
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["benchmark"] = ("wall time of fresh interpreters that import numpy (the floor) or "
-                        "cvarmdp.cli, or run `cvarmdp solve|scan` on example2, process start "
-                        "to exit")
-    doc["rounds"] = ROUNDS
-    doc["calibration"] = {"argv": SETUP_CALIBRATION_ARGV, "reference_s": SETUP_REFERENCE_S}
-    doc.setdefault("runs", {})[args.label] = {
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "cpus": os.cpu_count(),
-            "platform": platform.platform(),
-        },
-        "calibration_s": _summary(calibration),
-        "cases": cases,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out} [{args.label}]")
+    write_run(args.out, args.label, {
+        "benchmark": ("wall time of fresh interpreters that import numpy (the floor) or "
+                      "cvarmdp.cli, or run `cvarmdp solve|scan` on example2, process start "
+                      "to exit"),
+        "rounds": ROUNDS,
+        "calibration": {"argv": SETUP_CALIBRATION_ARGV, "reference_s": SETUP_REFERENCE_S},
+    }, {"calibration_s": _summary(calibration), "cases": cases})
 
 
 if __name__ == "__main__":

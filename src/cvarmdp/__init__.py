@@ -5,7 +5,6 @@ certification of every result."""
 from .model import (
     DeterministicPolicy,
     MdpInstance,
-    OccupationMeasure,
     StationaryPolicy,
     TimeDependentPolicy,
     builtin,
@@ -17,7 +16,6 @@ from .model import (
     validate,
 )
 from .risk import (
-    Breakpoints,
     DiscreteDistribution,
     RiskParams,
     breakpoints,

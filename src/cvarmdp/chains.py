@@ -24,7 +24,7 @@ import numpy as np
 
 from .model import (
     DeterministicPolicy,
-    OccupationMeasure,
+    _readonly,
     as_pair_array,
     deterministic_policies,  # re-exported: callers look it up in this module
     deterministic_policy_count,
@@ -173,12 +173,13 @@ def classify_chain(instance, policy):
 
 
 def _class_occupation(instance, policy, members):
-    """Occupation measure of one recurrent class under a stationary policy."""
+    """Occupation measure of one recurrent class under a stationary policy,
+    as a read-only array."""
     mask = np.zeros((1, instance.n_states), dtype=bool)
     mask[0, list(members)] = True
     xs = _class_occupations(instance, transition_matrix(instance, policy)[None],
                             as_pair_array(policy)[None], np.zeros(1, dtype=int), mask)
-    return OccupationMeasure(xs[0])
+    return _readonly(xs[0])
 
 
 def stationary_distribution(instance, policy):

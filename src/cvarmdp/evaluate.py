@@ -41,7 +41,7 @@ class CvarSequence:
 def _value_index_tables(instance):
     """Distinct reward values and, for each entry of the instance's
     `reward_atoms` values, the index of that reward among them."""
-    values = risk.breakpoints(instance).values
+    values = risk.breakpoints(instance)
     return values, np.searchsorted(values, instance.reward_atoms[0])
 
 
@@ -283,7 +283,7 @@ def lemma2_gap(instance, policy, s0, t, alpha):
     law_inf = risk.reward_distribution(instance, occ)
     gap = abs(risk.cvar_right(law_t, alpha) - risk.cvar_right(law_inf, alpha))
     lo, hi = instance.reward_bounds()
-    tv = float(np.abs(pk - occ.x).sum())
+    tv = float(np.abs(pk - occ).sum())
     bound = (hi - lo) / (1.0 - alpha) * tv
     if gap > bound + 1e-10:
         raise AssertionError(f"tail-gap bound violated: gap {gap!r} > bound {bound!r}")

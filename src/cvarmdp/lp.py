@@ -266,9 +266,10 @@ class LpSolution:
     """Outcome of `solve`, or of one point of `solve_sweep` (which leaves
     duals None).
 
-    duals maps each constraint name to its shadow price: the rate at which
-    the optimal objective, in the program's own sense, changes per unit
-    increase of the row's right-hand side. So a binding "<=" row of a
+    x holds the point in the program's column order (`col_names`), and
+    duals the shadow price of each row in row order (`row_names`): the rate
+    at which the optimal objective, in the program's own sense, changes per
+    unit increase of the row's right-hand side. So a binding "<=" row of a
     "max" program has a price >= 0 and a binding ">=" row one <= 0. nit is
     HiGHS's iteration count; residual (worst constraint or bound violation)
     and mismatch (|backend objective - recomputed objective|) are the
@@ -277,8 +278,8 @@ class LpSolution:
 
     status: str  # optimal | infeasible | unbounded
     objective: float | None
-    values: dict | None
-    duals: dict | None = None
+    x: np.ndarray | None
+    duals: np.ndarray | None = None
     nit: int = 0
     residual: float | None = None
     mismatch: float | None = None
@@ -381,9 +382,8 @@ def _solution(h, lp, cost, tol, name, duals):
     if point.status != "optimal":
         return LpSolution(point.status, None, None)
     objective, residual, mismatch = _recheck(lp, cost, point.x, sign * point.fun, tol, name)
-    prices = dict(zip(lp.row_names, (sign * point.row_dual).tolist())) if duals else None
-    return LpSolution("optimal", objective, dict(zip(lp.col_names, point.x.tolist())),
-                      duals=prices, nit=point.nit, residual=residual, mismatch=mismatch)
+    return LpSolution("optimal", objective, point.x, duals=sign * point.row_dual if duals else None,
+                      nit=point.nit, residual=residual, mismatch=mismatch)
 
 
 def solve(lp, tol=FEASIBILITY_TOL):
@@ -520,9 +520,11 @@ def build_dual_lp(instance, params, grid=None):
 
     Endpoints sharing a reward value produce identical rows, so one row
     per distinct value is emitted: row `tail_i` at the i-th sorted value
-    (`grid` when the caller already holds `breakpoints(instance).values`).
+    (`grid` when the caller already holds `breakpoints(instance)`). The
+    columns are the pairs' x, then z2; the rows the K tail rows, then the
+    `_polytope` rows.
     """
-    ends = breakpoints(instance).values if grid is None else grid
+    ends = breakpoints(instance) if grid is None else grid
     n, n_tail = instance.n_pairs, len(ends)
     tail = saddle_coefficient_rows(instance, ends, params)
     # v(x, e) - z2 >= 0
@@ -600,7 +602,7 @@ def build_level_lp(instance, params):
                          simplex="primal")
 
 
-def build_sparsify_lp(instance, y_star, params, delta):
+def build_sparsify_lp(instance, y_star, params):
     """Re-optimize over occupation measures whose tail level stays y_star.
 
     Two quantile rows pin the law's CDF around y_star: at least alpha mass
@@ -611,16 +613,17 @@ def build_sparsify_lp(instance, y_star, params, delta):
     x0 ~ 0 as a tie and keep their original measure.
     """
     n = instance.n_pairs
-    # r <= y* - delta on the instance's value grid is the same as r < y*;
-    # the midpoint threshold is immune to rounding of y* - delta.
-    below = y_star - (delta / 2.0 if delta is not None else 0.0)
+    # with delta the grid's smallest gap, r <= y* - delta on the grid is the
+    # same as r < y*; the midpoint threshold is immune to rounding of
+    # y* - delta. A one-value grid has no gap, and no reward below y*.
+    delta = np.diff(breakpoints(instance)).min(initial=np.inf)
     r, probs = instance.reward_atoms
 
     def mass(hit):  # per pair: the probability of a reward in `hit`
         return np.einsum("kj,kj->k", probs, hit.astype(float))
 
     at_w = mass(r <= y_star)
-    below_w = mass(r < below) if delta is not None else np.zeros(n)
+    below_w = mass(r < y_star - delta / 2.0)
     # columns x, x0; tail_at: -at_w x <= -alpha, tail_below: below_w x + x0 = alpha
     return LinearProgram(f"{instance.name}-sparsify(y={y_star:g})", "max",
                          np.append(saddle_coefficients(instance, y_star, params), 0.0),
@@ -632,10 +635,10 @@ def build_sparsify_lp(instance, y_star, params, delta):
                                  _polytope(instance, n + 1)))
 
 
-def pair_values(instance, solution, prefix="x"):
-    """Collect the per-pair variable values of a solved program."""
-    return np.array([solution.values[f"{prefix}_{sfx}"]
-                     for sfx in _pair_suffixes(instance)])
+def pair_values(instance, solution):
+    """The per-pair values x of a solved dual, average or sparsify
+    program, whose first n_pairs columns they are."""
+    return solution.x[:instance.n_pairs]
 
 
 # -- LP file export -----------------------------------------------------------

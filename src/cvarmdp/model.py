@@ -1,4 +1,4 @@
-"""Finite MDP instances, policies, and occupation measures.
+"""Finite MDP instances and policies.
 
 An instance stores its state-action pairs in one flat canonical order:
 states in listing order, and within each state the admissible actions in
@@ -204,10 +204,24 @@ class StationaryPolicy:
 
     @classmethod
     def from_mapping(cls, instance, mapping):
+        """A policy from {state: {action: probability}}; a missing pair has
+        probability 0. A row that is not an object or a probability that is
+        not a finite number raises ValueError."""
+        if not isinstance(mapping, dict):
+            raise ValueError("a policy must map states to {action: probability} objects")
         probs = np.zeros(instance.n_pairs)
         for state, row in mapping.items():
+            if not isinstance(row, dict):
+                raise ValueError(f"policy row {state!r} must map actions to probabilities")
             for action, p in row.items():
-                probs[instance.pair_index(state, action)] = float(p)
+                try:
+                    value = float(p)
+                except (TypeError, ValueError):
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ValueError(f"probability of ({state!r}, {action!r}) must be a "
+                                     f"finite number, got {p!r}")
+                probs[instance.pair_index(state, action)] = value
         pol = cls(probs)
         bad = policy_residual(instance, pol)
         if bad > PROB_TOL:
@@ -275,20 +289,8 @@ class TimeDependentPolicy:
         return type(self), (self.rules, self.label)
 
 
-@dataclass(frozen=True)
-class OccupationMeasure:
-    """Nonnegative weights x(i,a) on the instance's pair order."""
-
-    x: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _readonly(self.x))
-
-
 def as_pair_array(x):
-    """Accept an OccupationMeasure, a StationaryPolicy, or a bare array."""
-    if isinstance(x, OccupationMeasure):
-        return x.x
+    """Accept a StationaryPolicy or a bare array of pair weights."""
     if isinstance(x, StationaryPolicy):
         return x.probs
     return np.asarray(x, dtype=np.float64)
@@ -303,8 +305,11 @@ def rule_rows(policy, T):
 
 
 def policy_residual(instance, policy):
-    """Largest violation of per-state normalization / nonnegativity."""
+    """Largest violation of per-state normalization / nonnegativity; a
+    non-finite entry is an infinite one."""
     probs = as_pair_array(policy)
+    if not np.isfinite(probs).all():
+        return np.inf
     sums = np.add.reduceat(probs, instance.offsets[:-1])
     worst = float(np.abs(sums - 1.0).max()) if instance.n_pairs else 0.0
     neg = float(max(0.0, -(probs.min()))) if probs.size else 0.0
@@ -425,6 +430,10 @@ def _require(cond, msg):
         raise InstanceFormatError(msg)
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def load(path):
     """Read an instance file.
 
@@ -485,8 +494,7 @@ def load(path):
             k = offsets[i] + actions[i].index(a)
             for j, p in dist.items():
                 _require(j in state_set, f"'transitions.{s}.{a}' names unknown state {j!r}")
-                _require(isinstance(p, (int, float)) and not isinstance(p, bool),
-                         f"'transitions.{s}.{a}.{j}' must be a number")
+                _require(_is_number(p), f"'transitions.{s}.{a}.{j}' must be a number")
                 kernel[k, state_pos[j]] = float(p)
 
     rewards = rewards3 = None
@@ -496,11 +504,11 @@ def load(path):
         rewards = np.zeros(n_pairs)
         for i, s in enumerate(states):
             _require(s in rdoc, f"'rewards' missing state {s!r}")
+            _require(isinstance(rdoc[s], dict), f"'rewards.{s}' must be an object")
             for c, a in enumerate(actions[i]):
                 _require(a in rdoc[s], f"'rewards.{s}' missing action {a!r}")
                 v = rdoc[s][a]
-                _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                         f"'rewards.{s}.{a}' must be a number")
+                _require(_is_number(v), f"'rewards.{s}.{a}' must be a number")
                 rewards[offsets[i] + c] = float(v)
         for s in rdoc:
             _require(s in state_set, f"'rewards' names unknown state {s!r}")
@@ -510,13 +518,14 @@ def load(path):
         rewards3 = np.zeros((n_pairs, len(states)))
         for i, s in enumerate(states):
             _require(s in rdoc, f"'rewards3' missing state {s!r}")
+            _require(isinstance(rdoc[s], dict), f"'rewards3.{s}' must be an object")
             for c, a in enumerate(actions[i]):
                 _require(a in rdoc[s], f"'rewards3.{s}' missing action {a!r}")
+                _require(isinstance(rdoc[s][a], dict), f"'rewards3.{s}.{a}' must be an object")
                 for j in states:
                     _require(j in rdoc[s][a], f"'rewards3.{s}.{a}' missing next state {j!r}")
                     v = rdoc[s][a][j]
-                    _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                             f"'rewards3.{s}.{a}.{j}' must be a number")
+                    _require(_is_number(v), f"'rewards3.{s}.{a}.{j}' must be a number")
                     rewards3[offsets[i] + c, state_pos[j]] = float(v)
 
     name = doc["name"]

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import as_pair_array
+from .model import _readonly, as_pair_array
 
 # Guard against last-bit noise in cumulative probabilities when locating
 # quantiles; distinct CDF levels of real data sit far above this.
@@ -57,6 +57,8 @@ class DiscreteDistribution:
             raise ValueError("values and probs must have the same length")
         if not np.all(np.isfinite(values)):
             raise ValueError("distribution values must be finite")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("distribution probabilities must be finite")
         if probs.size == 0:
             raise ValueError("distribution needs at least one atom")
         if float(probs.min()) < -tol:
@@ -98,8 +100,7 @@ def var(dist, alpha):
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     idx = int(np.searchsorted(dist.cdf, alpha - _QEPS, side="left"))
-    idx = min(idx, len(dist) - 1)
-    return float(dist.values[idx])
+    return dist.values.item(min(idx, len(dist) - 1))
 
 
 def cvar_right_rows(values, weights, alpha):
@@ -187,30 +188,14 @@ def cvar_right_and_mean_rows(instance, xs, alpha):
     return cvar_right_rows(values, weights, alpha), weights @ values
 
 
-@dataclass(frozen=True)
-class Breakpoints:
-    """Sorted distinct reward values, their minimum gap, and the bounds."""
-
-    values: np.ndarray
-    delta: float | None
-    bounds: tuple
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-
 def breakpoints(instance):
-    """Breakpoint set of the instance's saddle objective in y.
+    """Breakpoint set of the instance's saddle objective in y: the sorted
+    distinct reward values, as a read-only array.
 
     The objective is piecewise linear in y with kinks only at reward
     values, so scans over y can be restricted to this finite set.
     """
-    values = np.unique(instance.reward_table())
-    delta = float(np.diff(values).min()) if values.size >= 2 else None
-    return Breakpoints(values=values, delta=delta,
-                       bounds=(float(values[0]), float(values[-1])))
+    return _readonly(np.unique(instance.reward_table()))
 
 
 def saddle_coefficients(instance, y, params):

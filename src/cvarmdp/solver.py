@@ -95,7 +95,7 @@ class VerificationReport:
 @dataclass(frozen=True)
 class SaddleSolution:
     v_star: float
-    x_star: model.OccupationMeasure
+    x_star: np.ndarray
     y_star: float
     policy: model.StationaryPolicy
     n_rand: int
@@ -147,7 +147,7 @@ def endpoint_scan_oracle(instance, params):
     to the value above 1): the sweep and the level LP reach the same
     optimum along different pivots, and their last bits differ.
     """
-    ys = risk.breakpoints(instance).values
+    ys = risk.breakpoints(instance)
     prog = lp.build_average_lp(instance, float(ys[0]), params)
     sols = lp.solve_sweep(prog, risk.saddle_coefficient_rows(instance, ys, params))
     for y, sol in zip(ys, sols):
@@ -158,7 +158,8 @@ def endpoint_scan_oracle(instance, params):
     y_star, value, interior = float(ys[best]), float(envelope[best]), False
     level = _minimax(instance, params)
     if level.objective < value - lp.FEASIBILITY_TOL * max(1.0, abs(value)):
-        y_star, value, interior = float(level.values["y"]), float(level.objective), True
+        # the level LP's columns are u_0..u_{S-1}, u0, y, then w
+        y_star, value, interior = float(level.x[instance.n_states + 1]), level.objective, True
     return ScanResult(ys=ys.copy(), envelope=envelope,
                       y_star=y_star, value=value, interior=interior)
 
@@ -177,7 +178,7 @@ def verify_saddle(instance, x_star, y_star, v_star, params):
     if sol.status != "optimal":
         raise SolverError(f"certification LP returned {sol.status}")
     oracle = _minimax(instance, params).objective
-    ys = risk.breakpoints(instance).values
+    ys = risk.breakpoints(instance)
     right_gap = v_star - float(risk.saddle_values(instance, x_star, ys, params).min())
     return _report(sol.objective - v_star, right_gap, abs(v_star - oracle), y_star)
 
@@ -204,18 +205,16 @@ def sparsify(instance, x_star, y_star, params):
     is no longer guaranteed; the original measure is returned with the tie
     flagged.
 
-    Returns (occupation measure, quantile_tie flag).
+    Returns (read-only occupation measure, quantile_tie flag).
     """
-    prog = lp.build_sparsify_lp(instance, y_star, params, risk.breakpoints(instance).delta)
-    sol = lp.solve(prog)
+    sol = lp.solve(lp.build_sparsify_lp(instance, y_star, params))
     if sol.status != "optimal":
         raise SolverError(
             f"sparsification LP is {sol.status}; the tail-pinned polytope "
             "must contain the optimum, so this indicates a bug")
-    if sol.values["x0"] <= QUANTILE_TIE_TOL:
-        return model.OccupationMeasure(model.as_pair_array(x_star)), True
-    x = lp.pair_values(instance, sol)
-    return model.OccupationMeasure(x), False
+    if sol.x[instance.n_pairs] <= QUANTILE_TIE_TOL:  # x0, the column after the pairs
+        return model._readonly(model.as_pair_array(x_star)), True
+    return model._readonly(lp.pair_values(instance, sol)), False
 
 
 @dataclass(frozen=True)
@@ -260,15 +259,17 @@ def _dual_certificate(instance, dual_sol, x, v_star, params, ys):
 
     See the module docstring: the tail rows' prices give the level ybar,
     the balance rows' prices the bias u, and UB = max_k [c_k(ybar) - u_i(k)
-    + (P u)_k] bounds max_x v(x, ybar), hence the optimum, from above.
+    + (P u)_k] bounds max_x v(x, ybar), hence the optimum, from above. The
+    program's rows are the K = ys.size tail rows, then one balance row per
+    state.
     """
-    duals = dual_sol.duals
-    lam = np.clip([-duals[f"tail_{i}"] for i in range(ys.size)], 0.0, None)
+    duals, K = dual_sol.duals, ys.size
+    lam = np.clip(-duals[:K], 0.0, None)
     total = float(lam.sum())
     if not (np.isfinite(total) and total > 0.0):
         raise SolverError(f"occupation LP's tail prices sum to {total!r}")
     y_bar = float((lam / total) @ ys)
-    u = np.array([duals[f"balance_{j}"] for j in range(instance.n_states)])
+    u = duals[K:K + instance.n_states]
     reduced = (risk.saddle_coefficients(instance, y_bar, params)
                - u[instance.pair_state] + instance.kernel @ u)
     left_gap = float(reduced.max()) - v_star
@@ -290,13 +291,13 @@ def solve_cvar(instance, params, mode="dual"):
     reward values, and a run whose level is not a reward value is flagged
     "interior-tail-level".
     """
-    ys = risk.breakpoints(instance).values
+    ys = risk.breakpoints(instance)
     dual_sol = lp.solve(lp.build_dual_lp(instance, params, grid=ys))
     if dual_sol.status != "optimal":
         raise SolverError(f"occupation LP returned {dual_sol.status}; "
                           "check the instance with validate()")
     v_star = dual_sol.objective
-    x_star = model.OccupationMeasure(lp.pair_values(instance, dual_sol))
+    x_star = model._readonly(lp.pair_values(instance, dual_sol))
     law = risk.reward_distribution(instance, x_star)
     y_star = risk.var(law, params.alpha)
     flags = []

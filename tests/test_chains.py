@@ -96,7 +96,7 @@ class TestStationaryDistribution:
     def test_symmetric_cycle(self):
         inst = cycle_instance()
         occ = chains.stationary_distribution(inst, DeterministicPolicy((0, 0)).to_stationary(inst))
-        assert np.allclose(occ.x, [0.5, 0.5], atol=1e-14)
+        assert np.allclose(occ, [0.5, 0.5], atol=1e-14)
 
     def test_residual_small_on_random(self):
         rng = np.random.default_rng(2)
@@ -109,8 +109,8 @@ class TestStationaryDistribution:
     def test_transient_states_get_zero(self):
         inst = transient_tail_instance()
         occ = chains.stationary_distribution(inst, DeterministicPolicy((0, 0, 1)).to_stationary(inst))
-        assert occ.x[2] == 0.0 and occ.x[3] == 0.0
-        assert occ.x[:2].sum() == pytest.approx(1.0)
+        assert occ[2] == 0.0 and occ[3] == 0.0
+        assert occ[:2].sum() == pytest.approx(1.0)
 
     def test_multichain_raises(self):
         inst = model.builtin("example1")
@@ -145,7 +145,7 @@ class TestTStepDistribution:
         pol = model.extract_policy(inst, np.random.default_rng(3).random(8) + 0.1)
         occ = chains.stationary_distribution(inst, pol)
         pk = evaluate.t_step_distribution(inst, pol, "s1", 1000)
-        assert np.abs(pk - occ.x).sum() < 1e-6
+        assert np.abs(pk - occ).sum() < 1e-6
 
     def test_horizon_guard(self):
         inst = model.builtin("example1")
@@ -157,7 +157,7 @@ class TestTStepDistribution:
         inst = model.random_instance(8, 4, 2)
         pol = model.DeterministicPolicy((0, 1, 0, 1)).to_stationary(inst)
         occ = chains.stationary_distribution(inst, pol)
-        tv = [np.abs(evaluate.t_step_distribution(inst, pol, "s2", t) - occ.x).sum()
+        tv = [np.abs(evaluate.t_step_distribution(inst, pol, "s2", t) - occ).sum()
               for t in range(40)]
         assert all(b <= a + 1e-12 for a, b in zip(tv, tv[1:]))
         assert tv[-1] < 1e-10
@@ -469,7 +469,7 @@ class TestRandomizedPolicies:
                 chains.stationary_distribution(instance, pol)
         else:
             np.testing.assert_allclose(
-                chains.stationary_distribution(instance, pol).x,
+                chains.stationary_distribution(instance, pol),
                 ref_class_occupation(instance, pol, ref.recurrent_classes[0]),
                 rtol=0, atol=1e-12)
 

@@ -177,6 +177,41 @@ class TestExitCodes:
         assert code == 2
         assert "invalid" in err
 
+    @pytest.mark.parametrize("builtin, edit, field", [
+        ("example2", lambda r: r.update({"1": ["1"]}), "'rewards.1' must be an object"),
+        ("example2", lambda r: r.update({"1": "1"}), "'rewards.1' must be an object"),
+        ("endowment", lambda r: r.update({"(0,0.2)": [1.0]}),
+         "'rewards3.(0,0.2)' must be an object"),
+        ("endowment", lambda r: r["(0,0.2)"].update({"0.5": [1.0]}),
+         "'rewards3.(0,0.2).0.5' must be an object"),
+    ])
+    def test_reward_rows_of_the_wrong_type(self, capsys, tmp_path, builtin, edit, field):
+        path = tmp_path / "inst.json"
+        model.save(model.builtin(builtin), path)
+        doc = json.loads(path.read_text())
+        edit(doc["rewards" if "rewards" in doc else "rewards3"])
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "solve", "--instance", str(path), "--alpha", "0.5")
+        assert code == 2
+        assert err == f"error: {field}\n"
+
+    @pytest.mark.parametrize("policy, message", [
+        ([["1", "1"]], "a policy must map states to {action: probability} objects"),
+        ({"1": [1.0]}, "policy row '1' must map actions to probabilities"),
+        ({"1": {"1": None}}, "probability of ('1', '1') must be a finite number, got None"),
+        ({"1": {"1": float("nan")}}, "probability of ('1', '1') must be a finite number, got nan"),
+        ({"1": {"1": float("inf")}}, "probability of ('1', '1') must be a finite number, got inf"),
+        ({"1": {"1": float("-inf")}},
+         "probability of ('1', '1') must be a finite number, got -inf"),
+    ])
+    def test_malformed_policy_file(self, capsys, tmp_path, policy, message):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(policy))  # writes NaN, Infinity and -Infinity as tokens
+        code, _, err = run(capsys, "simulate", "--builtin", "example2",
+                           "--policy", str(path), "--alpha", "0.7", "--T", "5")
+        assert code == 2
+        assert err == f"error: bad policy file: {message}\n"
+
     def test_solver_failure_is_exit_3(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise lp.LpSolveError("backend exploded")

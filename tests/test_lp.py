@@ -51,7 +51,7 @@ class TestSolve:
         prog = lp.build_dual_lp(inst, risk.RiskParams(0.7))
         a = lp.solve(prog)
         b = lp.solve(prog)
-        assert a.values == b.values
+        assert np.array_equal(a.x, b.x)
 
     def test_shadow_price_convention(self):
         # max a + 2b, a + b <= 4, a >= 1: optimum (1, 3). Raising the cap by
@@ -61,8 +61,8 @@ class TestSolve:
                                        (Constraint("cap", {"a": 1.0, "b": 1.0}, "<=", 4.0),
                                         Constraint("floor", {"a": 1.0}, ">=", 1.0)))
         sol = lp.solve(prog)
-        assert (sol.values["a"], sol.values["b"]) == pytest.approx((1.0, 3.0))
-        assert sol.duals == pytest.approx({"cap": 2.0, "floor": -1.0})
+        assert sol.x == pytest.approx([1.0, 3.0])  # columns a, b
+        assert sol.duals == pytest.approx([2.0, -1.0])  # rows cap, floor
         # min a + b, a - b = t, a + 2b >= s at t = 1, s = 4: optimum (2, 1)
         # with value (2s + t) / 3, so the prices are 1/3 and 2/3.
         prog = LinearProgram.from_rows("t", "min", {"a": 1.0, "b": 1.0},
@@ -71,17 +71,19 @@ class TestSolve:
                                         Constraint("floor", {"a": 1.0, "b": 2.0}, ">=", 4.0)))
         sol = lp.solve(prog)
         assert sol.objective == pytest.approx(3.0)
-        assert sol.duals == pytest.approx({"link": 1.0 / 3.0, "floor": 2.0 / 3.0})
+        assert sol.duals == pytest.approx([1.0 / 3.0, 2.0 / 3.0])  # rows link, floor
 
     def test_dual_lp_prices_and_diagnostics(self):
         # tail prices sum to one (the free z2 column) and the norm row's
         # price is the optimum itself (strong duality)
         inst = model.builtin("example2")
-        sol = lp.solve(lp.build_dual_lp(inst, risk.RiskParams(0.7)))
-        tails = [v for k, v in sol.duals.items() if k.startswith("tail_")]
+        prog = lp.build_dual_lp(inst, risk.RiskParams(0.7))
+        sol = lp.solve(prog)
+        assert sol.duals.shape == (len(prog.row_names),)
+        tails = sol.duals[[name.startswith("tail_") for name in prog.row_names]]
         assert all(v <= 1e-12 for v in tails)
         assert -sum(tails) == pytest.approx(1.0, abs=1e-9)
-        assert sol.duals["norm"] == pytest.approx(sol.objective, abs=1e-9)
+        assert sol.duals[prog.row_names.index("norm")] == pytest.approx(sol.objective, abs=1e-9)
         assert sol.nit > 0
         assert 0.0 <= sol.residual <= lp.FEASIBILITY_TOL
         assert 0.0 <= sol.mismatch <= lp.FEASIBILITY_TOL * max(1.0, abs(sol.objective))
@@ -160,14 +162,14 @@ class TestSolveSweep:
     @pytest.mark.parametrize("inst", sweep_instances(), ids=lambda inst: inst.name)
     def test_first_point_matches_solve_bit_for_bit(self, inst):
         params = risk.RiskParams(0.8, 0.5)
-        y = float(risk.breakpoints(inst).values[0])
+        y = float(risk.breakpoints(inst)[0])
         for prog in (lp.build_average_lp(inst, y, params), lp.build_dual_lp(inst, params),
                      lp.build_level_lp(inst, params)):
             cold = lp.solve(prog)
             (first,) = lp.solve_sweep(prog, [prog.c])
             assert first.status == "optimal"
             assert first.objective == cold.objective
-            assert first.values == cold.values
+            assert np.array_equal(first.x, cold.x)
             assert first.duals is None
             assert 0.0 <= first.residual <= lp.FEASIBILITY_TOL
 
@@ -176,7 +178,7 @@ class TestSolveSweep:
            st.sampled_from([0.0, 0.5, 0.9]), st.sampled_from([0.0, 0.5]))
     def test_every_point_matches_a_cold_solve(self, inst, alpha, beta):
         params = risk.RiskParams(alpha, beta)
-        ys = risk.breakpoints(inst).values
+        ys = risk.breakpoints(inst)
         sweep = lp.solve_sweep(lp.build_average_lp(inst, float(ys[0]), params),
                                [risk.saddle_coefficients(inst, float(y), params) for y in ys])
         assert len(sweep) == ys.size
@@ -187,7 +189,7 @@ class TestSolveSweep:
 
     def test_recheck_refuses_at_negative_tolerance(self):
         inst, params = model.builtin("example2"), risk.RiskParams(0.7)
-        ys = risk.breakpoints(inst).values
+        ys = risk.breakpoints(inst)
         with pytest.raises(lp.LpSolveError, match="violates constraints by"):
             lp.solve_sweep(lp.build_average_lp(inst, float(ys[0]), params),
                            [risk.saddle_coefficients(inst, float(y), params) for y in ys],
@@ -339,10 +341,10 @@ class TestBuilderArrays:
         params = risk.RiskParams(alpha, beta)
         bp = risk.breakpoints(inst)
         n, m = inst.n_pairs, inst.n_states
-        dual = lp.build_dual_lp(inst, params, grid=bp.values)
-        assert dual.row_names == ([f"tail_{e}" for e in range(bp.values.size)]
+        dual = lp.build_dual_lp(inst, params, grid=bp)
+        assert dual.row_names == ([f"tail_{e}" for e in range(bp.size)]
                                   + [f"balance_{j}" for j in range(m)] + ["norm"])
-        n_tail = bp.values.size
+        n_tail = bp.size
         eq = dense(dual.A)[n_tail:]
         for j in range(m):
             assert np.array_equal(eq[j], np.append((inst.pair_state == j) - inst.kernel[:, j], 0.0))
@@ -351,7 +353,7 @@ class TestBuilderArrays:
         # tail rows as written: c(e) x - z2 >= 0
         tail = dense(dual.A)[:n_tail]
         assert np.all(dual.row_hi[:n_tail] == np.inf)
-        for e, y in enumerate(bp.values):
+        for e, y in enumerate(bp):
             assert np.array_equal(tail[e], np.append(risk.saddle_coefficients(inst, y, params), -1.0))
         level = lp.build_level_lp(inst, params)
         values, probs = inst.reward_atoms
@@ -374,8 +376,8 @@ class TestBuilderArrays:
         assert primal.col_names[2:] == level.col_names[w0:]
         assert np.array_equal(primal.row_lo[-paid.sum():], values[paid])
         assert np.all(primal.row_hi[-paid.sum():] == np.inf)
-        for prog in (dual, level, lp.build_average_lp(inst, float(bp.values[0]), params),
-                     lp.build_sparsify_lp(inst, float(bp.values[-1]), params, bp.delta), primal):
+        for prog in (dual, level, lp.build_average_lp(inst, float(bp[0]), params),
+                     lp.build_sparsify_lp(inst, float(bp[-1]), params), primal):
             assert np.all(prog.A.data != 0.0), prog.name
         assert lp.solve(dual).objective == pytest.approx(lp.solve(level).objective, abs=1e-9)
 
@@ -424,7 +426,7 @@ class TestCsrArrays:
         n, m = inst.n_pairs, inst.n_states
         values, probs = inst.reward_atoms
         inv = 1.0 / (1.0 - alpha)
-        tail = np.array([risk.saddle_coefficients(inst, float(e), params) for e in bp.values])
+        tail = np.array([risk.saddle_coefficients(inst, float(e), params) for e in bp])
         refs = {"dual": vstack([csr_array(np.column_stack((tail, -np.ones(len(tail))))),
                                 scipy_polytope(inst, n + 1)], format="csr")}
         k, j = np.nonzero(inst.kernel)
@@ -438,11 +440,12 @@ class TestCsrArrays:
                                           -inv * probs[w_rows, w_at])))
         refs["level"] = vstack([price, scipy_excess(inst, m + 1, w0)], format="csr")
         refs["average"] = scipy_polytope(inst, n)
-        y = float(bp.values[-1])
-        below = y - bp.delta / 2.0 if bp.delta is not None else y
+        y = float(bp[-1])
+        delta = float(np.diff(bp).min()) if bp.size >= 2 else None  # the grid's smallest gap
+        below = y - delta / 2.0 if delta is not None else y
         at_w = np.einsum("kj,kj->k", probs, (values <= y).astype(float))
         below_w = (np.einsum("kj,kj->k", probs, (values < below).astype(float))
-                   if bp.delta is not None else np.zeros(n))
+                   if delta is not None else np.zeros(n))
         refs["sparsify"] = vstack([csr_array(np.append(-at_w, 0.0)[None, :]),
                                    csr_array(np.append(below_w, 1.0)[None, :]),
                                    scipy_polytope(inst, n + 1)], format="csr")
@@ -451,10 +454,10 @@ class TestCsrArrays:
         vertex = np.column_stack(([xl.sum() for xl in xs], np.full(len(xs), -1.0),
                                   (inv * xs)[:, w_rows] * probs[w_rows, w_at]))
         refs["primal"] = vstack([csr_array(vertex), scipy_excess(inst, 0, 2)], format="csr")
-        progs = {"dual": lp.build_dual_lp(inst, params, grid=bp.values),
+        progs = {"dual": lp.build_dual_lp(inst, params, grid=bp),
                  "level": lp.build_level_lp(inst, params),
-                 "average": lp.build_average_lp(inst, float(bp.values[0]), params),
-                 "sparsify": lp.build_sparsify_lp(inst, y, params, bp.delta),
+                 "average": lp.build_average_lp(inst, float(bp[0]), params),
+                 "sparsify": lp.build_sparsify_lp(inst, y, params),
                  "primal": lp.build_primal_lp(inst, vertices, params)}
         # pair 0 stays put with probability one: its balance entry cancels
         # to zero and is not stored
@@ -517,7 +520,7 @@ class TestPrimalLp:
         verts = chains.polytope_vertices(inst)
         sol = lp.solve(lp.build_primal_lp(inst, verts, risk.RiskParams(0.4)))
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
-        assert sol.values["y"] == pytest.approx(3.0, abs=1e-9)
+        assert sol.x[0] == pytest.approx(3.0, abs=1e-9)  # column y
 
     def test_example2_matches_dual(self):
         inst = model.builtin("example2")
@@ -531,18 +534,19 @@ class TestPrimalLp:
         inst = model.builtin("example2")
         params = risk.RiskParams(0.7)
         verts = chains.polytope_vertices(inst)
-        sol = lp.solve(lp.build_primal_lp(inst, verts, params))
-        y = sol.values["y"]
+        prog = lp.build_primal_lp(inst, verts, params)
+        sol = lp.solve(prog)
+        y = sol.x[prog.col_names.index("y")]
         for k in range(inst.n_pairs):
             i = int(inst.pair_state[k])
-            expected = max(float(inst.rewards[k]) - y, 0.0)
-            assert sol.values[f"w_{i}_{k - inst.offsets[i]}"] == pytest.approx(expected, abs=1e-8)
+            w = sol.x[prog.col_names.index(f"w_{i}_{k - inst.offsets[i]}")]
+            assert w == pytest.approx(max(float(inst.rewards[k]) - y, 0.0), abs=1e-8)
 
     def test_endowment_recovers_tail_level(self):
         inst = model.builtin("endowment")
         verts = chains.polytope_vertices(inst)
         sol = lp.solve(lp.build_primal_lp(inst, verts, risk.RiskParams(0.9, 0.5)))
-        assert sol.values["y"] == 84.0
+        assert sol.x[0] == 84.0  # column y
         assert sol.objective == pytest.approx(96.84, abs=0.01)
 
     def test_weak_duality_on_random(self):
@@ -561,8 +565,7 @@ class TestAverageLp:
         lo, _ = inst.reward_bounds()
         sol = lp.solve(lp.build_average_lp(inst, lo, risk.RiskParams(0.0)))
         classical = max(
-            float(chains.stationary_distribution(inst, dp.to_stationary(inst)).x
-                  @ inst.rewards)
+            float(chains.stationary_distribution(inst, dp.to_stationary(inst)) @ inst.rewards)
             for dp in model.deterministic_policies(inst))
         assert sol.objective == pytest.approx(classical, abs=1e-8)
 
@@ -574,18 +577,16 @@ class TestAverageLp:
     def test_endpoint_minimum_near_published_value(self):
         inst = model.builtin("example2")
         params = risk.RiskParams(0.7)
-        bp = risk.breakpoints(inst)
         vals = [lp.solve(lp.build_average_lp(inst, float(y), params)).objective
-                for y in bp.values]
+                for y in risk.breakpoints(inst)]
         assert min(vals) == pytest.approx(93.24, abs=0.01)
 
     def test_envelope_midpoint_convex_along_endpoints(self):
         inst = model.random_instance(11, 3, 2)
         params = risk.RiskParams(0.7)
-        bp = risk.breakpoints(inst)
+        ys = risk.breakpoints(inst)
         vals = np.array([lp.solve(lp.build_average_lp(inst, float(y), params)).objective
-                         for y in bp.values])
-        ys = bp.values
+                         for y in ys])
         for i in range(1, len(ys) - 1):
             lam = (ys[i + 1] - ys[i]) / (ys[i + 1] - ys[i - 1])
             chord = lam * vals[i - 1] + (1 - lam) * vals[i + 1]
@@ -603,9 +604,11 @@ class TestLevelLp:
 
     def test_example2_interior_level(self):
         inst = model.builtin("example2")
-        sol = lp.solve(lp.build_level_lp(inst, risk.RiskParams(0.7)))
+        prog = lp.build_level_lp(inst, risk.RiskParams(0.7))
+        sol = lp.solve(prog)
         assert sol.objective == pytest.approx(93.2402, abs=1e-3)
-        assert 70.0 < sol.values["y"] < 71.0
+        assert prog.col_names[inst.n_states + 1] == "y"
+        assert 70.0 < sol.x[inst.n_states + 1] < 71.0
 
     def test_endowment_excess_only_where_paid(self):
         # 36 of endowment's 108 (pair, next state) entries carry probability
@@ -618,10 +621,10 @@ class TestSparsifyLp:
     def test_forced_single_pair(self):
         inst = one_pair_instance(2.0)
         params = risk.RiskParams(0.4)
-        prog = lp.build_sparsify_lp(inst, 2.0, params, None)
+        prog = lp.build_sparsify_lp(inst, 2.0, params)
         sol = lp.solve(prog)
-        assert sol.values["x_0_0"] == pytest.approx(1.0)
-        assert sol.values["x0"] == pytest.approx(0.4)
+        assert prog.col_names == ["x_0_0", "x0"]
+        assert sol.x == pytest.approx([1.0, 0.4])
 
     def test_example2_vertex_support(self):
         inst = model.builtin("example2")
@@ -629,8 +632,7 @@ class TestSparsifyLp:
         dual = lp.solve(lp.build_dual_lp(inst, params))
         x = lp.pair_values(inst, dual)
         y = risk.var(risk.reward_distribution(inst, x), 0.7)
-        bp = risk.breakpoints(inst)
-        sol = lp.solve(lp.build_sparsify_lp(inst, y, params, bp.delta))
+        sol = lp.solve(lp.build_sparsify_lp(inst, y, params))
         assert sol.objective == pytest.approx(93.24, abs=0.01)
         xs = lp.pair_values(inst, sol)
         assert (xs > 1e-9).sum() <= inst.n_states + 1
@@ -641,8 +643,8 @@ class TestSparsifyLp:
         dual = lp.solve(lp.build_dual_lp(inst, params))
         x = lp.pair_values(inst, dual)
         y = risk.var(risk.reward_distribution(inst, x), 0.7)
-        sol = lp.solve(lp.build_sparsify_lp(inst, y, params, risk.breakpoints(inst).delta))
-        if sol.values["x0"] > 1e-9:
+        sol = lp.solve(lp.build_sparsify_lp(inst, y, params))
+        if sol.x[inst.n_pairs] > 1e-9:  # x0
             pol = model.extract_policy(inst, lp.pair_values(inst, sol))
             assert model.n_randomizations(inst, pol) <= 1
 
@@ -652,10 +654,9 @@ class TestLpFileExport:
     def test_named_view_rebuilds_the_arrays(self, name):
         inst = model.builtin(name)
         params = risk.RiskParams(0.7, 0.5)
-        y = float(risk.breakpoints(inst).values[1])
+        y = float(risk.breakpoints(inst)[1])
         for prog in (lp.build_dual_lp(inst, params), lp.build_level_lp(inst, params),
-                     lp.build_average_lp(inst, y, params),
-                     lp.build_sparsify_lp(inst, y, params, risk.breakpoints(inst).delta),
+                     lp.build_average_lp(inst, y, params), lp.build_sparsify_lp(inst, y, params),
                      lp.build_primal_lp(inst, chains.polytope_vertices(inst), params)):
             back = LinearProgram.from_rows(prog.name, prog.sense, prog.objective,
                                            prog.variables, prog.constraints)
@@ -686,11 +687,10 @@ class TestLpFileExport:
                                        prog.constraints)
         sols = [lp.solve(back), lp.solve(prog)]
         for sol in sols:
-            assert sol.values == pytest.approx({"a": 1.0, "b": 1.5, "c": 1.5})
+            assert sol.x == pytest.approx([1.0, 1.5, 1.5])  # columns a, b, c
             assert sol.objective == pytest.approx(3.5)
-            assert sol.duals == pytest.approx({"floor": -2.5, "link": -0.5, "cap": 1.5})
-            assert list(sol.duals) == ["floor", "link", "cap"]
-        assert (sols[0].values, sols[0].duals) == (sols[1].values, sols[1].duals)
+            assert sol.duals == pytest.approx([-2.5, -0.5, 1.5])  # rows floor, link, cap
+        assert np.array_equal(sols[0].x, sols[1].x) and np.array_equal(sols[0].duals, sols[1].duals)
 
     def test_ranged_row_refused(self):
         with pytest.raises(ValueError, match="'band' is ranged"):

@@ -66,11 +66,11 @@ class TestRewardLayout:
         params = risk.RiskParams(alpha, beta)
         sol = solver.solve_cvar(inst, params)
         assert solver.solve_cvar(lifted, params).v_star == pytest.approx(sol.v_star, abs=1e-9)
-        x = sol.x_star.x
+        x = sol.x_star
         law, lifted_law = risk.reward_distribution(inst, x), risk.reward_distribution(lifted, x)
         assert np.array_equal(law.values, lifted_law.values)
         assert np.allclose(law.probs, lifted_law.probs, rtol=0.0, atol=1e-9)
-        ys = risk.breakpoints(inst).values
+        ys = risk.breakpoints(inst)
         assert np.allclose(risk.saddle_values(inst, x, ys, params),
                            risk.saddle_values(lifted, x, ys, params), rtol=0.0, atol=1e-9)
         seq = evaluate.cvar_sequence(inst, sol.policy, 0, 12, alpha)
@@ -273,6 +273,27 @@ class TestExtractPolicy:
         for _ in range(25):
             pol = model.extract_policy(inst, rng.random(3))
             assert model.policy_residual(inst, pol) < 1e-9
+
+
+class TestPolicyChecks:
+    @pytest.mark.parametrize("mapping, match", [
+        ([["s1", "a"]], "must map states"),
+        ({"s1": ["a"]}, "policy row 's1'"),
+        ({"s1": {"a": None}}, "finite number, got None"),
+        ({"s1": {"a": float("nan")}}, "finite number, got nan"),
+        ({"s1": {"a": float("inf")}}, "finite number, got inf"),
+        ({"s1": {"a": float("-inf")}}, "finite number, got -inf"),
+    ])
+    def test_malformed_rows_refused(self, mapping, match):
+        with pytest.raises(ValueError, match=match):
+            model.StationaryPolicy.from_mapping(two_state_instance(), mapping)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_a_violation(self, bad):
+        inst = two_state_instance()
+        probs = model.extract_policy(inst, np.ones(inst.n_pairs)).probs.copy()
+        probs[0] = bad
+        assert model.policy_residual(inst, probs) == np.inf
 
 
 class TestRandomizationCount:

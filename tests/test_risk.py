@@ -48,6 +48,11 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             DiscreteDistribution.from_atoms([np.inf], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probability_refused(self, bad):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            DiscreteDistribution.from_atoms([1.0, 2.0], [bad, 1.0])
+
 
 class TestVar:
     def test_coin_median(self):
@@ -287,12 +292,12 @@ class TestSaddleValue:
         inst = model.builtin("example2")
         p = risk.RiskParams(0.7)
         rng = np.random.default_rng(5)
-        bp = risk.breakpoints(inst)
+        ys = risk.breakpoints(inst)
         for _ in range(10):
             raw = rng.random(9)
             x = raw / raw.sum()
             law = risk.reward_distribution(inst, x)
-            best = min(risk.saddle_value(inst, x, float(y), p) for y in bp.values)
+            best = min(risk.saddle_value(inst, x, float(y), p) for y in ys)
             assert best == pytest.approx(risk.cvar_right(law, 0.7), abs=1e-10)
 
 
@@ -317,7 +322,7 @@ class TestSaddleCoefficientRows:
             if block is not None:
                 monkeypatch.setattr(risk, "_BRACKET_BLOCK", block * inst.reward_atoms[0].size)
             params = risk.RiskParams([0.0, 0.5, 0.9][i % 3], [0.0, 0.5][i % 2])
-            ys = risk.breakpoints(inst).values
+            ys = risk.breakpoints(inst)
             ref = per_level_coefficients(inst, ys, params)
             assert np.array_equal(risk.saddle_coefficient_rows(inst, ys, params), ref), inst.name
             assert np.array_equal(risk.saddle_coefficients(inst, float(ys[-1]), params), ref[-1])
@@ -329,7 +334,7 @@ class TestSaddleValues:
         # example2 has state-action rewards, endowment next-state rewards
         inst = model.builtin(name)
         rng = np.random.default_rng(6)
-        ys = risk.breakpoints(inst).values
+        ys = risk.breakpoints(inst)
         lo, hi = inst.reward_bounds()
         levels = np.concatenate((ys, rng.uniform(lo - 5.0, hi + 5.0, 20)))
         for alpha, beta in ((0.0, 0.0), (0.7, 0.0), (0.9, 0.5)):
@@ -355,21 +360,18 @@ class TestSaddleValues:
 class TestBreakpoints:
     def test_example2_values(self):
         bp = risk.breakpoints(model.builtin("example2"))
-        assert list(bp.values) == [4, 5, 13, 39, 69, 70, 71, 77, 94]
-        assert bp.delta == 1.0
-        assert bp.bounds == (4.0, 94.0)
+        assert list(bp) == [4, 5, 13, 39, 69, 70, 71, 77, 94]
 
     def test_degenerate_single_value(self):
         inst = model.MdpInstance("flat", ("s",), (("a", "b"),),
                                  np.array([[1.0], [1.0]]), rewards=np.array([3.0, 3.0]))
         bp = risk.breakpoints(inst)
-        assert len(bp.values) == 1 and bp.delta is None
+        assert list(bp) == [3.0]
 
     def test_endowment_contains_extremes(self):
         bp = risk.breakpoints(model.builtin("endowment"))
-        assert 84.0 in bp.values
-        assert -36.0 in bp.values
-        assert bp.delta == 1.5
+        assert 84.0 in bp
+        assert -36.0 in bp
 
 
 class TestRiskParams:

@@ -145,7 +145,7 @@ def assert_certified_with_one_randomization(inst, params):
     sol = solver.solve_cvar(inst, params)
     assert sol.certificates.certified
     assert sol.n_rand <= 1
-    assert sol.y_star in risk.breakpoints(inst).values
+    assert sol.y_star in risk.breakpoints(inst)
 
 
 class TestRandomizationBound:
@@ -167,7 +167,7 @@ class TestRandomizationBound:
         sol = solver.solve_cvar(inst, risk.RiskParams(alpha, beta))
         assert sol.certificates.certified
         assert sol.n_rand <= 1
-        assert sol.y_star in risk.breakpoints(inst).values
+        assert sol.y_star in risk.breakpoints(inst)
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(min_value=13, max_value=16), st.booleans(),
@@ -265,7 +265,7 @@ class TestMinimaxLpCount:
 
         monkeypatch.setattr(lp, "solve_sweep", recording)
         solver.endpoint_scan_oracle(inst, risk.RiskParams(0.7))
-        ys = risk.breakpoints(inst).values
+        ys = risk.breakpoints(inst)
         assert sweeps == [(f"{inst.name}-average(y={ys[0]:g})", ys.size)]
         assert names == [f"{inst.name}-level"]
 
@@ -296,7 +296,7 @@ class TestDualCertificate:
            st.sampled_from([0.0, 0.5, 0.7, 0.9]), st.sampled_from([0.0, 0.5]))
     def test_interval_holds_oracles_and_rejects_suboptimal(self, inst, alpha, beta):
         params = risk.RiskParams(alpha, beta)
-        ys = risk.breakpoints(inst).values
+        ys = risk.breakpoints(inst)
         sol = solver.solve_cvar(inst, params)
         c = sol.certificates
         assert c.certified
@@ -325,10 +325,11 @@ class TestDualCertificate:
     def test_zero_tail_prices_raise(self):
         inst = model.builtin("example2")
         params = risk.RiskParams(0.7)
-        ys = risk.breakpoints(inst).values
+        ys = risk.breakpoints(inst)
         dual = lp.solve(lp.build_dual_lp(inst, params, grid=ys))
-        zeroed = dataclasses.replace(dual, duals={
-            k: 0.0 if k.startswith("tail_") else v for k, v in dual.duals.items()})
+        duals = dual.duals.copy()
+        duals[:ys.size] = 0.0  # the tail rows come first
+        zeroed = dataclasses.replace(dual, duals=duals)
         with pytest.raises(solver.SolverError, match="tail prices"):
             solver._dual_certificate(inst, zeroed, lp.pair_values(inst, dual),
                                      dual.objective, params, ys)
@@ -424,8 +425,8 @@ class TestVerifySaddle:
 
     def test_perturbed_level_breaks_left_condition(self, example2_solution):
         inst = model.builtin("example2")
-        bp = risk.breakpoints(inst)
-        y_bad = example2_solution.certificates.tail_level + 5 * bp.delta
+        delta = np.diff(risk.breakpoints(inst)).min()  # the grid's smallest gap
+        y_bad = example2_solution.certificates.tail_level + 5 * delta
         report = solver.verify_saddle(inst, example2_solution.x_star, y_bad,
                                       example2_solution.v_star, risk.RiskParams(0.7))
         assert report.saddle_left_gap > 2e-6
@@ -456,6 +457,23 @@ class TestAlphaZero:
         assert rec.gap <= 1e-8
 
 
+class TestReadOnlyArrays:
+    def test_results_are_read_only_float_arrays(self, example2_solution):
+        inst, params = model.builtin("example2"), risk.RiskParams(0.7)
+        sol = example2_solution
+        arrays = {
+            "x_star": sol.x_star,
+            "stationary_distribution": chains.stationary_distribution(inst, sol.policy),
+            "breakpoints": risk.breakpoints(inst),
+            "sparsify": solver.sparsify(inst, sol.x_star, sol.y_star, params)[0],
+        }
+        for name, a in arrays.items():
+            assert type(a) is np.ndarray and a.dtype == np.float64, name
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
 class TestDominance:
     def test_optimum_dominates_deterministic(self):
         for seed in range(8):
@@ -478,4 +496,4 @@ class TestDominance:
         for seed in range(8):
             inst = model.random_instance(seed, 3, 2)
             sol = solver.solve_cvar(inst, risk.RiskParams(0.7))
-            assert sol.y_star in risk.breakpoints(inst).values
+            assert sol.y_star in risk.breakpoints(inst)
