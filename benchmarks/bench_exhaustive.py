@@ -13,7 +13,10 @@ Instances, 12 states x 3 actions each (3^12 = 531,441 policies):
   ring edge per pair, so each policy is unichain but few are positive;
 - multichain-heavy: `tests/test_chains.sparse_instance(default_rng(3), 12,
   [3] * 12)`, kernel rows with 1..12 successors, most often one, so tens of
-  thousands of policies have several recurrent classes.
+  thousands of policies have several recurrent classes;
+- multichain-heavy-rewards3: the same generator and seed with next-state
+  rewards (`rewards3=True`), so each pair pays up to 12 reward atoms and the
+  enumeration's reward laws dominate its time.
 
 Each call runs REPEATS times, after a warm-up on a small instance, at
 alpha = 0.8, beta = 0.5, and the row records the median and the range of
@@ -59,6 +62,8 @@ INSTANCES = (
     ("ring-sparse", lambda: ring_instance(1, 12, 3)),
     ("multichain-heavy",
      lambda: multichain_instance(np.random.default_rng(3), 12, [3] * 12)),
+    ("multichain-heavy-rewards3",
+     lambda: multichain_instance(np.random.default_rng(3), 12, [3] * 12, rewards3=True)),
 )
 
 
@@ -97,7 +102,7 @@ def bench_instance(name, make):
         "enumerate_s_range": enumerate_range,
         "enumerate_retained_mib": retained,
     }
-    print(f"{name:17s} policies {row['policies']}  multichain {row['multichain_policies']:6d}  "
+    print(f"{name:25s} policies {row['policies']}  multichain {row['multichain_policies']:6d}  "
           f"check {check_s:7.2f} s  enumerate {enumerate_s:7.2f} s  "
           f"table {retained:6.1f} MiB")
     return row

@@ -9,6 +9,7 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -377,9 +378,12 @@ def build_parser():
     return parser
 
 
+# the one parser `main` reuses across calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_args(args)
         return _COMMANDS[args.command](args)

@@ -38,24 +38,19 @@ class CvarSequence:
         return self.per_step.size
 
 
-def _value_index_tables(instance):
-    """Distinct reward values and, for each entry of the instance's
-    `reward_atoms` values, the index of that reward among them."""
-    values = risk.breakpoints(instance)
-    return values, np.searchsorted(values, instance.reward_atoms[0])
-
-
-def _atom_matrix(instance, values, atom_index):
-    """(len(values), pairs) CSR matrix whose entry [v, k] is the
-    probability that pair k pays values[v]. A pair's atoms stay separate
-    entries, in (pair, atom) order, so a product adds the same terms in the
-    same order as a bincount over the pairs' atoms. scipy.sparse is
-    imported here, not at module level, so that a solve never loads it."""
+def _atom_matrix(instance):
+    """(K, pairs) CSR matrix, K the size of the instance's reward grid,
+    whose entry [v, k] is the probability that pair k pays values[v]. A
+    pair's atoms stay separate entries, in (pair, atom) order, so a product
+    adds the same terms in the same order as `risk.reward_law_rows`'
+    bincount. scipy.sparse is imported here, not at module level, so that a
+    solve never loads it."""
     from scipy import sparse
 
+    values, index = instance.reward_grid
     probs = instance.reward_atoms[1]
     pair, col = np.nonzero(probs)
-    atom = atom_index[pair, col]
+    atom = index[pair, col]
     order = np.argsort(atom, kind="stable")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(atom, minlength=values.size))))
     return sparse.csr_array((probs[pair, col][order], pair[order], indptr),
@@ -111,11 +106,10 @@ def cvar_sequence(instance, policy, s0, T, alpha):
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     s0, rules, label = _setup(instance, policy, s0, T)
-    values, atom_index = _value_index_tables(instance)
     mu0 = np.eye(1, instance.n_states, s0)[0]
     per_step, drift = _kernels.cvar_sequence_kernel(
         instance.kernel, instance.pair_state, rules, mu0, int(T), float(alpha),
-        _atom_matrix(instance, values, atom_index), values)
+        _atom_matrix(instance), instance.reward_grid[0])
     _check_mass(drift, _mass_budget(instance, rules, T))
     cesaro = np.cumsum(per_step) / np.arange(1, T + 1)
     return CvarSequence(per_step=per_step, cesaro=cesaro, alpha=float(alpha),
@@ -210,7 +204,7 @@ def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     s0, rules, _ = _setup(instance, policy, s0, T)
-    values, atom_index = _value_index_tables(instance)
+    values, atom_index = instance.reward_grid
     n_states = instance.n_states
     # the atom paid on a step from pair k to state j is atoms[k * n_states + j]
     atoms = np.broadcast_to(atom_index, (instance.n_pairs, n_states)).ravel()

@@ -29,10 +29,15 @@ class InstanceFormatError(ValueError):
     """An instance file does not match the schema; message names the field."""
 
 
-def _readonly(a):
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _frozen(a):
+    """Mark the array a read-only, in place, and return it."""
     a.setflags(write=False)
     return a
+
+
+def _readonly(a):
+    """A read-only float64 copy of a, so the caller's array stays writable."""
+    return _frozen(np.array(a, dtype=np.float64, order="C"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,16 +98,13 @@ class MdpInstance:
         counts = [len(acts) for acts in self.actions]
         out = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=out[1:])
-        out.setflags(write=False)
-        return out
+        return _frozen(out)
 
     @cached_property
     def pair_state(self):
         """State index of each flat pair."""
-        out = np.repeat(np.arange(self.n_states, dtype=np.int64),
-                        [len(acts) for acts in self.actions])
-        out.setflags(write=False)
-        return out
+        return _frozen(np.repeat(np.arange(self.n_states, dtype=np.int64),
+                                 [len(acts) for acts in self.actions]))
 
     @cached_property
     def _state_index(self):
@@ -149,23 +151,25 @@ class MdpInstance:
         x[:, None] * probs, whichever kind the instance has.
         """
         if self.rewards is not None:
-            probs = np.ones((self.n_pairs, 1))
-            probs.setflags(write=False)
-            return self.rewards[:, None], probs
+            return self.rewards[:, None], _frozen(np.ones((self.n_pairs, 1)))
         return self.rewards3, self.kernel
 
-    def reward_table(self):
-        """All reward values of the instance as one flat array.
+    @cached_property
+    def reward_grid(self):
+        """The sorted distinct rewards and each reward atom's place among
+        them: (values, index), both read-only, with index of the shape of
+        `reward_atoms[0]` and values[index] equal to it.
 
-        For next-state rewards this includes every (pair, next-state) entry,
+        For next-state rewards every (pair, next-state) entry counts,
         whether or not the transition carries probability; those values are
         part of the instance data and of its breakpoint set.
         """
-        return self.reward_atoms[0].ravel()
+        values, index = np.unique(self.reward_atoms[0], return_inverse=True)
+        return _frozen(values), _frozen(index.reshape(self.reward_atoms[0].shape))
 
     def reward_bounds(self):
-        table = self.reward_table()
-        return float(table.min()), float(table.max())
+        values = self.reward_grid[0]
+        return float(values[0]), float(values[-1])
 
     def __eq__(self, other):
         if not isinstance(other, MdpInstance):
@@ -271,7 +275,7 @@ class TimeDependentPolicy:
 
     @classmethod
     def from_rules(cls, rules, label="time-dependent"):
-        return cls(np.array(rules, dtype=np.float64), label)
+        return cls(rules, label)
 
     @property
     def horizon(self):
@@ -372,16 +376,20 @@ def validate(instance):
         bad.append(Violation("states", "duplicate state names", 1.0))
     gaps = np.abs(instance.kernel.sum(axis=1) - 1.0)
     mins = instance.kernel.min(axis=1)
-    for k in np.flatnonzero((gaps > PROB_TOL) | (mins < 0.0)).tolist():
+    # a NaN entry passes both comparisons below, so it is counted apart
+    nonfinite = (~np.isfinite(instance.kernel)).sum(axis=1)
+    for k in np.flatnonzero((nonfinite > 0) | (gaps > PROB_TOL) | (mins < 0.0)).tolist():
         state, action = instance.pair_name(k)
         where = f"({state!r}, {action!r})"
+        if nonfinite[k]:
+            bad.append(Violation(where, "non-finite transition probability", float(nonfinite[k])))
         if gaps[k] > PROB_TOL:
             bad.append(Violation(where, "transition row does not sum to 1", float(gaps[k])))
         if mins[k] < 0.0:
             bad.append(Violation(where, "negative transition probability", -float(mins[k])))
-    table = instance.reward_table()
-    if not np.all(np.isfinite(table)):
-        bad.append(Violation("rewards", "non-finite reward value", float(np.sum(~np.isfinite(table)))))
+    bad_rewards = np.sum(~np.isfinite(instance.reward_atoms[0]))
+    if bad_rewards:
+        bad.append(Violation("rewards", "non-finite reward value", float(bad_rewards)))
     return ValidationReport(tuple(bad))
 
 
@@ -432,6 +440,21 @@ def _require(cond, msg):
 
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _named_block(node, path, names, kind, read):
+    """Values of the object `node` at `path`, which must have exactly the
+    keys `names`: read(child, child path, name) gives each child's values,
+    concatenated in `names` order."""
+    _require(isinstance(node, dict), f"'{path}' must be an object")
+    out = []
+    for name in names:
+        _require(name in node, f"'{path}' missing {kind} {name!r}")
+        out += read(node[name], f"{path}.{name}", name)
+    known = set(names)
+    for name in node:
+        _require(name in known, f"'{path}' names unknown {kind} {name!r}")
+    return out
 
 
 def load(path):
@@ -497,36 +520,22 @@ def load(path):
                 _require(_is_number(p), f"'transitions.{s}.{a}.{j}' must be a number")
                 kernel[k, state_pos[j]] = float(p)
 
-    rewards = rewards3 = None
-    if has_r:
-        rdoc = doc["rewards"]
-        _require(isinstance(rdoc, dict), "'rewards' must be an object")
-        rewards = np.zeros(n_pairs)
-        for i, s in enumerate(states):
-            _require(s in rdoc, f"'rewards' missing state {s!r}")
-            _require(isinstance(rdoc[s], dict), f"'rewards.{s}' must be an object")
-            for c, a in enumerate(actions[i]):
-                _require(a in rdoc[s], f"'rewards.{s}' missing action {a!r}")
-                v = rdoc[s][a]
-                _require(_is_number(v), f"'rewards.{s}.{a}' must be a number")
-                rewards[offsets[i] + c] = float(v)
-        for s in rdoc:
-            _require(s in state_set, f"'rewards' names unknown state {s!r}")
-    else:
-        rdoc = doc["rewards3"]
-        _require(isinstance(rdoc, dict), "'rewards3' must be an object")
-        rewards3 = np.zeros((n_pairs, len(states)))
-        for i, s in enumerate(states):
-            _require(s in rdoc, f"'rewards3' missing state {s!r}")
-            _require(isinstance(rdoc[s], dict), f"'rewards3.{s}' must be an object")
-            for c, a in enumerate(actions[i]):
-                _require(a in rdoc[s], f"'rewards3.{s}' missing action {a!r}")
-                _require(isinstance(rdoc[s][a], dict), f"'rewards3.{s}.{a}' must be an object")
-                for j in states:
-                    _require(j in rdoc[s][a], f"'rewards3.{s}.{a}' missing next state {j!r}")
-                    v = rdoc[s][a][j]
-                    _require(_is_number(v), f"'rewards3.{s}.{a}.{j}' must be a number")
-                    rewards3[offsets[i] + c, state_pos[j]] = float(v)
+    def number(v, path, _):
+        _require(_is_number(v), f"'{path}' must be a number")
+        return [float(v)]
+
+    def next_states(row, path, _):
+        return _named_block(row, path, states, "next state", number)
+
+    def pair_rewards(row, path, s):
+        return _named_block(row, path, actions[state_pos[s]], "action",
+                            number if has_r else next_states)
+
+    # both blocks read as state -> action [-> next state] -> value
+    key = "rewards" if has_r else "rewards3"
+    table = np.array(_named_block(doc[key], key, states, "state", pair_rewards),
+                     dtype=np.float64).reshape(n_pairs, 1 if has_r else len(states))
+    rewards, rewards3 = (table[:, 0], None) if has_r else (None, table)
 
     name = doc["name"]
     _require(isinstance(name, str), "'name' must be a string")

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import _readonly, as_pair_array
+from .model import _frozen, as_pair_array
 
 # Guard against last-bit noise in cumulative probabilities when locating
 # quantiles; distinct CDF levels of real data sit far above this.
@@ -72,11 +72,8 @@ class DiscreteDistribution:
         if not keep.any():
             # All mass was clipped away; keep the single heaviest atom.
             keep[np.argmax(merged)] = True
-        v = np.ascontiguousarray(uniq[keep])
-        p = np.ascontiguousarray(merged[keep])
-        v.setflags(write=False)
-        p.setflags(write=False)
-        return cls(v, p)
+        return cls(_frozen(np.ascontiguousarray(uniq[keep])),
+                   _frozen(np.ascontiguousarray(merged[keep])))
 
     @classmethod
     def dirac(cls, value):
@@ -84,9 +81,7 @@ class DiscreteDistribution:
 
     @cached_property
     def cdf(self):
-        out = np.cumsum(self.probs)
-        out.setflags(write=False)
-        return out
+        return _frozen(np.cumsum(self.probs))
 
     def mean(self):
         return float(self.values @ self.probs)
@@ -163,39 +158,47 @@ def cvar_via_ru(dist, alpha):
     return best_val, best_y
 
 
-def reward_distribution(instance, x):
-    """Law of the reward under the state-action weights x: each atom
-    values[k, c] of `instance.reward_atoms` carries weight x(k) * probs[k, c].
+def reward_law_rows(instance, xs):
+    """Law of the reward under pair weights x on the instance's grid
+    `reward_grid[0]`, for one weight vector or each row of a stack.
+
+    Atom (k, c) of `reward_atoms` carries weight max(x(k), 0) * probs[k, c]
+    onto grid point index[k, c]. One bincount over (row, grid point) keys
+    adds each point's weights in (pair, atom) order.
     """
-    values, probs = instance.reward_atoms
-    x = as_pair_array(x)
-    return DiscreteDistribution.from_atoms(values.ravel(), (x[:, None] * probs).ravel())
+    values, index = instance.reward_grid
+    xs = as_pair_array(xs)
+    rows = np.maximum(np.atleast_2d(xs), 0.0)
+    weights = rows[:, :, None] * instance.reward_atoms[1]
+    keys = np.arange(0, rows.shape[0] * values.size, values.size)[:, None, None] + index
+    law = np.bincount(keys.ravel(), weights.ravel(), minlength=rows.shape[0] * values.size)
+    law = law.reshape(rows.shape[0], values.size)
+    return law[0] if xs.ndim == 1 else law
+
+
+def reward_distribution(instance, x):
+    """Law of the reward under the state-action weights x (see
+    `reward_law_rows`), as a validated `DiscreteDistribution`."""
+    return DiscreteDistribution.from_atoms(instance.reward_grid[0], reward_law_rows(instance, x))
 
 
 def cvar_right_and_mean_rows(instance, xs, alpha):
-    """Right-tail CVaR and mean of the reward law of every row of xs.
-
-    Row-batched `cvar_right(reward_distribution(instance, x), alpha)` and
-    `.mean()`: the atoms are sorted once, equal values stay adjacent, and
-    `cvar_right_rows` values every row in one pass.
-    """
-    values, probs = instance.reward_atoms
-    xs = np.clip(xs, 0.0, None)
-    values = values.ravel()
-    weights = (xs[:, :, None] * probs).reshape(xs.shape[0], -1)
-    order = np.argsort(values, kind="stable")
-    values, weights = values[order], weights[:, order]
-    return cvar_right_rows(values, weights, alpha), weights @ values
+    """Right-tail CVaR and mean of the reward law of every row of xs:
+    row-batched `cvar_right(reward_distribution(instance, x), alpha)` and
+    `.mean()` on the laws of `reward_law_rows`."""
+    values = instance.reward_grid[0]
+    law = reward_law_rows(instance, xs)
+    return cvar_right_rows(values, law, alpha), law @ values
 
 
 def breakpoints(instance):
     """Breakpoint set of the instance's saddle objective in y: the sorted
-    distinct reward values, as a read-only array.
+    distinct reward values `reward_grid[0]`, a read-only array.
 
     The objective is piecewise linear in y with kinks only at reward
     values, so scans over y can be restricted to this finite set.
     """
-    return _readonly(np.unique(instance.reward_table()))
+    return instance.reward_grid[0]
 
 
 def saddle_coefficients(instance, y, params):
@@ -234,14 +237,11 @@ def saddle_value(instance, x, y, params):
 def saddle_values(instance, x, ys, params):
     """v(x, y) at every level of ys in one pass.
 
-    Sorts the reward atoms once; each level's excess term
-    E[R - y]^+ = sum_{r > y} w r - y sum_{r > y} w is read off suffix sums.
+    Each level's excess term E[R - y]^+ = sum_{r > y} w r - y sum_{r > y} w
+    is read off suffix sums of the reward law w of x (`reward_law_rows`).
     """
-    values, probs = instance.reward_atoms
-    x = as_pair_array(x)
-    r, w = values.ravel(), (x[:, None] * probs).ravel()
-    order = np.argsort(r, kind="stable")
-    r, w = r[order], w[order]
+    r = instance.reward_grid[0]
+    w = reward_law_rows(instance, x)
     above_w = np.append(np.cumsum(w[::-1])[::-1], 0.0)
     above_wr = np.append(np.cumsum((w * r)[::-1])[::-1], 0.0)
     ys = np.asarray(ys, dtype=np.float64)

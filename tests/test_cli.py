@@ -177,6 +177,17 @@ class TestExitCodes:
         assert code == 2
         assert "invalid" in err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("solve", ()), ("enumerate", ()), ("check", ()), ("scan", ()),
+        ("simulate", ("--policy", "example1", "--T", "5"))])
+    def test_nan_transition_probability(self, capsys, tmp_path, command, extra):
+        path = tmp_path / "nan.json"
+        model.save(model.builtin("example1"), path)
+        path.write_text(path.read_text().replace('"s2": 1.0', '"s2": NaN', 1))
+        code, _, err = run(capsys, command, "--instance", str(path), "--alpha", "0.5", *extra)
+        assert code == 2
+        assert "non-finite transition probability" in err
+
     @pytest.mark.parametrize("builtin, edit, field", [
         ("example2", lambda r: r.update({"1": ["1"]}), "'rewards.1' must be an object"),
         ("example2", lambda r: r.update({"1": "1"}), "'rewards.1' must be an object"),
@@ -443,6 +454,18 @@ class TestUnusedFlagsRejected:
             cli.main(list(argv))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        argv = ("solve", "--builtin", "example2", "--alpha", "0.7")
+        first = run(capsys, *argv)
+
+        def rebuilt():
+            raise AssertionError("main rebuilt its parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert run(capsys, *argv) == first
 
 
 class TestModuleEntryPoint:

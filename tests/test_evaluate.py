@@ -398,7 +398,7 @@ def step_by_step(instance, rules, s0, T, alpha):
     """Plain reference for the chunked evolution: push the state law one
     step at a time, bincount each step's reward law and value it alone.
     Returns the per-step CVaR and the pair laws."""
-    values, atom_index = evaluate._value_index_tables(instance)
+    values, atom_index = instance.reward_grid
     probs = instance.reward_atoms[1]
     mu = np.zeros(instance.n_states)
     mu[s0] = 1.0
@@ -434,7 +434,7 @@ class TestChunkedEvolution:
             rules = np.repeat([random_rules(inst, rng, 1, False).probs for _ in run_lengths],
                               run_lengths, axis=0)
         s0 = int(rng.integers(inst.n_states))
-        values, atom_index = evaluate._value_index_tables(inst)
+        values, atom_index = inst.reward_grid
         mu0 = np.zeros(inst.n_states)
         mu0[s0] = 1.0
         ref, ref_pairs = step_by_step(inst, rules, s0, T, alpha)
@@ -444,7 +444,7 @@ class TestChunkedEvolution:
         with mock.patch.object(_kernels, "LAW_BLOCK_ENTRIES", entries):
             per_step, drift = _kernels.cvar_sequence_kernel(
                 inst.kernel, inst.pair_state, rules, mu0, T, alpha,
-                evaluate._atom_matrix(inst, values, atom_index), values)
+                evaluate._atom_matrix(inst), values)
             last = evaluate.t_step_distribution(inst, policy, s0, T - 1)
         blocks = [b.copy() for b in _kernels.pair_law_blocks(
             inst.kernel, inst.pair_state, rules, mu0, T, rows)]
@@ -481,12 +481,12 @@ class TestChunkedEvolution:
     @pytest.mark.parametrize("name", ["example2", "endowment", "repeated"])
     def test_atom_matrix_sums_like_bincount(self, name):
         inst = repeated_reward_instance() if name == "repeated" else model.builtin(name)
-        values, atom_index = evaluate._value_index_tables(inst)
+        values, atom_index = inst.reward_grid
         pk = np.random.default_rng(0).dirichlet(np.ones(inst.n_pairs), size=50)
         probs = inst.reward_atoms[1]
         ref = np.stack([np.bincount(atom_index.ravel(), weights=(p[:, None] * probs).ravel(),
                                     minlength=values.size) for p in pk])
-        atoms = evaluate._atom_matrix(inst, values, atom_index)
+        atoms = evaluate._atom_matrix(inst)
         assert np.array_equal((atoms @ pk.T).T, ref)
 
     def test_oscillator_bit_identical(self):

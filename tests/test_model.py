@@ -49,6 +49,34 @@ class TestInstance:
         with pytest.raises(ValueError):
             inst.kernel[0, 0] = 0.5
 
+    @pytest.mark.parametrize("name", ["example2", "endowment"])
+    def test_reward_grid(self, name):
+        inst = model.builtin(name)
+        values, index = inst.reward_grid
+        rewards = inst.reward_atoms[0]
+        assert np.array_equal(values, np.unique(rewards))
+        assert index.shape == rewards.shape
+        assert np.array_equal(values[index], rewards)
+        assert inst.reward_bounds() == (rewards.min(), rewards.max())
+        for a in (values, index):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_caller_arrays_stay_writable(self):
+        kernel, rewards = np.array([[0.5, 0.5], [1.0, 0.0]]), np.array([1.0, 2.0])
+        rewards3, probs, rules = np.zeros((2, 2)), np.array([1.0, 0.0]), np.ones((3, 2))
+        inst = model.MdpInstance("x", ("s1", "s2"), (("a",), ("a",)), kernel, rewards=rewards)
+        lifted = model.MdpInstance("x", ("s1", "s2"), (("a",), ("a",)), kernel,
+                                   rewards3=rewards3)
+        kept = [inst.kernel, inst.rewards, lifted.rewards3,
+                model.StationaryPolicy(probs).probs,
+                model.TimeDependentPolicy(rules).rules,
+                model.TimeDependentPolicy.from_rules(rules).rules]
+        for a in (kernel, rewards, rewards3, probs, rules):
+            assert a.flags.writeable
+            a[...] = 7.0  # the instance and policies hold copies
+        assert not any(np.any(a == 7.0) for a in kept)
+
 
 class TestRewardLayout:
     """Per-pair rewards are next-state rewards that ignore the state
@@ -120,6 +148,18 @@ class TestValidate:
         ]
 
 
+class TestValidateNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_transition_probability(self, bad):
+        # NaN passes both the row-sum and the sign comparison
+        kernel = np.array([[bad, 1.0], [0.0, 1.0]])
+        inst = model.MdpInstance("bad", ("s1", "s2"), (("a",), ("a",)), kernel,
+                                 rewards=np.zeros(2))
+        got = model.validate(inst).violations
+        assert (got[0].where, got[0].rule, got[0].magnitude) == (
+            "('s1', 'a')", "non-finite transition probability", 1.0)
+
+
 class TestFileRoundTrip:
     @pytest.mark.parametrize("name", ["example1", "example2", "endowment"])
     def test_round_trip_identity(self, name, tmp_path):
@@ -175,6 +215,30 @@ class TestFileRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(model.InstanceFormatError, match="rewards.s1"):
             model.load(path)
+
+
+    @pytest.mark.parametrize("builtin, edit, message", [
+        ("example2", lambda r: r.update({"4": {"1": 1.0}}), "'rewards' names unknown state '4'"),
+        ("example2", lambda r: r["1"].update({"9": 1.0}),
+         "'rewards.1' names unknown action '9'"),
+        ("endowment", lambda r: r.update({"(2,0.2)": {}}),
+         "'rewards3' names unknown state '(2,0.2)'"),
+        ("endowment", lambda r: r["(0,0.2)"].update({"0.9": {}}),
+         "'rewards3.(0,0.2)' names unknown action '0.9'"),
+        ("endowment", lambda r: r["(0,0.2)"]["0.5"].update({"(2,0.2)": 1.0}),
+         "'rewards3.(0,0.2).0.5' names unknown next state '(2,0.2)'"),
+    ])
+    def test_unknown_reward_key_refused(self, tmp_path, builtin, edit, message):
+        import json
+
+        path = tmp_path / "inst.json"
+        model.save(model.builtin(builtin), path)
+        doc = json.loads(path.read_text())
+        edit(doc["rewards" if "rewards" in doc else "rewards3"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(model.InstanceFormatError) as err:
+            model.load(path)
+        assert str(err.value) == message
 
 
 class TestBuiltins:

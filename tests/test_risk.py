@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_chains import sparse_kernels
+from test_evaluate import repeated_reward_instance
+
 from cvarmdp import model, risk
 from cvarmdp.risk import DiscreteDistribution
 
@@ -232,6 +235,61 @@ class TestCvarRightRows:
     def test_alpha_out_of_range(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             risk.cvar_right_rows(np.array([1.0]), np.array([1.0]), alpha)
+
+
+def law_instance(name):
+    return repeated_reward_instance() if name == "repeated" else model.builtin(name)
+
+
+def bincount_law(inst, x):
+    """Reference law of one weight row: a plain bincount over the atoms."""
+    values, index = inst.reward_grid
+    weights = np.clip(x[:, None] * inst.reward_atoms[1], 0.0, None)
+    return np.bincount(index.ravel(), weights=weights.ravel(), minlength=values.size)
+
+
+class TestRewardLawRows:
+    """One bincount over (row, grid point) keys adds each row's weights in
+    the order a bincount of that row alone adds them."""
+
+    @staticmethod
+    def weight_rows(inst, seed):
+        rng = np.random.default_rng(seed)
+        xs = rng.dirichlet(np.ones(inst.n_pairs), size=30)
+        xs[::3, ::2] = 0.0
+        xs[1::4, 0] = -1e-3  # clipped to 0
+        return xs
+
+    def check(self, inst, xs):
+        want = np.stack([bincount_law(inst, x) for x in xs])
+        got = risk.reward_law_rows(inst, xs)
+        assert got.shape == (xs.shape[0], inst.reward_grid[0].size)
+        assert np.array_equal(got, want)
+        for x, row in zip(xs, want):
+            assert np.array_equal(risk.reward_law_rows(inst, x), row)
+
+    @pytest.mark.parametrize("name", ["example2", "endowment", "repeated"])
+    def test_matches_per_row_bincount(self, name):
+        inst = law_instance(name)
+        self.check(inst, self.weight_rows(inst, 5))
+
+    @given(st.one_of(sparse_kernels(), sparse_kernels(rewards3=True)),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_row_bincount_sparse(self, inst, seed):
+        self.check(inst, self.weight_rows(inst, seed))
+
+    @pytest.mark.parametrize("name", ["example2", "endowment", "repeated"])
+    def test_reward_distribution_bits_unchanged(self, name):
+        # the law from_atoms builds out of every unmerged atom
+        inst = law_instance(name)
+        values, probs = inst.reward_atoms
+        for x in self.weight_rows(inst, 6):
+            x = np.abs(x) / np.abs(x).sum()
+            want = DiscreteDistribution.from_atoms(values.ravel(), (x[:, None] * probs).ravel())
+            got = risk.reward_distribution(inst, x)
+            assert np.array_equal(got.values, want.values)
+            assert got.probs.tobytes() == want.probs.tobytes()
 
 
 class TestCvarAndMeanRows:
