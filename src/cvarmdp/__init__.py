@@ -45,7 +45,6 @@ from .lp import (
     build_primal_lp,
     build_sparsify_lp,
     solve,
-    write_lp_file,
 )
 from .solver import (
     SaddleSolution,

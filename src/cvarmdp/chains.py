@@ -109,48 +109,34 @@ def _recurrent_classes(adj):
         return owner, members, aperiodic
     # imported here so that runs whose chains are all positive never load them
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order, connected_components
+    from scipy.sparse.csgraph import connected_components, dijkstra
 
-    # node p * S + u is state u of the p-th non-positive matrix; node N is a
-    # root with no edges for now
+    # node p * S + u is state u of the p-th non-positive matrix
     N = rest.size * S
     tail, col = np.divmod(np.flatnonzero(adj[rest]), S)
     head = tail - tail % S + col
-    indptr = np.zeros(N + 2, dtype=np.intp)
-    np.cumsum(np.bincount(tail, minlength=N), out=indptr[1:N + 1])
-    indptr[N + 1] = indptr[N]
-    n_comp, labels = connected_components(
-        csr_matrix((np.ones(head.size), head, indptr), shape=(N + 1, N + 1)),
-        connection="strong")
+    indptr = np.zeros(N + 1, dtype=np.intp)
+    np.cumsum(np.bincount(tail, minlength=N), out=indptr[1:])
+    graph = csr_matrix((np.ones(head.size), head, indptr), shape=(N, N))
+    n_comp, labels = connected_components(graph, connection="strong")
     comp = labels[tail]
     closed = np.ones(n_comp, dtype=bool)
     closed[comp[comp != labels[head]]] = False
-    closed[labels[N]] = False
     _, first = np.unique(labels, return_index=True)
     period = np.zeros(n_comp, dtype=np.intp)
     period[comp[tail == head]] = 1
     todo = closed & (period == 0)
     if todo.any():
-        # link the root to the first state of each class left, so one BFS
-        # levels them all; nothing leaves a closed class
-        indptr[N + 1] += np.count_nonzero(todo)
-        graph = csr_matrix((np.ones(indptr[-1]), np.concatenate([head, first[todo]]), indptr),
-                           shape=(N + 1, N + 1))
-        _, pred = breadth_first_order(graph, N, return_predecessors=True)
-        anc = np.where(pred < 0, N, pred)
-        level = (anc != N).astype(np.intp)
-        # pointer jumping: level = depth below the root. csgraph's unweighted
-        # dijkstra gives the same depths in one call, but it was about 8%
-        # slower per ring-sparse 12x3 block and returns inf off the tree
-        while (anc != N).any():
-            level += level[anc]
-            anc = anc[anc]
+        # every edge weighs 1, so distances are BFS levels; nothing leaves a
+        # closed class, so one search from each class's first state levels all
+        level = dijkstra(graph, indices=first[todo], min_only=True)
         edge = todo[comp]
-        np.gcd.at(period, comp[edge], level[tail[edge]] + 1 - level[head[edge]])
+        np.gcd.at(period, comp[edge],
+                  (level[tail[edge]] + 1 - level[head[edge]]).astype(np.intp))
     roots = np.sort(first[closed])
     local = roots // S
     owner = np.concatenate([owner, rest[local]])
-    members = np.concatenate([members, labels[:N].reshape(-1, S)[local] == labels[roots, None]])
+    members = np.concatenate([members, labels.reshape(-1, S)[local] == labels[roots, None]])
     # a class without edges (a zero row) has gcd 0 and counts as aperiodic
     aperiodic = np.concatenate([aperiodic, period[labels[roots]] <= 1])
     order = np.argsort(owner, kind="stable")
@@ -270,14 +256,14 @@ class _PolicyBlock:
                                               self.owner, self.members)
 
 
-def _deterministic_sweep(instance, cap=10**6):
+def _deterministic_sweep(instance):
     """Every deterministic policy, in `deterministic_policies` order, as
     consecutive `_PolicyBlock`s sized by SWEEP_ENTRIES.
 
     Raises CapExceededError, before building anything, when the policy
-    count exceeds cap.
+    count exceeds `model.POLICY_CAP`.
     """
-    total = deterministic_policy_count(instance, cap)
+    total = deterministic_policy_count(instance)
     per_block = max(1, SWEEP_ENTRIES // (instance.n_states * instance.n_pairs))
 
     def blocks():
@@ -317,7 +303,7 @@ class AssumptionReport:
             yield _classification(self.members[lo:hi], self.aperiodic[lo:hi])
 
 
-def check_assumption(instance, cap=10**6):
+def check_assumption(instance):
     """Classify every deterministic policy; report those that are not
     unichain and aperiodic.
 
@@ -328,7 +314,7 @@ def check_assumption(instance, cap=10**6):
     parts = [(np.empty(0, np.intp), np.empty(0, np.intp),
               np.empty((0, instance.n_states), bool), np.empty(0, bool))]
     total = 0
-    for block in _deterministic_sweep(instance, cap):
+    for block in _deterministic_sweep(instance):
         bad = ~block.unichain_aperiodic
         keep = bad[block.owner]
         parts.append((total + np.flatnonzero(bad), total + block.owner[keep],
@@ -360,7 +346,7 @@ class VertexSet:
         object.__setattr__(self, "xs", xs)
 
 
-def polytope_vertices(instance, cap=10**6):
+def polytope_vertices(instance):
     """Enumerate the basic feasible solutions of the occupation polytope.
 
     Every deterministic policy contributes the stationary distribution of
@@ -369,7 +355,7 @@ def polytope_vertices(instance, cap=10**6):
     """
     kept = np.empty((0, instance.n_pairs))
     gens = []
-    for block in _deterministic_sweep(instance, cap):
+    for block in _deterministic_sweep(instance):
         owner, xs = block.occupations
         for i, x in zip(owner.tolist(), xs):
             if (np.abs(kept - x).max(axis=1) < VERTEX_DEDUP_TOL).any():

@@ -2,8 +2,8 @@
 
 Subcommands: solve, enumerate, simulate, check, gen, scan. Tables print
 numbers to 4 decimals; --json emits the same values at full precision.
-Exit codes: 0 success, 2 input or validation problems, 3 solver or
-numerical failures.
+Exit codes: 0 success, 2 input or validation problems (an --out path that
+cannot be written among them), 3 solver or numerical failures.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _validated_instance(args):
 
 def _emit(args, payload, table_lines):
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     else:
         print("\n".join(table_lines))
 
@@ -387,7 +387,7 @@ def main(argv=None):
     try:
         _check_args(args)
         return _COMMANDS[args.command](args)
-    except (InputError, model.InstanceFormatError, model.CapExceededError) as e:
+    except (InputError, model.InstanceFormatError, model.CapExceededError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (solver.SolverError, lp.LpSolveError, chains.ChainStructureError) as e:

@@ -24,9 +24,9 @@ dualises the occupation polytope, pivots primal, because dual simplex
 takes thousands of iterations on it where primal takes hundreds; every
 other program pivots dual, the faster direction on the occupation
 programs.
-`Variable` and `Constraint` are a named view built on demand for LP-file
-export and hand-written programs (`LinearProgram.from_rows`); solving
-never builds it.
+`Variable` and `Constraint` are a named view built on demand for
+hand-written programs (`LinearProgram.from_rows`) and for reading a
+program row by row; solving never builds it.
 HiGHS is scipy's `_highspy._core` extension, loaded by file path
 (`_load_highs`) so that importing this module does not run
 `scipy.optimize`'s package init.
@@ -285,20 +285,20 @@ class LpSolution:
     mismatch: float | None = None
 
 
-def _recheck(lp, cost, x, backend_objective, tol, name):
+def _recheck(lp, cost, x, backend_objective, name):
     """Re-check a backend point of `lp` under objective `cost` (in the
     program's sense): the worst constraint or bound violation must be at
-    most tol, and the backend's objective must match cost @ x. Returns
-    (objective, residual, mismatch)."""
+    most FEASIBILITY_TOL, and the backend's objective must match cost @ x.
+    Returns (objective, residual, mismatch)."""
     ax = _matvec(lp.A, x)
     residual = float(np.max([np.max(lp.row_lo - ax, initial=0.0),
                              np.max(ax - lp.row_hi, initial=0.0),
                              np.max(lp.lb - x, initial=0.0), np.max(x - lp.ub, initial=0.0)]))
-    if not residual <= tol:
+    if not residual <= FEASIBILITY_TOL:
         raise LpSolveError(f"{name}: solution violates constraints by {residual:.3g}")
     objective = float(cost @ x)
     mismatch = abs(backend_objective - objective)
-    if mismatch > max(tol, tol * abs(objective)):
+    if mismatch > FEASIBILITY_TOL * max(1.0, abs(objective)):
         raise LpSolveError(f"{name}: objective mismatch {backend_objective!r} vs {objective!r}")
     return objective, residual, float(mismatch)
 
@@ -374,19 +374,19 @@ def _sign(lp):
     return 1.0 if lp.sense == "min" else -1.0
 
 
-def _solution(h, lp, cost, tol, name, duals):
+def _solution(h, lp, cost, name, duals):
     """Run h, which minimises _sign(lp) * cost, re-check its point and wrap
     it as an `LpSolution`, with shadow prices when duals is true."""
     sign = _sign(lp)
     point = _run_highs(h, name)
     if point.status != "optimal":
         return LpSolution(point.status, None, None)
-    objective, residual, mismatch = _recheck(lp, cost, point.x, sign * point.fun, tol, name)
+    objective, residual, mismatch = _recheck(lp, cost, point.x, sign * point.fun, name)
     return LpSolution("optimal", objective, point.x, duals=sign * point.row_dual if duals else None,
                       nit=point.nit, residual=residual, mismatch=mismatch)
 
 
-def solve(lp, tol=FEASIBILITY_TOL):
+def solve(lp):
     """Solve an LP with HiGHS simplex in the program's direction
     (`lp.simplex`), returning the point, the re-check's figures and the
     shadow prices.
@@ -396,10 +396,10 @@ def solve(lp, tol=FEASIBILITY_TOL):
     Identical programs yield identical solutions across runs, and
     `solve_sweep(lp, [lp.c])[0]` runs the same model to the same point.
     """
-    return _solution(_highs_model(lp, _sign(lp) * lp.c), lp, lp.c, tol, lp.name, duals=True)
+    return _solution(_highs_model(lp, _sign(lp) * lp.c), lp, lp.c, lp.name, duals=True)
 
 
-def solve_sweep(lp, costs, tol=FEASIBILITY_TOL):
+def solve_sweep(lp, costs):
     """Solve lp under each objective in costs (vectors in lp's sense; lp.c
     itself is not used), returning one `LpSolution` per cost.
 
@@ -416,7 +416,7 @@ def solve_sweep(lp, costs, tol=FEASIBILITY_TOL):
             h = _highs_model(lp, sign * cost)
         else:
             h.changeColsCost(cols.size, cols, sign * cost)
-        out.append(_solution(h, lp, cost, tol, f"{lp.name} [cost {i}]", duals=False))
+        out.append(_solution(h, lp, cost, f"{lp.name} [cost {i}]", duals=False))
     return out
 
 
@@ -424,8 +424,8 @@ def solve_sweep(lp, costs, tol=FEASIBILITY_TOL):
 
 
 def _pair_suffixes(instance):
-    # State and local-action indices; positional so the names stay safe for
-    # the LP file format. instance.pair_name maps them back to labels.
+    # State and local-action indices; instance.pair_name maps them back to
+    # labels.
     local = np.arange(instance.n_pairs) - instance.offsets[instance.pair_state]
     return [f"{i}_{a}" for i, a in zip(instance.pair_state.tolist(), local.tolist())]
 
@@ -639,44 +639,3 @@ def pair_values(instance, solution):
     """The per-pair values x of a solved dual, average or sparsify
     program, whose first n_pairs columns they are."""
     return solution.x[:instance.n_pairs]
-
-
-# -- LP file export -----------------------------------------------------------
-
-
-def write_lp_file(lp, target):
-    """Write the program in the fixed CPLEX-style LP text format.
-
-    `target` is a path or a writable text handle. Useful for cross-checking
-    a program against an external solver.
-    """
-    if hasattr(target, "write"):
-        _write_lp(lp, target)
-    else:
-        with open(target, "w") as fh:
-            _write_lp(lp, fh)
-
-
-def _term_str(coef, name, first):
-    sign = "-" if coef < 0 else ("" if first else "+")
-    return f"{sign} {abs(coef):.17g} {name}".strip()
-
-
-def _write_lp(lp, fh):
-    fh.write(f"\\ {lp.name}\n")
-    fh.write("Minimize\n" if lp.sense == "min" else "Maximize\n")
-    terms = [_term_str(coef, nm, i == 0) for i, (nm, coef) in enumerate(lp.objective.items())]
-    fh.write(" obj: " + " ".join(terms) + "\n")
-    fh.write("Subject To\n")
-    for c in lp.constraints:
-        terms = [_term_str(coef, nm, i == 0) for i, (nm, coef) in enumerate(c.coeffs.items())]
-        fh.write(f" {c.name}: " + " ".join(terms) + f" {c.relation} {c.rhs:.17g}\n")
-    fh.write("Bounds\n")
-    for v in lp.variables:
-        if v.lb == -np.inf and v.ub == np.inf:
-            fh.write(f" {v.name} free\n")
-        elif not (v.lb == 0.0 and v.ub == np.inf):
-            lo = "-inf" if v.lb == -np.inf else f"{v.lb:.17g}"
-            hi = "+inf" if v.ub == np.inf else f"{v.ub:.17g}"
-            fh.write(f" {lo} <= {v.name} <= {hi}\n")
-    fh.write("End\n")

@@ -16,9 +16,16 @@ from functools import cached_property
 import numpy as np
 
 # Tolerances. Probability data is validated tightly; randomization counts
-# carry LP solver noise and get a looser threshold.
+# carry LP solver noise and get a looser threshold. A state whose
+# occupation is at most MARGINAL_ZERO_TOL gets its first action on
+# extraction.
 PROB_TOL = 1e-9
 RANDOMIZATION_TOL = 1e-6
+MARGINAL_ZERO_TOL = 1e-12
+
+# Most deterministic policies the exhaustive tools (enumeration, the
+# assumption check, the vertex list) visit.
+POLICY_CAP = 10**6
 
 SCHEMA_TAG = "mdp-v1"
 
@@ -667,7 +674,7 @@ def random_instance(seed, n_states, n_actions, reward_range=(0.0, 100.0)):
 # -- policy extraction and randomization count -------------------------------
 
 
-def extract_policy(instance, x, zero_tol=1e-12):
+def extract_policy(instance, x):
     """Turn an occupation measure into the stationary policy it induces.
 
     Where the state marginal is positive the rule is the ratio
@@ -679,7 +686,7 @@ def extract_policy(instance, x, zero_tol=1e-12):
     for i in range(instance.n_states):
         lo, hi = instance.offsets[i], instance.offsets[i + 1]
         marginal = float(x[lo:hi].sum())
-        if marginal > zero_tol:
+        if marginal > MARGINAL_ZERO_TOL:
             probs[lo:hi] = x[lo:hi] / marginal
         else:
             probs[lo] = 1.0
@@ -696,11 +703,12 @@ def n_randomizations(instance, policy, tol=RANDOMIZATION_TOL):
     return int(np.maximum(active - 1, 0).sum())
 
 
-def deterministic_policy_count(instance, cap=10**6):
-    """Number of deterministic policies; raises CapExceededError above cap."""
+def deterministic_policy_count(instance):
+    """Number of deterministic policies; raises CapExceededError above
+    POLICY_CAP."""
     total = math.prod(len(acts) for acts in instance.actions)
-    if total > cap:
-        raise CapExceededError(f"{total} deterministic policies exceed cap {cap}")
+    if total > POLICY_CAP:
+        raise CapExceededError(f"{total} deterministic policies exceed cap {POLICY_CAP}")
     return total
 
 
@@ -712,11 +720,11 @@ def policy_actions(instance, index):
     return np.stack(np.unravel_index(index, np.diff(instance.offsets)), axis=-1)
 
 
-def deterministic_policies(instance, cap=10**6):
+def deterministic_policies(instance):
     """All deterministic policies in lexicographic order of action indices."""
-    total = deterministic_policy_count(instance, cap)
+    total = deterministic_policy_count(instance)
     return [DeterministicPolicy(c) for c in policy_actions(instance, np.arange(total)).tolist()]
 
 
 class CapExceededError(RuntimeError):
-    """Policy enumeration would exceed the configured cap."""
+    """Policy enumeration would exceed POLICY_CAP."""

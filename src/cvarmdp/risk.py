@@ -16,6 +16,9 @@ import numpy as np
 
 from .model import _frozen, as_pair_array
 
+# Largest amount by which a law's probabilities may sum off 1, or fall
+# below 0, before `DiscreteDistribution.from_atoms` refuses it.
+LAW_SUM_TOL = 1e-9
 # Guard against last-bit noise in cumulative probabilities when locating
 # quantiles; distinct CDF levels of real data sit far above this.
 _QEPS = 1e-12
@@ -50,7 +53,7 @@ class DiscreteDistribution:
     probs: np.ndarray
 
     @classmethod
-    def from_atoms(cls, values, probs, tol=1e-9):
+    def from_atoms(cls, values, probs):
         values = np.asarray(values, dtype=np.float64).ravel()
         probs = np.asarray(probs, dtype=np.float64).ravel()
         if values.shape != probs.shape:
@@ -61,10 +64,10 @@ class DiscreteDistribution:
             raise ValueError("distribution probabilities must be finite")
         if probs.size == 0:
             raise ValueError("distribution needs at least one atom")
-        if float(probs.min()) < -tol:
+        if float(probs.min()) < -LAW_SUM_TOL:
             raise ValueError(f"negative probability {probs.min():.3g}")
         total = float(probs.sum())
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > LAW_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         uniq, inverse = np.unique(values, return_inverse=True)
         merged = np.bincount(inverse, weights=np.clip(probs, 0.0, None), minlength=uniq.size)

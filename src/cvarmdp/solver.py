@@ -84,7 +84,6 @@ class VerificationReport:
     saddle_right_gap: float
     oracle_gap: float
     tail_level: float
-    flags: tuple
 
     @property
     def certified(self):
@@ -184,13 +183,11 @@ def verify_saddle(instance, x_star, y_star, v_star, params):
 
 
 def _report(left_gap, right_gap, oracle_gap, tail_level):
-    flags = ["negative-gap"] if min(left_gap, right_gap) < -CERT_TOL else []
     return VerificationReport(
         saddle_left_gap=float(left_gap),
         saddle_right_gap=float(right_gap),
         oracle_gap=float(oracle_gap),
         tail_level=float(tail_level),
-        flags=tuple(flags),
     )
 
 
@@ -229,17 +226,17 @@ class EnumerationTable:
     best_index: int
 
 
-def enumerate_deterministic(instance, params, cap=10**6):
+def enumerate_deterministic(instance, params):
     """Exact evaluation of every deterministic policy, in canonical order.
 
     A policy with several recurrent classes is scored by its best class
     (the value it achieves from initial states absorbed there); under the
     unichain assumption there is only one class.
     """
-    total = model.deterministic_policy_count(instance, cap)
+    total = model.deterministic_policy_count(instance)
     scores = np.empty((3, total))
     start = 0
-    for block in chains._deterministic_sweep(instance, cap):
+    for block in chains._deterministic_sweep(instance):
         owner, xs = block.occupations
         cvar, mean = risk.cvar_right_and_mean_rows(instance, xs, params.alpha)
         combined = cvar + params.beta * mean
@@ -289,7 +286,8 @@ def solve_cvar(instance, params, mode="dual"):
     quantile of its reward law. The certificates come from the same
     program's prices; their tail level is the price-weighted mean of the
     reward values, and a run whose level is not a reward value is flagged
-    "interior-tail-level".
+    "interior-tail-level". A gap below -CERT_TOL is flagged "negative-gap",
+    and a certificate that does not hold "uncertified".
     """
     ys = risk.breakpoints(instance)
     dual_sol = lp.solve(lp.build_dual_lp(instance, params, grid=ys))
@@ -315,6 +313,10 @@ def solve_cvar(instance, params, mode="dual"):
     report = _dual_certificate(instance, dual_sol, x_star, v_star, params, ys)
     if report.tail_level not in ys:
         flags.append("interior-tail-level")
+    if min(report.saddle_left_gap, report.saddle_right_gap) < -CERT_TOL:
+        flags.append("negative-gap")
+    if not report.certified:
+        flags.append("uncertified")
 
     policy = model.extract_policy(instance, x_star)
     n_rand = model.n_randomizations(instance, policy)
@@ -355,11 +357,11 @@ class DegenerationRecord:
         return abs(self.lp_value - self.best_deterministic_mean)
 
 
-def alpha_zero_degeneration(instance, cap=10**6):
+def alpha_zero_degeneration(instance):
     """At alpha = 0 the tail objective is the mean, so the solve must agree
     with the best deterministic long-run average reward."""
     params = risk.RiskParams(alpha=0.0, beta=0.0)
     sol = solve_cvar(instance, params)
-    enum = enumerate_deterministic(instance, params, cap=cap)
+    enum = enumerate_deterministic(instance, params)
     return DegenerationRecord(lp_value=sol.v_star,
                               best_deterministic_mean=float(enum.mean[enum.best_index]))

@@ -182,7 +182,8 @@ class TestCheckAssumption:
 
     def test_cap(self):
         with pytest.raises(model.CapExceededError):
-            chains.check_assumption(model.random_instance(0, 8, 4), cap=1000)
+            # 4**10 policies, above model.POLICY_CAP
+            chains.check_assumption(model.random_instance(0, 10, 4))
 
 
 class TestPolytopeVertices:
@@ -523,15 +524,15 @@ class TestDeterministicSweep:
             np.testing.assert_allclose(verts.xs, xs, rtol=0, atol=1e-12)
 
     def test_cap_raises_before_allocating(self):
-        inst = model.random_instance(0, 8, 4)
+        inst = model.random_instance(0, 10, 4)  # 4**10 policies, above model.POLICY_CAP
         tracemalloc.start()
         try:
             with pytest.raises(model.CapExceededError):
-                chains._deterministic_sweep(inst, cap=1000)
+                chains._deterministic_sweep(inst)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one block of this instance would hold 2048 policies, 128 KiB of
+        # one block of this instance would hold 1310 policies, 102 KiB of
         # choices alone
         assert peak < 32 * 1024
 

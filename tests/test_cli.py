@@ -361,6 +361,15 @@ class TestSimulateCommand:
         assert lines[0] == "t,cvar_t,cesaro_t"
         assert len(lines) == 5
 
+    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "seq.csv"
+        code, stdout, err = run(capsys, "simulate", "--builtin", "example1",
+                                "--policy", "example1", "--alpha", "0.5",
+                                "--T", "10", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and str(out) in err
+
 
 class TestCheckCommand:
     def test_example1_multichain_listed(self, capsys):
@@ -403,6 +412,13 @@ class TestCheckCommand:
 
 
 class TestGenCommand:
+    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        code, stdout, err = run(capsys, "gen", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and str(out) in err
+
     def test_deterministic_files(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         code1, _, _ = run(capsys, "gen", "--seed", "7", "--states", "3",

@@ -416,6 +416,6 @@ class TestDeterministicEnumeration:
         assert order == [(0, 0), (1, 0)]
 
     def test_cap(self):
-        inst = model.random_instance(0, 6, 5)
+        inst = model.random_instance(0, 10, 4)  # 4**10 policies, above model.POLICY_CAP
         with pytest.raises(model.CapExceededError):
-            model.deterministic_policies(inst, cap=100)
+            model.deterministic_policies(inst)

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -209,9 +208,9 @@ class TestRandomizationBound:
         plain = lp.solve
 
         def recording(prog, *args, **kwargs):
-            text = io.StringIO()
-            lp.write_lp_file(prog, text)
-            solved.append((prog.name, text.getvalue()))
+            arrays = (prog.c, prog.A.indptr, prog.A.indices, prog.A.data,
+                      prog.row_lo, prog.row_hi, prog.lb, prog.ub)
+            solved.append((prog.name, tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)))
             return plain(prog, *args, **kwargs)
 
         monkeypatch.setattr(lp, "solve", recording)
@@ -333,6 +332,29 @@ class TestDualCertificate:
         with pytest.raises(solver.SolverError, match="tail prices"):
             solver._dual_certificate(inst, zeroed, lp.pair_values(inst, dual),
                                      dual.objective, params, ys)
+
+    def test_overclaimed_value_is_flagged(self, monkeypatch):
+        plain = solver._dual_certificate
+
+        def overclaim(instance, dual_sol, x, v_star, params, ys):
+            return plain(instance, dual_sol, x, v_star + 1e-3, params, ys)
+
+        monkeypatch.setattr(solver, "_dual_certificate", overclaim)
+        sol = solver.solve_cvar(model.builtin("example2"), risk.RiskParams(0.7))
+        c = sol.certificates
+        assert c.saddle_left_gap == pytest.approx(-1e-3, abs=1e-9)
+        assert c.saddle_right_gap == pytest.approx(1e-3, abs=1e-9)
+        assert not c.certified
+        assert sol.flags == ("interior-tail-level", "negative-gap", "uncertified")
+
+    def test_uncertified_solve_is_flagged(self, monkeypatch):
+        monkeypatch.setattr(solver, "CERT_TOL", 0.0)
+        sol = solver.solve_cvar(model.builtin("example2"), risk.RiskParams(0.7))
+        c = sol.certificates
+        assert max(c.saddle_left_gap, c.saddle_right_gap) > 0.0  # rounding level
+        assert not c.certified
+        assert "uncertified" in sol.flags
+        assert ("negative-gap" in sol.flags) == (min(c.saddle_left_gap, c.saddle_right_gap) < 0.0)
 
 
 class TestModes:
