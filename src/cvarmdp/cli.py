@@ -155,10 +155,7 @@ def cmd_enumerate(args):
     instance = _validated_instance(args)
     params = risk.RiskParams(args.alpha, args.beta)
     table = solver.enumerate_deterministic(instance, params)
-    dual = lp.solve(lp.build_dual_lp(instance, params))
-    if dual.status != "optimal":
-        raise solver.SolverError(f"occupation LP returned {dual.status}")
-    optimum = dual.objective
+    optimum = lp.solve(lp.build_dual_lp(instance, params)).objective
     order = np.argsort(-table.combined, kind="stable")
     best = float(table.combined[table.best_index])
     gap = optimum - best
@@ -387,16 +384,14 @@ def main(argv=None):
     try:
         _check_args(args)
         return _COMMANDS[args.command](args)
-    except (InputError, model.InstanceFormatError, model.CapExceededError, OSError) as e:
+    except (ValueError, OSError, model.CapExceededError) as e:
+        # InputError, InstanceFormatError and the library's checks on bad
+        # numeric arguments are all ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (solver.SolverError, lp.LpSolveError, chains.ChainStructureError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as e:
-        # bad numeric arguments surface from the library as ValueError
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 def console_main():

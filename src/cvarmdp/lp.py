@@ -13,12 +13,13 @@ library is imported, so solving loads none.
 
 `solve` and `solve_sweep` load a program into one HiGHS simplex model
 (basic solutions, deterministic for identical input) and re-check every
-point against the row and column bounds; a numerical failure raises
-instead of masquerading as "optimal". `solve` runs one cost and reads the
-shadow prices too; `solve_sweep` runs a sequence of objectives on the same
-model, so each objective after the first starts from the previous optimal
-basis, which backs the endpoint scan, whose average programs differ only
-in their costs. The simplex direction is the program's own
+point against the row and column bounds. They return only optimal points
+that pass the re-check: any other outcome, an infeasible or unbounded
+program among them, raises `LpSolveError`. `solve` runs one cost and reads
+the shadow prices too; `solve_sweep` runs a sequence of objectives on the
+same model, so each objective after the first starts from the previous
+optimal basis, which backs the endpoint scan, whose average programs
+differ only in their costs. The simplex direction is the program's own
 (`LinearProgram.simplex`), set by its builder: `build_level_lp`, which
 dualises the occupation polytope, pivots primal, because dual simplex
 takes thousands of iterations on it where primal takes hundreds; every
@@ -182,10 +183,10 @@ class LinearProgram:
 
     A is a `CsrMatrix` with one row per row_names entry, each row as
     written: an equality has row_lo == row_hi, a "<=" row row_lo = -inf
-    and a ">=" row row_hi = +inf. A ranged row (both bounds finite and unequal) is
-    refused, because the named view cannot write one. simplex ("dual" or
-    "primal") is the direction HiGHS pivots in, chosen by the program's
-    builder.
+    and a ">=" row row_hi = +inf. A ranged row (both bounds finite and
+    unequal) is refused, because `constraints` gives each row exactly one
+    relation. simplex ("dual" or "primal") is the direction HiGHS pivots
+    in, chosen by the program's builder.
     """
 
     name: str
@@ -263,26 +264,30 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Outcome of `solve`, or of one point of `solve_sweep` (which leaves
-    duals None).
+    """The optimal, re-checked point of `solve`, or of one cost of
+    `solve_sweep` (which leaves duals None); any other outcome raises.
 
+    objective is the program's objective at x, recomputed in its own sense.
     x holds the point in the program's column order (`col_names`), and
     duals the shadow price of each row in row order (`row_names`): the rate
     at which the optimal objective, in the program's own sense, changes per
     unit increase of the row's right-hand side. So a binding "<=" row of a
-    "max" program has a price >= 0 and a binding ">=" row one <= 0. nit is
-    HiGHS's iteration count; residual (worst constraint or bound violation)
-    and mismatch (|backend objective - recomputed objective|) are the
-    re-check's figures.
+    "max" program has a price >= 0 and a binding ">=" row one <= 0.
+    residual (worst constraint or bound violation) and mismatch (|backend
+    objective - recomputed objective|) are the re-check's figures; nit is
+    HiGHS's iteration count.
     """
 
-    status: str  # optimal | infeasible | unbounded
-    objective: float | None
-    x: np.ndarray | None
+    # Always "optimal": solve raises on any other outcome; perfbench's
+    # reference level LP still reads this name.
+    status = "optimal"
+
+    objective: float
+    x: np.ndarray
+    residual: float
+    mismatch: float
+    nit: int
     duals: np.ndarray | None = None
-    nit: int = 0
-    residual: float | None = None
-    mismatch: float | None = None
 
 
 def _recheck(lp, cost, x, backend_objective, name):
@@ -337,36 +342,27 @@ def _highs_model(lp, c):
 
 @dataclass
 class _HighsPoint:
-    """One HiGHS run as it came back, before any re-check: the status and,
-    when optimal, the point x, the objective HiGHS reports for the cost it
-    minimised, its simplex iteration count and its row duals (one per row
-    of the program, as HiGHS signs them)."""
+    """One optimal HiGHS run as it came back, before any re-check: the
+    point x, the objective HiGHS reports for the cost it minimised, its
+    simplex iteration count and its row duals (one per row of the program,
+    as HiGHS signs them)."""
 
-    status: str  # optimal | infeasible | unbounded
-    x: np.ndarray | None = None
-    fun: float | None = None
-    nit: int = 0
-    row_dual: np.ndarray | None = None
-
-
-_CLOSED = {highs.HighsModelStatus.kInfeasible: "infeasible",
-           highs.HighsModelStatus.kUnbounded: "unbounded"}
+    x: np.ndarray
+    fun: float
+    nit: int
+    row_dual: np.ndarray
 
 
 def _run_highs(h, name):
-    """Run HiGHS model h and return its raw `_HighsPoint`. A run error or a
-    status other than optimal, infeasible or unbounded raises."""
-    if h.run() == highs.HighsStatus.kError:
-        raise LpSolveError(f"{name}: backend failure "
-                           f"({h.modelStatusToString(h.getModelStatus())})")
+    """Run HiGHS model h and return its optimal `_HighsPoint`. A run error
+    or any status but optimal raises `LpSolveError("<name>: <status>")`."""
+    run = h.run()
     status = h.getModelStatus()
-    if status in _CLOSED:
-        return _HighsPoint(_CLOSED[status])
-    if status != highs.HighsModelStatus.kOptimal:
-        raise LpSolveError(f"{name}: backend failure ({h.modelStatusToString(status)})")
+    if run == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:
+        raise LpSolveError(f"{name}: {h.modelStatusToString(status)}")
     info, sol = h.getInfo(), h.getSolution()
-    return _HighsPoint("optimal", np.array(sol.col_value), info.objective_function_value,
-                      int(info.simplex_iteration_count), np.array(sol.row_dual))
+    return _HighsPoint(np.array(sol.col_value), info.objective_function_value,
+                       int(info.simplex_iteration_count), np.array(sol.row_dual))
 
 
 def _sign(lp):
@@ -379,17 +375,16 @@ def _solution(h, lp, cost, name, duals):
     it as an `LpSolution`, with shadow prices when duals is true."""
     sign = _sign(lp)
     point = _run_highs(h, name)
-    if point.status != "optimal":
-        return LpSolution(point.status, None, None)
     objective, residual, mismatch = _recheck(lp, cost, point.x, sign * point.fun, name)
-    return LpSolution("optimal", objective, point.x, duals=sign * point.row_dual if duals else None,
-                      nit=point.nit, residual=residual, mismatch=mismatch)
+    return LpSolution(objective, point.x, residual, mismatch, point.nit,
+                      sign * point.row_dual if duals else None)
 
 
 def solve(lp):
     """Solve an LP with HiGHS simplex in the program's direction
-    (`lp.simplex`), returning the point, the re-check's figures and the
-    shadow prices.
+    (`lp.simplex`), returning the optimal point, the re-check's figures and
+    the shadow prices. Any status but optimal, and a point that fails the
+    re-check, raise `LpSolveError` naming the program.
 
     The simplex method returns a basic solution, an extreme point of the
     feasible region, which is what bounds the solver's randomization count.
@@ -406,7 +401,9 @@ def solve_sweep(lp, costs):
     All points share one HiGHS model: the first cost runs cold, exactly as
     `solve` would run it, and each later one only changes the costs, so
     the simplex starts from the previous optimal basis. Every point is
-    re-checked as in `solve`; duals are not collected.
+    re-checked as in `solve`; duals are not collected. The first cost that
+    is not solved to optimality raises `LpSolveError` naming the program
+    and the cost's index.
     """
     sign = _sign(lp)
     cols = np.arange(lp.c.size, dtype=np.int32)
@@ -513,18 +510,17 @@ def build_average_lp(instance, y, params):
                          np.full(n, np.inf), _x_names(instance), *_stack(_polytope(instance, n)))
 
 
-def build_dual_lp(instance, params, grid=None):
+def build_dual_lp(instance, params):
     """The polynomial-size program that yields the optimal occupation
     measure: max z2 subject to v(x, e) >= z2 at every reward endpoint e,
     x in the occupation polytope.
 
     Endpoints sharing a reward value produce identical rows, so one row
     per distinct value is emitted: row `tail_i` at the i-th sorted value
-    (`grid` when the caller already holds `breakpoints(instance)`). The
-    columns are the pairs' x, then z2; the rows the K tail rows, then the
-    `_polytope` rows.
+    of `breakpoints(instance)`. The columns are the pairs' x, then z2; the
+    rows the K tail rows, then the `_polytope` rows.
     """
-    ends = breakpoints(instance) if grid is None else grid
+    ends = breakpoints(instance)
     n, n_tail = instance.n_pairs, len(ends)
     tail = saddle_coefficient_rows(instance, ends, params)
     # v(x, e) - z2 >= 0

@@ -660,6 +660,8 @@ def random_instance(seed, n_states, n_actions, reward_range=(0.0, 100.0)):
     lo, hi = float(reward_range[0]), float(reward_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("reward range must be finite")
+    if lo > hi:
+        raise ValueError(f"reward range must have lo <= hi, got ({lo:g}, {hi:g})")
     rng = np.random.default_rng(seed)
     n_pairs = n_states * n_actions
     raw = rng.dirichlet(np.ones(n_states), size=n_pairs)

@@ -124,10 +124,7 @@ class ScanResult:
 
 def _minimax(instance, params):
     """The full-range level LP, min_y max_x v(x, y), solved."""
-    sol = lp.solve(lp.build_level_lp(instance, params))
-    if sol.status != "optimal":
-        raise SolverError(f"level LP returned {sol.status}")
-    return sol
+    return lp.solve(lp.build_level_lp(instance, params))
 
 
 def endpoint_scan_oracle(instance, params):
@@ -149,9 +146,6 @@ def endpoint_scan_oracle(instance, params):
     ys = risk.breakpoints(instance)
     prog = lp.build_average_lp(instance, float(ys[0]), params)
     sols = lp.solve_sweep(prog, risk.saddle_coefficient_rows(instance, ys, params))
-    for y, sol in zip(ys, sols):
-        if sol.status != "optimal":
-            raise SolverError(f"inner occupation LP at y={y} returned {sol.status}")
     envelope = np.array([sol.objective for sol in sols])
     best = int(np.argmin(envelope))  # leftmost on exact ties
     y_star, value, interior = float(ys[best]), float(envelope[best]), False
@@ -174,8 +168,6 @@ def verify_saddle(instance, x_star, y_star, v_star, params):
     evaluates x_star at every reward value.
     """
     sol = lp.solve(lp.build_average_lp(instance, y_star, params))
-    if sol.status != "optimal":
-        raise SolverError(f"certification LP returned {sol.status}")
     oracle = _minimax(instance, params).objective
     ys = risk.breakpoints(instance)
     right_gap = v_star - float(risk.saddle_values(instance, x_star, ys, params).min())
@@ -205,10 +197,6 @@ def sparsify(instance, x_star, y_star, params):
     Returns (read-only occupation measure, quantile_tie flag).
     """
     sol = lp.solve(lp.build_sparsify_lp(instance, y_star, params))
-    if sol.status != "optimal":
-        raise SolverError(
-            f"sparsification LP is {sol.status}; the tail-pinned polytope "
-            "must contain the optimum, so this indicates a bug")
     if sol.x[instance.n_pairs] <= QUANTILE_TIE_TOL:  # x0, the column after the pairs
         return model._readonly(model.as_pair_array(x_star)), True
     return model._readonly(lp.pair_values(instance, sol)), False
@@ -290,10 +278,7 @@ def solve_cvar(instance, params, mode="dual"):
     and a certificate that does not hold "uncertified".
     """
     ys = risk.breakpoints(instance)
-    dual_sol = lp.solve(lp.build_dual_lp(instance, params, grid=ys))
-    if dual_sol.status != "optimal":
-        raise SolverError(f"occupation LP returned {dual_sol.status}; "
-                          "check the instance with validate()")
+    dual_sol = lp.solve(lp.build_dual_lp(instance, params))
     v_star = dual_sol.objective
     x_star = model._readonly(lp.pair_values(instance, dual_sol))
     law = risk.reward_distribution(instance, x_star)

@@ -1,15 +1,16 @@
 """The benchmark harness in `perfbench/` reaches into the package by name:
-`perfbench/spans.py` wraps module attributes listed in `TARGETS`, and its
+`perfbench/spans.py` wraps module attributes listed in `TARGETS`, its
 kernel hook reads `cvar_sequence_kernel`'s fifth positional argument as the
-step count T. A rename in `src/` would break `perfbench/run.py --trace 1`
-without failing any other test."""
+step count T, and `perfbench/workloads.py` reads a solved program's
+`status`. A rename in `src/` would break `perfbench/run.py` without failing
+any other test."""
 
 import inspect
 from pathlib import Path
 
 import pytest
 
-from cvarmdp import _kernels
+from cvarmdp import _kernels, lp, model, risk
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,6 +26,14 @@ def test_every_traced_attribute_resolves(spans):
     missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in spans.TARGETS
                if not callable(getattr(module, attr, None))]
     assert not missing
+
+
+def test_solution_status_reads_optimal():
+    """perfbench's reference level LP checks `status == "optimal"`; solve
+    raises on any other outcome, but the name must stay until that read
+    goes."""
+    params = risk.RiskParams(0.7)
+    assert lp.solve(lp.build_dual_lp(model.builtin("example2"), params)).status == "optimal"
 
 
 def test_kernel_step_count_is_fifth_argument():

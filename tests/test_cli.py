@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -232,6 +233,24 @@ class TestExitCodes:
         assert code == 3
         assert "exploded" in err
 
+    @pytest.mark.parametrize("command", ["solve", "enumerate"])
+    def test_highs_infeasible_is_exit_3(self, capsys, monkeypatch, command):
+        """A program HiGHS itself reports infeasible: every pair column at
+        least 1 breaks the occupation polytope's total mass of one."""
+        build = lp.build_dual_lp
+
+        def infeasible(instance, params):
+            prog = build(instance, params)
+            lb = prog.lb.copy()
+            lb[:instance.n_pairs] = 1.0
+            return dataclasses.replace(prog, lb=lb)
+
+        monkeypatch.setattr(lp, "build_dual_lp", infeasible)
+        code, out, err = run(capsys, command, "--builtin", "example2", "--alpha", "0.7")
+        assert code == 3
+        assert out == ""
+        assert err == "error: example2-dual: Infeasible\n"
+
     def test_missing_policy_for_simulate(self, capsys):
         code, _, err = run(capsys, "simulate", "--builtin", "example1",
                            "--alpha", "0.5", "--T", "5")
@@ -428,6 +447,12 @@ class TestGenCommand:
         assert code1 == code2 == 0
         assert a.read_text() == b.read_text()
         assert model.load(a) == model.random_instance(7, 3, 2)
+
+    def test_reversed_reward_range_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "gen", "--reward-range", "5", "1", "--states", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: reward range must have lo <= hi, got (5, 1)\n"
 
     def test_stdout_without_out(self, capsys, tmp_path):
         code, out, _ = run(capsys, "gen", "--seed", "7", "--states", "3",

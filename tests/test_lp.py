@@ -37,13 +37,15 @@ class TestSolve:
     def test_unbounded(self):
         prog = LinearProgram.from_rows("t", "max", {"z": 1.0},
                                        (Variable("z", -np.inf, np.inf),), ())
-        assert lp.solve(prog).status == "unbounded"
+        with pytest.raises(lp.LpSolveError, match=r"^t: Unbounded$"):
+            lp.solve(prog)
 
     def test_infeasible(self):
         prog = LinearProgram.from_rows("t", "max", {"z": 1.0},
                                        (Variable("z", 0.0, np.inf),),
                                        (Constraint("neg", {"z": 1.0}, "<=", -1.0),))
-        assert lp.solve(prog).status == "infeasible"
+        with pytest.raises(lp.LpSolveError, match=r"^t: Infeasible$"):
+            lp.solve(prog)
 
     def test_deterministic_repeats(self):
         inst = model.builtin("example2")
@@ -198,11 +200,12 @@ class TestSolveSweep:
         free = (Variable("z", -np.inf, np.inf),)
         prog = LinearProgram.from_rows("t", "max", {"z": 1.0}, free,
                                        (Constraint("cap", {"z": 1.0}, "<=", 3.0),))
-        assert [s.status for s in lp.solve_sweep(prog, [np.ones(1), -np.ones(1)])] == [
-            "optimal", "unbounded"]
+        with pytest.raises(lp.LpSolveError, match=r"^t \[cost 1\]: Unbounded$"):
+            lp.solve_sweep(prog, [np.ones(1), -np.ones(1)])
         prog = LinearProgram.from_rows("t", "max", {"z": 1.0}, (Variable("z"),),
                                        (Constraint("neg", {"z": 1.0}, "<=", -1.0),))
-        assert lp.solve_sweep(prog, [np.ones(1)])[0].status == "infeasible"
+        with pytest.raises(lp.LpSolveError, match=r"^t \[cost 0\]: Infeasible$"):
+            lp.solve_sweep(prog, [np.ones(1)])
 
 
 def test_level_lp_pivots_primal(monkeypatch):
@@ -340,7 +343,7 @@ class TestBuilderArrays:
         params = risk.RiskParams(alpha, beta)
         bp = risk.breakpoints(inst)
         n, m = inst.n_pairs, inst.n_states
-        dual = lp.build_dual_lp(inst, params, grid=bp)
+        dual = lp.build_dual_lp(inst, params)
         assert dual.row_names == ([f"tail_{e}" for e in range(bp.size)]
                                   + [f"balance_{j}" for j in range(m)] + ["norm"])
         n_tail = bp.size
@@ -453,7 +456,7 @@ class TestCsrArrays:
         vertex = np.column_stack(([xl.sum() for xl in xs], np.full(len(xs), -1.0),
                                   (inv * xs)[:, w_rows] * probs[w_rows, w_at]))
         refs["primal"] = vstack([csr_array(vertex), scipy_excess(inst, 0, 2)], format="csr")
-        progs = {"dual": lp.build_dual_lp(inst, params, grid=bp),
+        progs = {"dual": lp.build_dual_lp(inst, params),
                  "level": lp.build_level_lp(inst, params),
                  "average": lp.build_average_lp(inst, float(bp[0]), params),
                  "sparsify": lp.build_sparsify_lp(inst, y, params),

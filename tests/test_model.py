@@ -305,6 +305,12 @@ class TestRandomInstance:
         with pytest.raises(ValueError):
             model.random_instance(0, 2, 1, (0.0, np.inf))
 
+    def test_reversed_reward_range(self):
+        with pytest.raises(ValueError, match=r"lo <= hi, got \(5, 1\)"):
+            model.random_instance(0, 2, 1, (5.0, 1.0))
+        # an empty range is a constant reward
+        assert np.all(model.random_instance(0, 2, 1, (3.0, 3.0)).rewards == 3.0)
+
 
 class TestExtractPolicy:
     def test_ratio(self):

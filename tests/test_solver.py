@@ -314,7 +314,7 @@ class TestDualCertificate:
         if bad is None:
             return
         x_bad, v_bad = bad
-        dual = lp.solve(lp.build_dual_lp(inst, params, grid=ys))
+        dual = lp.solve(lp.build_dual_lp(inst, params))
         # the suboptimal point claiming its own value breaks the left
         # condition; claiming the optimum, it breaks the right one
         for claim in (v_bad, sol.v_star):
@@ -325,7 +325,7 @@ class TestDualCertificate:
         inst = model.builtin("example2")
         params = risk.RiskParams(0.7)
         ys = risk.breakpoints(inst)
-        dual = lp.solve(lp.build_dual_lp(inst, params, grid=ys))
+        dual = lp.solve(lp.build_dual_lp(inst, params))
         duals = dual.duals.copy()
         duals[:ys.size] = 0.0  # the tail rows come first
         zeroed = dataclasses.replace(dual, duals=duals)
