@@ -19,20 +19,15 @@ from .risk import (
     DiscreteDistribution,
     RiskParams,
     breakpoints,
-    cvar_left,
     cvar_right,
-    cvar_via_ru,
     reward_distribution,
-    ru_objective,
     saddle_value,
     var,
 )
 from .chains import (
     ChainClassification,
-    VertexSet,
     check_assumption,
     classify_chain,
-    polytope_vertices,
     stationary_distribution,
     transition_matrix,
 )
@@ -49,7 +44,6 @@ from .lp import (
 from .solver import (
     SaddleSolution,
     VerificationReport,
-    alpha_zero_degeneration,
     endpoint_scan_oracle,
     enumerate_deterministic,
     solve_cvar,
@@ -60,7 +54,6 @@ from .evaluate import (
     CvarSequence,
     cvar_sequence,
     example1_policy,
-    lemma2_gap,
     limsup_liminf_estimate,
     monte_carlo_eval,
     t_step_distribution,

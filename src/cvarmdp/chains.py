@@ -10,9 +10,9 @@ One classifier, `_recurrent_classes`, takes a stack of chains as one
 block-diagonal graph, and one solve, `_class_occupations`, takes a stack
 of (policy, recurrent class) rows. `classify_chain` and
 `stationary_distribution` pass a stack of one; the exhaustive reports
-over deterministic policies (the assumption check, the vertex list, and
-the solver's enumeration) read one sweep that passes whole blocks of
-policies, multichain ones included.
+over deterministic policies (the assumption check and the solver's
+enumeration) read one sweep that passes whole blocks of policies,
+multichain ones included.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from functools import cached_property
 import numpy as np
 
 from .model import (
-    DeterministicPolicy,
     _readonly,
     as_pair_array,
     deterministic_policies,  # re-exported: callers look it up in this module
@@ -37,7 +36,6 @@ from .model import (
 EDGE_TOL = 1e-12
 
 STATIONARY_RESIDUAL_TOL = 1e-10
-VERTEX_DEDUP_TOL = 1e-8
 
 # Size of one block of the deterministic sweep: a block holds
 # SWEEP_ENTRIES // (n_states * n_pairs) policies, so no per-block array
@@ -324,42 +322,3 @@ def check_assumption(instance):
     # each class's owner, from its policy number to the policy's index in violators
     return AssumptionReport(total, violators, np.searchsorted(violators, owner),
                             members, aperiodic)
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """Deduplicated extreme points of the occupation polytope.
-
-    xs has one row per vertex; policies[i] is a generating deterministic
-    policy for row i (the first one found in canonical order).
-    """
-
-    xs: np.ndarray
-    policies: tuple
-
-    def __len__(self):
-        return self.xs.shape[0]
-
-    def __post_init__(self):
-        xs = np.ascontiguousarray(np.asarray(self.xs, dtype=np.float64))
-        xs.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-
-
-def polytope_vertices(instance):
-    """Enumerate the basic feasible solutions of the occupation polytope.
-
-    Every deterministic policy contributes the stationary distribution of
-    each of its recurrent classes (one, under the unichain assumption);
-    duplicates within componentwise 1e-8 are merged.
-    """
-    kept = np.empty((0, instance.n_pairs))
-    gens = []
-    for block in _deterministic_sweep(instance):
-        owner, xs = block.occupations
-        for i, x in zip(owner.tolist(), xs):
-            if (np.abs(kept - x).max(axis=1) < VERTEX_DEDUP_TOL).any():
-                continue
-            kept = np.vstack([kept, x])
-            gens.append(DeterministicPolicy(block.choices[i].tolist()))
-    return VertexSet(kept, tuple(gens))

@@ -238,14 +238,6 @@ def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
                             replications=replications)
 
 
-@dataclass(frozen=True)
-class GapBound:
-    """Per-step distance to the steady state and the bound it must obey."""
-
-    gap: float
-    bound: float
-
-
 def t_step_distribution(instance, policy, s0, t):
     """Exact law over state-action pairs after t steps from state s0.
 
@@ -264,24 +256,6 @@ def t_step_distribution(instance, policy, s0, t):
     pk = block[-1].copy()
     _check_mass(np.abs(pk.sum(keepdims=True) - 1.0), _mass_budget(instance, rules, t + 1)[t:], t)
     return pk
-
-
-def lemma2_gap(instance, policy, s0, t, alpha):
-    """Gap between the step-t CVaR and the steady-state CVaR, with its
-    total-variation bound (reward spread / (1 - alpha) times the pair-law
-    distance). The bound is asserted, not just reported.
-    """
-    pk = t_step_distribution(instance, policy, s0, t)
-    occ = chains.stationary_distribution(instance, policy)
-    law_t = risk.reward_distribution(instance, pk)
-    law_inf = risk.reward_distribution(instance, occ)
-    gap = abs(risk.cvar_right(law_t, alpha) - risk.cvar_right(law_inf, alpha))
-    lo, hi = instance.reward_bounds()
-    tv = float(np.abs(pk - occ).sum())
-    bound = (hi - lo) / (1.0 - alpha) * tv
-    if gap > bound + 1e-10:
-        raise AssertionError(f"tail-gap bound violated: gap {gap!r} > bound {bound!r}")
-    return GapBound(gap=float(gap), bound=float(bound))
 
 
 def export_sequence(seq, target):

@@ -532,16 +532,17 @@ def build_dual_lp(instance, params):
                                  _polytope(instance, n + 1)))
 
 
-def build_primal_lp(instance, vertices, params):
+def build_primal_lp(instance, xs, params):
     """The vertex program that yields the optimal tail level: min z1
     subject to v(x^l, y) <= z1 at every polytope vertex x^l, with the
     positive parts linearized through excess variables w >= r - y, w >= 0.
+    `xs` is an (L, n_pairs) array whose row l is the vertex x^l.
     """
-    if len(vertices) == 0:
+    xs = np.asarray(xs, dtype=float)
+    if len(xs) == 0:
         raise ValueError("need at least one polytope vertex")
     lo, hi = instance.reward_bounds()
     inv = 1.0 / (1.0 - params.alpha)
-    xs = np.asarray(vertices.xs, dtype=float)
     probs = instance.reward_atoms[1]
     k, c = np.nonzero(probs)  # the rewards each pair can pay
     w = (inv * xs)[:, k] * probs[k, c]

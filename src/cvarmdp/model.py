@@ -23,8 +23,8 @@ PROB_TOL = 1e-9
 RANDOMIZATION_TOL = 1e-6
 MARGINAL_ZERO_TOL = 1e-12
 
-# Most deterministic policies the exhaustive tools (enumeration, the
-# assumption check, the vertex list) visit.
+# Most deterministic policies the exhaustive tools (enumeration and the
+# assumption check) visit.
 POLICY_CAP = 10**6
 
 SCHEMA_TAG = "mdp-v1"

@@ -2,9 +2,7 @@
 
 Everything here is closed-form arithmetic on sorted atoms: quantile
 integrals are finite segment sums, never sampled. The right-tailed CVaR
-(mean of the top 1-alpha quantile mass) is the maximization target; the
-left tail and the mean are tied to it by
-(1-alpha) * cvar_right + alpha * cvar_left = mean.
+(mean of the top 1-alpha quantile mass) is the maximization target.
 """
 
 from __future__ import annotations
@@ -78,10 +76,6 @@ class DiscreteDistribution:
         return cls(_frozen(np.ascontiguousarray(uniq[keep])),
                    _frozen(np.ascontiguousarray(merged[keep])))
 
-    @classmethod
-    def dirac(cls, value):
-        return cls.from_atoms([value], [1.0])
-
     @cached_property
     def cdf(self):
         return _frozen(np.cumsum(self.probs))
@@ -120,45 +114,6 @@ def cvar_right_rows(values, weights, alpha):
 def cvar_right(dist, alpha):
     """Mean of the top (1-alpha) quantile mass, as an exact segment sum."""
     return float(cvar_right_rows(dist.values, dist.probs, alpha))
-
-
-def cvar_left(dist, alpha):
-    """Mean of the bottom alpha quantile mass; defined for alpha in (0, 1]."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    cum = dist.cdf
-    prev = np.concatenate(([0.0], cum[:-1]))
-    weights = np.clip(np.minimum(cum, alpha) - prev, 0.0, None)
-    return float(dist.values @ weights) / alpha
-
-
-def ru_objective(dist, y, alpha):
-    """The convex objective y + E[xi - y]^+ / (1-alpha).
-
-    Its minimum over y equals cvar_right and is attained at the
-    alpha-quantile.
-    """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    excess = np.clip(dist.values - y, 0.0, None)
-    return float(y + (dist.probs @ excess) / (1.0 - alpha))
-
-
-def cvar_via_ru(dist, alpha):
-    """Minimize the convex tail objective over the support values.
-
-    Returns (minimum value, leftmost minimizing y). Restricting candidates
-    to the support is exact for a discrete law because the quantile lies in
-    the support.
-    """
-    best_val = np.inf
-    best_y = None
-    for y in dist.values:
-        val = ru_objective(dist, float(y), alpha)
-        if val < best_val:
-            best_val = val
-            best_y = float(y)
-    return best_val, best_y
 
 
 def reward_law_rows(instance, xs):

@@ -328,25 +328,3 @@ def solve_cvar(instance, params, mode="dual"):
         flags=tuple(flags),
         primal_value=primal_value,
     )
-
-
-@dataclass(frozen=True)
-class DegenerationRecord:
-    """Comparison of the alpha = 0 solve with the classical average optimum."""
-
-    lp_value: float
-    best_deterministic_mean: float
-
-    @property
-    def gap(self):
-        return abs(self.lp_value - self.best_deterministic_mean)
-
-
-def alpha_zero_degeneration(instance):
-    """At alpha = 0 the tail objective is the mean, so the solve must agree
-    with the best deterministic long-run average reward."""
-    params = risk.RiskParams(alpha=0.0, beta=0.0)
-    sol = solve_cvar(instance, params)
-    enum = enumerate_deterministic(instance, params)
-    return DegenerationRecord(lp_value=sol.v_star,
-                              best_deterministic_mean=float(enum.mean[enum.best_index]))

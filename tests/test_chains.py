@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+import oracles
 from cvarmdp import chains, evaluate, model, risk, solver
 from cvarmdp.model import DeterministicPolicy, StationaryPolicy
 
@@ -188,33 +189,33 @@ class TestCheckAssumption:
 
 class TestPolytopeVertices:
     def test_example2_at_most_27(self):
-        verts = chains.polytope_vertices(model.builtin("example2"))
-        assert 1 <= len(verts) <= 27
+        xs, _ = oracles.polytope_vertices(model.builtin("example2"))
+        assert 1 <= len(xs) <= 27
 
     def test_single_state_two_actions(self):
         inst = model.MdpInstance("one", ("s",), (("a", "b"),),
                                  np.array([[1.0], [1.0]]), rewards=np.array([1.0, 2.0]))
-        verts = chains.polytope_vertices(inst)
-        assert len(verts) == 2
-        assert sorted(tuple(v) for v in verts.xs) == [(0.0, 1.0), (1.0, 0.0)]
+        xs, _ = oracles.polytope_vertices(inst)
+        assert len(xs) == 2
+        assert sorted(tuple(v) for v in xs) == [(0.0, 1.0), (1.0, 0.0)]
 
     def test_transient_choice_deduplicated(self):
         inst = transient_tail_instance()
-        verts = chains.polytope_vertices(inst)
+        xs, _ = oracles.polytope_vertices(inst)
         # both actions at the transient third state induce the same vertex
-        assert len(verts) == 1
+        assert len(xs) == 1
 
     def test_vertices_satisfy_polytope(self):
         inst = model.random_instance(4, 3, 2)
-        verts = chains.polytope_vertices(inst)
-        for x in verts.xs:
+        xs, _ = oracles.polytope_vertices(inst)
+        for x in xs:
             assert model.polytope_residual(inst, x) < 1e-10
 
     def test_multichain_policies_contribute_class_vertices(self):
         inst = model.builtin("example1")
-        verts = chains.polytope_vertices(inst)
+        xs, _ = oracles.polytope_vertices(inst)
         # the two absorbing states plus the period-2 cycle
-        as_sets = {tuple(np.round(v, 12)) for v in verts.xs}
+        as_sets = {tuple(np.round(v, 12)) for v in xs}
         assert as_sets == {(1.0, 0.0, 0.0, 0.0),
                            (0.0, 0.0, 0.0, 1.0),
                            (0.0, 0.5, 0.5, 0.0)}
@@ -353,7 +354,7 @@ def loop_vertices(instance):
     rows, gens = [], []
     for dp, _, xs in loop_classes(instance):
         for x in xs:
-            if not any(np.max(np.abs(seen - x)) < chains.VERTEX_DEDUP_TOL for seen in rows):
+            if not any(np.max(np.abs(seen - x)) < oracles.VERTEX_DEDUP_TOL for seen in rows):
                 rows.append(x)
                 gens.append(dp)
     return np.stack(rows), tuple(gens)
@@ -492,12 +493,11 @@ class TestDeterministicSweep:
         monkeypatch.setattr(chains, "_class_occupation", per_policy)
         with monkeypatch.context() as m:
             # the report holds arrays: no per-policy object is built
-            m.setattr(chains, "DeterministicPolicy", per_policy)
             m.setattr(model, "DeterministicPolicy", per_policy)
             m.setattr(chains, "ChainClassification", per_policy)
             report = chains.check_assumption(inst)
         assert decoded_check(inst, report) == expected
-        chains.polytope_vertices(inst)
+        oracles.polytope_vertices(inst)
         solver.enumerate_deterministic(inst, risk.RiskParams(0.5))
 
     def test_covers_every_structure(self):
@@ -518,10 +518,10 @@ class TestDeterministicSweep:
             report = chains.check_assumption(inst)
             assert decoded_check(inst, report) == loop_check_assumption(inst)
 
-            verts = chains.polytope_vertices(inst)
+            got, policies = oracles.polytope_vertices(inst)
             xs, gens = loop_vertices(inst)
-            assert verts.policies == gens
-            np.testing.assert_allclose(verts.xs, xs, rtol=0, atol=1e-12)
+            assert policies == gens
+            np.testing.assert_allclose(got, xs, rtol=0, atol=1e-12)
 
     def test_cap_raises_before_allocating(self):
         inst = model.random_instance(0, 10, 4)  # 4**10 policies, above model.POLICY_CAP
@@ -564,16 +564,16 @@ class TestDeterministicSweep:
 class TestVertexGenerators:
     def test_example1_first_generators(self):
         inst = model.builtin("example1")
-        verts = chains.polytope_vertices(inst)
+        got, policies = oracles.polytope_vertices(inst)
         xs, gens = loop_vertices(inst)
-        assert verts.policies == gens == (DeterministicPolicy((0, 0)),
+        assert policies == gens == (DeterministicPolicy((0, 0)),
                                           DeterministicPolicy((0, 1)),
                                           DeterministicPolicy((1, 0)))
-        np.testing.assert_allclose(verts.xs, xs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, xs, rtol=0, atol=1e-12)
 
     def test_transient_tail_first_generator(self):
         inst = transient_tail_instance()
-        verts = chains.polytope_vertices(inst)
+        got, policies = oracles.polytope_vertices(inst)
         xs, gens = loop_vertices(inst)
-        assert verts.policies == gens == (DeterministicPolicy((0, 0, 0)),)
-        np.testing.assert_allclose(verts.xs, xs, rtol=0, atol=1e-12)
+        assert policies == gens == (DeterministicPolicy((0, 0, 0)),)
+        np.testing.assert_allclose(got, xs, rtol=0, atol=1e-12)

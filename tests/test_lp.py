@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array, vstack
+
+import oracles
 from test_chains import sparse_instance, sparse_kernels
 
 from cvarmdp import chains, lp, model, risk, solver
@@ -374,7 +376,7 @@ class TestBuilderArrays:
         assert np.all(dense(level.A)[:n, w0:].any(axis=0))
         if inst.rewards is not None:
             assert level.row_names[n:] == [f"excess_{k}" for k in range(n)]
-        primal = lp.build_primal_lp(inst, chains.polytope_vertices(inst), params)
+        primal = lp.build_primal_lp(inst, oracles.polytope_vertices(inst)[0], params)
         assert primal.col_names[2:] == level.col_names[w0:]
         assert np.array_equal(primal.row_lo[-paid.sum():], values[paid])
         assert np.all(primal.row_hi[-paid.sum():] == np.inf)
@@ -451,8 +453,7 @@ class TestCsrArrays:
         refs["sparsify"] = vstack([csr_array(np.append(-at_w, 0.0)[None, :]),
                                    csr_array(np.append(below_w, 1.0)[None, :]),
                                    scipy_polytope(inst, n + 1)], format="csr")
-        vertices = chains.polytope_vertices(inst)
-        xs = np.asarray(vertices.xs, dtype=float)
+        xs, _ = oracles.polytope_vertices(inst)
         vertex = np.column_stack(([xl.sum() for xl in xs], np.full(len(xs), -1.0),
                                   (inv * xs)[:, w_rows] * probs[w_rows, w_at]))
         refs["primal"] = vstack([csr_array(vertex), scipy_excess(inst, 0, 2)], format="csr")
@@ -460,7 +461,7 @@ class TestCsrArrays:
                  "level": lp.build_level_lp(inst, params),
                  "average": lp.build_average_lp(inst, float(bp[0]), params),
                  "sparsify": lp.build_sparsify_lp(inst, y, params),
-                 "primal": lp.build_primal_lp(inst, vertices, params)}
+                 "primal": lp.build_primal_lp(inst, xs, params)}
         # pair 0 stays put with probability one: its balance entry cancels
         # to zero and is not stored
         avg, row = progs["average"].A, inst.pair_state[0]
@@ -519,7 +520,7 @@ class TestDualLp:
 class TestPrimalLp:
     def test_forced_single_pair(self):
         inst = one_pair_instance(3.0)
-        verts = chains.polytope_vertices(inst)
+        verts, _ = oracles.polytope_vertices(inst)
         sol = lp.solve(lp.build_primal_lp(inst, verts, risk.RiskParams(0.4)))
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
         assert sol.x[0] == pytest.approx(3.0, abs=1e-9)  # column y
@@ -527,7 +528,7 @@ class TestPrimalLp:
     def test_example2_matches_dual(self):
         inst = model.builtin("example2")
         params = risk.RiskParams(0.7)
-        verts = chains.polytope_vertices(inst)
+        verts, _ = oracles.polytope_vertices(inst)
         primal = lp.solve(lp.build_primal_lp(inst, verts, params))
         dual = lp.solve(lp.build_dual_lp(inst, params))
         assert primal.objective == pytest.approx(dual.objective, abs=2e-6)
@@ -535,7 +536,7 @@ class TestPrimalLp:
     def test_excess_variables_tight_at_optimum(self):
         inst = model.builtin("example2")
         params = risk.RiskParams(0.7)
-        verts = chains.polytope_vertices(inst)
+        verts, _ = oracles.polytope_vertices(inst)
         prog = lp.build_primal_lp(inst, verts, params)
         sol = lp.solve(prog)
         y = sol.x[prog.col_names.index("y")]
@@ -546,7 +547,7 @@ class TestPrimalLp:
 
     def test_endowment_recovers_tail_level(self):
         inst = model.builtin("endowment")
-        verts = chains.polytope_vertices(inst)
+        verts, _ = oracles.polytope_vertices(inst)
         sol = lp.solve(lp.build_primal_lp(inst, verts, risk.RiskParams(0.9, 0.5)))
         assert sol.x[0] == 84.0  # column y
         assert sol.objective == pytest.approx(96.84, abs=0.01)
@@ -555,7 +556,7 @@ class TestPrimalLp:
         for seed in range(5):
             inst = model.random_instance(seed, 3, 2)
             params = risk.RiskParams(0.6, 0.1)
-            verts = chains.polytope_vertices(inst)
+            verts, _ = oracles.polytope_vertices(inst)
             primal = lp.solve(lp.build_primal_lp(inst, verts, params))
             dual = lp.solve(lp.build_dual_lp(inst, params))
             assert primal.objective == pytest.approx(dual.objective, abs=2e-6)
@@ -662,7 +663,7 @@ class TestLpFileExport:
         y = float(risk.breakpoints(inst)[1])
         for prog in (lp.build_dual_lp(inst, params), lp.build_level_lp(inst, params),
                      lp.build_average_lp(inst, y, params), lp.build_sparsify_lp(inst, y, params),
-                     lp.build_primal_lp(inst, chains.polytope_vertices(inst), params)):
+                     lp.build_primal_lp(inst, oracles.polytope_vertices(inst)[0], params)):
             back = LinearProgram.from_rows(prog.name, prog.sense, prog.objective,
                                            prog.variables, prog.constraints)
             for field in ("c", "row_lo", "row_hi", "lb", "ub"):
