@@ -70,9 +70,6 @@ class DiscreteDistribution:
         uniq, inverse = np.unique(values, return_inverse=True)
         merged = np.bincount(inverse, weights=np.clip(probs, 0.0, None), minlength=uniq.size)
         keep = merged > 0.0
-        if not keep.any():
-            # All mass was clipped away; keep the single heaviest atom.
-            keep[np.argmax(merged)] = True
         return cls(_frozen(np.ascontiguousarray(uniq[keep])),
                    _frozen(np.ascontiguousarray(merged[keep])))
 
@@ -191,18 +188,3 @@ def saddle_value(instance, x, y, params):
     x = as_pair_array(x)
     return float(x @ saddle_coefficients(instance, y, params))
 
-
-def saddle_values(instance, x, ys, params):
-    """v(x, y) at every level of ys in one pass.
-
-    Each level's excess term E[R - y]^+ = sum_{r > y} w r - y sum_{r > y} w
-    is read off suffix sums of the reward law w of x (`reward_law_rows`).
-    """
-    r = instance.reward_grid[0]
-    w = reward_law_rows(instance, x)
-    above_w = np.append(np.cumsum(w[::-1])[::-1], 0.0)
-    above_wr = np.append(np.cumsum((w * r)[::-1])[::-1], 0.0)
-    ys = np.asarray(ys, dtype=np.float64)
-    idx = np.searchsorted(r, ys, side="right")
-    inv = 1.0 / (1.0 - params.alpha)
-    return ys * w.sum() + inv * (above_wr[idx] - ys * above_w[idx]) + params.beta * float(w @ r)

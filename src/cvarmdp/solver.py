@@ -25,10 +25,12 @@ the prices can therefore only loosen the bound, never certify a wrong
 value. With the exact prices UB = v*: dual feasibility of the program
 gives sum_e lambda_e c_k(e) - u_i(k) + (P u)_k <= v* for every pair, and
 y -> c_k(y) is convex, so c_k(ybar) <= sum_e lambda_e c_k(e). The lower
-bound is x*'s own value min_y v(x*, y), attained at a reward value. So the
-optimum lies in [v* - right gap, v* + left gap] with
+bound is x*'s own value min_y v(x*, y), which by the Rockafellar-Uryasev
+form (Rockafellar and Uryasev 2000) is CVaR_alpha + beta * mean of x*'s
+reward law: the reported cvar and mean. So the optimum lies in
+[v* - right gap, v* + left gap] with
 
-    left gap  = UB - v*,    right gap = v* - min_e v(x*, e),
+    left gap  = UB - v*,    right gap = v* - (cvar + beta * mean),
 
 and ybar is the level at which the left condition holds (flagged
 "interior-tail-level" when it is not a reward value). The independent
@@ -57,7 +59,6 @@ import numpy as np
 from . import chains, lp, model, risk
 
 CERT_TOL = 2e-6           # certification gaps: twice the LP tolerance stack
-CONSISTENCY_TOL = 1e-6    # value decomposition
 QUANTILE_TIE_TOL = 1e-9
 
 
@@ -73,7 +74,8 @@ class VerificationReport:
                        (`solve_cvar`: the price bound UB of the module
                        docstring; `verify_saddle`: one average LP at
                        tail_level, i.e. the maximum itself)
-    saddle_right_gap = v* - min_y v(x*, y) over the reward values
+    saddle_right_gap = v* - x*'s own value min_y v(x*, y), which is
+                       CVaR_alpha + beta * mean of x*'s reward law
     oracle_gap       = a bound on |v* - optimum|: from `solve_cvar`
                        max(left, right, 0), which weak duality guarantees;
                        from `verify_saddle` |v* - level optimum|
@@ -165,22 +167,21 @@ def verify_saddle(instance, x_star, y_star, v_star, params):
     the optimal law fails it whenever the CDF ties alpha there). The left
     gap solves max_x v(x, y_star) with one occupation LP, the oracle gap
     compares v_star with the level LP's optimum, and the right gap
-    evaluates x_star at every reward value.
+    subtracts x_star's own value (`_own_value` of its reward law).
     """
     sol = lp.solve(lp.build_average_lp(instance, y_star, params))
     oracle = _minimax(instance, params).objective
-    ys = risk.breakpoints(instance)
-    right_gap = v_star - float(risk.saddle_values(instance, x_star, ys, params).min())
-    return _report(sol.objective - v_star, right_gap, abs(v_star - oracle), y_star)
+    own, _, _ = _own_value(risk.reward_distribution(instance, x_star), params)
+    return VerificationReport(float(sol.objective - v_star), float(v_star - own),
+                              float(abs(v_star - oracle)), float(y_star))
 
 
-def _report(left_gap, right_gap, oracle_gap, tail_level):
-    return VerificationReport(
-        saddle_left_gap=float(left_gap),
-        saddle_right_gap=float(right_gap),
-        oracle_gap=float(oracle_gap),
-        tail_level=float(tail_level),
-    )
+def _own_value(law, params):
+    """A point's own value min_y v(x, y) from its reward law, with its two
+    parts: (CVaR_alpha + beta * mean, CVaR_alpha, mean), the
+    Rockafellar-Uryasev form."""
+    cvar, mean = risk.cvar_right(law, params.alpha), law.mean()
+    return cvar + params.beta * mean, cvar, mean
 
 
 def sparsify(instance, x_star, y_star, params):
@@ -239,14 +240,15 @@ def enumerate_deterministic(instance, params):
     return EnumerationTable(*scores, best_index=int(np.argmax(scores[2])) if total else -1)
 
 
-def _dual_certificate(instance, dual_sol, x, v_star, params, ys):
+def _dual_certificate(instance, dual_sol, own_value, v_star, params, ys):
     """Weak-duality certificate read off the occupation program's prices.
 
     See the module docstring: the tail rows' prices give the level ybar,
     the balance rows' prices the bias u, and UB = max_k [c_k(ybar) - u_i(k)
     + (P u)_k] bounds max_x v(x, ybar), hence the optimum, from above. The
     program's rows are the K = ys.size tail rows, then one balance row per
-    state.
+    state. own_value is the claimed point's own value (`_own_value`), the
+    lower end of the interval.
     """
     duals, K = dual_sol.duals, ys.size
     lam = np.clip(-duals[:K], 0.0, None)
@@ -258,8 +260,8 @@ def _dual_certificate(instance, dual_sol, x, v_star, params, ys):
     reduced = (risk.saddle_coefficients(instance, y_bar, params)
                - u[instance.pair_state] + instance.kernel @ u)
     left_gap = float(reduced.max()) - v_star
-    right_gap = v_star - float(risk.saddle_values(instance, x, ys, params).min())
-    return _report(left_gap, right_gap, max(left_gap, right_gap, 0.0), y_bar)
+    right_gap = v_star - own_value
+    return VerificationReport(left_gap, right_gap, max(left_gap, right_gap, 0.0), y_bar)
 
 
 def solve_cvar(instance, params, mode="dual"):
@@ -277,6 +279,8 @@ def solve_cvar(instance, params, mode="dual"):
     "interior-tail-level". A gap below -CERT_TOL is flagged "negative-gap",
     and a certificate that does not hold "uncertified".
     """
+    if mode not in ("dual", "dual-primal"):
+        raise ValueError(f"mode must be 'dual' or 'dual-primal', got {mode!r}")
     ys = risk.breakpoints(instance)
     dual_sol = lp.solve(lp.build_dual_lp(instance, params))
     v_star = dual_sol.objective
@@ -292,10 +296,9 @@ def solve_cvar(instance, params, mode="dual"):
             raise SolverError(
                 f"minimax equality violated: level optimum {primal_value!r} "
                 f"vs occupation optimum {v_star!r}")
-    elif mode != "dual":
-        raise ValueError(f"mode must be 'dual' or 'dual-primal', got {mode!r}")
 
-    report = _dual_certificate(instance, dual_sol, x_star, v_star, params, ys)
+    own, cvar_component, mean_component = _own_value(law, params)
+    report = _dual_certificate(instance, dual_sol, own, v_star, params, ys)
     if report.tail_level not in ys:
         flags.append("interior-tail-level")
     if min(report.saddle_left_gap, report.saddle_right_gap) < -CERT_TOL:
@@ -305,12 +308,6 @@ def solve_cvar(instance, params, mode="dual"):
 
     policy = model.extract_policy(instance, x_star)
     n_rand = model.n_randomizations(instance, policy)
-    cvar_component = risk.cvar_right(law, params.alpha)
-    mean_component = law.mean()
-    if abs(v_star - (cvar_component + params.beta * mean_component)) > CONSISTENCY_TOL:
-        raise SolverError(
-            f"value decomposition off: {v_star!r} vs cvar {cvar_component!r} "
-            f"+ beta * mean {mean_component!r}")
 
     final_cls = chains.classify_chain(instance, policy)
     if not final_cls.unichain_aperiodic:

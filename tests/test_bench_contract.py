@@ -2,10 +2,14 @@
 `perfbench/spans.py` wraps module attributes listed in `TARGETS`, its
 kernel hook reads `cvar_sequence_kernel`'s fifth positional argument as the
 step count T, and `perfbench/workloads.py` reads a solved program's
-`status`. A rename in `src/` would break `perfbench/run.py` without failing
-any other test."""
+`status`, and its workloads read further names (`solver.CERT_TOL`,
+`risk.reward_distribution`, `cli.EXIT_*`, `TimeDependentPolicy.from_rules`,
+...). A rename in `src/` would break `perfbench/run.py` without failing any
+other test, so the smoke-size workloads run here too."""
 
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,18 @@ import pytest
 from cvarmdp import _kernels, lp, model, risk
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
 
 
 @pytest.fixture
@@ -58,3 +74,15 @@ def test_traced_cli_run_counts_lp_shapes_and_solves(spans, capsys, command, kind
     counts = tracer.by_kind[command].counts
     for name in ("lp.rows", "lp.cols", "lp.nnz", f"lp.solve.calls.{kind}"):
         assert counts[name] > 0, name
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_smoke_workload_first_ops_pass_their_checks(tmp_path, name):
+    """Build the workload at smoke size, then run the first op of each kind
+    and check it against its reference, as `perfbench/run.py --smoke` does."""
+    ops = workloads.make_ops(name, workloads.build(name, 1, tmp_path, size="smoke"))
+    first = {}
+    for op in ops:
+        first.setdefault(op.kind, op)
+    for kind, op in first.items():
+        assert op.check(op.run(), op.ref) == "", kind

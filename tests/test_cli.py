@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_chains import sparse_instance
+from test_solver import shift_dual_objective
 
 from cvarmdp import chains, cli, lp, model, risk, solver
 
@@ -232,6 +233,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", "--builtin", "example2", "--alpha", "0.5")
         assert code == 3
         assert "exploded" in err
+
+    def test_uncertified_solve_is_exit_0(self, capsys, monkeypatch):
+        """A v* off by more than CERT_TOL fails the right side of the
+        certificate: the run is reported with flags, not refused."""
+        shift_dual_objective(monkeypatch, 5e-6)
+        code, doc, err = run_json(capsys, "solve", "--builtin", "example2", "--alpha", "0.7")
+        assert (code, err) == (0, "")
+        assert doc["flags"] == ["interior-tail-level", "negative-gap", "uncertified"]
 
     @pytest.mark.parametrize("command", ["solve", "enumerate"])
     def test_highs_infeasible_is_exit_3(self, capsys, monkeypatch, command):

@@ -98,9 +98,9 @@ class TestRewardLayout:
         law, lifted_law = risk.reward_distribution(inst, x), risk.reward_distribution(lifted, x)
         assert np.array_equal(law.values, lifted_law.values)
         assert np.allclose(law.probs, lifted_law.probs, rtol=0.0, atol=1e-9)
-        ys = risk.breakpoints(inst)
-        assert np.allclose(risk.saddle_values(inst, x, ys, params),
-                           risk.saddle_values(lifted, x, ys, params), rtol=0.0, atol=1e-9)
+        for y in risk.breakpoints(inst):
+            assert risk.saddle_value(lifted, x, float(y), params) == pytest.approx(
+                risk.saddle_value(inst, x, float(y), params), abs=1e-9)
         seq = evaluate.cvar_sequence(inst, sol.policy, 0, 12, alpha)
         lifted_seq = evaluate.cvar_sequence(lifted, sol.policy, 0, 12, alpha)
         assert np.allclose(seq.per_step, lifted_seq.per_step, rtol=0.0, atol=1e-9)

@@ -387,35 +387,6 @@ class TestSaddleCoefficientRows:
             assert np.array_equal(risk.saddle_coefficients(inst, float(ys[-1]), params), ref[-1])
 
 
-class TestSaddleValues:
-    @pytest.mark.parametrize("name", ["example2", "endowment"])
-    def test_matches_saddle_value_at_every_level(self, name):
-        # example2 has state-action rewards, endowment next-state rewards
-        inst = model.builtin(name)
-        rng = np.random.default_rng(6)
-        ys = risk.breakpoints(inst)
-        lo, hi = inst.reward_bounds()
-        levels = np.concatenate((ys, rng.uniform(lo - 5.0, hi + 5.0, 20)))
-        for alpha, beta in ((0.0, 0.0), (0.7, 0.0), (0.9, 0.5)):
-            p = risk.RiskParams(alpha, beta)
-            for _ in range(5):
-                x = rng.random(inst.n_pairs)
-                x[rng.random(inst.n_pairs) < 0.4] = 0.0
-                x /= max(x.sum(), 1e-300)
-                got = risk.saddle_values(inst, x, levels, p)
-                want = [risk.saddle_value(inst, x, float(y), p) for y in levels]
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
-
-    def test_tied_rewards_and_single_level(self):
-        inst = model.MdpInstance("tie", ("s",), (("a", "b", "c"),),
-                                 np.ones((3, 1)), rewards=np.array([2.0, 2.0, 7.0]))
-        p = risk.RiskParams(0.5, 1.0)
-        x = np.array([0.25, 0.25, 0.5])
-        for y in (1.0, 2.0, 4.0, 7.0, 9.0):
-            assert risk.saddle_values(inst, x, [y], p)[0] == pytest.approx(
-                risk.saddle_value(inst, x, y, p), abs=1e-12)
-
-
 class TestBreakpoints:
     def test_example2_values(self):
         bp = risk.breakpoints(model.builtin("example2"))

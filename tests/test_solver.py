@@ -240,6 +240,20 @@ def solved_names(monkeypatch):
     return names
 
 
+def shift_dual_objective(monkeypatch, shift):
+    """Make `lp.solve` report every occupation program's optimum `shift`
+    too high, as a solve whose v* is off would."""
+    plain = lp.solve
+
+    def shifted(prog, *args, **kwargs):
+        sol = plain(prog, *args, **kwargs)
+        if prog.name.endswith("-dual"):
+            sol = dataclasses.replace(sol, objective=sol.objective + shift)
+        return sol
+
+    monkeypatch.setattr(lp, "solve", shifted)
+
+
 class TestMinimaxLpCount:
     """The minimax side is one full-range level LP wherever it is needed."""
 
@@ -302,8 +316,14 @@ class TestDualCertificate:
         c = sol.certificates
         assert c.certified
         assert c.oracle_gap == max(c.saddle_left_gap, c.saddle_right_gap, 0.0)
-        lo, hi = sol.v_star - c.saddle_right_gap, sol.v_star + c.saddle_left_gap
+        # the right gap is v* less x*'s own value, CVaR + beta * mean, which
+        # the Rockafellar-Uryasev form makes x*'s minimum over tail levels
+        assert c.saddle_right_gap == sol.v_star - (sol.cvar_component
+                                                   + beta * sol.mean_component)
         slack = 1e-9 * max(1.0, abs(sol.v_star))
+        own = min(risk.saddle_value(inst, sol.x_star, float(e), params) for e in ys)
+        assert abs(c.saddle_right_gap - (sol.v_star - own)) <= slack
+        lo, hi = sol.v_star - c.saddle_right_gap, sol.v_star + c.saddle_left_gap
         scan = solver.endpoint_scan_oracle(inst, params).value
         level = lp.solve(lp.build_level_lp(inst, params)).objective
         vertex = lp.solve(lp.build_primal_lp(inst, oracles.polytope_vertices(inst)[0],
@@ -320,7 +340,7 @@ class TestDualCertificate:
         # the suboptimal point claiming its own value breaks the left
         # condition; claiming the optimum, it breaks the right one
         for claim in (v_bad, sol.v_star):
-            report = solver._dual_certificate(inst, dual, x_bad, claim, params, ys)
+            report = solver._dual_certificate(inst, dual, v_bad, claim, params, ys)
             assert not report.certified
 
     def test_zero_tail_prices_raise(self):
@@ -332,22 +352,20 @@ class TestDualCertificate:
         duals[:ys.size] = 0.0  # the tail rows come first
         zeroed = dataclasses.replace(dual, duals=duals)
         with pytest.raises(solver.SolverError, match="tail prices"):
-            solver._dual_certificate(inst, zeroed, lp.pair_values(inst, dual),
-                                     dual.objective, params, ys)
+            solver._dual_certificate(inst, zeroed, dual.objective, dual.objective, params, ys)
 
-    def test_overclaimed_value_is_flagged(self, monkeypatch):
-        plain = solver._dual_certificate
-
-        def overclaim(instance, dual_sol, x, v_star, params, ys):
-            return plain(instance, dual_sol, x, v_star + 1e-3, params, ys)
-
-        monkeypatch.setattr(solver, "_dual_certificate", overclaim)
+    @pytest.mark.parametrize("shift, certified", [(1.5e-6, True), (5e-6, False), (1e-3, False)])
+    def test_overclaimed_value_is_flagged(self, monkeypatch, shift, certified):
+        """A v* off by more than CERT_TOL fails the right side and is
+        flagged; a smaller error stays certified. Neither raises."""
+        shift_dual_objective(monkeypatch, shift)
         sol = solver.solve_cvar(model.builtin("example2"), risk.RiskParams(0.7))
         c = sol.certificates
-        assert c.saddle_left_gap == pytest.approx(-1e-3, abs=1e-9)
-        assert c.saddle_right_gap == pytest.approx(1e-3, abs=1e-9)
-        assert not c.certified
-        assert sol.flags == ("interior-tail-level", "negative-gap", "uncertified")
+        assert c.saddle_left_gap == pytest.approx(-shift, abs=1e-9)
+        assert c.saddle_right_gap == pytest.approx(shift, abs=1e-9)
+        assert c.certified == certified
+        assert sol.flags == (("interior-tail-level",) if certified else
+                             ("interior-tail-level", "negative-gap", "uncertified"))
 
     def test_uncertified_solve_is_flagged(self, monkeypatch):
         monkeypatch.setattr(solver, "CERT_TOL", 0.0)
@@ -361,9 +379,11 @@ class TestDualCertificate:
 
 class TestModes:
     @pytest.mark.parametrize("mode", ["dual+primal", "primal", ""])
-    def test_unknown_mode_raises(self, mode):
+    def test_unknown_mode_raises(self, monkeypatch, mode):
+        names = solved_names(monkeypatch)
         with pytest.raises(ValueError, match="mode must be"):
             solver.solve_cvar(one_pair_instance(), risk.RiskParams(0.5), mode=mode)
+        assert names == []
 
 
 class TestEnumerateDeterministic:
