@@ -3,8 +3,9 @@ solver needs.
 
 A program is what HiGHS reads: min or max c @ x subject to
 row_lo <= A @ x <= row_hi and lb <= x <= ub, with one CSR matrix A that
-stores no zeros and keeps every row as written (see `LinearProgram`),
-plus one name per column and one per row. A is a `CsrMatrix`, the numpy
+stores no zeros and keeps every row as written (see `LinearProgram`).
+Columns and rows have no names: a program is read by position, in the
+order its builder's docstring gives. A is a `CsrMatrix`, the numpy
 triple (indptr, indices, data) HiGHS loads row-wise, with its shape. The
 builders assemble it with numpy from the instance's kernel, pair layout
 and `reward_atoms`: from triplets (`_matrix`), from a dense block
@@ -25,9 +26,10 @@ dualises the occupation polytope, pivots primal, because dual simplex
 takes thousands of iterations on it where primal takes hundreds; every
 other program pivots dual, the faster direction on the occupation
 programs.
-`Variable` and `Constraint` are a named view built on demand for
-hand-written programs (`LinearProgram.from_rows`) and for reading a
-program row by row; solving never builds it.
+`Variable` and `Constraint` are a row-by-row view: `LinearProgram.from_rows`
+builds a hand-written program from named ones, and `variables`,
+`constraints` and `objective` give any program back in that form, its
+columns and rows named by their positions; solving never builds it.
 HiGHS is scipy's `_highspy._core` extension, loaded by file path
 (`_load_highs`) so that importing this module does not run
 `scipy.optimize`'s package init.
@@ -181,7 +183,7 @@ def _matvec(a, x):
 class LinearProgram:
     """min or max c @ x s.t. row_lo <= A @ x <= row_hi, lb <= x <= ub.
 
-    A is a `CsrMatrix` with one row per row_names entry, each row as
+    A is a `CsrMatrix` with one row per row_lo entry, each row as
     written: an equality has row_lo == row_hi, a "<=" row row_lo = -inf
     and a ">=" row row_hi = +inf. A ranged row (both bounds finite and
     unequal) is refused, because `constraints` gives each row exactly one
@@ -194,11 +196,9 @@ class LinearProgram:
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    col_names: list
     A: CsrMatrix
     row_lo: np.ndarray
     row_hi: np.ndarray
-    row_names: list
     simplex: str = "dual"
 
     def __post_init__(self):
@@ -210,13 +210,14 @@ class LinearProgram:
                                 & (self.row_lo != self.row_hi))
         if ranged.size:
             i = ranged[0]
-            raise ValueError(f"row {self.row_names[i]!r} is ranged ({self.row_lo[i]:g} <= "
+            raise ValueError(f"row {i} is ranged ({self.row_lo[i]:g} <= "
                              f"a x <= {self.row_hi[i]:g}); write it as two rows")
 
     @classmethod
     def from_rows(cls, name, sense, objective, variables, constraints):
         """A program from named `Variable`s, an objective {name: coef} and
-        `Constraint`s, whose rows keep the order given."""
+        `Constraint`s: column j is variables[j] and row i constraints[i].
+        The names only place the coefficients; none is stored."""
         col = {v.name: i for i, v in enumerate(variables)}
         if len(col) != len(variables) or len({c.name for c in constraints}) != len(constraints):
             raise ValueError("duplicate variable or constraint names")
@@ -231,33 +232,33 @@ class LinearProgram:
                 for nm, coef in con.coeffs.items()]
         rows, cols, vals = zip(*trip) if trip else ((), (), ())
         return cls(name, sense, c, np.array([v.lb for v in variables], dtype=float),
-                   np.array([v.ub for v in variables], dtype=float), [v.name for v in variables],
+                   np.array([v.ub for v in variables], dtype=float),
                    _matrix((len(constraints), n), rows, cols, vals),
                    np.array([-np.inf if con.relation == "<=" else con.rhs for con in constraints],
                             dtype=float),
                    np.array([np.inf if con.relation == ">=" else con.rhs for con in constraints],
-                            dtype=float),
-                   [con.name for con in constraints])
+                            dtype=float))
 
-    # -- named view, built on demand --------------------------------------------
+    # -- row-by-row view, built on demand: column j is named str(j), row i str(i)
 
     @property
     def variables(self):
-        return tuple(map(Variable, self.col_names, self.lb.tolist(), self.ub.tolist()))
+        return tuple(map(Variable, map(str, range(self.c.size)), self.lb.tolist(),
+                         self.ub.tolist()))
 
     @property
     def objective(self):
-        return {self.col_names[i]: float(self.c[i]) for i in np.flatnonzero(self.c)}
+        return {str(j): float(self.c[j]) for j in np.flatnonzero(self.c)}
 
     @property
     def constraints(self):
-        names = [self.col_names[j] for j in self.A.indices.tolist()]
+        names = list(map(str, self.A.indices.tolist()))
         coeffs, ends = self.A.data.tolist(), self.A.indptr.tolist()
         out = []
         for i, (lo, hi) in enumerate(zip(self.row_lo.tolist(), self.row_hi.tolist())):
             relation, rhs = ("=", lo) if lo == hi else ("<=", hi) if lo == -np.inf else (">=", lo)
             start, stop = ends[i], ends[i + 1]
-            out.append(Constraint(self.row_names[i], dict(zip(names[start:stop], coeffs[start:stop])),
+            out.append(Constraint(str(i), dict(zip(names[start:stop], coeffs[start:stop])),
                                   relation, rhs))
         return tuple(out)
 
@@ -268,8 +269,8 @@ class LpSolution:
     `solve_sweep` (which leaves duals None); any other outcome raises.
 
     objective is the program's objective at x, recomputed in its own sense.
-    x holds the point in the program's column order (`col_names`), and
-    duals the shadow price of each row in row order (`row_names`): the rate
+    x holds the point in the program's column order, and duals the shadow
+    price of each row in row order, both as its builder documents: the rate
     at which the optimal objective, in the program's own sense, changes per
     unit increase of the row's right-hand side. So a binding "<=" row of a
     "max" program has a price >= 0 and a binding ">=" row one <= 0.
@@ -420,45 +421,34 @@ def solve_sweep(lp, costs):
 # -- blocks ---------------------------------------------------------------------
 
 
-def _pair_suffixes(instance):
-    # State and local-action indices; instance.pair_name maps them back to
-    # labels.
-    local = np.arange(instance.n_pairs) - instance.offsets[instance.pair_state]
-    return [f"{i}_{a}" for i, a in zip(instance.pair_state.tolist(), local.tolist())]
-
-
-def _x_names(instance):
-    return [f"x_{sfx}" for sfx in _pair_suffixes(instance)]
-
-
 def _unit(n, i):
     out = np.zeros(n)
     out[i] = 1.0
     return out
 
 
-def _rows(a, relation, rhs, names):
-    """A block of rows a @ x (relation) rhs, as (A, row_lo, row_hi, names)."""
+def _rows(a, relation, rhs):
+    """A block of rows a @ x (relation) rhs, as (A, row_lo, row_hi)."""
     rhs = np.asarray(rhs, dtype=float)
     free = np.full(rhs.size, np.inf)
-    return a, -free if relation == "<=" else rhs, free if relation == ">=" else rhs, names
+    return a, -free if relation == "<=" else rhs, free if relation == ">=" else rhs
 
 
 def _stack(*blocks):
-    """The (A, row_lo, row_hi, row_names) of row blocks, all as wide as the
-    first, stacked in order."""
-    mats, lo, hi, names = zip(*blocks)
+    """The (A, row_lo, row_hi) of `_rows` blocks, all as wide as the first,
+    stacked in order."""
+    mats, lo, hi = zip(*blocks)
     offsets = np.cumsum([0] + [m.data.size for m in mats])
     indptr = np.concatenate([[0]] + [m.indptr[1:] + off for m, off in zip(mats, offsets)])
     a = CsrMatrix(indptr, np.concatenate([m.indices for m in mats]),
                   np.concatenate([m.data for m in mats]), (indptr.size - 1, mats[0].shape[1]))
-    return a, np.concatenate(lo), np.concatenate(hi), [nm for block in names for nm in block]
+    return a, np.concatenate(lo), np.concatenate(hi)
 
 
 def _polytope(instance, n_cols):
     """Flow balance per state plus total mass one over the first n_pairs
-    columns: balance row j is [pair_state == j] - kernel[:, j] = 0, the
-    norm row all ones = 1. Returns a `_rows` block."""
+    columns: row j < m, state j's balance [pair_state == j] - kernel[:, j]
+    = 0, then row m, the norm all ones = 1. Returns a `_rows` block."""
     n, m = instance.n_pairs, instance.n_states
     k, j = np.nonzero(instance.kernel)
     pairs = np.arange(n)
@@ -466,7 +456,7 @@ def _polytope(instance, n_cols):
                 np.concatenate((instance.pair_state, j, np.full(n, m))),
                 np.concatenate((pairs, k, pairs)),
                 np.concatenate((np.ones(n), -instance.kernel[k, j], np.ones(n))))
-    return _rows(a, "=", _unit(m + 1, m), [f"balance_{s}" for s in range(m)] + ["norm"])
+    return _rows(a, "=", _unit(m + 1, m))
 
 
 def _mean_rewards(instance):
@@ -481,21 +471,17 @@ def _excess(instance, y_col, w_col):
     """Rows w + y >= r, one per excess variable w, that is per reward
     values[k, c] of `reward_atoms` paid with positive probability (in
     `np.nonzero(probs)` order). The w columns come last, from w_col.
-    Returns a `_rows` block and the w column names."""
+    Returns a `_rows` block."""
     values, probs = instance.reward_atoms
     k, c = np.nonzero(probs)
-    sfx, n_w = _pair_suffixes(instance), k.size
-    # names carry the next state only where a pair can pay several rewards
-    cols = [f"_{j}" for j in c.tolist()] if values.shape[1] > 1 else [""] * n_w
-    w_names = [f"w_{sfx[q]}{t}" for q, t in zip(k.tolist(), cols)]
-    rows = [f"excess_{q}{t}" for q, t in zip(k.tolist(), cols)]
+    n_w = k.size
     e = np.arange(n_w)
     a = _matrix((n_w, w_col + n_w), np.concatenate((e, e)),
                 np.concatenate((w_col + e, np.full(n_w, y_col))), np.ones(2 * n_w))
-    return _rows(a, ">=", values[k, c], rows), w_names
+    return _rows(a, ">=", values[k, c])
 
 
-# -- builders -----------------------------------------------------------------
+# -- builders: each docstring gives its program's column and row order -----
 
 
 def build_average_lp(instance, y, params):
@@ -503,11 +489,13 @@ def build_average_lp(instance, y, params):
 
     With y fixed the positive parts are constants, so this is the classical
     average-reward occupation LP with per-pair coefficients c_k(y).
+
+    Columns: x, one per pair. Rows: the `_polytope` rows.
     """
     n = instance.n_pairs
     return LinearProgram(f"{instance.name}-average(y={y:g})", "max",
                          saddle_coefficients(instance, y, params), np.zeros(n),
-                         np.full(n, np.inf), _x_names(instance), *_stack(_polytope(instance, n)))
+                         np.full(n, np.inf), *_stack(_polytope(instance, n)))
 
 
 def build_dual_lp(instance, params):
@@ -516,19 +504,20 @@ def build_dual_lp(instance, params):
     x in the occupation polytope.
 
     Endpoints sharing a reward value produce identical rows, so one row
-    per distinct value is emitted: row `tail_i` at the i-th sorted value
-    of `breakpoints(instance)`. The columns are the pairs' x, then z2; the
-    rows the K tail rows, then the `_polytope` rows.
+    per distinct value is emitted.
+
+    Columns: x, one per pair (0..n_pairs-1), then z2 (n_pairs).
+    Rows: K tail rows, row i v(x, e_i) - z2 >= 0 at the i-th sorted value
+    e_i of `breakpoints(instance)`; then the `_polytope` rows, so the norm
+    row is last.
     """
     ends = breakpoints(instance)
     n, n_tail = instance.n_pairs, len(ends)
     tail = saddle_coefficient_rows(instance, ends, params)
-    # v(x, e) - z2 >= 0
     return LinearProgram(f"{instance.name}-dual", "max", _unit(n + 1, n),
                          np.append(np.zeros(n), -np.inf), np.full(n + 1, np.inf),
-                         _x_names(instance) + ["z2"],
                          *_stack(_rows(_dense(np.column_stack((tail, -np.ones(n_tail)))), ">=",
-                                       np.zeros(n_tail), [f"tail_{i}" for i in range(n_tail)]),
+                                       np.zeros(n_tail)),
                                  _polytope(instance, n + 1)))
 
 
@@ -537,6 +526,11 @@ def build_primal_lp(instance, xs, params):
     subject to v(x^l, y) <= z1 at every polytope vertex x^l, with the
     positive parts linearized through excess variables w >= r - y, w >= 0.
     `xs` is an (L, n_pairs) array whose row l is the vertex x^l.
+
+    Columns: y (0), z1 (1), then the w of the `_excess` rows (from 2).
+    Rows: L vertex rows, row l
+    (sum x^l) y - z1 + sum_k x^l_k E_k[w] / (1-alpha) <= -beta x^l E r;
+    then the `_excess` rows w + y >= r.
     """
     xs = np.asarray(xs, dtype=float)
     if len(xs) == 0:
@@ -548,15 +542,13 @@ def build_primal_lp(instance, xs, params):
     w = (inv * xs)[:, k] * probs[k, c]
     pair_mean = _mean_rewards(instance)
     mean = [xl @ pair_mean for xl in xs]  # row by row, like the pair means
-    # columns y, z1, w; vertex row l: (sum x^l) y - z1 + x^l w / (1-alpha) <= -beta mean
     vertex = _dense(np.column_stack(([xl.sum() for xl in xs], np.full(len(xs), -1.0), w)))
     n_cols = vertex.shape[1]
-    excess, w_names = _excess(instance, 0, 2)
     return LinearProgram(f"{instance.name}-primal", "min", _unit(n_cols, 1),
                          np.concatenate(([lo, -np.inf], np.zeros(n_cols - 2))),
-                         np.concatenate(([hi], np.full(n_cols - 1, np.inf))), ["y", "z1"] + w_names,
-                         *_stack(_rows(vertex, "<=", -params.beta * np.array(mean),
-                                       [f"vertex_{l}" for l in range(len(xs))]), excess))
+                         np.concatenate(([hi], np.full(n_cols - 1, np.inf))),
+                         *_stack(_rows(vertex, "<=", -params.beta * np.array(mean)),
+                                 _excess(instance, 0, 2)))
 
 
 def build_level_lp(instance, params):
@@ -570,6 +562,12 @@ def build_level_lp(instance, params):
     tail levels strictly between reward values (where the upper envelope of
     the vertex lines has a crossing). y ranges over the reward bounds [L, U].
 
+    Columns: u, one per state (0..m-1), then u0 (m), y (m + 1), and the w
+    of the `_excess` rows (from m + 2).
+    Rows: one price row per pair k, in state i,
+    u_i - (P u)_k + u0 - y - E_k[w] / (1-alpha) >= beta E_k r;
+    then the `_excess` rows w + y >= r.
+
     The program pivots primal: dual simplex on it runs about fifteen times
     as many iterations (sparse 400x4: about 8,800 against 590) and did not
     finish in 600 s at sparse 1000x4.
@@ -577,25 +575,22 @@ def build_level_lp(instance, params):
     lo, hi = instance.reward_bounds()
     inv = 1.0 / (1.0 - params.alpha)
     n, m = instance.n_pairs, instance.n_states
-    u0, y, w0 = m, m + 1, m + 2  # columns u_0..u_{m-1}, u0, y, then w
+    u0, y, w0 = m, m + 1, m + 2
     k, j = np.nonzero(instance.kernel)
     p = instance.kernel[k, j]
     pairs = np.arange(n)
     probs = instance.reward_atoms[1]
     w_rows, w_at = np.nonzero(probs)  # the rewards each pair can pay
     n_w, w_cols, w_vals = w_rows.size, w0 + np.arange(w_rows.size), inv * probs[w_rows, w_at]
-    # price row k: u_i(k) - (P u)_k + u0 - y - E_k[w] / (1-alpha) >= beta E_k r
     price = _matrix((n, w0 + n_w),
                     np.concatenate((pairs, k, pairs, pairs, w_rows)),
                     np.concatenate((instance.pair_state, j, np.full(n, u0), np.full(n, y), w_cols)),
                     np.concatenate((np.ones(n), -p, np.ones(n), -np.ones(n), -w_vals)))
-    excess, w_names = _excess(instance, y, w0)
     return LinearProgram(f"{instance.name}-level", "min", _unit(w0 + n_w, u0),
                          np.concatenate((np.full(m + 1, -np.inf), [lo], np.zeros(n_w))),
                          np.concatenate((np.full(m + 1, np.inf), [hi], np.full(n_w, np.inf))),
-                         [f"u_{s}" for s in range(m)] + ["u0", "y"] + w_names,
-                         *_stack(_rows(price, ">=", params.beta * _mean_rewards(instance),
-                                       [f"price_{q}" for q in range(n)]), excess),
+                         *_stack(_rows(price, ">=", params.beta * _mean_rewards(instance)),
+                                 _excess(instance, y, w0)),
                          simplex="primal")
 
 
@@ -608,6 +603,10 @@ def build_sparsify_lp(instance, y_star, params):
     which is what bounds the randomization count. The strictness the
     theory puts on x0 cannot be expressed in an LP; callers must treat
     x0 ~ 0 as a tie and keep their original measure.
+
+    Columns: x, one per pair (0..n_pairs-1), then x0 (n_pairs).
+    Rows: the at-or-below row -P(r <= y*) x <= -alpha, the strictly-below
+    row P(r < y*) x + x0 = alpha, then the `_polytope` rows.
     """
     n = instance.n_pairs
     # with delta the grid's smallest gap, r <= y* - delta on the grid is the
@@ -621,14 +620,13 @@ def build_sparsify_lp(instance, y_star, params):
 
     at_w = mass(r <= y_star)
     below_w = mass(r < y_star - delta / 2.0)
-    # columns x, x0; tail_at: -at_w x <= -alpha, tail_below: below_w x + x0 = alpha
     return LinearProgram(f"{instance.name}-sparsify(y={y_star:g})", "max",
                          np.append(saddle_coefficients(instance, y_star, params), 0.0),
-                         np.zeros(n + 1), np.full(n + 1, np.inf), _x_names(instance) + ["x0"],
+                         np.zeros(n + 1), np.full(n + 1, np.inf),
                          *_stack(_rows(_dense(np.append(-at_w, 0.0)[None, :]), "<=",
-                                       [-params.alpha], ["tail_at"]),
+                                       [-params.alpha]),
                                  _rows(_dense(np.append(below_w, 1.0)[None, :]), "=",
-                                       [params.alpha], ["tail_below"]),
+                                       [params.alpha]),
                                  _polytope(instance, n + 1)))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -225,10 +226,7 @@ class StationaryPolicy:
             if not isinstance(row, dict):
                 raise ValueError(f"policy row {state!r} must map actions to probabilities")
             for action, p in row.items():
-                try:
-                    value = float(p)
-                except (TypeError, ValueError):
-                    value = math.nan
+                value = float(p) if _is_number(p) else math.nan
                 if not math.isfinite(value):
                     raise ValueError(f"probability of ({state!r}, {action!r}) must be a "
                                      f"finite number, got {p!r}")
@@ -446,7 +444,9 @@ def _require(cond, msg):
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A real number that is not a bool: JSON's ints and floats, and numpy's
+    scalars from library callers; strings and booleans are refused."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _named_block(node, path, names, kind, read):

@@ -216,6 +216,9 @@ class TestExitCodes:
         ({"1": {"1": float("inf")}}, "probability of ('1', '1') must be a finite number, got inf"),
         ({"1": {"1": float("-inf")}},
          "probability of ('1', '1') must be a finite number, got -inf"),
+        ({"1": {"1": "1"}}, "probability of ('1', '1') must be a finite number, got '1'"),
+        ({"1": {"1": True}}, "probability of ('1', '1') must be a finite number, got True"),
+        ({"1": {"1": False}}, "probability of ('1', '1') must be a finite number, got False"),
     ])
     def test_malformed_policy_file(self, capsys, tmp_path, policy, message):
         path = tmp_path / "policy.json"

@@ -78,15 +78,20 @@ class TestSolve:
 
     def test_dual_lp_prices_and_diagnostics(self):
         # tail prices sum to one (the free z2 column) and the norm row's
-        # price is the optimum itself (strong duality)
+        # price is the optimum itself (strong duality); the K tail rows come
+        # first and the norm row last
         inst = model.builtin("example2")
         prog = lp.build_dual_lp(inst, risk.RiskParams(0.7))
         sol = lp.solve(prog)
-        assert sol.duals.shape == (len(prog.row_names),)
-        tails = sol.duals[[name.startswith("tail_") for name in prog.row_names]]
+        n, n_tail = inst.n_pairs, risk.breakpoints(inst).size
+        assert sol.duals.shape == (prog.A.shape[0],) == (n_tail + inst.n_states + 1,)
+        a = dense(prog.A)
+        assert np.array_equal(a[:, n] != 0.0, np.arange(a.shape[0]) < n_tail)  # z2 column
+        assert np.array_equal(a[-1], np.append(np.ones(n), 0.0))
+        tails = sol.duals[:n_tail]
         assert all(v <= 1e-12 for v in tails)
         assert -sum(tails) == pytest.approx(1.0, abs=1e-9)
-        assert sol.duals[prog.row_names.index("norm")] == pytest.approx(sol.objective, abs=1e-9)
+        assert sol.duals[-1] == pytest.approx(sol.objective, abs=1e-9)
         assert sol.nit > 0
         assert 0.0 <= sol.residual <= lp.FEASIBILITY_TOL
         assert 0.0 <= sol.mismatch <= lp.FEASIBILITY_TOL * max(1.0, abs(sol.objective))
@@ -228,8 +233,8 @@ def test_level_lp_pivots_primal(monkeypatch):
 
 def test_unknown_simplex_direction_refused():
     with pytest.raises(ValueError, match="simplex must be one of"):
-        LinearProgram("t", "min", np.zeros(1), np.zeros(1), np.ones(1), ["z"],
-                      csr_array((0, 1)), np.zeros(0), np.zeros(0), [], simplex="barrier")
+        LinearProgram("t", "min", np.zeros(1), np.zeros(1), np.ones(1),
+                      csr_array((0, 1)), np.zeros(0), np.zeros(0), simplex="barrier")
 
 
 def run_fresh(code):
@@ -346,9 +351,9 @@ class TestBuilderArrays:
         bp = risk.breakpoints(inst)
         n, m = inst.n_pairs, inst.n_states
         dual = lp.build_dual_lp(inst, params)
-        assert dual.row_names == ([f"tail_{e}" for e in range(bp.size)]
-                                  + [f"balance_{j}" for j in range(m)] + ["norm"])
         n_tail = bp.size
+        # rows: the tail rows, the balance rows, the norm row; columns x, z2
+        assert dual.A.shape == (n_tail + m + 1, n + 1)
         eq = dense(dual.A)[n_tail:]
         for j in range(m):
             assert np.array_equal(eq[j], np.append((inst.pair_state == j) - inst.kernel[:, j], 0.0))
@@ -369,15 +374,25 @@ class TestBuilderArrays:
         paid = probs > 0.0
         w0 = m + 2
         excess = dense(level.A)[n:]
-        assert len(level.col_names) == w0 + paid.sum() == excess.shape[1]
+        assert level.A.shape == (n + paid.sum(), w0 + paid.sum()) == (len(level.row_lo),
+                                                                      level.c.size)
         assert np.array_equal(level.row_lo[n:], values[paid])
         assert np.array_equal(excess[:, m + 1], np.ones(paid.sum()))
         assert np.array_equal(excess[:, w0:], np.eye(paid.sum()))
         assert np.all(dense(level.A)[:n, w0:].any(axis=0))
-        if inst.rewards is not None:
-            assert level.row_names[n:] == [f"excess_{k}" for k in range(n)]
-        primal = lp.build_primal_lp(inst, oracles.polytope_vertices(inst)[0], params)
-        assert primal.col_names[2:] == level.col_names[w0:]
+        if inst.rewards is not None:  # excess row k and w column k are pair k's
+            assert np.array_equal(level.row_lo[n:], inst.rewards)
+            assert np.array_equal(dense(level.A)[:n, w0:] != 0.0, np.eye(n, dtype=bool))
+        xs = oracles.polytope_vertices(inst)[0]
+        primal = lp.build_primal_lp(inst, xs, params)
+        # the same w columns, from 2 after y and z1, in the same excess rows,
+        # each paid by the same pair as in the level program's price rows
+        assert primal.A.shape == (len(xs) + paid.sum(), 2 + paid.sum())
+        primal_excess = dense(primal.A)[-paid.sum():]
+        assert np.array_equal(primal_excess[:, 2:], excess[:, w0:])
+        assert np.allclose(dense(primal.A)[:len(xs), 2:], xs @ -dense(level.A)[:n, w0:],
+                           rtol=1e-12, atol=0.0)
+        assert np.array_equal(primal_excess[:, :2], np.tile([1.0, 0.0], (paid.sum(), 1)))
         assert np.array_equal(primal.row_lo[-paid.sum():], values[paid])
         assert np.all(primal.row_hi[-paid.sum():] == np.inf)
         for prog in (dual, level, lp.build_average_lp(inst, float(bp[0]), params),
@@ -506,11 +521,11 @@ class TestDualLp:
         inst = model.builtin("example2")  # 9 pairs, 9 distinct rewards
         params = risk.RiskParams(0.7)
         dedup = lp.build_dual_lp(inst, params)
-        assert len(dedup.row_names) == 9 + 3 + 1
+        assert dedup.A.shape[0] == dedup.row_lo.size == 9 + 3 + 1
         # force duplicate rewards and watch the tail rows shrink
         dup = model.MdpInstance("dup", inst.states, inst.actions, inst.kernel,
                                 rewards=np.repeat([1.0, 2.0, 3.0], 3))
-        assert len(lp.build_dual_lp(dup, params).row_names) == 3 + 3 + 1
+        assert lp.build_dual_lp(dup, params).A.shape[0] == 3 + 3 + 1
 
     def test_endowment_mean_cvar_value(self):
         sol = lp.solve(lp.build_dual_lp(model.builtin("endowment"), risk.RiskParams(0.9, 0.5)))
@@ -539,10 +554,10 @@ class TestPrimalLp:
         verts, _ = oracles.polytope_vertices(inst)
         prog = lp.build_primal_lp(inst, verts, params)
         sol = lp.solve(prog)
-        y = sol.x[prog.col_names.index("y")]
+        assert prog.c.size == 2 + inst.n_pairs  # columns y, z1, then one w per pair
+        y = sol.x[0]
         for k in range(inst.n_pairs):
-            i = int(inst.pair_state[k])
-            w = sol.x[prog.col_names.index(f"w_{i}_{k - inst.offsets[i]}")]
+            w = sol.x[2 + k]
             assert w == pytest.approx(max(float(inst.rewards[k]) - y, 0.0), abs=1e-8)
 
     def test_endowment_recovers_tail_level(self):
@@ -610,13 +625,15 @@ class TestLevelLp:
         prog = lp.build_level_lp(inst, risk.RiskParams(0.7))
         sol = lp.solve(prog)
         assert sol.objective == pytest.approx(93.2402, abs=1e-3)
-        assert prog.col_names[inst.n_states + 1] == "y"
-        assert 70.0 < sol.x[inst.n_states + 1] < 71.0
+        y = inst.n_states + 1  # columns u, u0, y
+        assert (prog.lb[y], prog.ub[y]) == inst.reward_bounds()
+        assert np.array_equal(dense(prog.A)[:inst.n_pairs, y], -np.ones(inst.n_pairs))
+        assert 70.0 < sol.x[y] < 71.0
 
     def test_endowment_excess_only_where_paid(self):
         # 36 of endowment's 108 (pair, next state) entries carry probability
         prog = lp.build_level_lp(model.builtin("endowment"), risk.RiskParams(0.9, 0.5))
-        assert (len(prog.col_names), len(prog.row_names)) == (44, 54)
+        assert prog.A.shape == (54, 44)
         assert lp.solve(prog).objective == pytest.approx(96.84, abs=0.01)
 
 
@@ -626,7 +643,9 @@ class TestSparsifyLp:
         params = risk.RiskParams(0.4)
         prog = lp.build_sparsify_lp(inst, 2.0, params)
         sol = lp.solve(prog)
-        assert prog.col_names == ["x_0_0", "x0"]
+        # columns x, x0; rows at-or-below, strictly-below, balance, norm; x0 only in row 1
+        assert prog.A.shape == (4, 2)
+        assert np.array_equal(dense(prog.A)[:, 1], [0.0, 1.0, 0.0, 0.0])
         assert sol.x == pytest.approx([1.0, 0.4])
 
     def test_example2_vertex_support(self):
@@ -652,9 +671,9 @@ class TestSparsifyLp:
             assert model.n_randomizations(inst, pol) <= 1
 
 
-class TestLpFileExport:
+class TestNamedView:
     """The named view: `from_rows`, `variables`, `objective` and
-    `constraints`."""
+    `constraints`, which name column j str(j) and row i str(i)."""
 
     @pytest.mark.parametrize("name", ["example2", "endowment"])
     def test_named_view_rebuilds_the_arrays(self, name):
@@ -668,8 +687,9 @@ class TestLpFileExport:
                                            prog.variables, prog.constraints)
             for field in ("c", "row_lo", "row_hi", "lb", "ub"):
                 assert np.array_equal(getattr(back, field), getattr(prog, field)), field
-            assert np.array_equal(dense(back.A), dense(prog.A))
-            assert (back.col_names, back.row_names) == (prog.col_names, prog.row_names)
+            assert_same_csr(back.A, prog.A)
+            assert [v.name for v in prog.variables] == list(map(str, range(prog.c.size)))
+            assert [c.name for c in prog.constraints] == list(map(str, range(prog.row_lo.size)))
 
     def test_interleaved_rows_keep_their_order(self):
         # max -a + b + 2c, a >= 1, b - c = 0, a + b + c <= 4: optimum
@@ -680,10 +700,13 @@ class TestLpFileExport:
                 Constraint("cap", {"a": 1.0, "b": 1.0, "c": 1.0}, "<=", 4.0))
         prog = LinearProgram.from_rows("t", "max", {"a": -1.0, "b": 1.0, "c": 2.0},
                                        (Variable("a"), Variable("b"), Variable("c")), rows)
-        assert prog.row_names == ["floor", "link", "cap"]
         assert np.array_equal(prog.row_lo, [1.0, 0.0, -np.inf])
         assert np.array_equal(prog.row_hi, [np.inf, 0.0, 4.0])
-        assert prog.constraints == rows
+        # the same rows, columns a, b, c named by position
+        assert prog.constraints == (Constraint("0", {"0": 1.0}, ">=", 1.0),
+                                    Constraint("1", {"1": 1.0, "2": -1.0}, "=", 0.0),
+                                    Constraint("2", {"0": 1.0, "1": 1.0, "2": 1.0}, "<=", 4.0))
+        assert prog.objective == {"0": -1.0, "1": 1.0, "2": 2.0}
         back = LinearProgram.from_rows("t", "max", prog.objective, prog.variables,
                                        prog.constraints)
         sols = [lp.solve(back), lp.solve(prog)]
@@ -694,6 +717,6 @@ class TestLpFileExport:
         assert np.array_equal(sols[0].x, sols[1].x) and np.array_equal(sols[0].duals, sols[1].duals)
 
     def test_ranged_row_refused(self):
-        with pytest.raises(ValueError, match="'band' is ranged"):
-            LinearProgram("t", "min", np.zeros(1), np.zeros(1), np.ones(1), ["z"],
-                          csr_array(np.ones((1, 1))), np.zeros(1), np.ones(1), ["band"])
+        with pytest.raises(ValueError, match=r"^row 1 is ranged \(0 <= a x <= 1\)"):
+            LinearProgram("t", "min", np.zeros(1), np.zeros(1), np.ones(1),
+                          csr_array(np.ones((2, 1))), np.array([-np.inf, 0.0]), np.ones(2))

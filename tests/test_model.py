@@ -353,10 +353,19 @@ class TestPolicyChecks:
         ({"s1": {"a": float("nan")}}, "finite number, got nan"),
         ({"s1": {"a": float("inf")}}, "finite number, got inf"),
         ({"s1": {"a": float("-inf")}}, "finite number, got -inf"),
+        ({"s1": {"a": "1"}}, "finite number, got '1'"),
+        ({"s1": {"a": True}}, "finite number, got True"),
+        ({"s1": {"a": False}}, "finite number, got False"),
     ])
     def test_malformed_rows_refused(self, mapping, match):
         with pytest.raises(ValueError, match=match):
             model.StationaryPolicy.from_mapping(two_state_instance(), mapping)
+
+    def test_numpy_scalars_accepted(self):
+        # library callers may pass numpy scalars; they read as the floats they hold
+        mapping = {"s1": {"a": np.float64(0.25), "b": np.float32(0.75)}, "s2": {"a": np.int64(1)}}
+        pol = model.StationaryPolicy.from_mapping(two_state_instance(), mapping)
+        assert np.array_equal(pol.probs, [0.25, 0.75, 1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_is_a_violation(self, bad):
