@@ -58,7 +58,7 @@ def _resolve_instance(args):
         raise InputError("--gen takes STATES,ACTIONS[,SEED]")
     try:
         n_states, n_actions = int(spec[0]), int(spec[1])
-        seed = int(spec[2]) if len(spec) == 3 else args.seed
+        seed = int(spec[2]) if len(spec) == 3 else 0
     except ValueError:
         raise InputError(f"--gen spec {args.gen!r} is not numeric") from None
     return model.random_instance(seed, n_states, n_actions)
@@ -191,7 +191,7 @@ def _resolve_policy(args, instance):
         return model.StationaryPolicy.from_mapping(instance, mapping)
     except OSError as e:
         raise InputError(f"cannot read policy: {e}") from None
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         raise InputError(f"bad policy file: {e}") from None
 
 
@@ -313,7 +313,7 @@ _COMMANDS = {
 def _add_instance_flags(p):
     p.add_argument("--builtin", help="bundled instance: example1, example2, endowment")
     p.add_argument("--instance", help="path to an instance file")
-    p.add_argument("--gen", help="random instance spec STATES,ACTIONS[,SEED]")
+    p.add_argument("--gen", help="random instance spec STATES,ACTIONS[,SEED] (SEED default 0)")
 
 
 def _add_common_flags(p, mean_weight=True):
@@ -321,7 +321,6 @@ def _add_common_flags(p, mean_weight=True):
     if mean_weight:
         p.add_argument("--beta", type=float, default=0.0, help="mean weight (default 0)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():

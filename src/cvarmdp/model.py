@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,7 +35,8 @@ _INSTANCE_KEYS = {"format", "name", "states", "actions", "transitions", "rewards
 
 
 class InstanceFormatError(ValueError):
-    """An instance file does not match the schema; message names the field."""
+    """An instance or policy file does not match its schema; the message
+    names the entry."""
 
 
 def _frozen(a):
@@ -216,21 +218,13 @@ class StationaryPolicy:
 
     @classmethod
     def from_mapping(cls, instance, mapping):
-        """A policy from {state: {action: probability}}; a missing pair has
-        probability 0. A row that is not an object or a probability that is
-        not a finite number raises ValueError."""
-        if not isinstance(mapping, dict):
-            raise ValueError("a policy must map states to {action: probability} objects")
-        probs = np.zeros(instance.n_pairs)
-        for state, row in mapping.items():
-            if not isinstance(row, dict):
-                raise ValueError(f"policy row {state!r} must map actions to probabilities")
-            for action, p in row.items():
-                value = float(p) if _is_number(p) else math.nan
-                if not math.isfinite(value):
-                    raise ValueError(f"probability of ({state!r}, {action!r}) must be a "
-                                     f"finite number, got {p!r}")
-                probs[instance.pair_index(state, action)] = value
+        """A policy from a policy file's {state: {action: probability}}; a
+        missing pair has probability 0. Every probability must be a finite
+        number. A malformed mapping raises InstanceFormatError naming the
+        entry's dotted path (`policy.s1.a`), and rows that do not normalize
+        raise ValueError."""
+        probs = _pair_table(mapping, "policy", instance.states, instance.actions, None,
+                            complete=False)
         pol = cls(probs)
         bad = policy_residual(instance, pol)
         if bad > PROB_TOL:
@@ -238,11 +232,7 @@ class StationaryPolicy:
         return pol
 
     def to_mapping(self, instance):
-        out = {}
-        for i, state in enumerate(instance.states):
-            lo, hi = instance.offsets[i], instance.offsets[i + 1]
-            out[state] = {a: float(p) for a, p in zip(instance.actions[i], self.probs[lo:hi])}
-        return out
+        return _pair_doc(instance, self.probs, None, omit_zero=False)
 
 
 @dataclass(frozen=True)
@@ -404,31 +394,13 @@ def validate(instance):
 def save(instance, target):
     """Write the instance as structured text to a path or a text handle;
     see `load` for the schema."""
-    doc = {"format": SCHEMA_TAG, "name": instance.name}
-    doc["states"] = list(instance.states)
-    doc["actions"] = {s: list(acts) for s, acts in zip(instance.states, instance.actions)}
-    transitions = {}
-    for i, state in enumerate(instance.states):
-        row = {}
-        for c, action in enumerate(instance.actions[i]):
-            k = instance.offsets[i] + c
-            row[action] = {instance.states[j]: float(p)
-                           for j, p in enumerate(instance.kernel[k]) if p != 0.0}
-        transitions[state] = row
-    doc["transitions"] = transitions
+    doc = {"format": SCHEMA_TAG, "name": instance.name, "states": list(instance.states),
+           "actions": {s: list(acts) for s, acts in zip(instance.states, instance.actions)},
+           "transitions": _pair_doc(instance, instance.kernel, instance.states, omit_zero=True)}
     if instance.rewards is not None:
-        doc["rewards"] = {
-            s: {a: float(instance.rewards[instance.offsets[i] + c])
-                for c, a in enumerate(instance.actions[i])}
-            for i, s in enumerate(instance.states)
-        }
+        doc["rewards"] = _pair_doc(instance, instance.rewards, None, omit_zero=False)
     else:
-        doc["rewards3"] = {
-            s: {a: {j: float(instance.rewards3[instance.offsets[i] + c, jj])
-                    for jj, j in enumerate(instance.states)}
-                for c, a in enumerate(instance.actions[i])}
-            for i, s in enumerate(instance.states)
-        }
+        doc["rewards3"] = _pair_doc(instance, instance.rewards3, instance.states, omit_zero=False)
     if hasattr(target, "write"):
         json.dump(doc, target, indent=2)
         target.write("\n")
@@ -438,30 +410,88 @@ def save(instance, target):
             fh.write("\n")
 
 
+def _pair_doc(instance, table, next_states, omit_zero):
+    """The file form of a pair table, the inverse of `_pair_table`: state ->
+    action -> table[k] for an (n_pairs,) table, or state -> action -> next
+    state -> table[k, j] for an (n_pairs, len(next_states)) one, without
+    the zero entries when omit_zero."""
+    offsets = instance.offsets.tolist()
+    values = table.tolist() if next_states is None else None
+
+    def entry(k):
+        if next_states is None:
+            return values[k]
+        cols = np.flatnonzero(table[k]) if omit_zero else np.arange(len(next_states))
+        return {next_states[j]: v for j, v in zip(cols.tolist(), table[k, cols].tolist())}
+
+    return {s: {a: entry(offsets[i] + c) for c, a in enumerate(acts)}
+            for i, (s, acts) in enumerate(zip(instance.states, instance.actions))}
+
+
 def _require(cond, msg):
     if not cond:
         raise InstanceFormatError(msg)
 
 
-def _is_number(v):
-    """A real number that is not a bool: JSON's ints and floats, and numpy's
-    scalars from library callers; strings and booleans are refused."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def _number(v, path, key):
+    """The float of entry `key` of the object at `path`: JSON's ints and
+    floats and numpy's real scalars pass if finite as floats; strings,
+    booleans, NaN, infinities and integers beyond float range are refused."""
+    # JSON's own types skip the slower abstract-class check
+    if type(v) in (float, int) or (isinstance(v, numbers.Real) and not isinstance(v, bool)):
+        try:
+            value = float(v)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise InstanceFormatError(f"'{path}.{key}' must be a finite number, got {reprlib.repr(v)}")
 
 
-def _named_block(node, path, names, kind, read):
-    """Values of the object `node` at `path`, which must have exactly the
-    keys `names`: read(child, child path, name) gives each child's values,
-    concatenated in `names` order."""
-    _require(isinstance(node, dict), f"'{path}' must be an object")
-    out = []
-    for name in names:
-        _require(name in node, f"'{path}' missing {kind} {name!r}")
-        out += read(node[name], f"{path}.{name}", name)
-    known = set(names)
-    for name in node:
-        _require(name in known, f"'{path}' names unknown {kind} {name!r}")
-    return out
+def _keys(node, path, known, kind, complete):
+    """Check that `node` at `path` is an object naming only keys of `known`,
+    and every one of them when complete."""
+    if not isinstance(node, dict):
+        raise InstanceFormatError(f"'{path}' must be an object")
+    for key in node:
+        if key not in known:
+            raise InstanceFormatError(f"'{path}' names unknown {kind} {key!r}")
+    if complete and len(node) < len(known):
+        missing = next(key for key in known if key not in node)
+        raise InstanceFormatError(f"'{path}' missing {kind} {missing!r}")
+
+
+def _pair_table(node, path, states, actions, next_states, complete):
+    """Read the pair table `node` at `path`: state -> action -> number into
+    an (n_pairs,) array, or, when next_states is given, state -> action ->
+    next state -> number into an (n_pairs, len(next_states)) one, in the
+    pair order of `states` and `actions`.
+
+    Every object names only known keys; a complete table names all of
+    them, and an incomplete one reads a missing entry as 0. Each error
+    names the entry's dotted path.
+    """
+    counts = [len(acts) for acts in actions]
+    table = np.zeros(sum(counts) if next_states is None else (sum(counts), len(next_states)))
+    state_pos = {s: i for i, s in enumerate(states)}
+    next_pos = None if next_states is None else {s: j for j, s in enumerate(next_states)}
+    offsets = np.cumsum([0] + counts).tolist()
+    _keys(node, path, state_pos, "state", complete)
+    for s, row in node.items():
+        i = state_pos[s]
+        row_path = f"{path}.{s}"
+        action_pos = {a: offsets[i] + c for c, a in enumerate(actions[i])}
+        _keys(row, row_path, action_pos, "action", complete)
+        for a, leaf in row.items():
+            k = action_pos[a]
+            if next_pos is None:
+                table[k] = _number(leaf, row_path, a)
+                continue
+            leaf_path = f"{row_path}.{a}"
+            _keys(leaf, leaf_path, next_pos, "next state", complete)
+            for j, v in leaf.items():
+                table[k, next_pos[j]] = _number(v, leaf_path, j)
+    return table
 
 
 def load(path):
@@ -472,7 +502,10 @@ def load(path):
     next state -> probability, zeros omitted), and exactly one of `rewards`
     (state -> action -> value) or `rewards3` (state -> action -> next state
     -> value, all next states listed). An optional `format` key carries the
-    schema tag; unknown keys are rejected.
+    schema tag; unknown keys are rejected at every level. Every number must
+    be a real number that converts to a finite float, so NaN, infinities and
+    integers beyond float range are refused here, with the entry's dotted
+    path (`transitions.s1.a.s2`); row sums and signs are left to `validate`.
     """
     with open(path) as fh:
         try:
@@ -493,56 +526,22 @@ def load(path):
     states = doc["states"]
     _require(isinstance(states, list) and states and all(isinstance(s, str) for s in states),
              "'states' must be a non-empty array of strings")
-    state_set = set(states)
-    _require(len(state_set) == len(states), "'states' contains duplicates")
+    _require(len(set(states)) == len(states), "'states' contains duplicates")
 
-    actions_doc = doc["actions"]
-    _require(isinstance(actions_doc, dict), "'actions' must map states to action arrays")
-    for s in actions_doc:
-        _require(s in state_set, f"'actions' names unknown state {s!r}")
+    _keys(doc["actions"], "actions", dict.fromkeys(states), "state", complete=True)
     actions = []
     for s in states:
-        _require(s in actions_doc, f"'actions' missing state {s!r}")
-        acts = actions_doc[s]
+        acts = doc["actions"][s]
         _require(isinstance(acts, list) and all(isinstance(a, str) for a in acts),
                  f"'actions.{s}' must be an array of strings")
+        _require(len(set(acts)) == len(acts), f"'actions.{s}' contains duplicates")
         actions.append(tuple(acts))
 
-    n_pairs = sum(len(a) for a in actions)
-    kernel = np.zeros((n_pairs, len(states)))
-    trans = doc["transitions"]
-    _require(isinstance(trans, dict), "'transitions' must be an object")
-    state_pos = {s: i for i, s in enumerate(states)}
-    offsets = np.concatenate([[0], np.cumsum([len(a) for a in actions])])
-    for s, row in trans.items():
-        _require(s in state_set, f"'transitions' names unknown state {s!r}")
-        _require(isinstance(row, dict), f"'transitions.{s}' must be an object")
-        i = state_pos[s]
-        for a, dist in row.items():
-            _require(a in actions[i], f"'transitions.{s}' names unknown action {a!r}")
-            _require(isinstance(dist, dict), f"'transitions.{s}.{a}' must be an object")
-            k = offsets[i] + actions[i].index(a)
-            for j, p in dist.items():
-                _require(j in state_set, f"'transitions.{s}.{a}' names unknown state {j!r}")
-                _require(_is_number(p), f"'transitions.{s}.{a}.{j}' must be a number")
-                kernel[k, state_pos[j]] = float(p)
-
-    def number(v, path, _):
-        _require(_is_number(v), f"'{path}' must be a number")
-        return [float(v)]
-
-    def next_states(row, path, _):
-        return _named_block(row, path, states, "next state", number)
-
-    def pair_rewards(row, path, s):
-        return _named_block(row, path, actions[state_pos[s]], "action",
-                            number if has_r else next_states)
-
-    # both blocks read as state -> action [-> next state] -> value
+    kernel = _pair_table(doc["transitions"], "transitions", states, actions, states,
+                         complete=False)
     key = "rewards" if has_r else "rewards3"
-    table = np.array(_named_block(doc[key], key, states, "state", pair_rewards),
-                     dtype=np.float64).reshape(n_pairs, 1 if has_r else len(states))
-    rewards, rewards3 = (table[:, 0], None) if has_r else (None, table)
+    table = _pair_table(doc[key], key, states, actions, None if has_r else states, complete=True)
+    rewards, rewards3 = (table, None) if has_r else (None, table)
 
     name = doc["name"]
     _require(isinstance(name, str), "'name' must be a string")

@@ -188,7 +188,7 @@ class TestExitCodes:
         path.write_text(path.read_text().replace('"s2": 1.0', '"s2": NaN', 1))
         code, _, err = run(capsys, command, "--instance", str(path), "--alpha", "0.5", *extra)
         assert code == 2
-        assert "non-finite transition probability" in err
+        assert err == "error: 'transitions.s1.a12.s2' must be a finite number, got nan\n"
 
     @pytest.mark.parametrize("builtin, edit, field", [
         ("example2", lambda r: r.update({"1": ["1"]}), "'rewards.1' must be an object"),
@@ -209,16 +209,17 @@ class TestExitCodes:
         assert err == f"error: {field}\n"
 
     @pytest.mark.parametrize("policy, message", [
-        ([["1", "1"]], "a policy must map states to {action: probability} objects"),
-        ({"1": [1.0]}, "policy row '1' must map actions to probabilities"),
-        ({"1": {"1": None}}, "probability of ('1', '1') must be a finite number, got None"),
-        ({"1": {"1": float("nan")}}, "probability of ('1', '1') must be a finite number, got nan"),
-        ({"1": {"1": float("inf")}}, "probability of ('1', '1') must be a finite number, got inf"),
-        ({"1": {"1": float("-inf")}},
-         "probability of ('1', '1') must be a finite number, got -inf"),
-        ({"1": {"1": "1"}}, "probability of ('1', '1') must be a finite number, got '1'"),
-        ({"1": {"1": True}}, "probability of ('1', '1') must be a finite number, got True"),
-        ({"1": {"1": False}}, "probability of ('1', '1') must be a finite number, got False"),
+        ([["1", "1"]], "'policy' must be an object"),
+        ({"1": [1.0]}, "'policy.1' must be an object"),
+        ({"1": {"1": None}}, "'policy.1.1' must be a finite number, got None"),
+        ({"1": {"1": float("nan")}}, "'policy.1.1' must be a finite number, got nan"),
+        ({"1": {"1": float("inf")}}, "'policy.1.1' must be a finite number, got inf"),
+        ({"1": {"1": float("-inf")}}, "'policy.1.1' must be a finite number, got -inf"),
+        ({"1": {"1": "1"}}, "'policy.1.1' must be a finite number, got '1'"),
+        ({"1": {"1": True}}, "'policy.1.1' must be a finite number, got True"),
+        ({"1": {"1": False}}, "'policy.1.1' must be a finite number, got False"),
+        ({"4": {"1": 1.0}}, "'policy' names unknown state '4'"),
+        ({"1": {"9": 1.0}}, "'policy.1' names unknown action '9'"),
     ])
     def test_malformed_policy_file(self, capsys, tmp_path, policy, message):
         path = tmp_path / "policy.json"
@@ -227,6 +228,27 @@ class TestExitCodes:
                            "--policy", str(path), "--alpha", "0.7", "--T", "5")
         assert code == 2
         assert err == f"error: bad policy file: {message}\n"
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_integer_beyond_float_range(self, capsys, tmp_path, command):
+        # json parses a 401-digit integer exactly; float() of it overflows
+        path = tmp_path / "inst.json"
+        assert run(capsys, "gen", "--seed", "1", "--states", "2", "--actions", "2",
+                   "--out", str(path))[0] == 0
+        huge = 10**400
+        if command == "solve":
+            doc = json.loads(path.read_text())
+            doc["rewards"]["s1"]["a1"] = huge
+            path.write_text(json.dumps(doc))
+            extra, where = (), "'rewards.s1.a1'"
+        else:
+            policy = tmp_path / "p.json"
+            policy.write_text(json.dumps({"s1": {"a1": huge}, "s2": {"a1": 1.0}}))
+            extra, where = ("--policy", str(policy), "--T", "3"), "bad policy file: 'policy.s1.a1'"
+        code, out, err = run(capsys, command, "--instance", str(path), "--alpha", "0.5", *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {where} must be a finite number, got 1000")
+        assert len(err) < 200
 
     def test_solver_failure_is_exit_3(self, capsys, monkeypatch):
         def boom(*a, **k):
@@ -501,6 +523,11 @@ class TestUnusedFlagsRejected:
         ("simulate", "--builtin", "example1", "--policy", "example1", "--tol", "1e-3"),
         ("simulate", "--builtin", "example1", "--policy", "example1", "--beta", "0.5"),
         ("gen", "--seed", "7", "--json"),
+        ("solve", "--builtin", "example2", "--alpha", "0.7", "--seed", "99"),
+        ("enumerate", "--builtin", "example2", "--seed", "1"),
+        ("simulate", "--builtin", "example1", "--policy", "example1", "--seed", "1"),
+        ("check", "--gen", "2,2", "--seed", "1"),
+        ("scan", "--instance", "inst.json", "--alpha", "0.7", "--seed", "1"),
     ])
     def test_argparse_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

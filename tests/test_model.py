@@ -1,7 +1,12 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from test_chains import sparse_kernels
 
 from cvarmdp import chains, evaluate, model, risk, solver
@@ -160,6 +165,25 @@ class TestValidateNonFinite:
             "('s1', 'a')", "non-finite transition probability", 1.0)
 
 
+_names = st.text(alphabet="ab.(0,)", min_size=1, max_size=4)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def file_instances(draw):
+    """Instances a file can hold: names with dots, unequal action counts,
+    a kernel with zeros and any finite numbers, either reward kind."""
+    states = draw(st.lists(_names, min_size=1, max_size=4, unique=True))
+    actions = [draw(st.lists(_names, min_size=1, max_size=3, unique=True)) for _ in states]
+    shape = (sum(map(len, actions)), len(states))
+    kernel = draw(arrays(np.float64, shape, elements=st.one_of(st.just(0.0), _finite)))
+    if draw(st.booleans()):
+        rewards = {"rewards3": draw(arrays(np.float64, shape, elements=_finite))}
+    else:
+        rewards = {"rewards": draw(arrays(np.float64, shape[0], elements=_finite))}
+    return model.MdpInstance(draw(st.text(max_size=5)), states, actions, kernel, **rewards)
+
+
 class TestFileRoundTrip:
     @pytest.mark.parametrize("name", ["example1", "example2", "endowment"])
     def test_round_trip_identity(self, name, tmp_path):
@@ -170,6 +194,39 @@ class TestFileRoundTrip:
         assert again == inst
         assert again.states == inst.states
         assert again.actions == inst.actions
+
+    @given(file_instances())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip_property(self, tmp_path, inst):
+        path = tmp_path / "inst.json"
+        model.save(inst, path)
+        assert model.load(path) == inst
+
+    @given(file_instances(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_policy_round_trip_is_bit_exact(self, inst, seed):
+        rng = np.random.default_rng(seed)
+        weights = np.where(rng.random(inst.n_pairs) < 0.6, rng.random(inst.n_pairs), 0.0)
+        weights[inst.offsets[:-1]] += 0.5  # no state without an action
+        pol = model.StationaryPolicy(
+            weights / np.add.reduceat(weights, inst.offsets[:-1])[inst.pair_state])
+        mapping = json.loads(json.dumps(pol.to_mapping(inst)))
+        assert model.StationaryPolicy.from_mapping(inst, mapping).probs.tobytes() == \
+            pol.probs.tobytes()
+
+    def test_readme_instance(self, tmp_path):
+        # the documented format is what `load` reads and `save` writes
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Instance files", 1)[1]
+        doc = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(doc))
+        inst = model.load(path)
+        assert model.validate(inst).ok
+        model.save(inst, path)
+        assert json.loads(path.read_text()) == doc
+        assert model.load(path) == inst
 
     def test_triple_mode_flagged(self, tmp_path):
         path = tmp_path / "endow.json"
@@ -206,8 +263,6 @@ class TestFileRoundTrip:
             model.load(path)
 
     def test_missing_reward_field_named(self, tmp_path):
-        import json
-
         path = tmp_path / "inst.json"
         model.save(two_state_instance(), path)
         doc = json.loads(path.read_text())
@@ -229,12 +284,54 @@ class TestFileRoundTrip:
          "'rewards3.(0,0.2).0.5' names unknown next state '(2,0.2)'"),
     ])
     def test_unknown_reward_key_refused(self, tmp_path, builtin, edit, message):
-        import json
-
         path = tmp_path / "inst.json"
         model.save(model.builtin(builtin), path)
         doc = json.loads(path.read_text())
         edit(doc["rewards" if "rewards" in doc else "rewards3"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(model.InstanceFormatError) as err:
+            model.load(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update({"actions": [["a", "b"], ["a"]]}), "'actions' must be an object"),
+        (lambda d: d["actions"].update({"s3": ["a"]}), "'actions' names unknown state 's3'"),
+        (lambda d: d["actions"].pop("s2"), "'actions' missing state 's2'"),
+        (lambda d: d["actions"].update({"s1": "ab"}), "'actions.s1' must be an array of strings"),
+        (lambda d: d["actions"].update({"s1": ["a", 2]}),
+         "'actions.s1' must be an array of strings"),
+        (lambda d: d["actions"].update({"s1": ["a", "a"]}), "'actions.s1' contains duplicates"),
+        (lambda d: d.update({"transitions": []}), "'transitions' must be an object"),
+        (lambda d: d["transitions"].update({"s3": {}}), "'transitions' names unknown state 's3'"),
+        (lambda d: d["transitions"].update({"s1": [0.7, 0.3]}),
+         "'transitions.s1' must be an object"),
+        (lambda d: d["transitions"]["s1"].update({"c": {}}),
+         "'transitions.s1' names unknown action 'c'"),
+        (lambda d: d["transitions"]["s1"].update({"a": 1.0}),
+         "'transitions.s1.a' must be an object"),
+        (lambda d: d["transitions"]["s1"]["a"].update({"s3": 0.0}),
+         "'transitions.s1.a' names unknown next state 's3'"),
+        (lambda d: d["transitions"]["s1"]["a"].update({"s2": "0.3"}),
+         "'transitions.s1.a.s2' must be a finite number, got '0.3'"),
+        (lambda d: d["transitions"]["s1"]["a"].update({"s2": None}),
+         "'transitions.s1.a.s2' must be a finite number, got None"),
+        (lambda d: d["transitions"]["s1"]["a"].update({"s2": True}),
+         "'transitions.s1.a.s2' must be a finite number, got True"),
+        (lambda d: d["transitions"]["s1"]["a"].update({"s2": float("nan")}),
+         "'transitions.s1.a.s2' must be a finite number, got nan"),
+        (lambda d: d["transitions"]["s1"]["a"].update({"s2": -10**400}),
+         "'transitions.s1.a.s2' must be a finite number, got "
+         "-10000000000000000...0000000000000000000"),
+        (lambda d: d["rewards"]["s2"].update({"a": float("inf")}),
+         "'rewards.s2.a' must be a finite number, got inf"),
+        (lambda d: d["rewards"]["s1"].update({"b": 10**400}),
+         "'rewards.s1.b' must be a finite number, got 100000000000000000...0000000000000000000"),
+    ])
+    def test_malformed_entry_named(self, tmp_path, edit, message):
+        path = tmp_path / "inst.json"
+        model.save(two_state_instance(), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(model.InstanceFormatError) as err:
             model.load(path)
@@ -347,8 +444,8 @@ class TestExtractPolicy:
 
 class TestPolicyChecks:
     @pytest.mark.parametrize("mapping, match", [
-        ([["s1", "a"]], "must map states"),
-        ({"s1": ["a"]}, "policy row 's1'"),
+        ([["s1", "a"]], "'policy' must be an object"),
+        ({"s1": ["a"]}, "'policy.s1' must be an object"),
         ({"s1": {"a": None}}, "finite number, got None"),
         ({"s1": {"a": float("nan")}}, "finite number, got nan"),
         ({"s1": {"a": float("inf")}}, "finite number, got inf"),
@@ -356,6 +453,9 @@ class TestPolicyChecks:
         ({"s1": {"a": "1"}}, "finite number, got '1'"),
         ({"s1": {"a": True}}, "finite number, got True"),
         ({"s1": {"a": False}}, "finite number, got False"),
+        ({"s3": {"a": 1.0}}, "'policy' names unknown state 's3'"),
+        ({"s1": {"c": 1.0}}, "'policy.s1' names unknown action 'c'"),
+        ({"s1": {"a": 10**400}}, "'policy.s1.a' must be a finite number, got 1000"),
     ])
     def test_malformed_rows_refused(self, mapping, match):
         with pytest.raises(ValueError, match=match):
