@@ -155,7 +155,7 @@ def cmd_enumerate(args):
     instance = _validated_instance(args)
     params = risk.RiskParams(args.alpha, args.beta)
     table = solver.enumerate_deterministic(instance, params)
-    optimum = lp.solve(lp.build_dual_lp(instance, params)).objective
+    optimum = solver.solve_cvar(instance, params).v_star
     order = np.argsort(-table.combined, kind="stable")
     best = float(table.combined[table.best_index])
     gap = optimum - best
@@ -186,9 +186,7 @@ def _resolve_policy(args, instance):
             raise InputError("--policy example1 only applies to the example1 instance")
         return evaluate.example1_policy(args.T)
     try:
-        with open(args.policy) as fh:
-            mapping = json.load(fh)
-        return model.StationaryPolicy.from_mapping(instance, mapping)
+        return model.StationaryPolicy.from_mapping(instance, model.read_json(args.policy))
     except OSError as e:
         raise InputError(f"cannot read policy: {e}") from None
     except ValueError as e:

@@ -12,15 +12,13 @@ and `reward_atoms`: from triplets (`_matrix`), from a dense block
 (`_dense`), and by stacking row blocks (`_stack`). No sparse-matrix
 library is imported, so solving loads none.
 
-`solve` and `solve_sweep` load a program into one HiGHS simplex model
-(basic solutions, deterministic for identical input) and re-check every
-point against the row and column bounds. They return only optimal points
-that pass the re-check: any other outcome, an infeasible or unbounded
-program among them, raises `LpSolveError`. `solve` runs one cost and reads
-the shadow prices too; `solve_sweep` runs a sequence of objectives on the
-same model, so each objective after the first starts from the previous
-optimal basis, which backs the endpoint scan, whose average programs
-differ only in their costs. The simplex direction is the program's own
+`solve` and `solve_sweep` run one loop, `_solve_costs`, on one HiGHS
+simplex model (basic solutions, deterministic for identical input), and
+return only optimal points that pass a re-check against the row and
+column bounds, each with its shadow prices; any other outcome, an
+infeasible or unbounded program among them, raises `LpSolveError`. The
+sweep backs the endpoint scan, whose average programs differ only in
+their costs. The simplex direction is the program's own
 (`LinearProgram.simplex`), set by its builder: `build_level_lp`, which
 dualises the occupation polytope, pivots primal, because dual simplex
 takes thousands of iterations on it where primal takes hundreds; every
@@ -266,7 +264,7 @@ class LinearProgram:
 @dataclass(frozen=True)
 class LpSolution:
     """The optimal, re-checked point of `solve`, or of one cost of
-    `solve_sweep` (which leaves duals None); any other outcome raises.
+    `solve_sweep`; any other outcome raises.
 
     objective is the program's objective at x, recomputed in its own sense.
     x holds the point in the program's column order, and duals the shadow
@@ -288,7 +286,7 @@ class LpSolution:
     residual: float
     mismatch: float
     nit: int
-    duals: np.ndarray | None = None
+    duals: np.ndarray
 
 
 def _recheck(lp, cost, x, backend_objective, name):
@@ -366,19 +364,21 @@ def _run_highs(h, name):
                        int(info.simplex_iteration_count), np.array(sol.row_dual))
 
 
-def _sign(lp):
-    """+1 for a "min" program, -1 for a "max" one, which HiGHS minimises negated."""
-    return 1.0 if lp.sense == "min" else -1.0
-
-
-def _solution(h, lp, cost, name, duals):
-    """Run h, which minimises _sign(lp) * cost, re-check its point and wrap
-    it as an `LpSolution`, with shadow prices when duals is true."""
-    sign = _sign(lp)
-    point = _run_highs(h, name)
-    objective, residual, mismatch = _recheck(lp, cost, point.x, sign * point.fun, name)
-    return LpSolution(objective, point.x, residual, mismatch, point.nit,
-                      sign * point.row_dual if duals else None)
+def _solve_costs(lp, costs, names):
+    """`solve_sweep`'s loop, naming point i names[i] in its errors."""
+    sign = 1.0 if lp.sense == "min" else -1.0  # HiGHS minimises a "max" program negated
+    cols = np.arange(lp.c.size, dtype=np.int32)
+    h, out = None, []
+    for cost, name in zip(costs, names):
+        if h is None:
+            h = _highs_model(lp, sign * cost)
+        else:
+            h.changeColsCost(cols.size, cols, sign * cost)
+        point = _run_highs(h, name)
+        objective, residual, mismatch = _recheck(lp, cost, point.x, sign * point.fun, name)
+        out.append(LpSolution(objective, point.x, residual, mismatch, point.nit,
+                              sign * point.row_dual))
+    return out
 
 
 def solve(lp):
@@ -392,7 +392,7 @@ def solve(lp):
     Identical programs yield identical solutions across runs, and
     `solve_sweep(lp, [lp.c])[0]` runs the same model to the same point.
     """
-    return _solution(_highs_model(lp, _sign(lp) * lp.c), lp, lp.c, lp.name, duals=True)
+    return _solve_costs(lp, [lp.c], [lp.name])[0]
 
 
 def solve_sweep(lp, costs):
@@ -402,20 +402,11 @@ def solve_sweep(lp, costs):
     All points share one HiGHS model: the first cost runs cold, exactly as
     `solve` would run it, and each later one only changes the costs, so
     the simplex starts from the previous optimal basis. Every point is
-    re-checked as in `solve`; duals are not collected. The first cost that
-    is not solved to optimality raises `LpSolveError` naming the program
-    and the cost's index.
+    re-checked as in `solve` and carries its shadow prices. The first cost
+    that is not solved to optimality raises `LpSolveError` naming the
+    program and the cost's index.
     """
-    sign = _sign(lp)
-    cols = np.arange(lp.c.size, dtype=np.int32)
-    h, out = None, []
-    for i, cost in enumerate(costs):
-        if h is None:
-            h = _highs_model(lp, sign * cost)
-        else:
-            h.changeColsCost(cols.size, cols, sign * cost)
-        out.append(_solution(h, lp, cost, f"{lp.name} [cost {i}]", duals=False))
-    return out
+    return _solve_costs(lp, costs, [f"{lp.name} [cost {i}]" for i in range(len(costs))])
 
 
 # -- blocks ---------------------------------------------------------------------

@@ -448,11 +448,32 @@ def _number(v, path, key):
     raise InstanceFormatError(f"'{path}.{key}' must be a finite number, got {reprlib.repr(v)}")
 
 
+class _Doubled(dict):
+    """A file's object that names the key `twice` more than once."""
+
+
+def read_json(path):
+    """The JSON document in an instance or policy file. An object that
+    names a key twice comes back as a `_Doubled`, which `_keys` refuses:
+    a plain dict would keep the last value silently."""
+    def pairs_hook(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            obj = _Doubled(obj)
+            obj.twice = next(k for i, k in enumerate(keys) if k in keys[:i])
+        return obj
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=pairs_hook)
+
+
 def _keys(node, path, known, kind, complete):
     """Check that `node` at `path` is an object naming only keys of `known`,
-    and every one of them when complete."""
+    each once, and every one of them when complete."""
     if not isinstance(node, dict):
         raise InstanceFormatError(f"'{path}' must be an object")
+    if isinstance(node, _Doubled):
+        raise InstanceFormatError(f"'{path}' names {kind} {node.twice!r} twice")
     for key in node:
         if key not in known:
             raise InstanceFormatError(f"'{path}' names unknown {kind} {key!r}")
@@ -502,17 +523,18 @@ def load(path):
     next state -> probability, zeros omitted), and exactly one of `rewards`
     (state -> action -> value) or `rewards3` (state -> action -> next state
     -> value, all next states listed). An optional `format` key carries the
-    schema tag; unknown keys are rejected at every level. Every number must
+    schema tag; unknown or doubled keys are refused everywhere. Every number must
     be a real number that converts to a finite float, so NaN, infinities and
     integers beyond float range are refused here, with the entry's dotted
     path (`transitions.s1.a.s2`); row sums and signs are left to `validate`.
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InstanceFormatError(f"{path}: not valid structured text at line {e.lineno}, column {e.colno}") from None
+    try:
+        doc = read_json(path)
+    except json.JSONDecodeError as e:
+        raise InstanceFormatError(f"{path}: not valid structured text at line {e.lineno}, column {e.colno}") from None
     _require(isinstance(doc, dict), "top level must be an object")
+    if isinstance(doc, _Doubled):
+        raise InstanceFormatError(f"top level names key {doc.twice!r} twice")
     unknown = set(doc) - _INSTANCE_KEYS
     _require(not unknown, f"unknown top-level keys: {sorted(unknown)}")
     tag = doc.get("format", SCHEMA_TAG)

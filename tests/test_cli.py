@@ -94,6 +94,18 @@ class TestSolveCommand:
         assert code == 0
         assert abs(doc["primal_value"] - doc["value"]) <= solver.CERT_TOL
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
+    def test_wide_reward_range_certifies(self, capsys, tmp_path):
+        # every tolerance on the solve path is absolute, so rewards in
+        # [0, 1e8] leave a left gap near 6.7e-6 and the run uncertified
+        path = tmp_path / "wide.json"
+        assert run(capsys, "gen", "--seed", "1", "--states", "60", "--actions", "4",
+                   "--reward-range", "0", "100000000", "--out", str(path))[0] == 0
+        code, doc, err = run_json(capsys, "solve", "--instance", str(path),
+                                  "--alpha", "0.8", "--beta", "0.5")
+        assert (code, err) == (0, "")
+        assert "uncertified" not in doc["flags"]
+
     def test_generated_source(self, capsys):
         code, doc, _ = run_json(capsys, "solve", "--gen", "3,2,5", "--alpha", "0.6")
         assert code == 0
@@ -228,6 +240,25 @@ class TestExitCodes:
                            "--policy", str(path), "--alpha", "0.7", "--T", "5")
         assert code == 2
         assert err == f"error: bad policy file: {message}\n"
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("solve", '{"name": "dup", "states": ["s1"], "actions": {"s1": ["a"]}, '
+                  '"transitions": {"s1": {"a": {"s1": 0.5, "s1": 1.0}}}, '
+                  '"rewards": {"s1": {"a": 1.0, "a": 7.0}}}',
+         "'transitions.s1.a' names next state 's1' twice"),
+        ("simulate", '{"1": {"1": 0.0, "1": 1.0}, "2": {"1": 1.0}, "3": {"1": 1.0}}',
+         "bad policy file: 'policy.1' names action '1' twice"),
+    ], ids=["instance", "policy"])
+    def test_doubled_key_refused(self, capsys, tmp_path, command, text, message):
+        # plain JSON keeps the last value: the instance solved to 7.0 and the
+        # policy played action 1 in state 1
+        path = tmp_path / "doubled.json"
+        path.write_text(text)
+        source = (("--instance", str(path)) if command == "solve" else
+                  ("--builtin", "example2", "--policy", str(path), "--T", "5"))
+        code, out, err = run(capsys, command, *source, "--alpha", "0.7")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["solve", "simulate"])
     def test_integer_beyond_float_range(self, capsys, tmp_path, command):

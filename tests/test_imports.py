@@ -40,3 +40,27 @@ def test_every_module_import_is_used(path):
     unused = [name for name in module_imports(tree)
               if name not in used and (path.stem, name) not in RE_EXPORTS]
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def lp_program_reads(tree):
+    """The names of `lp` the module reads that build or solve a program:
+    `lp.solve`, `lp.solve_sweep` and `lp.build_*`, as attributes of `lp` or
+    imported from it."""
+    def runs(name):
+        return name in ("solve", "solve_sweep") or name.startswith("build_")
+    reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "lp" and runs(node.attr)}
+    reads |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and node.module in ("lp", "cvarmdp.lp") and node.level <= 1
+              for alias in node.names if runs(alias.name)}
+    return reads
+
+
+def test_only_solver_runs_programs():
+    """`solver` is the one module that builds and solves linear programs;
+    every other module asks it for a solve. The package's `__init__` only
+    re-exports names and runs nothing."""
+    reads = {path.name: sorted(lp_program_reads(ast.parse(path.read_text(), filename=str(path))))
+             for path in sorted(SRC.glob("*.py"))
+             if path.stem not in ("__init__", "lp", "solver")}
+    assert not {name: names for name, names in reads.items() if names}

@@ -178,7 +178,7 @@ class TestSolveSweep:
             assert first.status == "optimal"
             assert first.objective == cold.objective
             assert np.array_equal(first.x, cold.x)
-            assert first.duals is None
+            assert np.array_equal(first.duals, cold.duals)
             assert 0.0 <= first.residual <= lp.FEASIBILITY_TOL
 
     @settings(max_examples=40, deadline=None)
@@ -194,6 +194,19 @@ class TestSolveSweep:
             cold = lp.solve(lp.build_average_lp(inst, float(y), params))
             assert point.status == cold.status == "optimal"
             assert abs(point.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(sparse_kernels(), sparse_kernels(rewards3=True)),
+           st.sampled_from([0.0, 0.5, 0.9]), st.sampled_from([0.0, 0.5]))
+    def test_every_point_prices_its_norm_row_at_its_objective(self, inst, alpha, beta):
+        # strong duality: the average program's rows are the balance rows,
+        # priced by the bias, and the norm row last, priced by the gain
+        params = risk.RiskParams(alpha, beta)
+        ys = risk.breakpoints(inst)
+        prog = lp.build_average_lp(inst, float(ys[0]), params)
+        for point in lp.solve_sweep(prog, risk.saddle_coefficient_rows(inst, ys, params)):
+            assert point.duals.shape == (prog.A.shape[0],) == (inst.n_states + 1,)
+            assert abs(point.duals[-1] - point.objective) <= 1e-9 * max(1.0, abs(point.objective))
 
     def test_recheck_refuses_at_negative_tolerance(self, monkeypatch):
         inst, params = model.builtin("example2"), risk.RiskParams(0.7)

@@ -337,6 +337,37 @@ class TestFileRoundTrip:
             model.load(path)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("old, new, message", [
+        ('"name": ', '"name": "x", "name": ', "top level names key 'name' twice"),
+        ('"actions": {', '"actions": {"s1": ["a"], ', "'actions' names state 's1' twice"),
+        ('"transitions": {', '"transitions": {"s2": {}, ', "'transitions' names state 's2' twice"),
+        ('{"s1": {"a": {', '{"s1": {"b": {}, "a": {', "'transitions.s1' names action 'b' twice"),
+        ('"s1": 0.7, ', '"s1": 0.7, "s1": 0.0, ', "'transitions.s1.a' names next state 's1' twice"),
+        ('"rewards": {"s1": {', '"rewards": {"s1": {"a": 7.0, ',
+         "'rewards.s1' names action 'a' twice"),
+    ], ids=["top", "actions", "transitions", "transitions.s1", "transitions.s1.a", "rewards.s1"])
+    def test_doubled_key_named(self, tmp_path, old, new, message):
+        # JSON itself keeps the last of two equal keys; a file must not rely on that
+        path = tmp_path / "inst.json"
+        model.save(two_state_instance(), path)
+        text = json.dumps(json.loads(path.read_text()))
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(model.InstanceFormatError) as err:
+            model.load(path)
+        assert str(err.value) == message
+
+    def test_doubled_next_state_reward_named(self, tmp_path):
+        path = tmp_path / "inst.json"
+        model.save(model.builtin("endowment"), path)
+        text = json.dumps(json.loads(path.read_text()))
+        old = '"rewards3": {"(0,0.2)": {"0.5": {'
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, old + '"(0,0.2)": 0.0, '))
+        with pytest.raises(model.InstanceFormatError) as err:
+            model.load(path)
+        assert str(err.value) == "'rewards3.(0,0.2).0.5' names next state '(0,0.2)' twice"
+
 
 class TestBuiltins:
     def test_example2_reward_entry(self):
