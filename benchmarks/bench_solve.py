@@ -10,24 +10,34 @@ and 400x4 from perfbench's `sparse_instance` (3 successors plus a ring edge
 per pair, K = 24). `verify_saddle` runs at the solve sizes and sparse
 1000x4 on the default solve's x*, v* and certificate level; its time
 leaves the solve out. `solve_cvar(mode="dual-primal")` (the occupation LP
-plus the minimax level LP) runs at dense 8x3 and 20x4 and sparse 100x4,
-400x4 and 1000x4. Scan sizes:
+plus the minimax level LP) runs at dense 8x3 and 20x4, sparse 100x4,
+400x4 and 1000x4, and "sparse3" 400x4: the sparse instance with
+next-state rewards, each (pair, next state) entry drawn from the same
+24-value grid, so that a pair pays several rewards. Scan sizes:
 `solver.endpoint_scan_oracle` (what `cvarmdp scan` runs: one warm-started
-`lp.solve_sweep` of the average LP over the K reward values, each point
-starting from the previous optimal basis, plus one level LP) on sparse
-100x4 and 400x4 (K = 24) and dense 20x4 (K = 80). Everything runs at alpha = 0.8, beta = 0.5 for seeds
-1..--seeds, once each after a warm-up; solve times cover the whole
-`solve_cvar` call, certificates included. The worst left, right (and, for
-`verify_saddle`, oracle) gaps per size show tolerance drift as instances
-grow. A run that raises `LpSolveError`, `SolverError` or
-`CapExceededError` is listed under `failures` and left out of the times.
+`lp.solve_sweep` of the average LP over the K reward values, each later
+point pivoting from the previous optimal basis, plus one level LP) on
+sparse 100x4, 400x4 and 1000x4 (K = 24) and dense 20x4 (K = 80).
+Everything runs at alpha = 0.8, beta = 0.5 for seeds 1..--seeds, once
+each after a warm-up; solve times cover the whole `solve_cvar` call,
+certificates included. The worst left, right (and, for `verify_saddle`,
+oracle) gaps per size show tolerance drift as instances grow. A run that
+raises `LpSolveError`, `SolverError` or `CapExceededError` is listed
+under `failures` and left out of the times.
+
+The scan and dual-primal rows also give, as medians over the seeds and
+outside the timed call, the level LP's rows, cols and nnz; the scan rows
+give the sweep's hot iterations, HiGHS's simplex iterations summed over
+the sweep's points 1..K-1 (a dual-primal solve runs no sweep).
 
 The result is stored under `--label` in the output file; other labels
 already there are kept, so runs of two versions of the package (put each
 on PYTHONPATH in turn) land side by side in one file. `--skip` leaves a
-size out of every table. The `before` run in BENCH_solve.json (the level
-LP on dual simplex) skips sparse-1000x4: there that level LP did not
-finish in 600 s, so `verify_saddle` and `dual-primal` could not be timed.
+size out of every table. In BENCH_solve.json, `before` is the package
+with one excess column per paid (pair, atom) in the level LP and every
+sweep point on dual simplex, and `after` the package with one excess
+column per paid reward value and the sweep's later points on primal
+simplex, both run from this script on one machine.
 """
 
 import argparse
@@ -35,6 +45,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -58,10 +70,12 @@ DUAL_PRIMAL = (
     ("sparse", 100, 4),
     ("sparse", 400, 4),
     ("sparse", 1000, 4),
+    ("sparse3", 400, 4),
 )
 SCANS = (
     ("sparse", 100, 4),
     ("sparse", 400, 4),
+    ("sparse", 1000, 4),
     ("dense", 20, 4),
 )
 PARAMS = risk.RiskParams(0.8, 0.5)
@@ -71,15 +85,24 @@ FAILURES = (lp.LpSolveError, solver.SolverError, model.CapExceededError)
 def make_instance(kind, seed, n_states, n_actions):
     if kind == "dense":
         return model.random_instance(seed, n_states, n_actions)
-    return sparse_instance(seed, n_states, n_actions)
+    inst = sparse_instance(seed, n_states, n_actions)
+    if kind == "sparse":
+        return inst
+    grid = np.unique(inst.rewards)  # "sparse3": next-state rewards on the same grid
+    rewards3 = grid[np.random.default_rng([seed, 3]).integers(grid.size, size=inst.kernel.shape)]
+    return model.MdpInstance(f"{inst.name}-rewards3", inst.states, inst.actions, inst.kernel,
+                             rewards3=rewards3)
 
 
-def _runs(kind, n_states, n_actions, seeds, call, prepare=None):
+def _runs(kind, n_states, n_actions, seeds, call, prepare=None, counts=None):
     """Time call(prepare(instance)) once per seed; prepare is not timed.
-    Returns the size's row and the calls' results."""
-    times, results, failures = [], [], []
+    counts(instance), also untimed, gives a dict of counts per seed, whose
+    medians join the row. Returns the size's row and the calls' results."""
+    times, results, failures, counted = [], [], [], []
     for seed in range(1, seeds + 1):
         inst = make_instance(kind, seed, n_states, n_actions)
+        if counts is not None:
+            counted.append(counts(inst))
         arg = inst if prepare is None else prepare(inst)
         t0 = time.perf_counter()
         try:
@@ -98,7 +121,24 @@ def _runs(kind, n_states, n_actions, seeds, call, prepare=None):
         "failures": failures,
         "wall_s": _wall(times),
     }
+    for name in counted[0] if counted else ():
+        row[name] = statistics.median(c[name] for c in counted)
     return row, results
+
+
+def level_lp_counts(inst):
+    """The level LP's rows, cols and nnz."""
+    a = lp.build_level_lp(inst, PARAMS).A
+    return {"level_rows": a.shape[0], "level_cols": a.shape[1], "level_nnz": int(a.data.size)}
+
+
+def scan_counts(inst):
+    """`level_lp_counts` plus the sweep's hot iterations: its HiGHS
+    iterations after the first point, on the scan's own sweep."""
+    ys = risk.breakpoints(inst)
+    sweep = lp.solve_sweep(lp.build_average_lp(inst, float(ys[0]), PARAMS),
+                           risk.saddle_coefficient_rows(inst, ys, PARAMS))
+    return {"sweep_hot_nit": sum(point.nit for point in sweep[1:]), **level_lp_counts(inst)}
 
 
 GAPS = {"left": "saddle_left_gap", "right": "saddle_right_gap", "oracle": "oracle_gap"}
@@ -112,7 +152,8 @@ def _worst(reports, row, names=("left", "right")):
 
 def bench_size(kind, n_states, n_actions, seeds, mode="dual"):
     row, sols = _runs(kind, n_states, n_actions, seeds,
-                      lambda inst: solver.solve_cvar(inst, PARAMS, mode=mode))
+                      lambda inst: solver.solve_cvar(inst, PARAMS, mode=mode),
+                      counts=None if mode == "dual" else level_lp_counts)
     row["certified"] = sum(s.certificates.certified for s in sols)
     if mode != "dual":
         row["worst_primal_gap"] = max((abs(s.primal_value - s.v_star) for s in sols),
@@ -141,7 +182,7 @@ def _wall(times):
 
 def bench_scan(kind, n_states, n_actions, seeds):
     return _runs(kind, n_states, n_actions, seeds,
-                 lambda inst: solver.endpoint_scan_oracle(inst, PARAMS))[0]
+                 lambda inst: solver.endpoint_scan_oracle(inst, PARAMS), counts=scan_counts)[0]
 
 
 def _fmt(x, spec):
@@ -150,8 +191,12 @@ def _fmt(x, spec):
 
 def _report(what, row):
     wall = row["wall_s"]
-    line = (f"{what:11s} {row['kind']:6s} {row['states']:4d}x{row['actions']}  "
+    line = (f"{what:11s} {row['kind']:7s} {row['states']:4d}x{row['actions']}  "
             f"K={row['distinct_rewards']:4d}  median {_fmt(wall and wall['median'], '8.3f')} s")
+    if "sweep_hot_nit" in row:
+        line += f"  hot it {row['sweep_hot_nit']:g}"
+    if "level_rows" in row:
+        line += f"  level {row['level_rows']:g}x{row['level_cols']:g} nnz {row['level_nnz']:g}"
     for name in ("left", "right", "oracle", "primal"):
         if f"worst_{name}_gap" in row:
             line += f"  {name} {_fmt(row[f'worst_{name}_gap'], '.2g')}"

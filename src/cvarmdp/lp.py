@@ -18,12 +18,14 @@ return only optimal points that pass a re-check against the row and
 column bounds, each with its shadow prices; any other outcome, an
 infeasible or unbounded program among them, raises `LpSolveError`. The
 sweep backs the endpoint scan, whose average programs differ only in
-their costs. The simplex direction is the program's own
+their costs. A first cost pivots in the program's own direction
 (`LinearProgram.simplex`), set by its builder: `build_level_lp`, which
 dualises the occupation polytope, pivots primal, because dual simplex
 takes thousands of iterations on it where primal takes hundreds; every
 other program pivots dual, the faster direction on the occupation
-programs.
+programs from a cold start. Every later cost of a sweep pivots primal
+from the previous optimal basis, which a change of costs alone leaves
+primal feasible.
 `Variable` and `Constraint` are a row-by-row view: `LinearProgram.from_rows`
 builds a hand-written program from named ones, and `variables`,
 `constraints` and `objective` give any program back in that form, its
@@ -373,6 +375,8 @@ def _solve_costs(lp, costs, names):
         if h is None:
             h = _highs_model(lp, sign * cost)
         else:
+            if len(out) == 1:  # the second cost: see `solve_sweep`
+                h.setOptionValue("simplex_strategy", SIMPLEX["primal"])
             h.changeColsCost(cols.size, cols, sign * cost)
         point = _run_highs(h, name)
         objective, residual, mismatch = _recheck(lp, cost, point.x, sign * point.fun, name)
@@ -400,11 +404,14 @@ def solve_sweep(lp, costs):
     itself is not used), returning one `LpSolution` per cost.
 
     All points share one HiGHS model: the first cost runs cold, exactly as
-    `solve` would run it, and each later one only changes the costs, so
-    the simplex starts from the previous optimal basis. Every point is
-    re-checked as in `solve` and carries its shadow prices. The first cost
-    that is not solved to optimality raises `LpSolveError` naming the
-    program and the cost's index.
+    `solve` would run it, and each later one only changes the costs and
+    pivots primal from the previous optimal basis. A change of costs
+    leaves that basis primal feasible, so primal simplex goes on from it,
+    where dual simplex would first repair its dual feasibility (perfbench's
+    sparse 400x4: 447 iterations over the 23 later points, against 1,259
+    on dual simplex). Every point is re-checked as in `solve` and carries
+    its shadow prices. The first cost that is not solved to optimality
+    raises `LpSolveError` naming the program and the cost's index.
     """
     return _solve_costs(lp, costs, [f"{lp.name} [cost {i}]" for i in range(len(costs))])
 
@@ -458,18 +465,35 @@ def _mean_rewards(instance):
     return (probs[:, None, :] @ values[:, :, None]).ravel()
 
 
-def _excess(instance, y_col, w_col):
-    """Rows w + y >= r, one per excess variable w, that is per reward
-    values[k, c] of `reward_atoms` paid with positive probability (in
-    `np.nonzero(probs)` order). The w columns come last, from w_col.
-    Returns a `_rows` block."""
-    values, probs = instance.reward_atoms
+def _paid(instance):
+    """The rewards some pair pays with positive probability, one excess
+    column each: (values, k, w, p). values are the paid distinct rewards in
+    `reward_grid` order, and paid atom i (in `np.nonzero(probs)` order of
+    `reward_atoms`) is pair k[i]'s, with probability p[i], at values[w[i]].
+    """
+    grid, index = instance.reward_grid
+    probs = instance.reward_atoms[1]
     k, c = np.nonzero(probs)
-    n_w = k.size
+    paid, w = np.unique(index[k, c], return_inverse=True)
+    return grid[paid], k, w, probs[k, c]
+
+
+def _excess(values, y_col, w_col):
+    """Rows w_e + y >= e, one per paid reward value e of `_paid`, in its
+    order; the w columns come last, from w_col. Returns a `_rows` block.
+
+    One column per value, not per (pair, atom), leaves the optimum as it
+    is: in the other rows of both programs that use it (the level
+    program's price rows, the primal program's vertex rows) w enters only
+    with the sign that a larger w makes harder to meet, so the least
+    feasible w_e, (e - y)^+, is optimal whether or not atoms share a
+    column, and pair k's row then holds sum_c p_kc (r_kc - y)^+ either way.
+    """
+    n_w = values.size
     e = np.arange(n_w)
     a = _matrix((n_w, w_col + n_w), np.concatenate((e, e)),
                 np.concatenate((w_col + e, np.full(n_w, y_col))), np.ones(2 * n_w))
-    return _rows(a, ">=", values[k, c])
+    return _rows(a, ">=", values)
 
 
 # -- builders: each docstring gives its program's column and row order -----
@@ -515,22 +539,24 @@ def build_dual_lp(instance, params):
 def build_primal_lp(instance, xs, params):
     """The vertex program that yields the optimal tail level: min z1
     subject to v(x^l, y) <= z1 at every polytope vertex x^l, with the
-    positive parts linearized through excess variables w >= r - y, w >= 0.
+    positive parts linearized through excess variables w_e >= e - y,
+    w_e >= 0, one per paid reward value e (`_paid`).
     `xs` is an (L, n_pairs) array whose row l is the vertex x^l.
 
     Columns: y (0), z1 (1), then the w of the `_excess` rows (from 2).
     Rows: L vertex rows, row l
-    (sum x^l) y - z1 + sum_k x^l_k E_k[w] / (1-alpha) <= -beta x^l E r;
-    then the `_excess` rows w + y >= r.
+    (sum x^l) y - z1 + sum_e (sum_k x^l_k P_k(r = e)) w_e / (1-alpha)
+    <= -beta x^l E r, the w_e coefficient summed over the paid atoms at e
+    in `_paid` order; then the `_excess` rows w_e + y >= e.
     """
     xs = np.asarray(xs, dtype=float)
     if len(xs) == 0:
         raise ValueError("need at least one polytope vertex")
     lo, hi = instance.reward_bounds()
     inv = 1.0 / (1.0 - params.alpha)
-    probs = instance.reward_atoms[1]
-    k, c = np.nonzero(probs)  # the rewards each pair can pay
-    w = (inv * xs)[:, k] * probs[k, c]
+    values, k, w_col, p = _paid(instance)
+    w = np.zeros((len(xs), values.size))
+    np.add.at(w, (slice(None), w_col), (inv * xs)[:, k] * p)
     pair_mean = _mean_rewards(instance)
     mean = [xl @ pair_mean for xl in xs]  # row by row, like the pair means
     vertex = _dense(np.column_stack(([xl.sum() for xl in xs], np.full(len(xs), -1.0), w)))
@@ -539,7 +565,7 @@ def build_primal_lp(instance, xs, params):
                          np.concatenate(([lo, -np.inf], np.zeros(n_cols - 2))),
                          np.concatenate(([hi], np.full(n_cols - 1, np.inf))),
                          *_stack(_rows(vertex, "<=", -params.beta * np.array(mean)),
-                                 _excess(instance, 0, 2)))
+                                 _excess(values, 0, 2)))
 
 
 def build_level_lp(instance, params):
@@ -549,19 +575,20 @@ def build_level_lp(instance, params):
     equals, by LP duality, the smallest gain u0 supported by bias prices u:
         u[i] - sum_j P(j|i,a) u[j] + u0 >= c_(i,a)(y)  for every pair.
     Minimizing jointly over (u, u0, y) with the positive parts linearized
-    through w >= r - y, w >= 0 yields min_y max_x v(x, y) exactly, including
-    tail levels strictly between reward values (where the upper envelope of
-    the vertex lines has a crossing). y ranges over the reward bounds [L, U].
+    through w_e >= e - y, w_e >= 0, one per paid reward value e (`_paid`),
+    yields min_y max_x v(x, y) exactly, including tail levels strictly
+    between reward values (where the upper envelope of the vertex lines has
+    a crossing). y ranges over the reward bounds [L, U].
 
-    Columns: u, one per state (0..m-1), then u0 (m), y (m + 1), and the w
-    of the `_excess` rows (from m + 2).
-    Rows: one price row per pair k, in state i,
-    u_i - (P u)_k + u0 - y - E_k[w] / (1-alpha) >= beta E_k r;
-    then the `_excess` rows w + y >= r.
+    Columns: u, one per state (0..m-1), then u0 (m), y (m + 1), and one w
+    per paid value, in grid order, of the `_excess` rows (from m + 2).
+    Rows: n_pairs price rows, one per pair k, in state i,
+    u_i - (P u)_k + u0 - y - sum_e P_k(r = e) w_e / (1-alpha) >= beta E_k r,
+    the w_e entry summed over pair k's paid atoms at e; then K excess rows
+    w_e + y >= e, K the number of paid values.
 
-    The program pivots primal: dual simplex on it runs about fifteen times
-    as many iterations (sparse 400x4: about 8,800 against 590) and did not
-    finish in 600 s at sparse 1000x4.
+    The program pivots primal: dual simplex on it runs about sixty times
+    as many iterations (perfbench's sparse 400x4: 31,427 against 536).
     """
     lo, hi = instance.reward_bounds()
     inv = 1.0 / (1.0 - params.alpha)
@@ -570,18 +597,18 @@ def build_level_lp(instance, params):
     k, j = np.nonzero(instance.kernel)
     p = instance.kernel[k, j]
     pairs = np.arange(n)
-    probs = instance.reward_atoms[1]
-    w_rows, w_at = np.nonzero(probs)  # the rewards each pair can pay
-    n_w, w_cols, w_vals = w_rows.size, w0 + np.arange(w_rows.size), inv * probs[w_rows, w_at]
+    values, w_pair, w_col, w_prob = _paid(instance)
+    n_w = values.size
     price = _matrix((n, w0 + n_w),
-                    np.concatenate((pairs, k, pairs, pairs, w_rows)),
-                    np.concatenate((instance.pair_state, j, np.full(n, u0), np.full(n, y), w_cols)),
-                    np.concatenate((np.ones(n), -p, np.ones(n), -np.ones(n), -w_vals)))
+                    np.concatenate((pairs, k, pairs, pairs, w_pair)),
+                    np.concatenate((instance.pair_state, j, np.full(n, u0), np.full(n, y),
+                                    w0 + w_col)),
+                    np.concatenate((np.ones(n), -p, np.ones(n), -np.ones(n), -inv * w_prob)))
     return LinearProgram(f"{instance.name}-level", "min", _unit(w0 + n_w, u0),
                          np.concatenate((np.full(m + 1, -np.inf), [lo], np.zeros(n_w))),
                          np.concatenate((np.full(m + 1, np.inf), [hi], np.full(n_w, np.inf))),
                          *_stack(_rows(price, ">=", params.beta * _mean_rewards(instance)),
-                                 _excess(instance, y, w0)),
+                                 _excess(values, y, w0)),
                          simplex="primal")
 
 

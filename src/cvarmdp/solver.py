@@ -36,10 +36,11 @@ and ybar is the level at which the left condition holds (flagged
 "interior-tail-level" when it is not a reward value). The independent
 oracle is the paper's second program, the full-range level LP
 (`lp.build_level_lp`: min_y max_x v(x, y) with the inner maximum
-dualised, |pairs| + |atoms| rows). Mode "dual-primal", the endpoint scan
-(`endpoint_scan_oracle`, behind `cvarmdp scan`) and `verify_saddle`
-solve it; the default solve does not. The scan adds one warm-started sweep
-of the average LP over the reward values (`lp.solve_sweep`).
+dualised, |pairs| + K rows, K the reward values some pair pays). Mode
+"dual-primal", the endpoint scan (`endpoint_scan_oracle`, behind
+`cvarmdp scan`) and `verify_saddle` solve it; the default solve does not.
+The scan adds one warm-started sweep of the average LP over the reward
+values (`lp.solve_sweep`).
 
 The basic optimum randomizes at most once. For fixed x, e -> v(x, e) is
 convex and piecewise linear with kinks only at the reward atoms of x's
@@ -135,7 +136,8 @@ def endpoint_scan_oracle(instance, params):
     The envelope y -> max_x v(x, y) at the K reward values is K average
     LPs over one occupation polytope that differ only in their costs, so
     they run as one warm-started `lp.solve_sweep` in increasing y; each
-    point starts from the previous one's optimal basis.
+    point after the first pivots primal from the previous one's optimal
+    basis.
 
     For fixed x the objective kinks only at reward values, but the upper
     envelope over the polytope also kinks where two vertex lines cross, so

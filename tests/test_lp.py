@@ -230,8 +230,8 @@ class TestSolveSweep:
 
 def test_level_lp_pivots_primal(monkeypatch):
     """The level program dualises the occupation polytope; dual simplex
-    took about 8,800 iterations on this one, primal simplex under 600, to
-    the occupation LP's optimum."""
+    took 31,427 iterations on this one, primal simplex under 600, to the
+    occupation LP's optimum."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from workloads import sparse_instance as perfbench_sparse_instance
 
@@ -242,6 +242,21 @@ def test_level_lp_pivots_primal(monkeypatch):
     assert sol.status == "optimal"
     assert sol.nit <= 2000
     assert abs(sol.objective - lp.solve(dual).objective) <= solver.CERT_TOL
+
+
+def test_sweep_pivots_primal_after_the_first_cost(monkeypatch):
+    """A later sweep point changes only the costs, so the previous optimal
+    basis stays primal feasible and primal simplex goes on from it: 447
+    iterations over points 1..23 here, where dual simplex, which first
+    repairs dual feasibility, took 1,259."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import sparse_instance as perfbench_sparse_instance
+
+    inst, params = perfbench_sparse_instance(1, 400, 4), risk.RiskParams(0.8, 0.5)
+    ys = risk.breakpoints(inst)
+    sweep = lp.solve_sweep(lp.build_average_lp(inst, float(ys[0]), params),
+                           risk.saddle_coefficient_rows(inst, ys, params))
+    assert sum(point.nit for point in sweep[1:]) <= 800
 
 
 def test_unknown_simplex_direction_refused():
@@ -382,32 +397,37 @@ class TestBuilderArrays:
         mean = np.array([p_k @ r_k for p_k, r_k in zip(probs, values)])
         assert np.array_equal(level.row_lo[:n], beta * mean)
         assert np.all(level.row_hi == np.inf)
-        # one excess row w + y >= r per reward a pair pays with positive
-        # probability; per-pair rewards keep one per pair
-        paid = probs > 0.0
-        w0 = m + 2
+        # one excess row w_e + y >= e per distinct reward value e that some
+        # pair pays with positive probability, in grid order; pair k's entry
+        # in column w_e is -P_k(r = e) / (1 - alpha)
+        grid = inst.reward_grid[0]
+        laws = risk.reward_law_rows(inst, np.eye(n))  # row k: pair k's law on the grid
+        paid = np.flatnonzero(laws.any(axis=0))
+        n_w, w0 = paid.size, m + 2
         excess = dense(level.A)[n:]
-        assert level.A.shape == (n + paid.sum(), w0 + paid.sum()) == (len(level.row_lo),
-                                                                      level.c.size)
-        assert np.array_equal(level.row_lo[n:], values[paid])
-        assert np.array_equal(excess[:, m + 1], np.ones(paid.sum()))
-        assert np.array_equal(excess[:, w0:], np.eye(paid.sum()))
+        assert level.A.shape == (n + n_w, w0 + n_w) == (len(level.row_lo), level.c.size)
+        assert np.array_equal(level.row_lo[n:], grid[paid])
+        assert np.array_equal(excess[:, m + 1], np.ones(n_w))
+        assert np.array_equal(excess[:, w0:], np.eye(n_w))
         assert np.all(dense(level.A)[:n, w0:].any(axis=0))
-        if inst.rewards is not None:  # excess row k and w column k are pair k's
-            assert np.array_equal(level.row_lo[n:], inst.rewards)
-            assert np.array_equal(dense(level.A)[:n, w0:] != 0.0, np.eye(n, dtype=bool))
+        assert np.allclose(dense(level.A)[:n, w0:], -laws[:, paid] / (1.0 - alpha),
+                           rtol=1e-12, atol=0.0)
+        if inst.rewards is not None:  # pair k's only entry is in its reward's column
+            assert np.array_equal(level.row_lo[n:], np.unique(inst.rewards))
+            assert np.array_equal(dense(level.A)[:n, w0:] != 0.0,
+                                  inst.rewards[:, None] == grid[paid][None, :])
         xs = oracles.polytope_vertices(inst)[0]
         primal = lp.build_primal_lp(inst, xs, params)
         # the same w columns, from 2 after y and z1, in the same excess rows,
-        # each paid by the same pair as in the level program's price rows
-        assert primal.A.shape == (len(xs) + paid.sum(), 2 + paid.sum())
-        primal_excess = dense(primal.A)[-paid.sum():]
+        # each vertex row weighting them as the level program's price rows do
+        assert primal.A.shape == (len(xs) + n_w, 2 + n_w)
+        primal_excess = dense(primal.A)[-n_w:]
         assert np.array_equal(primal_excess[:, 2:], excess[:, w0:])
         assert np.allclose(dense(primal.A)[:len(xs), 2:], xs @ -dense(level.A)[:n, w0:],
                            rtol=1e-12, atol=0.0)
-        assert np.array_equal(primal_excess[:, :2], np.tile([1.0, 0.0], (paid.sum(), 1)))
-        assert np.array_equal(primal.row_lo[-paid.sum():], values[paid])
-        assert np.all(primal.row_hi[-paid.sum():] == np.inf)
+        assert np.array_equal(primal_excess[:, :2], np.tile([1.0, 0.0], (n_w, 1)))
+        assert np.array_equal(primal.row_lo[-n_w:], grid[paid])
+        assert np.all(primal.row_hi[-n_w:] == np.inf)
         for prog in (dual, level, lp.build_average_lp(inst, float(bp[0]), params),
                      lp.build_sparsify_lp(inst, float(bp[-1]), params), primal):
             assert np.all(prog.A.data != 0.0), prog.name
@@ -431,8 +451,26 @@ def scipy_polytope(inst, n_cols):
                      np.concatenate((np.ones(n), -inst.kernel[k, j], np.ones(n))))
 
 
+def paid_atoms(inst):
+    """The paid reward values in grid order, and each paid atom's
+    (pair, column among them, probability) in `np.nonzero(probs)` order."""
+    values, index = inst.reward_grid
+    probs = inst.reward_atoms[1]
+    k, c = np.nonzero(probs)
+    paid = np.unique(index[k, c])
+    return values[paid], k, np.searchsorted(paid, index[k, c]), probs[k, c]
+
+
+def summed_in_order(keys, vals):
+    """{key: sum of its vals}, each sum taken in the order given, from 0.0."""
+    out = {}
+    for key, v in zip(keys, vals):
+        out[key] = out.get(key, 0.0) + v
+    return out
+
+
 def scipy_excess(inst, y_col, w_col):
-    n_w = np.count_nonzero(inst.reward_atoms[1])
+    n_w = paid_atoms(inst)[0].size
     e = np.arange(n_w)
     return scipy_csr((n_w, w_col + n_w), np.concatenate((e, e)),
                      np.concatenate((w_col + e, np.full(n_w, y_col))), np.ones(2 * n_w))
@@ -463,13 +501,17 @@ class TestCsrArrays:
                                 scipy_polytope(inst, n + 1)], format="csr")}
         k, j = np.nonzero(inst.kernel)
         pairs = np.arange(n)
-        w_rows, w_at = np.nonzero(probs)
-        n_w, w0 = w_rows.size, m + 2
+        # one w column per paid value; a pair's atoms at one value are summed
+        # in atom order here, so scipy sums no more than two entries
+        paid, w_pairs, w_cols, w_probs = paid_atoms(inst)
+        n_w, w0 = paid.size, m + 2
+        w_price = summed_in_order(zip(w_pairs.tolist(), w_cols.tolist()), -inv * w_probs)
+        w_rows, w_at = np.array(list(w_price), dtype=int).reshape(-1, 2).T
         price = scipy_csr((n, w0 + n_w), np.concatenate((pairs, k, pairs, pairs, w_rows)),
                           np.concatenate((inst.pair_state, j, np.full(n, m), np.full(n, m + 1),
-                                          w0 + np.arange(n_w))),
+                                          w0 + w_at)),
                           np.concatenate((np.ones(n), -inst.kernel[k, j], np.ones(n), -np.ones(n),
-                                          -inv * probs[w_rows, w_at])))
+                                          list(w_price.values()))))
         refs["level"] = vstack([price, scipy_excess(inst, m + 1, w0)], format="csr")
         refs["average"] = scipy_polytope(inst, n)
         y = float(bp[-1])
@@ -482,8 +524,10 @@ class TestCsrArrays:
                                    csr_array(np.append(below_w, 1.0)[None, :]),
                                    scipy_polytope(inst, n + 1)], format="csr")
         xs, _ = oracles.polytope_vertices(inst)
-        vertex = np.column_stack(([xl.sum() for xl in xs], np.full(len(xs), -1.0),
-                                  (inv * xs)[:, w_rows] * probs[w_rows, w_at]))
+        w_vertex = np.zeros((len(xs), n_w))
+        for pair, col, prob in zip(w_pairs, w_cols, w_probs):
+            w_vertex[:, col] += (inv * xs)[:, pair] * prob
+        vertex = np.column_stack(([xl.sum() for xl in xs], np.full(len(xs), -1.0), w_vertex))
         refs["primal"] = vstack([csr_array(vertex), scipy_excess(inst, 0, 2)], format="csr")
         progs = {"dual": lp.build_dual_lp(inst, params),
                  "level": lp.build_level_lp(inst, params),
@@ -567,11 +611,14 @@ class TestPrimalLp:
         verts, _ = oracles.polytope_vertices(inst)
         prog = lp.build_primal_lp(inst, verts, params)
         sol = lp.solve(prog)
-        assert prog.c.size == 2 + inst.n_pairs  # columns y, z1, then one w per pair
+        # columns y, z1, then one w per distinct reward, in increasing order;
+        # example2's nine pairs pay nine distinct rewards
+        values = np.unique(inst.rewards)
+        assert prog.c.size == 2 + values.size == 2 + inst.n_pairs
         y = sol.x[0]
-        for k in range(inst.n_pairs):
-            w = sol.x[2 + k]
-            assert w == pytest.approx(max(float(inst.rewards[k]) - y, 0.0), abs=1e-8)
+        for e, value in enumerate(values):
+            w = sol.x[2 + e]
+            assert w == pytest.approx(max(float(value) - y, 0.0), abs=1e-8)
 
     def test_endowment_recovers_tail_level(self):
         inst = model.builtin("endowment")
@@ -624,7 +671,33 @@ class TestAverageLp:
             assert vals[i] <= chord + 1e-7
 
 
+@st.composite
+def coarse_reward_instances(draw):
+    """Sparse instances of both reward kinds, their rewards rounded down to
+    a grid of width 2, 5 or 11, so that many atoms share a value."""
+    inst = draw(st.one_of(sparse_kernels(), sparse_kernels(rewards3=True)))
+    width = draw(st.sampled_from([2.0, 5.0, 11.0]))
+
+    def coarse(r):
+        return None if r is None else np.floor(r / width) * width
+
+    return model.MdpInstance(inst.name, inst.states, inst.actions, inst.kernel,
+                             rewards=coarse(inst.rewards), rewards3=coarse(inst.rewards3))
+
+
 class TestLevelLp:
+    @settings(max_examples=60, deadline=None)
+    @given(coarse_reward_instances(), st.sampled_from([0.0, 0.5, 0.9]),
+           st.sampled_from([0.0, 0.5]))
+    def test_one_excess_column_per_paid_value(self, inst, alpha, beta):
+        params = risk.RiskParams(alpha, beta)
+        level = lp.build_level_lp(inst, params)
+        k_paid = np.unique(inst.reward_grid[1][inst.reward_atoms[1] > 0]).size
+        assert level.A.shape == (inst.n_pairs + k_paid, inst.n_states + 2 + k_paid)
+        level_opt = lp.solve(level).objective
+        dual_opt = lp.solve(lp.build_dual_lp(inst, params)).objective
+        assert abs(level_opt - dual_opt) <= 1e-9 * max(1.0, abs(dual_opt))
+
     def test_matches_dual_optimum(self):
         for seed in range(4):
             inst = model.random_instance(seed, 4, 2)
@@ -644,9 +717,14 @@ class TestLevelLp:
         assert 70.0 < sol.x[y] < 71.0
 
     def test_endowment_excess_only_where_paid(self):
-        # 36 of endowment's 108 (pair, next state) entries carry probability
-        prog = lp.build_level_lp(model.builtin("endowment"), risk.RiskParams(0.9, 0.5))
-        assert prog.A.shape == (54, 44)
+        # 36 of endowment's 108 (pair, next state) entries carry probability,
+        # and they pay 16 distinct values: 18 price rows plus 16 excess rows;
+        # columns u (6), u0, y and one w per paid value
+        inst = model.builtin("endowment")
+        index = inst.reward_grid[1]
+        assert np.unique(index[inst.reward_atoms[1] > 0]).size == 16
+        prog = lp.build_level_lp(inst, risk.RiskParams(0.9, 0.5))
+        assert prog.A.shape == (34, 24)
         assert lp.solve(prog).objective == pytest.approx(96.84, abs=0.01)
 
 

@@ -445,16 +445,16 @@ class TestEndpointScan:
             assert abs(scan.value - sol.v_star) <= 2e-6, f"seed {seed}"
 
     def test_rounding_gap_is_not_interior(self):
-        # Instance 13 of perfbench's scan-dense inputs at seed 2. The level
-        # LP lands on the tabulated argmin y = 98.22, but ~1.6e-12 below
+        # Instance 46 of perfbench's scan-dense inputs at seed 2. The level
+        # LP lands on the tabulated argmin y = 82.2508, but ~1.8e-12 below
         # the sweep's envelope value there: a rounding gap, not a kink
         # between reward values (real interior gaps here are >= 1e-4).
-        inst, params = model.random_instance(106166988, 18, 4), risk.RiskParams(0.9)
+        inst, params = model.random_instance(2040342269, 14, 4), risk.RiskParams(0.5)
         scan = solver.endpoint_scan_oracle(inst, params)
         level = lp.solve(lp.build_level_lp(inst, params))
         assert 1e-12 < scan.value - level.objective <= lp.FEASIBILITY_TOL
         assert not scan.interior
-        assert scan.y_star == scan.ys[np.argmin(scan.envelope)] == 98.22
+        assert scan.y_star == scan.ys[np.argmin(scan.envelope)] == 82.2508
         assert scan.value == scan.envelope.min()
 
 
