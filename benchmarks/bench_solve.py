@@ -5,21 +5,24 @@ Run:  PYTHONPATH=src python3 benchmarks/bench_solve.py [--label after]
           [--seeds 3] [--out BENCH_solve.json] [--skip sparse-1000x4 ...]
 
 Solve sizes: dense `model.random_instance` 8x3, 20x4, 60x4 and 100x4
-(every kernel entry positive, K = pairs distinct rewards) and sparse 100x4
+(every kernel entry positive, K = pairs distinct rewards), sparse 100x4
 and 400x4 from perfbench's `sparse_instance` (3 successors plus a ring edge
-per pair, K = 24). `verify_saddle` runs at the solve sizes and sparse
-1000x4 on the default solve's x*, v* and certificate level; its time
-leaves the solve out. `solve_cvar(mode="dual-primal")` (the occupation LP
-plus the minimax level LP) runs at dense 8x3 and 20x4, sparse 100x4,
-400x4 and 1000x4, and "sparse3" 400x4: the sparse instance with
-next-state rewards, each (pair, next state) entry drawn from the same
-24-value grid, so that a pair pays several rewards. Scan sizes:
+per pair, K = 24), and "sparse3" 400x4 and 1000x4: the sparse instance
+with next-state rewards, each (pair, next state) entry drawn from the same
+24-value grid, so that a pair pays several rewards. `verify_saddle` runs
+at the solve sizes and sparse 1000x4 on the default solve's x*, v* and
+certificate level; its time leaves the solve out.
+`solve_cvar(mode="dual-primal")` (the occupation LP plus the minimax level
+LP) runs at dense 8x3 and 20x4, sparse 100x4, 400x4 and 1000x4, and
+sparse3 400x4. Scan sizes:
 `solver.endpoint_scan_oracle` (what `cvarmdp scan` runs: one warm-started
 `lp.solve_sweep` of the average LP over the K reward values, each later
 point pivoting from the previous optimal basis, plus one level LP) on
 sparse 100x4, 400x4 and 1000x4 (K = 24) and dense 20x4 (K = 80).
-Everything runs at alpha = 0.8, beta = 0.5 for seeds 1..--seeds, once
-each after a warm-up; solve times cover the whole `solve_cvar` call,
+Everything runs at alpha = 0.8, beta = 0.5 for seeds 1..--seeds after a
+warm-up, and a seed's time is the median of REPEATS calls on one instance
+(its cached reward tables are built in the first), which drops one-off
+outliers; solve times cover the whole `solve_cvar` call,
 certificates included. The worst left, right (and, for `verify_saddle`,
 oracle) gaps per size show tolerance drift as instances grow. A run that
 raises `LpSolveError`, `SolverError` or `CapExceededError` is listed
@@ -34,10 +37,11 @@ The result is stored under `--label` in the output file; other labels
 already there are kept, so runs of two versions of the package (put each
 on PYTHONPATH in turn) land side by side in one file. `--skip` leaves a
 size out of every table. In BENCH_solve.json, `before` is the package
-with one excess column per paid (pair, atom) in the level LP and every
-sweep point on dual simplex, and `after` the package with one excess
-column per paid reward value and the sweep's later points on primal
-simplex, both run from this script on one machine.
+whose reward sums ran over a dense (pair, next state) reward layout, zeros
+included, and `after` the package whose sums run over the reward table of
+paid atoms (`MdpInstance.reward_atoms`), both run from this script on one
+machine; `before-2` and `after-2` are a second pair, run in the other
+order, which shows how far the machine's speed drifts between runs.
 """
 
 import argparse
@@ -62,6 +66,8 @@ SIZES = (
     ("dense", 100, 4),
     ("sparse", 100, 4),
     ("sparse", 400, 4),
+    ("sparse3", 400, 4),
+    ("sparse3", 1000, 4),
 )
 VERIFY = SIZES + (("sparse", 1000, 4),)
 DUAL_PRIMAL = (
@@ -79,6 +85,7 @@ SCANS = (
     ("dense", 20, 4),
 )
 PARAMS = risk.RiskParams(0.8, 0.5)
+REPEATS = 3
 FAILURES = (lp.LpSolveError, solver.SolverError, model.CapExceededError)
 
 
@@ -95,22 +102,26 @@ def make_instance(kind, seed, n_states, n_actions):
 
 
 def _runs(kind, n_states, n_actions, seeds, call, prepare=None, counts=None):
-    """Time call(prepare(instance)) once per seed; prepare is not timed.
-    counts(instance), also untimed, gives a dict of counts per seed, whose
-    medians join the row. Returns the size's row and the calls' results."""
+    """Time call(prepare(instance)) REPEATS times per seed and keep the
+    median; prepare runs once per seed and is not timed. counts(instance),
+    also untimed, gives a dict of counts per seed, whose medians join the
+    row. Returns the size's row and the calls' results, one per seed."""
     times, results, failures, counted = [], [], [], []
     for seed in range(1, seeds + 1):
         inst = make_instance(kind, seed, n_states, n_actions)
         if counts is not None:
             counted.append(counts(inst))
         arg = inst if prepare is None else prepare(inst)
-        t0 = time.perf_counter()
+        repeats = []
         try:
-            out = call(arg)
+            for _ in range(REPEATS):
+                t0 = time.perf_counter()
+                out = call(arg)
+                repeats.append(time.perf_counter() - t0)
         except FAILURES as exc:
             failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        times.append(time.perf_counter() - t0)
+        times.append(statistics.median(repeats))
         results.append(out)
     row = {
         "kind": kind,

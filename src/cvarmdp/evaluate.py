@@ -47,14 +47,12 @@ def _atom_matrix(instance):
     solve never loads it."""
     from scipy import sparse
 
-    values, index = instance.reward_grid
-    probs = instance.reward_atoms[1]
-    pair, col = np.nonzero(probs)
-    atom = index[pair, col]
-    order = np.argsort(atom, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(atom, minlength=values.size))))
-    return sparse.csr_array((probs[pair, col][order], pair[order], indptr),
-                            shape=(values.size, instance.n_pairs))
+    pair, grid, prob = instance.reward_atoms
+    n_values = instance.reward_grid[0].size
+    order = np.argsort(grid, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(grid, minlength=n_values))))
+    return sparse.csr_array((prob[order], pair[order], indptr),
+                            shape=(n_values, instance.n_pairs))
 
 
 def _mass_budget(instance, rules, T):
@@ -69,7 +67,8 @@ def _mass_budget(instance, rules, T):
         return float(np.abs(sums - 1.0).max())
 
     rule = miss(np.add.reduceat(rules, instance.offsets[:-1], axis=1))
-    first = MASS_DRIFT_TOL + rule + miss(instance.reward_atoms[1].sum(axis=1))
+    pair, _, prob = instance.reward_atoms
+    first = MASS_DRIFT_TOL + rule + miss(risk.atom_sums(prob, pair, instance.n_pairs))
     return first + np.arange(T) * (rule + miss(instance.kernel.sum(axis=1)))
 
 

@@ -8,7 +8,7 @@ Columns and rows have no names: a program is read by position, in the
 order its builder's docstring gives. A is a `CsrMatrix`, the numpy
 triple (indptr, indices, data) HiGHS loads row-wise, with its shape. The
 builders assemble it with numpy from the instance's kernel, pair layout
-and `reward_atoms`: from triplets (`_matrix`), from a dense block
+and reward table `reward_atoms`: from triplets (`_matrix`), from a dense block
 (`_dense`), and by stacking row blocks (`_stack`). No sparse-matrix
 library is imported, so solving loads none.
 
@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .risk import breakpoints, saddle_coefficient_rows, saddle_coefficients
+from .risk import atom_sums, breakpoints, saddle_coefficient_rows, saddle_coefficients
 
 _HIGHS_NAME = "scipy.optimize._highspy._core"
 
@@ -458,24 +458,21 @@ def _polytope(instance, n_cols):
 
 
 def _mean_rewards(instance):
-    """E_k r, the mean reward each pair pays: one dot product per row, the
-    same as probs[k] @ values[k]; a matrix product may sum in another order
-    and move the last bit."""
-    values, probs = instance.reward_atoms
-    return (probs[:, None, :] @ values[:, :, None]).ravel()
+    """E_k r, the mean reward each pair pays, summed over its atoms
+    (`risk.atom_sums`)."""
+    pair, grid, prob = instance.reward_atoms
+    return atom_sums(prob * instance.reward_grid[0][grid], pair, instance.n_pairs)
 
 
 def _paid(instance):
     """The rewards some pair pays with positive probability, one excess
     column each: (values, k, w, p). values are the paid distinct rewards in
-    `reward_grid` order, and paid atom i (in `np.nonzero(probs)` order of
-    `reward_atoms`) is pair k[i]'s, with probability p[i], at values[w[i]].
+    `reward_grid` order, and atom i of `reward_atoms` is pair k[i]'s, with
+    probability p[i], at values[w[i]].
     """
-    grid, index = instance.reward_grid
-    probs = instance.reward_atoms[1]
-    k, c = np.nonzero(probs)
-    paid, w = np.unique(index[k, c], return_inverse=True)
-    return grid[paid], k, w, probs[k, c]
+    pair, grid, prob = instance.reward_atoms
+    paid, w = np.unique(grid, return_inverse=True)
+    return instance.reward_grid[0][paid], pair, w, prob
 
 
 def _excess(values, y_col, w_col):
@@ -631,13 +628,11 @@ def build_sparsify_lp(instance, y_star, params):
     # same as r < y*; the midpoint threshold is immune to rounding of
     # y* - delta. A one-value grid has no gap, and no reward below y*.
     delta = np.diff(breakpoints(instance)).min(initial=np.inf)
-    r, probs = instance.reward_atoms
-
-    def mass(hit):  # per pair: the probability of a reward in `hit`
-        return np.einsum("kj,kj->k", probs, hit.astype(float))
-
-    at_w = mass(r <= y_star)
-    below_w = mass(r < y_star - delta / 2.0)
+    pair, grid, prob = instance.reward_atoms
+    r = instance.reward_grid[0][grid]
+    # per pair: the probability of a reward at or below y*, and below it
+    at_w = atom_sums(prob * (r <= y_star), pair, n)
+    below_w = atom_sums(prob * (r < y_star - delta / 2.0), pair, n)
     return LinearProgram(f"{instance.name}-sparsify(y={y_star:g})", "max",
                          np.append(saddle_coefficients(instance, y_star, params), 0.0),
                          np.zeros(n + 1), np.full(n + 1, np.inf),

@@ -59,7 +59,7 @@ class MdpInstance:
     state) is present; `rewards3` models rewards that depend on the state
     reached, as in the endowment instance. This class is the one reader of
     the two fields: every computation on rewards goes through
-    `reward_atoms`, the law of the reward each pair pays.
+    `reward_grid` and the reward table `reward_atoms`.
     """
 
     name: str
@@ -149,33 +149,30 @@ class MdpInstance:
         return self.rewards3 is not None
 
     @cached_property
-    def reward_atoms(self):
-        """The reward each pair pays, as a law: (values, probs), both of
-        shape (n_pairs, m).
-
-        values[k, c] is a reward pair k can pay and probs[k, c] its
-        probability given k. Per-pair rewards have m = 1 and probs exactly
-        1.0; next-state rewards have m = n_states and probs the kernel, so
-        the reward paid on a step is values[k, j] with j the state reached.
-        The mass of the reward law under pair weights x is
-        x[:, None] * probs, whichever kind the instance has.
+    def reward_grid(self):
+        """The sorted distinct rewards and each reward entry's place among
+        them: (values, index), both read-only, index of shape (n_pairs, 1)
+        for per-pair rewards and of the shape of rewards3 for next-state
+        ones, where every entry counts, whether or not the transition
+        carries probability: those values are part of the instance data and
+        of its breakpoint set.
         """
-        if self.rewards is not None:
-            return self.rewards[:, None], _frozen(np.ones((self.n_pairs, 1)))
-        return self.rewards3, self.kernel
+        table = self.rewards[:, None] if self.rewards is not None else self.rewards3
+        values, index = np.unique(table, return_inverse=True)
+        return _frozen(values), _frozen(index.reshape(table.shape))
 
     @cached_property
-    def reward_grid(self):
-        """The sorted distinct rewards and each reward atom's place among
-        them: (values, index), both read-only, with index of the shape of
-        `reward_atoms[0]` and values[index] equal to it.
-
-        For next-state rewards every (pair, next-state) entry counts,
-        whether or not the transition carries probability; those values are
-        part of the instance data and of its breakpoint set.
+    def reward_atoms(self):
+        """The reward table: three read-only 1-D arrays (pair, grid, prob)
+        in (pair, atom) order. Atom i is paid by pair[i] with probability
+        prob[i] and pays reward_grid[0][grid[i]]. Per-pair rewards give one
+        atom per pair with prob 1.0; next-state rewards one per nonzero
+        kernel entry, in next-state order. Every reward sum runs over these
+        atoms in this order (`risk.atom_sums`).
         """
-        values, index = np.unique(self.reward_atoms[0], return_inverse=True)
-        return _frozen(values), _frozen(index.reshape(self.reward_atoms[0].shape))
+        probs = np.ones((self.n_pairs, 1)) if self.rewards is not None else self.kernel
+        pair, col = np.nonzero(probs)
+        return _frozen(pair), _frozen(self.reward_grid[1][pair, col]), _frozen(probs[pair, col])
 
     def reward_bounds(self):
         values = self.reward_grid[0]
@@ -382,7 +379,8 @@ def validate(instance):
             bad.append(Violation(where, "transition row does not sum to 1", float(gaps[k])))
         if mins[k] < 0.0:
             bad.append(Violation(where, "negative transition probability", -float(mins[k])))
-    bad_rewards = np.sum(~np.isfinite(instance.reward_atoms[0]))
+    rewards = instance.rewards if instance.rewards is not None else instance.rewards3
+    bad_rewards = np.sum(~np.isfinite(rewards))
     if bad_rewards:
         bad.append(Violation("rewards", "non-finite reward value", float(bad_rewards)))
     return ValidationReport(tuple(bad))

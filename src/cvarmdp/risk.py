@@ -20,7 +20,7 @@ LAW_SUM_TOL = 1e-9
 # Guard against last-bit noise in cumulative probabilities when locating
 # quantiles; distinct CDF levels of real data sit far above this.
 _QEPS = 1e-12
-# Most (level, pair, atom) brackets `saddle_coefficient_rows` holds at once
+# Most (level, atom) brackets `saddle_coefficient_rows` holds at once
 # (2 MiB of float64 per temporary).
 _BRACKET_BLOCK = 1 << 18
 
@@ -113,22 +113,23 @@ def cvar_right(dist, alpha):
     return float(cvar_right_rows(dist.values, dist.probs, alpha))
 
 
-def reward_law_rows(instance, xs):
-    """Law of the reward under pair weights x on the instance's grid
-    `reward_grid[0]`, for one weight vector or each row of a stack.
+def atom_sums(terms, index, width):
+    """Sums of terms, one per atom of an instance's `reward_atoms`, by the
+    atom's pair or grid point index[i] in [0, width), each sum added in
+    atom order by one bincount: (..., n_atoms) terms give (..., width)."""
+    rows = np.atleast_2d(terms)
+    keys = np.arange(0, rows.shape[0] * width, width)[:, None] + index
+    sums = np.bincount(keys.ravel(), rows.ravel(), minlength=rows.shape[0] * width)
+    return sums.reshape(np.shape(terms)[:-1] + (width,))
 
-    Atom (k, c) of `reward_atoms` carries weight max(x(k), 0) * probs[k, c]
-    onto grid point index[k, c]. One bincount over (row, grid point) keys
-    adds each point's weights in (pair, atom) order.
-    """
-    values, index = instance.reward_grid
-    xs = as_pair_array(xs)
-    rows = np.maximum(np.atleast_2d(xs), 0.0)
-    weights = rows[:, :, None] * instance.reward_atoms[1]
-    keys = np.arange(0, rows.shape[0] * values.size, values.size)[:, None, None] + index
-    law = np.bincount(keys.ravel(), weights.ravel(), minlength=rows.shape[0] * values.size)
-    law = law.reshape(rows.shape[0], values.size)
-    return law[0] if xs.ndim == 1 else law
+
+def reward_law_rows(instance, xs):
+    """Law of the reward under pair weights x on the grid `reward_grid[0]`,
+    for one weight vector or each row of a stack: atom i of `reward_atoms`
+    puts max(x(pair[i]), 0) * prob[i] on grid point grid[i]."""
+    pair, grid, prob = instance.reward_atoms
+    weights = np.maximum(as_pair_array(xs), 0.0)[..., pair] * prob
+    return atom_sums(weights, grid, instance.reward_grid[0].size)
 
 
 def reward_distribution(instance, x):
@@ -160,25 +161,27 @@ def saddle_coefficients(instance, y, params):
     """Per-pair coefficients c_k(y) with v(x, y) = sum_k x(k) c_k(y).
 
     c_k is the bracket y + [r - y]^+ / (1-alpha) + beta * r averaged over
-    the law of the reward r that pair k pays (`instance.reward_atoms`).
+    the law of the reward r that pair k pays (its atoms in
+    `instance.reward_atoms`).
     """
     return saddle_coefficient_rows(instance, [y], params)[0]
 
 
 def saddle_coefficient_rows(instance, ys, params):
     """`saddle_coefficients` at every level of ys, as a (len(ys), n_pairs)
-    array. The brackets are broadcast over blocks of levels, and each
-    pair's are summed over its atoms in one einsum row, so a row does not
+    array. The brackets are broadcast over blocks of (level, atom), and
+    each pair's are summed over its atoms by `atom_sums`, so a row does not
     depend on the other levels in the call."""
-    values, probs = instance.reward_atoms
+    pair, grid, prob = instance.reward_atoms
+    values = instance.reward_grid[0][grid]
     inv = 1.0 / (1.0 - params.alpha)
     ys = np.asarray(ys, dtype=np.float64)
     out = np.empty((ys.size, instance.n_pairs))
-    step = max(1, _BRACKET_BLOCK // values.size)
+    step = max(1, _BRACKET_BLOCK // max(1, values.size))
     for i in range(0, ys.size, step):
-        y = ys[i:i + step, None, None]
+        y = ys[i:i + step, None]
         inner = y + inv * np.clip(values - y, 0.0, None) + params.beta * values
-        out[i:i + step] = np.einsum("kj,ekj->ek", probs, inner)
+        out[i:i + step] = atom_sums(prob * inner, pair, instance.n_pairs)
     return out
 
 

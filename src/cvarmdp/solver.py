@@ -284,10 +284,14 @@ def solve_cvar(instance, params, mode="dual"):
     if mode not in ("dual", "dual-primal"):
         raise ValueError(f"mode must be 'dual' or 'dual-primal', got {mode!r}")
     ys = risk.breakpoints(instance)
-    dual_sol = lp.solve(lp.build_dual_lp(instance, params))
+    dual_lp = lp.build_dual_lp(instance, params)
+    dual_sol = lp.solve(dual_lp)
     v_star = dual_sol.objective
     x_star = model._readonly(lp.pair_values(instance, dual_sol))
-    law = risk.reward_distribution(instance, x_star)
+    try:
+        law = risk.reward_distribution(instance, x_star)
+    except ValueError as e:  # a point the re-check passed, whose law is off 1 by more
+        raise SolverError(f"{dual_lp.name}: reward law of the optimum refused: {e}") from None
     y_star = risk.var(law, params.alpha)
     flags = []
 

@@ -8,6 +8,8 @@
 - The alpha = 0 reduction to the classical average-reward optimum.
 - The rows of the vertex program: the occupation measures of the
   deterministic policies' recurrent classes.
+- Every pair's reward law in dense form, zero-probability entries
+  included, as a reference for the reward table's sums.
 """
 
 import numpy as np
@@ -16,6 +18,16 @@ from cvarmdp import chains, evaluate, risk, solver
 from cvarmdp.model import DeterministicPolicy
 
 VERTEX_DEDUP_TOL = 1e-8
+
+
+def dense_reward_atoms(instance):
+    """(values, probs), both (n_pairs, m): values[k, c] is a reward pair k
+    can pay and probs[k, c] its probability. Per-pair rewards have m = 1
+    and probs 1.0, next-state rewards m = n_states and probs the kernel,
+    zeros included."""
+    if instance.rewards is not None:
+        return instance.rewards[:, None], np.ones((instance.n_pairs, 1))
+    return instance.rewards3, instance.kernel
 
 
 def cvar_left(dist, alpha):

@@ -298,6 +298,25 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert doc["flags"] == ["interior-tail-level", "negative-gap", "uncertified"]
 
+    def test_optimum_off_law_tolerance_is_exit_3(self, capsys, monkeypatch):
+        """A point the re-check passes (residual at most FEASIBILITY_TOL,
+        1e-8) whose reward law's mass misses 1 by more than LAW_SUM_TOL
+        (1e-9) is a solver fault, not bad input."""
+        real = lp._run_highs
+
+        def patched(h, name):
+            point = real(h, name)
+            if name == "example2-dual":
+                point.x = point.x.copy()
+                point.x[np.argmax(point.x[:-1])] += 5e-9  # the largest pair column
+            return point
+
+        monkeypatch.setattr(lp, "_run_highs", patched)
+        code, out, err = run(capsys, "solve", "--builtin", "example2", "--alpha", "0.7")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: example2-dual: ")
+        assert "1.000000005" in err
+
     @pytest.mark.parametrize("command", ["solve", "enumerate"])
     def test_highs_infeasible_is_exit_3(self, capsys, monkeypatch, command):
         """A program HiGHS itself reports infeasible: every pair column at

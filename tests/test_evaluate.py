@@ -401,7 +401,7 @@ def step_by_step(instance, rules, s0, T, alpha):
     step at a time, bincount each step's reward law and value it alone.
     Returns the per-step CVaR and the pair laws."""
     values, atom_index = instance.reward_grid
-    probs = instance.reward_atoms[1]
+    probs = oracles.dense_reward_atoms(instance)[1]
     mu = np.zeros(instance.n_states)
     mu[s0] = 1.0
     cvar, pair_laws = np.empty(T), np.empty((T, instance.n_pairs))
@@ -485,7 +485,7 @@ class TestChunkedEvolution:
         inst = repeated_reward_instance() if name == "repeated" else model.builtin(name)
         values, atom_index = inst.reward_grid
         pk = np.random.default_rng(0).dirichlet(np.ones(inst.n_pairs), size=50)
-        probs = inst.reward_atoms[1]
+        probs = oracles.dense_reward_atoms(inst)[1]
         ref = np.stack([np.bincount(atom_index.ravel(), weights=(p[:, None] * probs).ravel(),
                                     minlength=values.size) for p in pk])
         atoms = evaluate._atom_matrix(inst)

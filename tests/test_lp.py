@@ -393,8 +393,12 @@ class TestBuilderArrays:
         for e, y in enumerate(bp):
             assert np.array_equal(tail[e], np.append(risk.saddle_coefficients(inst, y, params), -1.0))
         level = lp.build_level_lp(inst, params)
-        values, probs = inst.reward_atoms
-        mean = np.array([p_k @ r_k for p_k, r_k in zip(probs, values)])
+        # pair k's mean: its paid atoms' probability times value, added in
+        # atom order
+        pair, at, prob = inst.reward_atoms
+        mean = np.zeros(n)
+        for k, v, p in zip(pair.tolist(), inst.reward_grid[0][at].tolist(), prob.tolist()):
+            mean[k] += p * v
         assert np.array_equal(level.row_lo[:n], beta * mean)
         assert np.all(level.row_hi == np.inf)
         # one excess row w_e + y >= e per distinct reward value e that some
@@ -455,7 +459,7 @@ def paid_atoms(inst):
     """The paid reward values in grid order, and each paid atom's
     (pair, column among them, probability) in `np.nonzero(probs)` order."""
     values, index = inst.reward_grid
-    probs = inst.reward_atoms[1]
+    probs = oracles.dense_reward_atoms(inst)[1]
     k, c = np.nonzero(probs)
     paid = np.unique(index[k, c])
     return values[paid], k, np.searchsorted(paid, index[k, c]), probs[k, c]
@@ -494,7 +498,6 @@ class TestCsrArrays:
         params = risk.RiskParams(alpha, beta)
         bp = risk.breakpoints(inst)
         n, m = inst.n_pairs, inst.n_states
-        values, probs = inst.reward_atoms
         inv = 1.0 / (1.0 - alpha)
         tail = np.array([risk.saddle_coefficients(inst, float(e), params) for e in bp])
         refs = {"dual": vstack([csr_array(np.column_stack((tail, -np.ones(len(tail))))),
@@ -517,9 +520,18 @@ class TestCsrArrays:
         y = float(bp[-1])
         delta = float(np.diff(bp).min()) if bp.size >= 2 else None  # the grid's smallest gap
         below = y - delta / 2.0 if delta is not None else y
-        at_w = np.einsum("kj,kj->k", probs, (values <= y).astype(float))
-        below_w = (np.einsum("kj,kj->k", probs, (values < below).astype(float))
-                   if delta is not None else np.zeros(n))
+        atoms = list(zip(inst.reward_atoms[0].tolist(),
+                         inst.reward_grid[0][inst.reward_atoms[1]].tolist(),
+                         inst.reward_atoms[2].tolist()))
+
+        def mass(hit):  # per pair: its paid atoms' probability where hit, in atom order
+            out = np.zeros(n)
+            for k, v, p in atoms:
+                out[k] += p * float(hit(v))
+            return out
+
+        at_w = mass(lambda v: v <= y)
+        below_w = mass(lambda v: v < below) if delta is not None else np.zeros(n)
         refs["sparsify"] = vstack([csr_array(np.append(-at_w, 0.0)[None, :]),
                                    csr_array(np.append(below_w, 1.0)[None, :]),
                                    scipy_polytope(inst, n + 1)], format="csr")
@@ -692,7 +704,8 @@ class TestLevelLp:
     def test_one_excess_column_per_paid_value(self, inst, alpha, beta):
         params = risk.RiskParams(alpha, beta)
         level = lp.build_level_lp(inst, params)
-        k_paid = np.unique(inst.reward_grid[1][inst.reward_atoms[1] > 0]).size
+        paid = oracles.dense_reward_atoms(inst)[1] > 0
+        k_paid = np.unique(inst.reward_grid[1][paid]).size
         assert level.A.shape == (inst.n_pairs + k_paid, inst.n_states + 2 + k_paid)
         level_opt = lp.solve(level).objective
         dual_opt = lp.solve(lp.build_dual_lp(inst, params)).objective
@@ -722,7 +735,7 @@ class TestLevelLp:
         # columns u (6), u0, y and one w per paid value
         inst = model.builtin("endowment")
         index = inst.reward_grid[1]
-        assert np.unique(index[inst.reward_atoms[1] > 0]).size == 16
+        assert np.unique(index[inst.kernel > 0]).size == 16
         prog = lp.build_level_lp(inst, risk.RiskParams(0.9, 0.5))
         assert prog.A.shape == (34, 24)
         assert lp.solve(prog).objective == pytest.approx(96.84, abs=0.01)

@@ -58,14 +58,33 @@ class TestInstance:
     def test_reward_grid(self, name):
         inst = model.builtin(name)
         values, index = inst.reward_grid
-        rewards = inst.reward_atoms[0]
+        rewards = inst.rewards[:, None] if inst.rewards is not None else inst.rewards3
         assert np.array_equal(values, np.unique(rewards))
         assert index.shape == rewards.shape
         assert np.array_equal(values[index], rewards)
         assert inst.reward_bounds() == (rewards.min(), rewards.max())
-        for a in (values, index):
+        for a in (values, index, *inst.reward_atoms):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+    @pytest.mark.parametrize("name", ["example2", "endowment"])
+    def test_reward_table(self, name):
+        """One atom per pair for per-pair rewards, one per transition of
+        positive probability for next-state rewards, in (pair, next state)
+        order."""
+        inst = model.builtin(name)
+        pair, grid, prob = inst.reward_atoms
+        values = inst.reward_grid[0]
+        if inst.rewards is not None:
+            assert np.array_equal(pair, np.arange(inst.n_pairs))
+            assert np.all(prob == 1.0)
+            assert np.array_equal(values[grid], inst.rewards)
+        else:
+            k, j = np.nonzero(inst.kernel > 0.0)
+            assert pair.size == 36 < inst.rewards3.size
+            assert np.array_equal(pair, k)
+            assert np.array_equal(prob, inst.kernel[k, j])
+            assert np.array_equal(values[grid], inst.rewards3[k, j])
 
     def test_caller_arrays_stay_writable(self):
         kernel, rewards = np.array([[0.5, 0.5], [1.0, 0.0]]), np.array([1.0, 2.0])
@@ -93,9 +112,9 @@ class TestRewardLayout:
     def test_lifted_instance_agrees(self, inst, alpha, beta):
         lifted = model.MdpInstance(inst.name, inst.states, inst.actions, inst.kernel,
                                    rewards3=np.repeat(inst.rewards[:, None], inst.n_states, axis=1))
-        assert inst.reward_atoms[1].shape == (inst.n_pairs, 1)
-        assert np.all(inst.reward_atoms[1] == 1.0)
-        assert lifted.reward_atoms[1] is lifted.kernel
+        assert np.array_equal(inst.reward_atoms[0], np.arange(inst.n_pairs))
+        assert np.all(inst.reward_atoms[2] == 1.0)
+        assert np.array_equal(lifted.reward_atoms[2], inst.kernel[inst.kernel != 0.0])
         params = risk.RiskParams(alpha, beta)
         sol = solver.solve_cvar(inst, params)
         assert solver.solve_cvar(lifted, params).v_star == pytest.approx(sol.v_star, abs=1e-9)

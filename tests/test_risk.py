@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_bench_scripts import load_bench_solve
 from test_chains import sparse_kernels
 from test_evaluate import repeated_reward_instance
 
@@ -245,7 +247,7 @@ def law_instance(name):
 def bincount_law(inst, x):
     """Reference law of one weight row: a plain bincount over the atoms."""
     values, index = inst.reward_grid
-    weights = np.clip(x[:, None] * inst.reward_atoms[1], 0.0, None)
+    weights = np.clip(x[:, None] * oracles.dense_reward_atoms(inst)[1], 0.0, None)
     return np.bincount(index.ravel(), weights=weights.ravel(), minlength=values.size)
 
 
@@ -284,13 +286,32 @@ class TestRewardLawRows:
     def test_reward_distribution_bits_unchanged(self, name):
         # the law from_atoms builds out of every unmerged atom
         inst = law_instance(name)
-        values, probs = inst.reward_atoms
+        values, probs = oracles.dense_reward_atoms(inst)
         for x in self.weight_rows(inst, 6):
             x = np.abs(x) / np.abs(x).sum()
             want = DiscreteDistribution.from_atoms(values.ravel(), (x[:, None] * probs).ravel())
             got = risk.reward_distribution(inst, x)
             assert np.array_equal(got.values, want.values)
             assert got.probs.tobytes() == want.probs.tobytes()
+
+
+class TestRewardLawMemory:
+    def test_cost_grows_with_paid_atoms(self):
+        """20 law rows of bench_solve's next-state-reward sparse3 200x4
+        instance allocate per paid atom (at most 4 per pair), not per
+        (pair, next state) entry: a weight array over all 800 x 200 entries
+        of 20 rows is 24 MiB."""
+        inst = load_bench_solve().make_instance("sparse3", 1, 200, 4)
+        xs = np.random.default_rng(0).dirichlet(np.ones(inst.n_pairs), size=20)
+        inst.reward_grid, inst.reward_atoms  # built once per instance, not per call
+        tracemalloc.start()
+        try:
+            law = risk.reward_law_rows(inst, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert law.shape == (20, 24)
+        assert peak < 4 * 2**20
 
 
 class TestCvarAndMeanRows:
@@ -361,13 +382,17 @@ class TestSaddleValue:
 
 
 def per_level_coefficients(inst, ys, params):
-    """Reference for `saddle_coefficient_rows`: one bracket array and one
-    per-pair einsum per level."""
-    values, probs = inst.reward_atoms
+    """Reference for `saddle_coefficient_rows`: per level and pair, a plain
+    loop that adds the pair's paid atoms' probability times bracket in atom
+    order."""
+    pair, at, prob = inst.reward_atoms
+    values = inst.reward_grid[0][at].tolist()
     inv = 1.0 / (1.0 - params.alpha)
-    return np.array([np.einsum("kj,kj->k", probs,
-                               y + inv * np.clip(values - y, 0.0, None) + params.beta * values)
-                     for y in ys])
+    out = np.zeros((len(ys), inst.n_pairs))
+    for e, y in enumerate(ys.tolist()):
+        for k, v, p in zip(pair.tolist(), values, prob.tolist()):
+            out[e, k] += p * (y + inv * max(v - y, 0.0) + params.beta * v)
+    return out
 
 
 class TestSaddleCoefficientRows:
