@@ -9,7 +9,8 @@ Solve sizes: dense `model.random_instance` 8x3, 20x4, 60x4 and 100x4
 and 400x4 from perfbench's `sparse_instance` (3 successors plus a ring edge
 per pair, K = 24), and "sparse3" 400x4 and 1000x4: the sparse instance
 with next-state rewards, each (pair, next state) entry drawn from the same
-24-value grid, so that a pair pays several rewards. `verify_saddle` runs
+24-value grid, so that a pair pays several rewards (K counts the values
+some pair pays with positive probability, at most 24). `verify_saddle` runs
 at the solve sizes and sparse 1000x4 on the default solve's x*, v* and
 certificate level; its time leaves the solve out.
 `solve_cvar(mode="dual-primal")` (the occupation LP plus the minimax level
@@ -31,7 +32,10 @@ under `failures` and left out of the times.
 The scan and dual-primal rows also give, as medians over the seeds and
 outside the timed call, the level LP's rows, cols and nnz; the scan rows
 give the sweep's hot iterations, HiGHS's simplex iterations summed over
-the sweep's points 1..K-1 (a dual-primal solve runs no sweep).
+the sweep's points 1..K-1 (a dual-primal solve runs no sweep). Every
+sparse3 row gives, as medians over the seeds, the wall time of building
+the instance's reward grid and table (`table_build_s`, the median of
+REPEATS builds) and the tracemalloc peak of one build (`table_peak_mib`).
 
 The result is stored under `--label` in the output file; other labels
 already there are kept, so runs of two versions of the package (put each
@@ -41,13 +45,19 @@ whose reward sums ran over a dense (pair, next state) reward layout, zeros
 included, and `after` the package whose sums run over the reward table of
 paid atoms (`MdpInstance.reward_atoms`), both run from this script on one
 machine; `before-2` and `after-2` are a second pair, run in the other
-order, which shows how far the machine's speed drifts between runs.
+order, which shows how far the machine's speed drifts between runs. The
+`*-paid-grid` labels hold only the sparse3 rows, with the table columns:
+`before-paid-grid` is the package whose grid counted every reward entry,
+paid or not, through a dense (pair, next state) index, and
+`after-paid-grid` the one whose grid and table come from the paid entries
+alone; they ran in the order before, after, after-2, before-2.
 """
 
 import argparse
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -101,16 +111,41 @@ def make_instance(kind, seed, n_states, n_actions):
                              rewards3=rewards3)
 
 
+def table_build(inst):
+    """Median wall time over REPEATS builds of the reward grid and table
+    (`reward_atoms`, which builds both), and the tracemalloc peak of one
+    more, each on a fresh copy of inst, whose cache starts empty."""
+    def fresh():
+        return model.MdpInstance(inst.name, inst.states, inst.actions, inst.kernel,
+                                 rewards=inst.rewards, rewards3=inst.rewards3)
+
+    times = []
+    for _ in range(REPEATS):
+        copy = fresh()
+        t0 = time.perf_counter()
+        copy.reward_atoms
+        times.append(time.perf_counter() - t0)
+    copy = fresh()
+    tracemalloc.start()
+    try:
+        copy.reward_atoms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"table_build_s": statistics.median(times), "table_peak_mib": peak / 2**20}
+
+
 def _runs(kind, n_states, n_actions, seeds, call, prepare=None, counts=None):
     """Time call(prepare(instance)) REPEATS times per seed and keep the
     median; prepare runs once per seed and is not timed. counts(instance),
     also untimed, gives a dict of counts per seed, whose medians join the
-    row. Returns the size's row and the calls' results, one per seed."""
+    row, as do those of `table_build` on the sparse3 rows. Returns the
+    size's row and the calls' results, one per seed."""
     times, results, failures, counted = [], [], [], []
     for seed in range(1, seeds + 1):
         inst = make_instance(kind, seed, n_states, n_actions)
-        if counts is not None:
-            counted.append(counts(inst))
+        counted.append({**(counts(inst) if counts is not None else {}),
+                        **(table_build(inst) if kind == "sparse3" else {})})
         arg = inst if prepare is None else prepare(inst)
         repeats = []
         try:
@@ -206,6 +241,8 @@ def _report(what, row):
             f"K={row['distinct_rewards']:4d}  median {_fmt(wall and wall['median'], '8.3f')} s")
     if "sweep_hot_nit" in row:
         line += f"  hot it {row['sweep_hot_nit']:g}"
+    if "table_build_s" in row:
+        line += f"  table {row['table_build_s'] * 1e3:.1f} ms {row['table_peak_mib']:.2f} MiB"
     if "level_rows" in row:
         line += f"  level {row['level_rows']:g}x{row['level_cols']:g} nnz {row['level_nnz']:g}"
     for name in ("left", "right", "oracle", "primal"):

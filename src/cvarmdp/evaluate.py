@@ -5,8 +5,8 @@ The per-step laws are pushed forward exactly through the kernel; Monte
 Carlo exists only to cross-check that evolution, never as the primary
 evaluator. The loops of both live in `_kernels`; this module sets up
 their inputs: the sparse map from pair laws to reward laws for
-`cvar_sequence`, and the transposed rule and kernel CDFs and the flat
-(pair, next state) atom table for `monte_carlo_eval`.
+`cvar_sequence`, and the transposed rule and kernel CDFs for
+`monte_carlo_eval`, which reads rewards through `MdpInstance.step_grid`.
 """
 
 from __future__ import annotations
@@ -48,11 +48,10 @@ def _atom_matrix(instance):
     from scipy import sparse
 
     pair, grid, prob = instance.reward_atoms
-    n_values = instance.reward_grid[0].size
     order = np.argsort(grid, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(grid, minlength=n_values))))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(grid))))  # every value is paid
     return sparse.csr_array((prob[order], pair[order], indptr),
-                            shape=(n_values, instance.n_pairs))
+                            shape=(indptr.size - 1, instance.n_pairs))
 
 
 def _mass_budget(instance, rules, T):
@@ -108,7 +107,7 @@ def cvar_sequence(instance, policy, s0, T, alpha):
     mu0 = np.eye(1, instance.n_states, s0)[0]
     per_step, drift = _kernels.cvar_sequence_kernel(
         instance.kernel, instance.pair_state, rules, mu0, int(T), float(alpha),
-        _atom_matrix(instance), instance.reward_grid[0])
+        _atom_matrix(instance), instance.reward_values)
     _check_mass(drift, _mass_budget(instance, rules, T))
     cesaro = np.cumsum(per_step) / np.arange(1, T + 1)
     return CvarSequence(per_step=per_step, cesaro=cesaro, alpha=float(alpha),
@@ -203,13 +202,15 @@ def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     s0, rules, _ = _setup(instance, policy, s0, T)
-    values, atom_index = instance.reward_grid
+    values = instance.reward_values
     n_states = instance.n_states
-    # the atom paid on a step from pair k to state j is atoms[k * n_states + j]
-    atoms = np.broadcast_to(atom_index, (instance.n_pairs, n_states)).ravel()
     rng = np.random.default_rng(seed)
 
-    kernel_cdf = np.ascontiguousarray(np.cumsum(instance.kernel, axis=1)[:, :-1].T)
+    # as in _rule_cdf, levels read 2.0 from each pair's last positive next state on
+    last = n_states - 1 - np.argmax(instance.kernel[:, ::-1] > 0, axis=1)
+    cdf = np.cumsum(instance.kernel, axis=1)
+    cdf[np.arange(n_states) >= last[:, None]] = 2.0
+    kernel_cdf = np.ascontiguousarray(cdf[:, :-1].T)
     offsets = np.asarray(instance.offsets[:-1], dtype=np.int64)
     slot = np.arange(instance.n_pairs) - offsets[instance.pair_state]
     n_actions = np.diff(instance.offsets)
@@ -224,7 +225,7 @@ def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
         u_act = rng.random(replications)
         u_nxt = rng.random(replications)
         pairs, nxt = _kernels.mc_step(states, u_act, u_nxt, rule_cdf, offsets, kernel_cdf)
-        counts[t] = np.bincount(atoms[pairs * n_states + nxt], minlength=values.size)
+        counts[t] = np.bincount(instance.step_grid(pairs, nxt), minlength=values.size)
         states = nxt
 
     # valued in row blocks so the float temporaries stay bounded

@@ -461,23 +461,12 @@ def _mean_rewards(instance):
     """E_k r, the mean reward each pair pays, summed over its atoms
     (`risk.atom_sums`)."""
     pair, grid, prob = instance.reward_atoms
-    return atom_sums(prob * instance.reward_grid[0][grid], pair, instance.n_pairs)
-
-
-def _paid(instance):
-    """The rewards some pair pays with positive probability, one excess
-    column each: (values, k, w, p). values are the paid distinct rewards in
-    `reward_grid` order, and atom i of `reward_atoms` is pair k[i]'s, with
-    probability p[i], at values[w[i]].
-    """
-    pair, grid, prob = instance.reward_atoms
-    paid, w = np.unique(grid, return_inverse=True)
-    return instance.reward_grid[0][paid], pair, w, prob
+    return atom_sums(prob * instance.reward_values[grid], pair, instance.n_pairs)
 
 
 def _excess(values, y_col, w_col):
-    """Rows w_e + y >= e, one per paid reward value e of `_paid`, in its
-    order; the w columns come last, from w_col. Returns a `_rows` block.
+    """Rows w_e + y >= e, one per value e of the reward grid `values`, in
+    its order; the w columns come last, from w_col. Returns a `_rows` block.
 
     One column per value, not per (pair, atom), leaves the optimum as it
     is: in the other rows of both programs that use it (the level
@@ -537,22 +526,22 @@ def build_primal_lp(instance, xs, params):
     """The vertex program that yields the optimal tail level: min z1
     subject to v(x^l, y) <= z1 at every polytope vertex x^l, with the
     positive parts linearized through excess variables w_e >= e - y,
-    w_e >= 0, one per paid reward value e (`_paid`).
+    w_e >= 0, one per value e of the reward grid.
     `xs` is an (L, n_pairs) array whose row l is the vertex x^l.
 
     Columns: y (0), z1 (1), then the w of the `_excess` rows (from 2).
     Rows: L vertex rows, row l
     (sum x^l) y - z1 + sum_e (sum_k x^l_k P_k(r = e)) w_e / (1-alpha)
-    <= -beta x^l E r, the w_e coefficient summed over the paid atoms at e
-    in `_paid` order; then the `_excess` rows w_e + y >= e.
+    <= -beta x^l E r, the w_e coefficient summed over the atoms at e in
+    `reward_atoms` order; then the `_excess` rows w_e + y >= e.
     """
     xs = np.asarray(xs, dtype=float)
     if len(xs) == 0:
         raise ValueError("need at least one polytope vertex")
     lo, hi = instance.reward_bounds()
     inv = 1.0 / (1.0 - params.alpha)
-    values, k, w_col, p = _paid(instance)
-    w = np.zeros((len(xs), values.size))
+    k, w_col, p = instance.reward_atoms
+    w = np.zeros((len(xs), instance.reward_values.size))
     np.add.at(w, (slice(None), w_col), (inv * xs)[:, k] * p)
     pair_mean = _mean_rewards(instance)
     mean = [xl @ pair_mean for xl in xs]  # row by row, like the pair means
@@ -562,7 +551,7 @@ def build_primal_lp(instance, xs, params):
                          np.concatenate(([lo, -np.inf], np.zeros(n_cols - 2))),
                          np.concatenate(([hi], np.full(n_cols - 1, np.inf))),
                          *_stack(_rows(vertex, "<=", -params.beta * np.array(mean)),
-                                 _excess(values, 0, 2)))
+                                 _excess(instance.reward_values, 0, 2)))
 
 
 def build_level_lp(instance, params):
@@ -572,17 +561,17 @@ def build_level_lp(instance, params):
     equals, by LP duality, the smallest gain u0 supported by bias prices u:
         u[i] - sum_j P(j|i,a) u[j] + u0 >= c_(i,a)(y)  for every pair.
     Minimizing jointly over (u, u0, y) with the positive parts linearized
-    through w_e >= e - y, w_e >= 0, one per paid reward value e (`_paid`),
+    through w_e >= e - y, w_e >= 0, one per value e of the reward grid,
     yields min_y max_x v(x, y) exactly, including tail levels strictly
     between reward values (where the upper envelope of the vertex lines has
     a crossing). y ranges over the reward bounds [L, U].
 
     Columns: u, one per state (0..m-1), then u0 (m), y (m + 1), and one w
-    per paid value, in grid order, of the `_excess` rows (from m + 2).
+    per grid value, in order, of the `_excess` rows (from m + 2).
     Rows: n_pairs price rows, one per pair k, in state i,
     u_i - (P u)_k + u0 - y - sum_e P_k(r = e) w_e / (1-alpha) >= beta E_k r,
-    the w_e entry summed over pair k's paid atoms at e; then K excess rows
-    w_e + y >= e, K the number of paid values.
+    the w_e entry summed over pair k's atoms at e; then K excess rows
+    w_e + y >= e, K the size of the grid.
 
     The program pivots primal: dual simplex on it runs about sixty times
     as many iterations (perfbench's sparse 400x4: 31,427 against 536).
@@ -594,8 +583,8 @@ def build_level_lp(instance, params):
     k, j = np.nonzero(instance.kernel)
     p = instance.kernel[k, j]
     pairs = np.arange(n)
-    values, w_pair, w_col, w_prob = _paid(instance)
-    n_w = values.size
+    w_pair, w_col, w_prob = instance.reward_atoms
+    n_w = instance.reward_values.size
     price = _matrix((n, w0 + n_w),
                     np.concatenate((pairs, k, pairs, pairs, w_pair)),
                     np.concatenate((instance.pair_state, j, np.full(n, u0), np.full(n, y),
@@ -605,7 +594,7 @@ def build_level_lp(instance, params):
                          np.concatenate((np.full(m + 1, -np.inf), [lo], np.zeros(n_w))),
                          np.concatenate((np.full(m + 1, np.inf), [hi], np.full(n_w, np.inf))),
                          *_stack(_rows(price, ">=", params.beta * _mean_rewards(instance)),
-                                 _excess(values, y, w0)),
+                                 _excess(instance.reward_values, y, w0)),
                          simplex="primal")
 
 
@@ -629,7 +618,7 @@ def build_sparsify_lp(instance, y_star, params):
     # y* - delta. A one-value grid has no gap, and no reward below y*.
     delta = np.diff(breakpoints(instance)).min(initial=np.inf)
     pair, grid, prob = instance.reward_atoms
-    r = instance.reward_grid[0][grid]
+    r = instance.reward_values[grid]
     # per pair: the probability of a reward at or below y*, and below it
     at_w = atom_sums(prob * (r <= y_star), pair, n)
     below_w = atom_sums(prob * (r < y_star - delta / 2.0), pair, n)

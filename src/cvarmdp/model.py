@@ -58,8 +58,8 @@ class MdpInstance:
     Exactly one of `rewards` (per pair) and `rewards3` (per pair and next
     state) is present; `rewards3` models rewards that depend on the state
     reached, as in the endowment instance. This class is the one reader of
-    the two fields: every computation on rewards goes through
-    `reward_grid` and the reward table `reward_atoms`.
+    the two fields: every computation on rewards goes through the grid
+    `reward_values`, the reward table `reward_atoms` and `step_grid`.
     """
 
     name: str
@@ -149,34 +149,41 @@ class MdpInstance:
         return self.rewards3 is not None
 
     @cached_property
-    def reward_grid(self):
-        """The sorted distinct rewards and each reward entry's place among
-        them: (values, index), both read-only, index of shape (n_pairs, 1)
-        for per-pair rewards and of the shape of rewards3 for next-state
-        ones, where every entry counts, whether or not the transition
-        carries probability: those values are part of the instance data and
-        of its breakpoint set.
-        """
-        table = self.rewards[:, None] if self.rewards is not None else self.rewards3
-        values, index = np.unique(table, return_inverse=True)
-        return _frozen(values), _frozen(index.reshape(table.shape))
+    def _reward_table(self):
+        """(values, (pair, grid, prob), key) from one np.unique over the paid
+        entries of `table`; key[i], increasing, is atom i's flat index there."""
+        table, probs = ((self.rewards[:, None], np.ones((self.n_pairs, 1)))
+                        if self.rewards is not None else (self.rewards3, self.kernel))
+        key = np.flatnonzero(probs)
+        values, grid = np.unique(table.ravel()[key], return_inverse=True)
+        atoms = key // probs.shape[1], grid, probs.ravel()[key]
+        return _frozen(values), tuple(map(_frozen, atoms)), key
 
-    @cached_property
+    @property
+    def reward_values(self):
+        """The reward grid: the sorted distinct rewards some pair pays, read-only."""
+        return self._reward_table[0]
+
+    @property
     def reward_atoms(self):
         """The reward table: three read-only 1-D arrays (pair, grid, prob)
         in (pair, atom) order. Atom i is paid by pair[i] with probability
-        prob[i] and pays reward_grid[0][grid[i]]. Per-pair rewards give one
+        prob[i] and pays reward_values[grid[i]]. Per-pair rewards give one
         atom per pair with prob 1.0; next-state rewards one per nonzero
         kernel entry, in next-state order. Every reward sum runs over these
         atoms in this order (`risk.atom_sums`).
         """
-        probs = np.ones((self.n_pairs, 1)) if self.rewards is not None else self.kernel
-        pair, col = np.nonzero(probs)
-        return _frozen(pair), _frozen(self.reward_grid[1][pair, col]), _frozen(probs[pair, col])
+        return self._reward_table[1]
+
+    def step_grid(self, pairs, next_states):
+        """The grid point that each step from pairs[i] to next_states[i]
+        pays; every step must have positive probability."""
+        atom = (pairs if self.rewards is not None else
+                np.searchsorted(self._reward_table[2], pairs * self.n_states + next_states))
+        return self.reward_atoms[1][atom]
 
     def reward_bounds(self):
-        values = self.reward_grid[0]
-        return float(values[0]), float(values[-1])
+        return float(self.reward_values[0]), float(self.reward_values[-1])
 
     def __eq__(self, other):
         if not isinstance(other, MdpInstance):

@@ -124,37 +124,40 @@ def atom_sums(terms, index, width):
 
 
 def reward_law_rows(instance, xs):
-    """Law of the reward under pair weights x on the grid `reward_grid[0]`,
+    """Law of the reward under pair weights x on the grid `reward_values`,
     for one weight vector or each row of a stack: atom i of `reward_atoms`
     puts max(x(pair[i]), 0) * prob[i] on grid point grid[i]."""
     pair, grid, prob = instance.reward_atoms
     weights = np.maximum(as_pair_array(xs), 0.0)[..., pair] * prob
-    return atom_sums(weights, grid, instance.reward_grid[0].size)
+    return atom_sums(weights, grid, instance.reward_values.size)
 
 
 def reward_distribution(instance, x):
     """Law of the reward under the state-action weights x (see
     `reward_law_rows`), as a validated `DiscreteDistribution`."""
-    return DiscreteDistribution.from_atoms(instance.reward_grid[0], reward_law_rows(instance, x))
+    return DiscreteDistribution.from_atoms(instance.reward_values, reward_law_rows(instance, x))
 
 
 def cvar_right_and_mean_rows(instance, xs, alpha):
     """Right-tail CVaR and mean of the reward law of every row of xs:
     row-batched `cvar_right(reward_distribution(instance, x), alpha)` and
     `.mean()` on the laws of `reward_law_rows`."""
-    values = instance.reward_grid[0]
+    values = instance.reward_values
     law = reward_law_rows(instance, xs)
     return cvar_right_rows(values, law, alpha), law @ values
 
 
 def breakpoints(instance):
-    """Breakpoint set of the instance's saddle objective in y: the sorted
-    distinct reward values `reward_grid[0]`, a read-only array.
+    """The reward grid `reward_values`: the sorted distinct rewards some
+    pair pays with positive probability, a read-only array.
 
-    The objective is piecewise linear in y with kinks only at reward
-    values, so scans over y can be restricted to this finite set.
+    v(x, y) is piecewise linear in y, kinked only at rewards x's law pays,
+    with slope 1 - 1/(1-alpha) <= 0 below every atom and 1 above, so min_y
+    v(x, y) sits at one of those kinks, all on this grid. An unpaid reward
+    e would add only a dual tail row v(x, e) >= z2 that the paid rows
+    imply: leaving it out keeps v* and y* as they are.
     """
-    return instance.reward_grid[0]
+    return instance.reward_values
 
 
 def saddle_coefficients(instance, y, params):
@@ -173,7 +176,7 @@ def saddle_coefficient_rows(instance, ys, params):
     each pair's are summed over its atoms by `atom_sums`, so a row does not
     depend on the other levels in the call."""
     pair, grid, prob = instance.reward_atoms
-    values = instance.reward_grid[0][grid]
+    values = instance.reward_values[grid]
     inv = 1.0 / (1.0 - params.alpha)
     ys = np.asarray(ys, dtype=np.float64)
     out = np.empty((ys.size, instance.n_pairs))

@@ -9,7 +9,8 @@
 - The rows of the vertex program: the occupation measures of the
   deterministic policies' recurrent classes.
 - Every pair's reward law in dense form, zero-probability entries
-  included, as a reference for the reward table's sums.
+  included, and the grid of the rewards it pays with positive
+  probability, as a reference for the reward table and its sums.
 """
 
 import numpy as np
@@ -28,6 +29,16 @@ def dense_reward_atoms(instance):
     if instance.rewards is not None:
         return instance.rewards[:, None], np.ones((instance.n_pairs, 1))
     return instance.rewards3, instance.kernel
+
+
+def paid_reward_grid(instance):
+    """(values, k, c, index): the sorted distinct rewards of the entries of
+    `dense_reward_atoms` with positive probability, those entries (k[i],
+    c[i]) in row-major order, and each one's place index[i] in values."""
+    rewards, probs = dense_reward_atoms(instance)
+    k, c = np.nonzero(probs > 0.0)
+    values, index = np.unique(rewards[k, c], return_inverse=True)
+    return values, k, c, index
 
 
 def cvar_left(dist, alpha):

@@ -59,5 +59,5 @@ def test_bench_size_runs(kind, n_states, n_actions):
 def test_bench_scan_runs():
     row = load_bench_solve().bench_scan("sparse3", 8, 3, 1)
     assert (row["runs"], row["failures"]) == (1, [])
-    assert row["distinct_rewards"] == 24
+    assert row["distinct_rewards"] == 23  # one of the 24 drawn values is never paid
     assert row["wall_s"]["median"] > 0.0

@@ -297,6 +297,28 @@ class TestMonteCarlo:
         assert mc.values.tolist() == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
         assert mc.counts.tolist() == self.PINNED_COUNTS[replications]
 
+    def test_never_reaches_a_next_state_of_probability_zero(self, monkeypatch):
+        # s1's row misses 1 by 5e-10, within PROB_TOL, so its CDF tops out at
+        # 1 - 5e-10; a uniform above that must still pick s2, the last next
+        # state of positive probability, never s3 and its reward 99
+        kernel = np.array([[0.5, 0.5 - 5e-10, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        r3 = np.array([[1.0, 2.0, 99.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        inst = model.MdpInstance("short-row", ("s1", "s2", "s3"), (("a",),) * 3, kernel,
+                                 rewards3=r3)
+        assert model.validate(inst).ok
+        step = _kernels.mc_step
+
+        def high_uniforms(states, u_act, u_nxt, *cdfs):
+            return step(states, u_act, np.full_like(u_nxt, 1.0 - 1e-10), *cdfs)
+
+        monkeypatch.setattr(_kernels, "mc_step", high_uniforms)
+        mc = evaluate.monte_carlo_eval(inst, single_action_policy(inst), "s1", 2, 10, seed=0,
+                                       alpha=0.5)
+        first = dict(zip(mc.values.tolist(), mc.counts[0].tolist()))
+        assert first.get(99.0, 0) == 0 and first[2.0] == 10
+        assert mc.values.tolist() == [0.0, 1.0, 2.0]
+        assert mc.counts.tolist() == [[0, 0, 10], [10, 0, 0]]
+
     def test_cvar_valued_in_bounded_blocks(self):
         # 100 states x 4 actions, K = 400: the histogram is valued in row
         # blocks, so the peak stays near the size of `counts` (one pass over
@@ -400,15 +422,14 @@ def step_by_step(instance, rules, s0, T, alpha):
     """Plain reference for the chunked evolution: push the state law one
     step at a time, bincount each step's reward law and value it alone.
     Returns the per-step CVaR and the pair laws."""
-    values, atom_index = instance.reward_grid
-    probs = oracles.dense_reward_atoms(instance)[1]
+    values, k, c, index = oracles.paid_reward_grid(instance)
+    probs = oracles.dense_reward_atoms(instance)[1][k, c]
     mu = np.zeros(instance.n_states)
     mu[s0] = 1.0
     cvar, pair_laws = np.empty(T), np.empty((T, instance.n_pairs))
     for t in range(T):
         pk = mu[instance.pair_state] * rules[min(t, rules.shape[0] - 1)]
-        law = np.bincount(atom_index.ravel(), weights=(pk[:, None] * probs).ravel(),
-                          minlength=values.size)
+        law = np.bincount(index, weights=pk[k] * probs, minlength=values.size)
         cvar[t] = risk.cvar_right_rows(values, law, alpha)
         pair_laws[t] = pk
         mu = pk @ instance.kernel
@@ -436,7 +457,7 @@ class TestChunkedEvolution:
             rules = np.repeat([random_rules(inst, rng, 1, False).probs for _ in run_lengths],
                               run_lengths, axis=0)
         s0 = int(rng.integers(inst.n_states))
-        values, atom_index = inst.reward_grid
+        values = oracles.paid_reward_grid(inst)[0]
         mu0 = np.zeros(inst.n_states)
         mu0[s0] = 1.0
         ref, ref_pairs = step_by_step(inst, rules, s0, T, alpha)
@@ -483,11 +504,11 @@ class TestChunkedEvolution:
     @pytest.mark.parametrize("name", ["example2", "endowment", "repeated"])
     def test_atom_matrix_sums_like_bincount(self, name):
         inst = repeated_reward_instance() if name == "repeated" else model.builtin(name)
-        values, atom_index = inst.reward_grid
+        values, k, c, index = oracles.paid_reward_grid(inst)
         pk = np.random.default_rng(0).dirichlet(np.ones(inst.n_pairs), size=50)
-        probs = oracles.dense_reward_atoms(inst)[1]
-        ref = np.stack([np.bincount(atom_index.ravel(), weights=(p[:, None] * probs).ravel(),
-                                    minlength=values.size) for p in pk])
+        probs = oracles.dense_reward_atoms(inst)[1][k, c]
+        ref = np.stack([np.bincount(index, weights=p[k] * probs, minlength=values.size)
+                        for p in pk])
         atoms = evaluate._atom_matrix(inst)
         assert np.array_equal((atoms @ pk.T).T, ref)
 

@@ -397,16 +397,17 @@ class TestBuilderArrays:
         # atom order
         pair, at, prob = inst.reward_atoms
         mean = np.zeros(n)
-        for k, v, p in zip(pair.tolist(), inst.reward_grid[0][at].tolist(), prob.tolist()):
+        for k, v, p in zip(pair.tolist(), inst.reward_values[at].tolist(), prob.tolist()):
             mean[k] += p * v
         assert np.array_equal(level.row_lo[:n], beta * mean)
         assert np.all(level.row_hi == np.inf)
         # one excess row w_e + y >= e per distinct reward value e that some
         # pair pays with positive probability, in grid order; pair k's entry
         # in column w_e is -P_k(r = e) / (1 - alpha)
-        grid = inst.reward_grid[0]
+        grid = oracles.paid_reward_grid(inst)[0]
         laws = risk.reward_law_rows(inst, np.eye(n))  # row k: pair k's law on the grid
         paid = np.flatnonzero(laws.any(axis=0))
+        assert np.array_equal(inst.reward_values, grid) and paid.size == grid.size
         n_w, w0 = paid.size, m + 2
         excess = dense(level.A)[n:]
         assert level.A.shape == (n + n_w, w0 + n_w) == (len(level.row_lo), level.c.size)
@@ -458,11 +459,8 @@ def scipy_polytope(inst, n_cols):
 def paid_atoms(inst):
     """The paid reward values in grid order, and each paid atom's
     (pair, column among them, probability) in `np.nonzero(probs)` order."""
-    values, index = inst.reward_grid
-    probs = oracles.dense_reward_atoms(inst)[1]
-    k, c = np.nonzero(probs)
-    paid = np.unique(index[k, c])
-    return values[paid], k, np.searchsorted(paid, index[k, c]), probs[k, c]
+    values, k, c, index = oracles.paid_reward_grid(inst)
+    return values, k, index, oracles.dense_reward_atoms(inst)[1][k, c]
 
 
 def summed_in_order(keys, vals):
@@ -521,7 +519,7 @@ class TestCsrArrays:
         delta = float(np.diff(bp).min()) if bp.size >= 2 else None  # the grid's smallest gap
         below = y - delta / 2.0 if delta is not None else y
         atoms = list(zip(inst.reward_atoms[0].tolist(),
-                         inst.reward_grid[0][inst.reward_atoms[1]].tolist(),
+                         inst.reward_values[inst.reward_atoms[1]].tolist(),
                          inst.reward_atoms[2].tolist()))
 
         def mass(hit):  # per pair: its paid atoms' probability where hit, in atom order
@@ -704,8 +702,8 @@ class TestLevelLp:
     def test_one_excess_column_per_paid_value(self, inst, alpha, beta):
         params = risk.RiskParams(alpha, beta)
         level = lp.build_level_lp(inst, params)
-        paid = oracles.dense_reward_atoms(inst)[1] > 0
-        k_paid = np.unique(inst.reward_grid[1][paid]).size
+        rewards, probs = oracles.dense_reward_atoms(inst)
+        k_paid = np.unique(rewards[probs > 0]).size
         assert level.A.shape == (inst.n_pairs + k_paid, inst.n_states + 2 + k_paid)
         level_opt = lp.solve(level).objective
         dual_opt = lp.solve(lp.build_dual_lp(inst, params)).objective
@@ -734,8 +732,7 @@ class TestLevelLp:
         # and they pay 16 distinct values: 18 price rows plus 16 excess rows;
         # columns u (6), u0, y and one w per paid value
         inst = model.builtin("endowment")
-        index = inst.reward_grid[1]
-        assert np.unique(index[inst.kernel > 0]).size == 16
+        assert np.unique(inst.rewards3[inst.kernel > 0]).size == 16 == inst.reward_values.size
         prog = lp.build_level_lp(inst, risk.RiskParams(0.9, 0.5))
         assert prog.A.shape == (34, 24)
         assert lp.solve(prog).objective == pytest.approx(96.84, abs=0.01)

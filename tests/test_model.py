@@ -7,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+
+import oracles
 from test_chains import sparse_kernels
 
 from cvarmdp import chains, evaluate, model, risk, solver
@@ -57,13 +59,11 @@ class TestInstance:
     @pytest.mark.parametrize("name", ["example2", "endowment"])
     def test_reward_grid(self, name):
         inst = model.builtin(name)
-        values, index = inst.reward_grid
-        rewards = inst.rewards[:, None] if inst.rewards is not None else inst.rewards3
-        assert np.array_equal(values, np.unique(rewards))
-        assert index.shape == rewards.shape
-        assert np.array_equal(values[index], rewards)
-        assert inst.reward_bounds() == (rewards.min(), rewards.max())
-        for a in (values, index, *inst.reward_atoms):
+        values = inst.reward_values
+        rewards, probs = oracles.dense_reward_atoms(inst)
+        assert np.array_equal(values, np.unique(rewards[probs > 0]))
+        assert inst.reward_bounds() == (rewards[probs > 0].min(), rewards[probs > 0].max())
+        for a in (values, *inst.reward_atoms):
             with pytest.raises(ValueError):
                 a[0] = 0
 
@@ -74,7 +74,7 @@ class TestInstance:
         order."""
         inst = model.builtin(name)
         pair, grid, prob = inst.reward_atoms
-        values = inst.reward_grid[0]
+        values = inst.reward_values
         if inst.rewards is not None:
             assert np.array_equal(pair, np.arange(inst.n_pairs))
             assert np.all(prob == 1.0)

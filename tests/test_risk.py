@@ -246,9 +246,9 @@ def law_instance(name):
 
 def bincount_law(inst, x):
     """Reference law of one weight row: a plain bincount over the atoms."""
-    values, index = inst.reward_grid
-    weights = np.clip(x[:, None] * oracles.dense_reward_atoms(inst)[1], 0.0, None)
-    return np.bincount(index.ravel(), weights=weights.ravel(), minlength=values.size)
+    values, k, c, index = oracles.paid_reward_grid(inst)
+    weights = np.clip(x[k] * oracles.dense_reward_atoms(inst)[1][k, c], 0.0, None)
+    return np.bincount(index, weights=weights, minlength=values.size)
 
 
 class TestRewardLawRows:
@@ -266,7 +266,7 @@ class TestRewardLawRows:
     def check(self, inst, xs):
         want = np.stack([bincount_law(inst, x) for x in xs])
         got = risk.reward_law_rows(inst, xs)
-        assert got.shape == (xs.shape[0], inst.reward_grid[0].size)
+        assert got.shape == (xs.shape[0], oracles.paid_reward_grid(inst)[0].size)
         assert np.array_equal(got, want)
         for x, row in zip(xs, want):
             assert np.array_equal(risk.reward_law_rows(inst, x), row)
@@ -303,7 +303,7 @@ class TestRewardLawMemory:
         of 20 rows is 24 MiB."""
         inst = load_bench_solve().make_instance("sparse3", 1, 200, 4)
         xs = np.random.default_rng(0).dirichlet(np.ones(inst.n_pairs), size=20)
-        inst.reward_grid, inst.reward_atoms  # built once per instance, not per call
+        inst.reward_atoms  # built once per instance, not per call
         tracemalloc.start()
         try:
             law = risk.reward_law_rows(inst, xs)
@@ -311,6 +311,21 @@ class TestRewardLawMemory:
         finally:
             tracemalloc.stop()
         assert law.shape == (20, 24)
+        assert peak < 4 * 2**20
+
+    def test_grid_and_table_cost_grows_with_paid_atoms(self):
+        """The grid and table of bench_solve's sparse3 400x4 instance are
+        built from its paid atoms (at most 4 per pair), not from all
+        1600 x 400 (pair, next state) entries, whose float64 copy alone is
+        4.9 MiB."""
+        inst = load_bench_solve().make_instance("sparse3", 1, 400, 4)
+        tracemalloc.start()
+        try:
+            inst.reward_atoms  # built with the grid, from one np.unique
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.reward_atoms[0].size <= 4 * inst.n_pairs
         assert peak < 4 * 2**20
 
 
@@ -386,7 +401,7 @@ def per_level_coefficients(inst, ys, params):
     loop that adds the pair's paid atoms' probability times bracket in atom
     order."""
     pair, at, prob = inst.reward_atoms
-    values = inst.reward_grid[0][at].tolist()
+    values = inst.reward_values[at].tolist()
     inv = 1.0 / (1.0 - params.alpha)
     out = np.zeros((len(ys), inst.n_pairs))
     for e, y in enumerate(ys.tolist()):

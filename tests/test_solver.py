@@ -541,3 +541,35 @@ class TestDominance:
             inst = model.random_instance(seed, 3, 2)
             sol = solver.solve_cvar(inst, risk.RiskParams(0.7))
             assert sol.y_star in risk.breakpoints(inst)
+
+
+def program_bytes(prog):
+    """Every array HiGHS reads of a program, as bytes."""
+    return [a.tobytes() for a in (prog.c, prog.lb, prog.ub, prog.A.indptr, prog.A.indices,
+                                  prog.A.data, prog.row_lo, prog.row_hi)]
+
+
+class TestUnpaidRewards:
+    @given(sparse_kernels(rewards3=True), st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([(0.8, 0.5), (0.5, 0.0), (0.95, 1.0)]))
+    @settings(max_examples=40, deadline=None)
+    def test_unpaid_entries_reach_no_program(self, inst, seed, ab):
+        """A rewards3 entry whose transition has probability 0 is never
+        paid: moved far outside the paid range, it changes no breakpoint,
+        bound, program array or solution."""
+        rng = np.random.default_rng(seed)
+        r3 = np.where(inst.kernel > 0.0, inst.rewards3,
+                      rng.choice([-1e3, 1e3], size=inst.kernel.shape))
+        moved = model.MdpInstance(inst.name, inst.states, inst.actions, inst.kernel,
+                                  rewards3=r3)
+        params = risk.RiskParams(*ab)
+        assert risk.breakpoints(moved).tobytes() == risk.breakpoints(inst).tobytes()
+        assert moved.reward_bounds() == inst.reward_bounds()
+        builds = [lambda i: lp.build_dual_lp(i, params), lambda i: lp.build_level_lp(i, params)]
+        builds += [lambda i, y=float(y): lp.build_average_lp(i, y, params)
+                   for y in risk.breakpoints(inst)]
+        for build in builds:
+            assert program_bytes(build(moved)) == program_bytes(build(inst))
+        got, want = solver.solve_cvar(moved, params), solver.solve_cvar(inst, params)
+        assert got.v_star == want.v_star and got.flags == want.flags
+        assert np.array_equal(got.policy.probs, want.policy.probs)
