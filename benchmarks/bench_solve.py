@@ -17,9 +17,10 @@ certificate level; its time leaves the solve out.
 LP) runs at dense 8x3 and 20x4, sparse 100x4, 400x4 and 1000x4, and
 sparse3 400x4. Scan sizes:
 `solver.endpoint_scan_oracle` (what `cvarmdp scan` runs: one warm-started
-`lp.solve_sweep` of the average LP over the K reward values, each later
-point pivoting from the previous optimal basis, plus one level LP) on
-sparse 100x4, 400x4 and 1000x4 (K = 24) and dense 20x4 (K = 80).
+`lp.Sweep` of the average LP over the K reward values, each later point
+pivoting from the previous optimal basis, then a few bracket points on the
+same sweep next to the tabulated minimum; no level LP) on sparse 100x4,
+400x4 and 1000x4 (K = 24) and dense 20x4 and 60x4 (K = 80 and 240).
 Everything runs at alpha = 0.8, beta = 0.5 for seeds 1..--seeds after a
 warm-up, and a seed's time is the median of REPEATS calls on one instance
 (its cached reward tables are built in the first), which drops one-off
@@ -29,10 +30,11 @@ oracle) gaps per size show tolerance drift as instances grow. A run that
 raises `LpSolveError`, `SolverError` or `CapExceededError` is listed
 under `failures` and left out of the times.
 
-The scan and dual-primal rows also give, as medians over the seeds and
-outside the timed call, the level LP's rows, cols and nnz; the scan rows
-give the sweep's hot iterations, HiGHS's simplex iterations summed over
-the sweep's points 1..K-1 (a dual-primal solve runs no sweep). Every
+The dual-primal rows also give, as medians over the seeds and outside
+the timed call, the level LP's rows, cols and nnz. The scan rows give, the
+same way and from one more scan, the sweep's hot iterations, HiGHS's
+simplex iterations summed over the sweep's points 1..K-1, and
+`bracket_points`, the average-LP points after the K grid points. Every
 sparse3 row gives, as medians over the seeds, the wall time of building
 the instance's reward grid and table (`table_build_s`, the median of
 REPEATS builds) and the tracemalloc peak of one build (`table_peak_mib`).
@@ -50,7 +52,12 @@ order, which shows how far the machine's speed drifts between runs. The
 `before-paid-grid` is the package whose grid counted every reward entry,
 paid or not, through a dense (pair, next state) index, and
 `after-paid-grid` the one whose grid and table come from the paid entries
-alone; they ran in the order before, after, after-2, before-2.
+alone; they ran in the order before, after, after-2, before-2. The
+`*-bracket` labels hold only the scan rows: `before-bracket` is the
+package whose scan solved the level LP after its sweep (its rows give the
+level LP's shape), and `after-bracket` the one whose bracket step finds
+the minimum on the sweep's own model; they ran in the same order, each
+label in its own process.
 """
 
 import argparse
@@ -93,6 +100,7 @@ SCANS = (
     ("sparse", 400, 4),
     ("sparse", 1000, 4),
     ("dense", 20, 4),
+    ("dense", 60, 4),
 )
 PARAMS = risk.RiskParams(0.8, 0.5)
 REPEATS = 3
@@ -179,12 +187,25 @@ def level_lp_counts(inst):
 
 
 def scan_counts(inst):
-    """`level_lp_counts` plus the sweep's hot iterations: its HiGHS
-    iterations after the first point, on the scan's own sweep."""
-    ys = risk.breakpoints(inst)
-    sweep = lp.solve_sweep(lp.build_average_lp(inst, float(ys[0]), PARAMS),
-                           risk.saddle_coefficient_rows(inst, ys, PARAMS))
-    return {"sweep_hot_nit": sum(point.nit for point in sweep[1:]), **level_lp_counts(inst)}
+    """One more scan, with every point of its `lp.Sweep` recorded: the
+    sweep's hot iterations, HiGHS's iterations over the grid points after
+    the first, and the bracket points, the average LPs after the K grid
+    points."""
+    nits = []
+    plain = lp.Sweep.solve
+
+    def recording(sweep, *args, **kwargs):
+        point = plain(sweep, *args, **kwargs)
+        nits.append(point.nit)
+        return point
+
+    lp.Sweep.solve = recording
+    try:
+        solver.endpoint_scan_oracle(inst, PARAMS)
+    finally:
+        lp.Sweep.solve = plain
+    k = risk.breakpoints(inst).size
+    return {"sweep_hot_nit": sum(nits[1:k]), "bracket_points": len(nits) - k}
 
 
 GAPS = {"left": "saddle_left_gap", "right": "saddle_right_gap", "oracle": "oracle_gap"}
@@ -240,7 +261,7 @@ def _report(what, row):
     line = (f"{what:11s} {row['kind']:7s} {row['states']:4d}x{row['actions']}  "
             f"K={row['distinct_rewards']:4d}  median {_fmt(wall and wall['median'], '8.3f')} s")
     if "sweep_hot_nit" in row:
-        line += f"  hot it {row['sweep_hot_nit']:g}"
+        line += f"  hot it {row['sweep_hot_nit']:g}  bracket {row['bracket_points']:g}"
     if "table_build_s" in row:
         line += f"  table {row['table_build_s'] * 1e3:.1f} ms {row['table_peak_mib']:.2f} MiB"
     if "level_rows" in row:

@@ -12,20 +12,23 @@ and reward table `reward_atoms`: from triplets (`_matrix`), from a dense block
 (`_dense`), and by stacking row blocks (`_stack`). No sparse-matrix
 library is imported, so solving loads none.
 
-`solve` and `solve_sweep` run one loop, `_solve_costs`, on one HiGHS
-simplex model (basic solutions, deterministic for identical input), and
-return only optimal points that pass a re-check against the row and
-column bounds, each with its shadow prices; any other outcome, an
-infeasible or unbounded program among them, raises `LpSolveError`. The
-sweep backs the endpoint scan, whose average programs differ only in
-their costs. A first cost pivots in the program's own direction
-(`LinearProgram.simplex`), set by its builder: `build_level_lp`, which
-dualises the occupation polytope, pivots primal, because dual simplex
-takes thousands of iterations on it where primal takes hundreds; every
-other program pivots dual, the faster direction on the occupation
-programs from a cold start. Every later cost of a sweep pivots primal
-from the previous optimal basis, which a change of costs alone leaves
-primal feasible.
+Every solve runs through one class, `Sweep`: one HiGHS simplex model of
+a program (basic solutions, deterministic for identical input), solved
+under one cost after another, each handed to it when the caller has seen
+the points before. It returns only optimal points that pass a re-check
+against the row and column bounds, each with its shadow prices; any other
+outcome, an infeasible or unbounded program among them, raises
+`LpSolveError`. `solve` is a sweep's one cost, the program's own, and
+`solve_sweep` a sweep over a list of costs. A sweep backs the endpoint
+scan, whose average programs differ only in their costs: its K grid
+points and the bracket points it picks from them. A first cost pivots in
+the program's own direction (`LinearProgram.simplex`), set by its
+builder: `build_level_lp`, which dualises the occupation polytope, pivots
+primal, because dual simplex takes thousands of iterations on it where
+primal takes hundreds; every other program pivots dual, the faster
+direction on the occupation programs from a cold start. Every later cost
+of a sweep pivots primal from the previous optimal basis, which a change
+of costs alone leaves primal feasible.
 `Variable` and `Constraint` are a row-by-row view: `LinearProgram.from_rows`
 builds a hand-written program from named ones, and `variables`,
 `constraints` and `objective` give any program back in that form, its
@@ -265,8 +268,8 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """The optimal, re-checked point of `solve`, or of one cost of
-    `solve_sweep`; any other outcome raises.
+    """The optimal, re-checked point of one cost of a `Sweep` (of `solve`
+    or `solve_sweep` among them); any other outcome raises.
 
     objective is the program's objective at x, recomputed in its own sense.
     x holds the point in the program's column order, and duals the shadow
@@ -304,7 +307,7 @@ def _recheck(lp, cost, x, backend_objective, name):
         raise LpSolveError(f"{name}: solution violates constraints by {residual:.3g}")
     objective = float(cost @ x)
     mismatch = abs(backend_objective - objective)
-    if mismatch > FEASIBILITY_TOL * max(1.0, abs(objective)):
+    if not mismatch <= FEASIBILITY_TOL * max(1.0, abs(objective)):  # NaN too
         raise LpSolveError(f"{name}: objective mismatch {backend_objective!r} vs {objective!r}")
     return objective, residual, float(mismatch)
 
@@ -366,23 +369,46 @@ def _run_highs(h, name):
                        int(info.simplex_iteration_count), np.array(sol.row_dual))
 
 
-def _solve_costs(lp, costs, names):
-    """`solve_sweep`'s loop, naming point i names[i] in its errors."""
-    sign = 1.0 if lp.sense == "min" else -1.0  # HiGHS minimises a "max" program negated
-    cols = np.arange(lp.c.size, dtype=np.int32)
-    h, out = None, []
-    for cost, name in zip(costs, names):
-        if h is None:
-            h = _highs_model(lp, sign * cost)
+class Sweep:
+    """One HiGHS model of a program, solved under one cost after another.
+
+    `solve(cost)` runs the program under objective cost (a vector in the
+    program's sense; prog.c itself is not used) and returns its optimal,
+    re-checked `LpSolution`. The first cost runs cold, in the program's
+    own direction (`LinearProgram.simplex`); each later one only changes
+    the costs and pivots primal from the previous optimal basis. A change
+    of costs leaves that basis primal feasible, so primal simplex goes on
+    from it, where dual simplex would first repair its dual feasibility
+    (perfbench's sparse 400x4: 447 iterations over the 23 later points of
+    the scan's sweep, against 1,259 on dual simplex). A cost that is not
+    solved to optimality, or whose point fails the re-check, raises
+    `LpSolveError` naming the program and the cost's index (or name, when
+    given). The caller picks each cost after seeing the points before it.
+    """
+
+    def __init__(self, prog):
+        self.prog = prog
+        self.count = 0  # costs solved so far
+        # HiGHS minimises a "max" program negated
+        self._sign = 1.0 if prog.sense == "min" else -1.0
+        self._cols = np.arange(prog.c.size, dtype=np.int32)
+        self._h = None
+
+    def solve(self, cost, name=None):
+        prog, sign = self.prog, self._sign
+        if name is None:
+            name = f"{prog.name} [cost {self.count}]"
+        if self._h is None:
+            self._h = _highs_model(prog, sign * cost)
         else:
-            if len(out) == 1:  # the second cost: see `solve_sweep`
-                h.setOptionValue("simplex_strategy", SIMPLEX["primal"])
-            h.changeColsCost(cols.size, cols, sign * cost)
-        point = _run_highs(h, name)
-        objective, residual, mismatch = _recheck(lp, cost, point.x, sign * point.fun, name)
-        out.append(LpSolution(objective, point.x, residual, mismatch, point.nit,
-                              sign * point.row_dual))
-    return out
+            if self.count == 1:
+                self._h.setOptionValue("simplex_strategy", SIMPLEX["primal"])
+            self._h.changeColsCost(self._cols.size, self._cols, sign * cost)
+        point = _run_highs(self._h, name)
+        objective, residual, mismatch = _recheck(prog, cost, point.x, sign * point.fun, name)
+        self.count += 1
+        return LpSolution(objective, point.x, residual, mismatch, point.nit,
+                          sign * point.row_dual)
 
 
 def solve(lp):
@@ -393,27 +419,23 @@ def solve(lp):
 
     The simplex method returns a basic solution, an extreme point of the
     feasible region, which is what bounds the solver's randomization count.
-    Identical programs yield identical solutions across runs, and
-    `solve_sweep(lp, [lp.c])[0]` runs the same model to the same point.
+    Identical programs yield identical solutions across runs; this is the
+    first cost of a `Sweep`, so `Sweep(lp).solve(lp.c)` runs the same model
+    to the same point.
     """
-    return _solve_costs(lp, [lp.c], [lp.name])[0]
+    return Sweep(lp).solve(lp.c, lp.name)
 
 
 def solve_sweep(lp, costs):
     """Solve lp under each objective in costs (vectors in lp's sense; lp.c
-    itself is not used), returning one `LpSolution` per cost.
-
-    All points share one HiGHS model: the first cost runs cold, exactly as
-    `solve` would run it, and each later one only changes the costs and
-    pivots primal from the previous optimal basis. A change of costs
-    leaves that basis primal feasible, so primal simplex goes on from it,
-    where dual simplex would first repair its dual feasibility (perfbench's
-    sparse 400x4: 447 iterations over the 23 later points, against 1,259
-    on dual simplex). Every point is re-checked as in `solve` and carries
-    its shadow prices. The first cost that is not solved to optimality
-    raises `LpSolveError` naming the program and the cost's index.
+    itself is not used), returning one `LpSolution` per cost: the costs of
+    one `Sweep`, in order, so every point is re-checked as in `solve` and
+    carries its shadow prices. The first cost that is not solved to
+    optimality raises `LpSolveError` naming the program and the cost's
+    index.
     """
-    return _solve_costs(lp, costs, [f"{lp.name} [cost {i}]" for i in range(len(costs))])
+    sweep = Sweep(lp)
+    return [sweep.solve(cost) for cost in costs]
 
 
 # -- blocks ---------------------------------------------------------------------

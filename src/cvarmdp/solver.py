@@ -37,10 +37,11 @@ and ybar is the level at which the left condition holds (flagged
 oracle is the paper's second program, the full-range level LP
 (`lp.build_level_lp`: min_y max_x v(x, y) with the inner maximum
 dualised, |pairs| + K rows, K the reward values some pair pays). Mode
-"dual-primal", the endpoint scan (`endpoint_scan_oracle`, behind
-`cvarmdp scan`) and `verify_saddle` solve it; the default solve does not.
-The scan adds one warm-started sweep of the average LP over the reward
-values (`lp.solve_sweep`).
+"dual-primal" and `verify_saddle` solve it; the default solve does not.
+The endpoint scan (`endpoint_scan_oracle`, behind `cvarmdp scan`) does
+not either: it finds the same minimum from the average LP alone, one
+warm-started `lp.Sweep` over the reward values and a few bracket points
+next to the tabulated minimum.
 
 The basic optimum randomizes at most once. For fixed x, e -> v(x, e) is
 convex and piecewise linear with kinks only at the reward atoms of x's
@@ -110,12 +111,18 @@ class SaddleSolution:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Endpoint scan of y -> max_x v(x, y) and its exact minimum.
+    """Endpoint scan of g(y) = max_x v(x, y) and its exact minimum.
 
-    ys / envelope tabulate the reward values; y_star / value give the exact
-    minimum: the level LP's when it lies below every tabulated value (the
-    envelope's kink falls between reward values, `interior`), else the
-    leftmost tabulated argmin.
+    ys / envelope tabulate g at the reward values; y_star / value give the
+    exact minimum: the bracket step's lowest point when it lies below every
+    tabulated value by more than rounding (g's kink falls between reward
+    values, `interior`), else the leftmost tabulated argmin. The minimum
+    lies within one reward value of that argmin e_b, in
+    [e_{b-1}, e_b] U [e_b, e_{b+1}]: g is a maximum of functions convex in
+    y, so convex, and a point y < e_{b-1} with g(y) < g(e_b) would put
+    g(e_{b-1}), at most a mix of g(y) and g(e_b) with weight on both,
+    strictly below g(e_b), against e_b being the tabulated minimum
+    (likewise above e_{b+1}).
     """
 
     ys: np.ndarray
@@ -130,33 +137,84 @@ def _minimax(instance, params):
     return lp.solve(lp.build_level_lp(instance, params))
 
 
+def _bracket(instance, params, sweep, ends, costs, left, right):
+    """The lowest (g(y), y) the bracket step finds on [ends[0], ends[1]],
+    two consecutive reward values with cost rows costs, from the points
+    left and right the sweep found at the two ends; (inf, None) unless
+    the left end's line falls and the right end's rises, when g's minimum
+    on the interval is at an end.
+
+    Every v(x, .) is affine between consecutive reward values, so a point
+    x is the line costs @ x, its values at the two ends. The step is the
+    one-dimensional form of Kelley's (1960) cutting-plane method: while
+    the left line falls and the right line rises, the minimum of their
+    maximum is where they cross, at y with value z; one more average LP
+    on the sweep's model gives g(y) and the line of its optimum, which
+    replaces the line on its own slope's side. It stops once g(y) is
+    within `lp.FEASIBILITY_TOL` (relative above 1) of z, or the new line
+    is flat: either way y is the interval's minimum up to rounding.
+
+    The loop ends. Let l and r be the points where the current lines were
+    found, so that L(l) = g(l) and R(r) = g(r), and y lies in [l, r]. A
+    line M found at p <= l has M(p) = g(p) >= L(p) and M(l) <= g(l) =
+    L(l), so M <= L from l on; a line found at p >= r is likewise <= R up
+    to r. At y, where L = R = z, every line seen so far is at most z, so a
+    new line above z by more than the stop tolerance comes from an optimal
+    vertex not seen before, and the occupation polytope has finitely many.
+    """
+    width = ends[1] - ends[0]
+    lines = [costs @ left, costs @ right]  # each: (value at ends[0], value at ends[1])
+    best = (np.inf, None)
+    while lines[0][1] < lines[0][0] and lines[1][1] > lines[1][0]:
+        (a0, a1), (b0, b1) = lines
+        # the lines cross in [0, 1], up to rounding
+        t = min(max((b0 - a0) / ((a1 - a0) - (b1 - b0)), 0.0), 1.0)
+        z, y = a0 + (a1 - a0) * t, float(ends[0] + t * width)
+        sol = sweep.solve(risk.saddle_coefficients(instance, y, params))
+        g = sol.objective
+        if g < best[0]:
+            best = (g, y)
+        line = costs @ sol.x
+        if g <= z + lp.FEASIBILITY_TOL * max(1.0, abs(g)) or line[1] == line[0]:
+            break
+        lines[int(line[1] > line[0])] = line
+    return best
+
+
 def endpoint_scan_oracle(instance, params):
     """Exact independent recomputation of the optimum from the minimax side.
 
-    The envelope y -> max_x v(x, y) at the K reward values is K average
-    LPs over one occupation polytope that differ only in their costs, so
-    they run as one warm-started `lp.solve_sweep` in increasing y; each
-    point after the first pivots primal from the previous one's optimal
-    basis.
+    g(y) = max_x v(x, y) at the K reward values is K average LPs over one
+    occupation polytope that differ only in their costs, so they run as
+    the costs of one `lp.Sweep` in increasing y; each point after the
+    first pivots primal from the previous one's optimal basis.
 
-    For fixed x the objective kinks only at reward values, but the upper
-    envelope over the polytope also kinks where two vertex lines cross, so
-    the tabulated minimum can exceed the true one. The level LP gives the
-    true minimum over the whole range; it replaces the tabulated one only
-    when it is lower by more than rounding (`lp.FEASIBILITY_TOL`, relative
-    to the value above 1): the sweep and the level LP reach the same
-    optimum along different pivots, and their last bits differ.
+    For fixed x the objective kinks only at reward values, but g also
+    kinks where two vertex lines cross, so the tabulated minimum can
+    exceed the true one. The true minimum lies within one reward value of
+    the leftmost tabulated argmin e_b (see `ScanResult`), so the bracket
+    step (`_bracket`) searches [e_{b-1}, e_b] and [e_b, e_{b+1}] with a few
+    more average LPs on the same sweep, and its lowest point replaces the
+    tabulated minimum only when it is lower by more than rounding
+    (`lp.FEASIBILITY_TOL`, relative to the value above 1). No level LP is
+    solved.
     """
     ys = risk.breakpoints(instance)
-    prog = lp.build_average_lp(instance, float(ys[0]), params)
-    sols = lp.solve_sweep(prog, risk.saddle_coefficient_rows(instance, ys, params))
+    costs = risk.saddle_coefficient_rows(instance, ys, params)
+    sweep = lp.Sweep(lp.build_average_lp(instance, float(ys[0]), params))
+    sols = [sweep.solve(cost) for cost in costs]
     envelope = np.array([sol.objective for sol in sols])
     best = int(np.argmin(envelope))  # leftmost on exact ties
-    y_star, value, interior = float(ys[best]), float(envelope[best]), False
-    level = _minimax(instance, params)
-    if level.objective < value - lp.FEASIBILITY_TOL * max(1.0, abs(value)):
-        # the level LP's columns are u_0..u_{S-1}, u0, y, then w
-        y_star, value, interior = float(level.x[instance.n_states + 1]), level.objective, True
+    y_star, value = float(ys[best]), float(envelope[best])
+    low = (np.inf, None)
+    for i in range(max(best - 1, 0), min(best + 1, ys.size - 1)):
+        point = _bracket(instance, params, sweep, ys[i:i + 2], costs[i:i + 2],
+                         sols[i].x, sols[i + 1].x)
+        if point[0] < low[0]:
+            low = point
+    interior = low[0] < value - lp.FEASIBILITY_TOL * max(1.0, abs(value))
+    if interior:
+        value, y_star = low
     return ScanResult(ys=ys.copy(), envelope=envelope,
                       y_star=y_star, value=value, interior=interior)
 

@@ -56,22 +56,24 @@ def test_kernel_step_count_is_fifth_argument():
     assert list(inspect.signature(_kernels.cvar_sequence_kernel).parameters)[4] == "T"
 
 
-@pytest.mark.parametrize("command, kind", [("solve", "dual"), ("scan", "level")])
-def test_traced_cli_run_counts_lp_shapes_and_solves(spans, capsys, command, kind):
+@pytest.mark.parametrize("mode, kind", [("dual", "dual"), ("dual-primal", "level")],
+                         ids=["solve-dual", "dual-primal-level"])
+def test_traced_cli_run_counts_lp_shapes_and_solves(spans, capsys, mode, kind):
     """The LP hooks read `prog.constraints`, `prog.variables` and the solved
-    program's `name`; a traced run must count what they read."""
+    program's `name`; a traced run must count what they read. `solve --mode
+    dual-primal` solves the level LP, so its count is checked there."""
     from cvarmdp import cli
 
     tracer = spans.Tracer()
     tracer.install()
     try:
-        code, _ = tracer.run_op(0, command, lambda: cli.main(
-            [command, "--builtin", "example2", "--alpha", "0.7", "--json"]))
+        code, _ = tracer.run_op(0, "solve", lambda: cli.main(
+            ["solve", "--builtin", "example2", "--alpha", "0.7", "--mode", mode, "--json"]))
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert code == 0
-    counts = tracer.by_kind[command].counts
+    counts = tracer.by_kind["solve"].counts
     for name in ("lp.rows", "lp.cols", "lp.nnz", f"lp.solve.calls.{kind}"):
         assert counts[name] > 0, name
 

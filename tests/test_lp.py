@@ -208,6 +208,26 @@ class TestSolveSweep:
             assert point.duals.shape == (prog.A.shape[0],) == (inst.n_states + 1,)
             assert abs(point.duals[-1] - point.objective) <= 1e-9 * max(1.0, abs(point.objective))
 
+    def test_sweep_takes_costs_one_at_a_time(self):
+        """A `Sweep` solves each cost as it is handed one, to the points a
+        `solve_sweep` over the same costs reaches, and its errors name the
+        cost's index: a NaN cost's objective fails the re-check."""
+        inst, params = model.builtin("example2"), risk.RiskParams(0.7)
+        ys = risk.breakpoints(inst)
+        prog = lp.build_average_lp(inst, float(ys[0]), params)
+        costs = [risk.saddle_coefficients(inst, y, params)
+                 for y in (float(ys[0]), float(ys[-1]), float(ys[0] + ys[-1]) / 2.0)]
+        sweep = lp.Sweep(prog)
+        points = [sweep.solve(cost) for cost in costs]
+        assert sweep.count == 3
+        for point, again in zip(points, lp.solve_sweep(prog, costs)):
+            assert point.objective == again.objective
+            assert np.array_equal(point.x, again.x)
+            assert np.array_equal(point.duals, again.duals)
+        with pytest.raises(lp.LpSolveError,
+                           match=r"-average\(y=4\) \[cost 3\]: objective mismatch nan"):
+            sweep.solve(np.full(prog.c.size, np.nan))
+
     def test_recheck_refuses_at_negative_tolerance(self, monkeypatch):
         inst, params = model.builtin("example2"), risk.RiskParams(0.7)
         ys = risk.breakpoints(inst)

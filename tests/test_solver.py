@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,21 +269,31 @@ class TestMinimaxLpCount:
         assert names.count(f"{inst.name}-level") == 1
         assert sum(n.startswith(f"{inst.name}-average(") for n in names) == 1
 
-    def test_scan_solves_one_average_per_reward_and_one_level(self, monkeypatch):
+    def test_scan_passes_nothing_to_solve_and_sweeps_one_average_program(self, monkeypatch):
+        """The scan's K grid costs and its bracket costs are all costs of
+        one `lp.Sweep` over one average program; no level LP is solved."""
         inst = model.builtin("example2")
         names = solved_names(monkeypatch)
-        sweeps = []
-        plain = lp.solve_sweep
+        builds, sweeps = [], []
+        build, solve = lp.build_average_lp, lp.Sweep.solve
 
-        def recording(prog, costs, *args, **kwargs):
-            sweeps.append((prog.name, len(costs)))
-            return plain(prog, costs, *args, **kwargs)
+        def building(*args, **kwargs):
+            prog = build(*args, **kwargs)
+            builds.append(prog.name)
+            return prog
 
-        monkeypatch.setattr(lp, "solve_sweep", recording)
-        solver.endpoint_scan_oracle(inst, risk.RiskParams(0.7))
+        def recording(sweep, *args, **kwargs):
+            sweeps.append((id(sweep), sweep.prog.name))
+            return solve(sweep, *args, **kwargs)
+
+        monkeypatch.setattr(lp, "build_average_lp", building)
+        monkeypatch.setattr(lp.Sweep, "solve", recording)
+        scan = solver.endpoint_scan_oracle(inst, risk.RiskParams(0.7))
         ys = risk.breakpoints(inst)
-        assert sweeps == [(f"{inst.name}-average(y={ys[0]:g})", ys.size)]
-        assert names == [f"{inst.name}-level"]
+        assert names == []
+        assert builds == [f"{inst.name}-average(y={ys[0]:g})"]
+        assert set(sweeps) == {(sweeps[0][0], builds[0])}
+        assert scan.interior and len(sweeps) > ys.size  # example2's minimum lies between values
 
     def test_dual_primal_solves_dual_then_level(self, monkeypatch):
         inst = model.builtin("example2")
@@ -456,6 +467,56 @@ class TestEndpointScan:
         assert not scan.interior
         assert scan.y_star == scan.ys[np.argmin(scan.envelope)] == 82.2508
         assert scan.value == scan.envelope.min()
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(sparse_kernels(), sparse_kernels(rewards3=True)),
+           st.sampled_from([0.0, 0.5, 0.7, 0.9]), st.sampled_from([0.0, 0.5]))
+    def test_bracket_agrees_with_level_lp(self, inst, alpha, beta):
+        params = risk.RiskParams(alpha, beta)
+        scan = solver.endpoint_scan_oracle(inst, params)
+        level = lp.solve(lp.build_level_lp(inst, params)).objective
+        v, grid_best = scan.value, scan.envelope.min()
+        tol = lp.FEASIBILITY_TOL * max(1.0, abs(v))
+        assert level - tol <= v <= level + 1e-9 * max(1.0, abs(v))
+        assert v <= grid_best
+        assert scan.interior == (v < grid_best - tol)
+        if scan.interior:
+            b, last = int(np.argmin(scan.envelope)), scan.ys.size - 1
+            assert scan.ys[max(b - 1, 0)] < scan.y_star < scan.ys[min(b + 1, last)]
+            cold = lp.solve(lp.build_average_lp(inst, scan.y_star, params)).objective
+            assert abs(cold - v) <= tol
+
+    def test_bracket_keeps_its_lowest_point(self, monkeypatch):
+        """perfbench's scan-sparse seed 2, case 27: four bracket points, the
+        last 9.2e-7 below the third, less than the interior threshold
+        (1.36e-6). Keeping only gains above that threshold would report
+        the third point's 135.7465032."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import sparse_instance as perfbench_sparse_instance
+
+        inst, params = perfbench_sparse_instance(2103139802, 100, 4), risk.RiskParams(0.5, 0.5)
+        points = []
+        solve = lp.Sweep.solve
+
+        def recording(sweep, *args, **kwargs):
+            sol = solve(sweep, *args, **kwargs)
+            points.append(sol.objective)
+            return sol
+
+        monkeypatch.setattr(lp.Sweep, "solve", recording)
+        scan = solver.endpoint_scan_oracle(inst, params)
+        monkeypatch.undo()
+        bracket = points[scan.ys.size:]
+        assert len(bracket) == 4
+        assert 0.0 < bracket[2] - bracket[3] < lp.FEASIBILITY_TOL * abs(scan.envelope.min())
+        assert scan.interior
+        assert scan.value == bracket[3]
+        assert round(scan.value, 7) == 135.7465023
+        cold = lp.solve(lp.build_average_lp(inst, scan.y_star, params)).objective
+        assert abs(scan.value - cold) <= 1e-9 * abs(cold)
+        level = lp.solve(lp.build_level_lp(inst, params)).objective
+        assert scan.value <= level + 1e-9 * abs(level)
 
 
 class TestVerifySaddle:
