@@ -19,6 +19,10 @@ Cases:
   100, 4)` under the policy that plays each state's first action, 200
   replications x 2,000 steps, alpha = 0.8 (few uniforms against 99
   kernel levels: the sampler compares slabs of levels);
+- `monte-carlo-block`: `evaluate.monte_carlo_eval` on `example1` under
+  its tripling switching schedule, 2,000 replications x 2,000 steps,
+  alpha = 0.5 (a time-dependent policy whose rules stay for runs of
+  up to 907 steps);
 - `states-10`, `states-30`, `states-100`: `evaluate.cvar_sequence` on
   `random_instance(1, n, 4)` (K = 4n distinct rewards) under the
   stationary policy that plays each state's first action, T = 20,000,
@@ -49,6 +53,8 @@ MC_REPLICATIONS = 100_000
 MC_T = 200
 MC_FEW_REPLICATIONS = 200
 MC_FEW_T = 2000
+MC_BLOCK_REPLICATIONS = 2000
+MC_BLOCK_T = 2000
 SWITCH_T = 50_000
 STATES_T = 20_000
 STATES = (10, 30, 100)
@@ -60,6 +66,7 @@ def cases():
     e2 = model.builtin("example2")
     endow = model.builtin("endowment")
     schedule = evaluate.example1_policy(OSCILLATOR_T)
+    block_schedule = evaluate.example1_policy(MC_BLOCK_T)
     endow_policy = model.DeterministicPolicy((2, 0, 1, 2, 0, 1)).to_stationary(endow)
     mc_policy = model.DeterministicPolicy((2, 0, 2)).to_stationary(e2)
     rules = np.random.default_rng(0).dirichlet(np.ones(3), size=(SWITCH_T, e2.n_states))
@@ -92,6 +99,11 @@ def cases():
          f"replications x {MC_FEW_T} steps", MC_FEW_T,
          lambda: evaluate.monte_carlo_eval(big, big_policy, "s1", MC_FEW_T, MC_FEW_REPLICATIONS,
                                            seed=0, alpha=0.8)),
+        ("monte-carlo-block",
+         f"monte_carlo_eval example1 schedule, {MC_BLOCK_REPLICATIONS} replications x "
+         f"{MC_BLOCK_T} steps", MC_BLOCK_T,
+         lambda: evaluate.monte_carlo_eval(e1, block_schedule, "s1", MC_BLOCK_T,
+                                           MC_BLOCK_REPLICATIONS, seed=0, alpha=0.5)),
         *scaling,
     ]
 

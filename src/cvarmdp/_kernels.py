@@ -1,9 +1,11 @@
 """Hot numeric loops: exact law evolution, per-step CVaR, Monte Carlo steps.
 
-`pair_law_blocks` is the one push-forward of the state law;
-`cvar_sequence_kernel` and `evaluate.t_step_distribution` both read it.
-It splits the rule rows into runs of identical rules and pushes the law
-one step at a time, as `pk = mu[pair_state] * rule`, `mu = pk @ kernel`.
+`_run_bounds` splits the rule rows into runs of identical rules; the
+exact evolution and `evaluate.monte_carlo_eval`, which builds one policy
+table of levels per run, both walk them. `pair_law_blocks` is the one
+push-forward of the state law; `cvar_sequence_kernel` and
+`evaluate.t_step_distribution` both read it. It pushes the law one step
+at a time, as `pk = mu[pair_state] * rule`, `mu = pk @ kernel`.
 Once a run's law comes back bit for bit to its value of two steps
 before, the rest of the run repeats its last two laws and is copied into
 the buffer instead of computed, so a stationary or block schedule pays

@@ -5,8 +5,9 @@ The per-step laws are pushed forward exactly through the kernel; Monte
 Carlo exists only to cross-check that evolution, never as the primary
 evaluator. The loops of both live in `_kernels`; this module sets up
 their inputs: the sparse map from pair laws to reward laws for
-`cvar_sequence`, and the transposed rule and kernel CDFs for
-`monte_carlo_eval`, which reads rewards through `MdpInstance.step_grid`.
+`cvar_sequence`, and for `monte_carlo_eval` the rule and kernel CDFs as
+level tables, both built by `_levels`; it reads rewards through
+`MdpInstance.step_grid`.
 """
 
 from __future__ import annotations
@@ -178,15 +179,16 @@ class MonteCarloResult:
     replications: int
 
 
-def _rule_cdf(instance, row, slot, closed):
-    """Per-state action CDFs of a rule row as (width - 1, states) levels for
-    `_kernels.mc_step`. From each state's last action on they read 2.0,
-    which no uniform reaches, so the count of levels a uniform reaches
-    picks one of the state's actions."""
-    cdf = np.zeros(closed.shape)
-    cdf[instance.pair_state, slot] = row
-    np.cumsum(cdf, axis=1, out=cdf)
-    cdf[closed] = 2.0
+def _levels(table):
+    """Row-wise CDFs of a probability table as the (width - 1, rows) levels
+    `_kernels.mc_step` reads. From each row's last positive entry on they
+    read 2.0, which no uniform reaches, so the count of levels a uniform
+    reaches picks an entry of positive probability even where the row sums
+    to a little under 1."""
+    width = table.shape[1]
+    last = width - 1 - np.argmax(table[:, ::-1] > 0, axis=1)
+    cdf = np.cumsum(table, axis=1)
+    cdf[np.arange(width) >= last[:, None]] = 2.0
     return np.ascontiguousarray(cdf[:, :-1].T)
 
 
@@ -203,30 +205,26 @@ def monte_carlo_eval(instance, policy, s0, T, replications, seed, *, alpha):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     s0, rules, _ = _setup(instance, policy, s0, T)
     values = instance.reward_values
-    n_states = instance.n_states
     rng = np.random.default_rng(seed)
 
-    # as in _rule_cdf, levels read 2.0 from each pair's last positive next state on
-    last = n_states - 1 - np.argmax(instance.kernel[:, ::-1] > 0, axis=1)
-    cdf = np.cumsum(instance.kernel, axis=1)
-    cdf[np.arange(n_states) >= last[:, None]] = 2.0
-    kernel_cdf = np.ascontiguousarray(cdf[:, :-1].T)
+    kernel_cdf = _levels(instance.kernel)
     offsets = np.asarray(instance.offsets[:-1], dtype=np.int64)
     slot = np.arange(instance.n_pairs) - offsets[instance.pair_state]
-    n_actions = np.diff(instance.offsets)
-    closed = np.arange(n_actions.max()) >= n_actions[:, None] - 1
-    stationary = rules.shape[0] == 1
-    cdf_cache = _rule_cdf(instance, rules[0], slot, closed) if stationary else None
+    # a rule row as (states, most actions), zero past each state's last action
+    table = np.zeros((instance.n_states, int(np.diff(instance.offsets).max())))
 
     states = np.full(replications, s0, dtype=np.int64)
     counts = np.zeros((T, values.size), dtype=np.int64)
-    for t in range(T):
-        rule_cdf = cdf_cache if stationary else _rule_cdf(instance, rules[t], slot, closed)
-        u_act = rng.random(replications)
-        u_nxt = rng.random(replications)
-        pairs, nxt = _kernels.mc_step(states, u_act, u_nxt, rule_cdf, offsets, kernel_cdf)
-        counts[t] = np.bincount(instance.step_grid(pairs, nxt), minlength=values.size)
-        states = nxt
+    bounds = _kernels._run_bounds(rules, T)
+    for start, stop in zip(bounds[:-1], bounds[1:]):  # one table per run of identical rules
+        table[instance.pair_state, slot] = rules[start]
+        rule_cdf = _levels(table)
+        for t in range(start, stop):
+            u_act = rng.random(replications)
+            u_nxt = rng.random(replications)
+            pairs, nxt = _kernels.mc_step(states, u_act, u_nxt, rule_cdf, offsets, kernel_cdf)
+            counts[t] = np.bincount(instance.step_grid(pairs, nxt), minlength=values.size)
+            states = nxt
 
     # valued in row blocks so the float temporaries stay bounded
     cvar = np.empty(T)

@@ -18,14 +18,13 @@ under one cost after another, each handed to it when the caller has seen
 the points before. It returns only optimal points that pass a re-check
 against the row and column bounds, each with its shadow prices; any other
 outcome, an infeasible or unbounded program among them, raises
-`LpSolveError`. `solve` is a sweep's one cost, the program's own, and
-`solve_sweep` a sweep over a list of costs. A sweep backs the endpoint
-scan, whose average programs differ only in their costs: its K grid
-points and the bracket points it picks from them. A first cost pivots in
-the program's own direction (`LinearProgram.simplex`), set by its
-builder: `build_level_lp`, which dualises the occupation polytope, pivots
-primal, because dual simplex takes thousands of iterations on it where
-primal takes hundreds; every other program pivots dual, the faster
+`LpSolveError`. `solve` is a sweep's one cost, the program's own. A
+sweep backs the endpoint scan, whose average programs differ only in
+their costs: its K grid points and the bracket points it picks from
+them. A first cost pivots in the program's own direction
+(`LinearProgram.simplex`), set by its builder: `build_level_lp`, which
+dualises the occupation polytope, pivots primal, because dual simplex
+takes thousands of iterations on it where primal takes hundreds; every other program pivots dual, the faster
 direction on the occupation programs from a cold start. Every later cost
 of a sweep pivots primal from the previous optimal basis, which a change
 of costs alone leaves primal feasible.
@@ -269,7 +268,7 @@ class LinearProgram:
 @dataclass(frozen=True)
 class LpSolution:
     """The optimal, re-checked point of one cost of a `Sweep` (of `solve`
-    or `solve_sweep` among them); any other outcome raises.
+    among them); any other outcome raises.
 
     objective is the program's objective at x, recomputed in its own sense.
     x holds the point in the program's column order, and duals the shadow
@@ -424,18 +423,6 @@ def solve(lp):
     to the same point.
     """
     return Sweep(lp).solve(lp.c, lp.name)
-
-
-def solve_sweep(lp, costs):
-    """Solve lp under each objective in costs (vectors in lp's sense; lp.c
-    itself is not used), returning one `LpSolution` per cost: the costs of
-    one `Sweep`, in order, so every point is re-checked as in `solve` and
-    carries its shadow prices. The first cost that is not solved to
-    optimality raises `LpSolveError` naming the program and the cost's
-    index.
-    """
-    sweep = Sweep(lp)
-    return [sweep.solve(cost) for cost in costs]
 
 
 # -- blocks ---------------------------------------------------------------------

@@ -280,11 +280,23 @@ class TestMonteCarlo:
                  [2450, 5623, 10527, 3629, 6005, 9303, 2463],
                  [3305, 13032, 1521, 5416, 0, 16726, 0]],
     }
+    # The same draws under rules that stay for runs of 2, 3 and 1 steps.
+    PINNED_BLOCK_COUNTS = {
+        50: [[8, 1, 24, 9, 4, 4, 0], [7, 12, 3, 10, 2, 16, 0], [6, 4, 10, 5, 10, 13, 2],
+             [3, 6, 6, 1, 15, 15, 4], [0, 7, 15, 5, 9, 12, 2], [2, 24, 1, 3, 0, 20, 0]],
+        40_000: [[6813, 3175, 17577, 4708, 1191, 6536, 0],
+                 [4196, 8355, 4859, 4780, 2907, 13604, 1299],
+                 [2505, 6070, 9225, 3758, 6090, 9824, 2528],
+                 [1668, 7453, 9025, 2621, 7447, 8472, 3314],
+                 [1832, 7732, 7612, 2780, 7531, 9066, 3447],
+                 [3451, 12491, 1402, 5664, 0, 16992, 0]],
+    }
 
     @pytest.mark.parametrize("replications", sorted(PINNED_COUNTS))
     def test_pinned_seed_counts(self, replications):
         # 1, 3 and 2 actions per state, so padded and single-action CDFs
-        # are both sampled; next-state rewards; a rule that changes every step
+        # are both sampled; next-state rewards; a rule that changes every
+        # step, then one that stays for several
         kernel = np.array([[0.2, 0.5, 0.3], [0.6, 0.4, 0.0], [0.0, 0.1, 0.9],
                            [1 / 3, 1 / 3, 1 / 3], [0.5, 0.0, 0.5], [0.25, 0.25, 0.5]])
         r3 = (np.arange(6)[:, None] * 3 + np.arange(3) * 5) % 7 - 3.0
@@ -292,10 +304,12 @@ class TestMonteCarlo:
                                  (("a",), ("a", "b", "c"), ("a", "b")), kernel, rewards3=r3)
         rows = np.array([[1, 0.2, 0.3, 0.5, 0.7, 0.3], [1, 0, 1, 0, 0.4, 0.6],
                          [1, 0.5, 0, 0.5, 1, 0]])
-        pol = model.TimeDependentPolicy.from_rules(rows[[0, 1, 2, 0, 1, 2]])
-        mc = evaluate.monte_carlo_eval(inst, pol, "s2", 6, replications, 2024, alpha=0.5)
-        assert mc.values.tolist() == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
-        assert mc.counts.tolist() == self.PINNED_COUNTS[replications]
+        for schedule, pinned in (([0, 1, 2, 0, 1, 2], self.PINNED_COUNTS),
+                                 ([0, 0, 1, 1, 1, 2], self.PINNED_BLOCK_COUNTS)):
+            pol = model.TimeDependentPolicy.from_rules(rows[schedule])
+            mc = evaluate.monte_carlo_eval(inst, pol, "s2", 6, replications, 2024, alpha=0.5)
+            assert mc.values.tolist() == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+            assert mc.counts.tolist() == pinned[replications]
 
     def test_never_reaches_a_next_state_of_probability_zero(self, monkeypatch):
         # s1's row misses 1 by 5e-10, within PROB_TOL, so its CDF tops out at
@@ -318,6 +332,29 @@ class TestMonteCarlo:
         assert first.get(99.0, 0) == 0 and first[2.0] == 10
         assert mc.values.tolist() == [0.0, 1.0, 2.0]
         assert mc.counts.tolist() == [[0, 0, 10], [10, 0, 0]]
+
+    def test_never_plays_an_action_of_probability_zero(self, monkeypatch):
+        # s1's rule misses 1 by 5e-10, within PROB_TOL, so its CDF tops out
+        # at 1 - 5e-10; a uniform above that must still pick b, the last
+        # action of positive probability, never c and its reward 99
+        kernel = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        rewards = np.array([1.0, 2.0, 99.0, 0.0])
+        inst = model.MdpInstance("short-rule", ("s1", "s2"), (("a", "b", "c"), ("a",)), kernel,
+                                 rewards=rewards)
+        assert model.validate(inst).ok
+        pol = model.StationaryPolicy.from_mapping(
+            inst, {"s1": {"a": 0.5, "b": 0.5 - 5e-10, "c": 0.0}, "s2": {"a": 1.0}})
+        step = _kernels.mc_step
+
+        def high_uniforms(states, u_act, u_nxt, *cdfs):
+            return step(states, np.full_like(u_act, 1.0 - 1e-10), u_nxt, *cdfs)
+
+        monkeypatch.setattr(_kernels, "mc_step", high_uniforms)
+        for policy in (pol, model.TimeDependentPolicy.from_rules([pol.probs] * 3)):
+            mc = evaluate.monte_carlo_eval(inst, policy, "s1", 3, 10, seed=0, alpha=0.5)
+            assert mc.values.tolist() == [0.0, 1.0, 2.0, 99.0]
+            assert mc.counts[:, 3].tolist() == [0, 0, 0]
+            assert mc.counts[:, 2].tolist() == [10, 10, 10]
 
     def test_cvar_valued_in_bounded_blocks(self):
         # 100 states x 4 actions, K = 400: the histogram is valued in row

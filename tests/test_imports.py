@@ -44,10 +44,10 @@ def test_every_module_import_is_used(path):
 
 def lp_program_reads(tree):
     """The names of `lp` the module reads that build or solve a program:
-    `lp.solve`, `lp.solve_sweep`, `lp.Sweep` and `lp.build_*`, as
+    `lp.solve`, `lp.Sweep` and `lp.build_*`, as
     attributes of `lp` or imported from it."""
     def runs(name):
-        return name in ("solve", "solve_sweep", "Sweep") or name.startswith("build_")
+        return name in ("solve", "Sweep") or name.startswith("build_")
     reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
              and isinstance(node.value, ast.Name) and node.value.id == "lp" and runs(node.attr)}
     reads |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)

@@ -164,8 +164,14 @@ def sweep_instances():
             sparse_instance(rng, 6, [2] * 6, rewards3=True)]
 
 
+def sweep_points(prog, costs):
+    """The points of one `lp.Sweep` of prog under costs, in order."""
+    sweep = lp.Sweep(prog)
+    return [sweep.solve(cost) for cost in costs]
+
+
 class TestSolveSweep:
-    """solve_sweep runs one HiGHS model under a sequence of costs."""
+    """A `Sweep` solves one HiGHS model under a sequence of costs."""
 
     @pytest.mark.parametrize("inst", sweep_instances(), ids=lambda inst: inst.name)
     def test_first_point_matches_solve_bit_for_bit(self, inst):
@@ -174,7 +180,7 @@ class TestSolveSweep:
         for prog in (lp.build_average_lp(inst, y, params), lp.build_dual_lp(inst, params),
                      lp.build_level_lp(inst, params)):
             cold = lp.solve(prog)
-            (first,) = lp.solve_sweep(prog, [prog.c])
+            (first,) = sweep_points(prog, [prog.c])
             assert first.status == "optimal"
             assert first.objective == cold.objective
             assert np.array_equal(first.x, cold.x)
@@ -187,8 +193,8 @@ class TestSolveSweep:
     def test_every_point_matches_a_cold_solve(self, inst, alpha, beta):
         params = risk.RiskParams(alpha, beta)
         ys = risk.breakpoints(inst)
-        sweep = lp.solve_sweep(lp.build_average_lp(inst, float(ys[0]), params),
-                               [risk.saddle_coefficients(inst, float(y), params) for y in ys])
+        sweep = sweep_points(lp.build_average_lp(inst, float(ys[0]), params),
+                             [risk.saddle_coefficients(inst, float(y), params) for y in ys])
         assert len(sweep) == ys.size
         for y, point in zip(ys, sweep):
             cold = lp.solve(lp.build_average_lp(inst, float(y), params))
@@ -204,13 +210,13 @@ class TestSolveSweep:
         params = risk.RiskParams(alpha, beta)
         ys = risk.breakpoints(inst)
         prog = lp.build_average_lp(inst, float(ys[0]), params)
-        for point in lp.solve_sweep(prog, risk.saddle_coefficient_rows(inst, ys, params)):
+        for point in sweep_points(prog, risk.saddle_coefficient_rows(inst, ys, params)):
             assert point.duals.shape == (prog.A.shape[0],) == (inst.n_states + 1,)
             assert abs(point.duals[-1] - point.objective) <= 1e-9 * max(1.0, abs(point.objective))
 
     def test_sweep_takes_costs_one_at_a_time(self):
         """A `Sweep` solves each cost as it is handed one, to the points a
-        `solve_sweep` over the same costs reaches, and its errors name the
+        second sweep over the same costs reaches, and its errors name the
         cost's index: a NaN cost's objective fails the re-check."""
         inst, params = model.builtin("example2"), risk.RiskParams(0.7)
         ys = risk.breakpoints(inst)
@@ -220,7 +226,7 @@ class TestSolveSweep:
         sweep = lp.Sweep(prog)
         points = [sweep.solve(cost) for cost in costs]
         assert sweep.count == 3
-        for point, again in zip(points, lp.solve_sweep(prog, costs)):
+        for point, again in zip(points, sweep_points(prog, costs)):
             assert point.objective == again.objective
             assert np.array_equal(point.x, again.x)
             assert np.array_equal(point.duals, again.duals)
@@ -233,19 +239,19 @@ class TestSolveSweep:
         ys = risk.breakpoints(inst)
         monkeypatch.setattr(lp, "FEASIBILITY_TOL", -1.0)
         with pytest.raises(lp.LpSolveError, match="violates constraints by"):
-            lp.solve_sweep(lp.build_average_lp(inst, float(ys[0]), params),
-                           [risk.saddle_coefficients(inst, float(y), params) for y in ys])
+            sweep_points(lp.build_average_lp(inst, float(ys[0]), params),
+                         [risk.saddle_coefficients(inst, float(y), params) for y in ys])
 
     def test_infeasible_and_unbounded(self):
         free = (Variable("z", -np.inf, np.inf),)
         prog = LinearProgram.from_rows("t", "max", {"z": 1.0}, free,
                                        (Constraint("cap", {"z": 1.0}, "<=", 3.0),))
         with pytest.raises(lp.LpSolveError, match=r"^t \[cost 1\]: Unbounded$"):
-            lp.solve_sweep(prog, [np.ones(1), -np.ones(1)])
+            sweep_points(prog, [np.ones(1), -np.ones(1)])
         prog = LinearProgram.from_rows("t", "max", {"z": 1.0}, (Variable("z"),),
                                        (Constraint("neg", {"z": 1.0}, "<=", -1.0),))
         with pytest.raises(lp.LpSolveError, match=r"^t \[cost 0\]: Infeasible$"):
-            lp.solve_sweep(prog, [np.ones(1)])
+            sweep_points(prog, [np.ones(1)])
 
 
 def test_level_lp_pivots_primal(monkeypatch):
@@ -274,8 +280,8 @@ def test_sweep_pivots_primal_after_the_first_cost(monkeypatch):
 
     inst, params = perfbench_sparse_instance(1, 400, 4), risk.RiskParams(0.8, 0.5)
     ys = risk.breakpoints(inst)
-    sweep = lp.solve_sweep(lp.build_average_lp(inst, float(ys[0]), params),
-                           risk.saddle_coefficient_rows(inst, ys, params))
+    sweep = sweep_points(lp.build_average_lp(inst, float(ys[0]), params),
+                         risk.saddle_coefficient_rows(inst, ys, params))
     assert sum(point.nit for point in sweep[1:]) <= 800
 
 
